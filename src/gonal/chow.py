@@ -21,7 +21,7 @@ unrestricted concurrent use.
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require_gonal_range
 
 # (a, b): exponents of D and f
 Monomial = tuple[int, int]
@@ -43,10 +43,7 @@ class AmbientScroll:
             raise DomainError(f"requires n >= 3 (got n={self.n})")
         if self.g < 2:
             raise DomainError(f"requires g >= 2 (got g={self.g})")
-        if 2 * self.n - 2 >= self.g:
-            raise DomainError(
-                f"requires 2n-2 < g (got 2n-2={2 * self.n - 2}, g={self.g})"
-            )
+        require_gonal_range(self.g, self.n)
 
     @property
     def dimension(self) -> int:

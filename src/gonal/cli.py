@@ -39,7 +39,6 @@ def _cmd_verify(args) -> int:
         range(args.genus_min, args.genus_max + 1),
         range(args.gonality_min, args.gonality_max + 1),
         k_max=args.kmax,
-        jobs=args.jobs,
     )
     if args.format == "json":
         sys.stdout.write(json.dumps(summary.to_dict(), indent=2) + "\n")
@@ -99,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--gonality-min", type=int, required=True)
     ver.add_argument("--gonality-max", type=int, required=True)
     ver.add_argument("--kmax", type=int, default=None, help="section scan cutoff (default 2g per point)")
-    ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(func=_cmd_verify)
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the standing range hypothesis shared across the package."""
 
 
 class DomainError(ValueError):
@@ -11,3 +11,14 @@ class UnsupportedError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, never bad user input."""
+
+
+def in_gonal_range(g: int, n: int) -> bool:
+    """The hypothesis 2n-2 < g: the genus lies above the boundary genus 2n-2."""
+    return 2 * n - 2 < g
+
+
+def require_gonal_range(g: int, n: int) -> None:
+    """Raise DomainError unless 2n-2 < g; each caller checks its own bound on n."""
+    if not in_gonal_range(g, n):
+        raise DomainError(f"requires 2n-2 < g (got 2n-2={2 * n - 2}, g={g})")

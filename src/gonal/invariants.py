@@ -12,37 +12,21 @@ comparisons, never floats.
 from math import comb
 from typing import Sequence
 
-from .chow import AmbientScroll, intersect_number
-from .errors import ConsistencyError, DomainError
-from .scroll import ScrollSpec, canonical_class, curve_class, generic_scroll
+from .chow import AmbientScroll
+from .errors import DomainError, require_gonal_range
+from .scroll import ScrollSpec, generic_scroll
 
 
 def _require_scroll_range(g: int, n: int) -> None:
     if n < 3:
         raise DomainError(f"requires n >= 3 (got n={n})")
-    if 2 * n - 2 >= g:
-        raise DomainError(f"requires 2n-2 < g (got 2n-2={2 * n - 2}, g={g})")
+    require_gonal_range(g, n)
 
 
-def chi_restricted_tangent(g: int, n: int, check: bool = False) -> int:
-    """chi of the ambient tangent bundle restricted to the curve: n^2+1-g.
-
-    With ``check=True`` the value is recomputed through the intersection
-    ring as -K.C + (n-1)(1-g) and any mismatch raises.
-    """
+def chi_restricted_tangent(g: int, n: int) -> int:
+    """chi of the ambient tangent bundle restricted to the curve: n^2+1-g."""
     _require_scroll_range(g, n)
-    value = n * n + 1 - g
-    if check:
-        spec = generic_scroll(g, n)
-        via_chow = intersect_number(
-            [-canonical_class(spec)], curve_class(spec)
-        ) + (n - 1) * (1 - g)
-        if via_chow != value:
-            raise ConsistencyError(
-                f"chi(T|C) mismatch at (g={g}, n={n}): "
-                f"formula {value}, intersection route {via_chow}"
-            )
-    return value
+    return n * n + 1 - g
 
 
 def chi_normal_bundle(g: int, n: int) -> int:
@@ -59,8 +43,7 @@ def h1_double_pencil(g: int, n: int) -> int:
     """h^1 of twice the pencil on the generic curve: g - 2n + 2."""
     if n < 2:
         raise DomainError(f"requires n >= 2 (got n={n})")
-    if 2 * n - 2 >= g:
-        raise DomainError(f"requires 2n-2 < g (got 2n-2={2 * n - 2}, g={g})")
+    require_gonal_range(g, n)
     return g - 2 * n + 2
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .errors import DomainError
+from .errors import DomainError, require_gonal_range
 
 
 class VerdictStatus(str, Enum):
@@ -77,8 +77,7 @@ def modular_degree_constraint(g: int, n: int) -> DivisibilityVerdict:
         raise DomainError(f"requires n >= 2 (got n={n})")
     if n == 2:
         return DivisibilityVerdict(2, VerdictStatus.THEOREM, sharp=True)
-    if 2 * n - 2 >= g:
-        raise DomainError(f"requires 2n-2 < g (got 2n-2={2 * n - 2}, g={g})")
+    require_gonal_range(g, n)
     divisor = gcd(n, 2 * g - 2)
     status = VerdictStatus.PROVEN_FOR_TRIGONAL if n == 3 else VerdictStatus.CONJECTURE
     return DivisibilityVerdict(divisor, status, sharp=True)
@@ -139,8 +138,7 @@ def sharpness_witness(g: int, n: int) -> SharpnessWitness:
     """
     if n < 3 or 2 * n - 2 < 4:
         raise DomainError(f"requires 4 <= 2n-2 (got 2n-2={2 * n - 2})")
-    if 2 * n - 2 >= g:
-        raise DomainError(f"requires 2n-2 < g (got 2n-2={2 * n - 2}, g={g})")
+    require_gonal_range(g, n)
     divisor = degree_subgroup(g, n)
     combination = solve_degree(g, n, divisor)
     assert combination is not None

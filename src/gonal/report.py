@@ -1,27 +1,29 @@
 """Invariant dossiers for (g, n) and the grid verification sweep.
 
 ``generate_report`` aggregates every module's output for one (g, n)
-into a deterministic record with text and JSON renderings.  JSON uses
-snake_case field names and serializes integers beyond the 53-bit safe
-range as decimal strings, so output survives consumers that parse JSON
-numbers as doubles; ``parse_json`` undoes this, and parse(emit(r)) == r.
+into a deterministic record with text and JSON renderings.  The JSON is
+derived from the dataclass fields: snake_case field names, enums as
+their values, and integers beyond the 53-bit safe range as decimal
+strings, so output survives consumers that parse JSON numbers as
+doubles; ``parse_json`` undoes this, and parse(emit(r)) == r.
 
 ``sweep_verify`` re-runs every cross-module identity over a grid of
 (g, n) and reports counts instead of aborting: a verification harness
-must surface all findings.  Grid points are independent and may be
-evaluated concurrently; aggregation order is canonical (globals first,
-then grid points sorted by (g, n)).
+must surface all findings.  Aggregation order is canonical (globals
+first, then grid points sorted by (g, n)).
 """
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+import types
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
+from functools import cache
+from typing import Iterable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from . import hirzebruch, hyperelliptic, invariants, picard
-from .chow import AmbientScroll, ChowClass, intersect_number
-from .errors import DomainError
+from .chow import AmbientScroll, ChowClass, DivisorClass, intersect_number
+from .errors import DomainError, in_gonal_range
 from .picard import DivisibilityVerdict, VerdictStatus
 from .scroll import (
     aut_group_numerics,
@@ -30,8 +32,6 @@ from .scroll import (
     generic_scroll,
     validate_scroll,
 )
-
-_SAFE_INT_MAX = (1 << 53) - 1
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,19 @@ class ConsistencyFlags:
     oracle_agreement: bool | None
 
 
+# JSON groups fields of the flat record under these keys, in field order.
+_INPUT = {"json_group": "input"}
+_CLASSES = {"json_group": "classes"}
+
+
 @dataclass(frozen=True)
 class GonalReport:
-    g: int
-    n: int
-    k_max: int
+    g: int = field(metadata=_INPUT)
+    n: int = field(metadata=_INPUT)
+    k_max: int = field(metadata=_INPUT)
     scroll: ScrollSummary
-    canonical_class: tuple[int, int]
-    curve_class: tuple[tuple[int, int, int], ...]
+    canonical_class: tuple[int, int] = field(metadata=_CLASSES)
+    curve_class: tuple[tuple[int, int, int], ...] = field(metadata=_CLASSES)
     invariants: InvariantSummary
     section_counts: tuple[tuple[int, int], ...]
     oracle_checks: tuple[OracleRow, ...] | None
@@ -92,123 +97,22 @@ class GonalReport:
     consistency_flags: ConsistencyFlags
 
     def to_dict(self) -> dict:
-        return {
-            "input": {"g": self.g, "n": self.n, "k_max": self.k_max},
-            "scroll": {
-                "dimension": self.scroll.dimension,
-                "degree": self.scroll.degree,
-                "ambient_dim": self.scroll.ambient_dim,
-                "splitting": list(self.scroll.splitting),
-                "big_n": self.scroll.big_n,
-                "shift": self.scroll.shift,
-                "generic_type": self.scroll.generic_type,
-                "surface": self.scroll.surface,
-                "aut_total_dim": self.scroll.aut_total_dim,
-                "aut_vertical_dim": self.scroll.aut_vertical_dim,
-                "aut_components": self.scroll.aut_components,
-            },
-            "classes": {
-                "canonical_class": list(self.canonical_class),
-                "curve_class": [list(t) for t in self.curve_class],
-            },
-            "invariants": {
-                "chi_restricted_tangent": self.invariants.chi_restricted_tangent,
-                "chi_restricted_tangent_chow": self.invariants.chi_restricted_tangent_chow,
-                "chi_normal_bundle": self.invariants.chi_normal_bundle,
-                "hilbert_scheme_dimension": self.invariants.hilbert_scheme_dimension,
-                "h1_double_pencil": self.invariants.h1_double_pencil,
-                "moduli_dimension": self.invariants.moduli_dimension,
-            },
-            "section_counts": [list(t) for t in self.section_counts],
-            "oracle_checks": None
-            if self.oracle_checks is None
-            else [
-                {
-                    "k": row.k,
-                    "formula_value": row.formula_value,
-                    "oracle_value": row.oracle_value,
-                    "agree": row.agree,
-                }
-                for row in self.oracle_checks
-            ],
-            "divisibility": {
-                "divisor": self.divisibility.divisor,
-                "status": self.divisibility.status.value,
-                "sharp": self.divisibility.sharp,
-            },
-            "consistency_flags": {
-                "euler_chain": self.consistency_flags.euler_chain,
-                "branch_continuity": self.consistency_flags.branch_continuity,
-                "dim_p_l": self.consistency_flags.dim_p_l,
-                "oracle_agreement": self.consistency_flags.oracle_agreement,
-            },
-        }
+        return _encode_ints(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GonalReport":
-        def num(v) -> int:
-            return v if isinstance(v, int) else int(v)
+        return _decoder(cls)(d)
 
-        sc = d["scroll"]
-        inv = d["invariants"]
-        div = d["divisibility"]
-        fl = d["consistency_flags"]
-        rows = d["oracle_checks"]
-        return cls(
-            g=num(d["input"]["g"]),
-            n=num(d["input"]["n"]),
-            k_max=num(d["input"]["k_max"]),
-            scroll=ScrollSummary(
-                dimension=num(sc["dimension"]),
-                degree=num(sc["degree"]),
-                ambient_dim=num(sc["ambient_dim"]),
-                splitting=tuple(num(x) for x in sc["splitting"]),
-                big_n=num(sc["big_n"]),
-                shift=num(sc["shift"]),
-                generic_type=num(sc["generic_type"]),
-                surface=sc["surface"],
-                aut_total_dim=num(sc["aut_total_dim"]),
-                aut_vertical_dim=num(sc["aut_vertical_dim"]),
-                aut_components=num(sc["aut_components"]),
-            ),
-            canonical_class=tuple(num(x) for x in d["classes"]["canonical_class"]),
-            curve_class=tuple(
-                tuple(num(x) for x in t) for t in d["classes"]["curve_class"]
-            ),
-            invariants=InvariantSummary(
-                chi_restricted_tangent=num(inv["chi_restricted_tangent"]),
-                chi_restricted_tangent_chow=num(inv["chi_restricted_tangent_chow"]),
-                chi_normal_bundle=num(inv["chi_normal_bundle"]),
-                hilbert_scheme_dimension=num(inv["hilbert_scheme_dimension"]),
-                h1_double_pencil=num(inv["h1_double_pencil"]),
-                moduli_dimension=num(inv["moduli_dimension"]),
-            ),
-            section_counts=tuple(
-                (num(t[0]), num(t[1])) for t in d["section_counts"]
-            ),
-            oracle_checks=None
-            if rows is None
-            else tuple(
-                OracleRow(
-                    k=num(r["k"]),
-                    formula_value=num(r["formula_value"]),
-                    oracle_value=num(r["oracle_value"]),
-                    agree=r["agree"],
-                )
-                for r in rows
-            ),
-            divisibility=DivisibilityVerdict(
-                divisor=num(div["divisor"]),
-                status=VerdictStatus(div["status"]),
-                sharp=div["sharp"],
-            ),
-            consistency_flags=ConsistencyFlags(
-                euler_chain=fl["euler_chain"],
-                branch_continuity=fl["branch_continuity"],
-                dim_p_l=fl["dim_p_l"],
-                oracle_agreement=fl["oracle_agreement"],
-            ),
-        )
+
+def _require_k_max(k_max: int) -> None:
+    if k_max < 0:
+        raise DomainError(f"requires k_max >= 0 (got k_max={k_max})")
+
+
+def _chi_tangent_chow(kx: DivisorClass, curve: ChowClass) -> int:
+    """chi(T_X|C) through the intersection ring: -K.C + (n-1)(1-g)."""
+    amb = curve.ambient
+    return intersect_number([-kx], curve) + (amb.n - 1) * (1 - amb.g)
 
 
 def generate_report(g: int, n: int, k_max: int) -> GonalReport:
@@ -218,15 +122,14 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     structure sheaf and always contributes 1).  Deterministic: identical
     inputs give identical reports.
     """
-    if k_max < 0:
-        raise DomainError(f"requires k_max >= 0 (got k_max={k_max})")
+    _require_k_max(k_max)
     spec = generic_scroll(g, n)
     aut = aut_group_numerics(spec)
     kx = canonical_class(spec)
     curve = curve_class(spec)
 
     chi_t = invariants.chi_restricted_tangent(g, n)
-    chi_t_chow = intersect_number([-kx], curve) + (n - 1) * (1 - g)
+    chi_t_chow = _chi_tangent_chow(kx, curve)
     chi_n = invariants.chi_normal_bundle(g, n)
     inv = InvariantSummary(
         chi_restricted_tangent=chi_t,
@@ -241,16 +144,11 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     sections = tuple((k, invariants.ballico_h0(g, n, k)) for k in ks)
 
     if n == 3:
-        rows = tuple(
-            OracleRow(
-                k,
-                invariants.ballico_h0(g, 3, k),
-                hirzebruch.trigonal_h0_oracle(g, k),
-                invariants.ballico_h0(g, 3, k) == hirzebruch.trigonal_h0_oracle(g, k),
-            )
-            for k in ks
-        )
-        oracle_checks: tuple[OracleRow, ...] | None = rows
+        rows = []
+        for k, h0 in sections:
+            oracle = hirzebruch.trigonal_h0_oracle(g, k)
+            rows.append(OracleRow(k, h0, oracle, h0 == oracle))
+        oracle_checks: tuple[OracleRow, ...] | None = tuple(rows)
         oracle_agreement: bool | None = all(r.agree for r in rows)
         h0_curve_system = hirzebruch.bundle_cohomology(
             hirzebruch.trigonal_curve_bundle(g)
@@ -303,21 +201,75 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     )
 
 
+_SAFE_INT_MAX = (1 << 53) - 1
+
+
+@cache
+def _json_fields(cls: type) -> tuple[tuple[str, str | None], ...]:
+    """(field name, JSON group or None) for each field of a dataclass."""
+    return tuple((f.name, f.metadata.get("json_group")) for f in fields(cls))
+
+
 def _encode_ints(obj):
-    """Replace integers beyond the 53-bit safe range by decimal strings."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) > _SAFE_INT_MAX else obj
+    """The JSON value of obj, in one walk.
+
+    A dataclass becomes a dict in field order, with grouped fields nested
+    under their group's key; an enum becomes its value, a tuple a list,
+    and an integer beyond the 53-bit safe range a decimal string.
+    """
+    if type(obj) is int:
+        return obj if -_SAFE_INT_MAX <= obj <= _SAFE_INT_MAX else str(obj)
     if isinstance(obj, (list, tuple)):
         return [_encode_ints(x) for x in obj]
+    if isinstance(obj, Enum):
+        return obj.value
     if isinstance(obj, dict):
         return {k: _encode_ints(v) for k, v in obj.items()}
+    if is_dataclass(obj):
+        out: dict = {}
+        for name, group in _json_fields(type(obj)):
+            value = _encode_ints(getattr(obj, name))
+            if group is None:
+                out[name] = value
+            else:
+                out.setdefault(group, {})[name] = value
+        return out
     return obj
 
 
+@cache
+def _decoder(tp):
+    """A function rebuilding a value of type tp from its JSON value.
+
+    Integers may arrive as decimal strings; tuples are homogeneous.
+    """
+    origin = get_origin(tp)
+    if origin in (Union, types.UnionType):
+        (inner,) = [a for a in get_args(tp) if a is not type(None)]
+        decode_inner = _decoder(inner)
+        return lambda v: None if v is None else decode_inner(v)
+    if origin is tuple:
+        (item,) = set(get_args(tp)) - {Ellipsis}
+        decode_item = _decoder(item)
+        return lambda v: tuple(map(decode_item, v))
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        plan = tuple(
+            (name, group, _decoder(hints[name])) for name, group in _json_fields(tp)
+        )
+        return lambda d: tp(
+            *[
+                decode(d[name] if group is None else d[group][name])
+                for name, group, decode in plan
+            ]
+        )
+    if tp in (int, bool, str) or issubclass(tp, Enum):
+        return tp  # each converts its own JSON value; int also parses strings
+    raise TypeError(f"no JSON decoder for {tp!r}")
+
+
 def emit_json(report: GonalReport) -> str:
-    return json.dumps(_encode_ints(report.to_dict()), indent=2) + "\n"
+    return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
 def parse_json(text: str) -> GonalReport:
@@ -330,24 +282,12 @@ def _flag_str(value: bool | None) -> str:
     return "ok" if value else "FAIL"
 
 
-def _class_str(terms: tuple[tuple[int, int, int], ...]) -> str:
-    bits = []
-    for a, b, c in terms:
-        mono = "*".join(
-            ([f"D^{a}" if a > 1 else "D"] if a else []) + (["f"] if b else [])
-        ) or "1"
-        term = mono if abs(c) == 1 and mono != "1" else f"{abs(c)}*{mono}"
-        if not bits:
-            bits.append(term if c > 0 else f"-{term}")
-        else:
-            bits.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(bits) if bits else "0"
-
-
 def render_text(report: GonalReport) -> str:
     s = report.scroll
     inv = report.invariants
-    kd, kf = report.canonical_class
+    amb = AmbientScroll(report.g, report.n)
+    kx = DivisorClass(amb, *report.canonical_class)
+    curve = ChowClass(amb, {(a, b): c for a, b, c in report.curve_class})
     lines = [
         f"n-gonal curve dossier: g={report.g}, n={report.n} (sections up to k={report.k_max})",
         "",
@@ -357,8 +297,8 @@ def render_text(report: GonalReport) -> str:
         f"  Aut(X): dimension {s.aut_total_dim} (vertical {s.aut_vertical_dim}), "
         f"components {s.aut_components}",
         "classes:",
-        f"  canonical K_X = {_class_str(((1, 0, kd), (0, 1, kf)))}",
-        f"  curve     C   = {_class_str(report.curve_class)}",
+        f"  canonical K_X = {kx}",
+        f"  curve     C   = {curve!r}",
         "invariants:",
         f"  chi(T_X|C)              {inv.chi_restricted_tangent} "
         f"(intersection route {inv.chi_restricted_tangent_chow})",
@@ -428,15 +368,7 @@ class SweepSummary:
         return self.failed == 0
 
     def to_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "passed": self.passed,
-            "failed": self.failed,
-            "skipped": self.skipped,
-            "first_failure": self.first_failure,
-            "failures": list(self.failures),
-            "skip_reasons": dict(self.skip_reasons),
-        }
+        return _encode_ints(self)
 
 
 def _stepwise_reduce(
@@ -473,7 +405,7 @@ def _point_checks(g: int, n: int, k_max: int | None) -> list[CheckResult]:
     def rec(name: str, ok: bool, detail: str = "") -> None:
         out.append(CheckResult(g, n, name, "pass" if ok else "fail", detail))
 
-    if n < 3 or 2 * n - 2 >= g:
+    if n < 3 or not in_gonal_range(g, n):
         return [
             CheckResult(g, n, "hypothesis", "skip", "requires n >= 3 and 2n-2 < g")
         ]
@@ -530,11 +462,11 @@ def _point_checks(g: int, n: int, k_max: int | None) -> list[CheckResult]:
     dc = intersect_number([hyper], curve)
     rec("scroll/fiber-pairing", fc == n, f"f.C = {fc}")
     rec("scroll/hyperplane-pairing", dc == 2 * g - 2, f"D.C = {dc}")
-    minus_kc = intersect_number([-kx], curve)
+    chi_t_chow = _chi_tangent_chow(kx, curve)
     rec(
         "scroll/euler-pairing",
-        minus_kc == n * n + 1 - g - (n - 1) * (1 - g),
-        f"-K.C = {minus_kc}",
+        chi_t_chow == n * n + 1 - g,
+        f"-K.C = {chi_t_chow - (n - 1) * (1 - g)}",
     )
     aut = aut_group_numerics(spec)
     rec(
@@ -545,11 +477,13 @@ def _point_checks(g: int, n: int, k_max: int | None) -> list[CheckResult]:
     )
 
     # curve invariants
-    chi_t = invariants.chi_restricted_tangent(g, n, check=True)
+    chi_t = invariants.chi_restricted_tangent(g, n)
     chi_n = invariants.chi_normal_bundle(g, n)
     rec(
         "invariants/euler-chain",
-        chi_n == chi_t + 3 * g - 3 and chi_n == 2 * g + n * n - 2,
+        chi_t == chi_t_chow
+        and chi_n == chi_t + 3 * g - 3
+        and chi_n == 2 * g + n * n - 2,
         f"chi(T|C) = {chi_t}, chi(N) = {chi_n}",
     )
     rec("invariants/h1-double-pencil", invariants.h1_double_pencil(g, n) == g - 2 * n + 2)
@@ -782,7 +716,6 @@ def sweep_verify(
     g_range: Iterable[int],
     n_range: Iterable[int],
     k_max: int | None = None,
-    jobs: int = 1,
 ) -> SweepSummary:
     """Run every module property over the (g, n) grid and summarize.
 
@@ -794,15 +727,12 @@ def sweep_verify(
     n_values = sorted(set(n_range))
     if not g_values or not n_values:
         raise DomainError("sweep ranges must be non-empty")
-    points = [(g, n) for g in g_values for n in n_values]
+    if k_max is not None:
+        _require_k_max(k_max)
 
     results = _global_checks(g_values, n_values, k_max)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(lambda p: _point_checks(p[0], p[1], k_max), points):
-                results.extend(chunk)
-    else:
-        for g, n in points:
+    for g in g_values:
+        for n in n_values:
             results.extend(_point_checks(g, n, k_max))
 
     passed = sum(1 for r in results if r.outcome == "pass")

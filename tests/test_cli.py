@@ -47,7 +47,6 @@ class TestVerifyCommand:
             "verify",
             "--genus-min", "5", "--genus-max", "9",
             "--gonality-min", "3", "--gonality-max", "4",
-            "--jobs", "2",
         )
         assert proc.returncode == 0
         assert "failed 0" in proc.stdout
@@ -65,6 +64,17 @@ class TestVerifyCommand:
         assert doc["failed"] == 0
         assert doc["checked"] > 0
         assert doc["first_failure"] is None
+
+    def test_negative_kmax_exits_2(self):
+        proc = run_cli(
+            "verify",
+            "--genus-min", "5", "--genus-max", "8",
+            "--gonality-min", "3", "--gonality-max", "3",
+            "--kmax", "-5",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: requires k_max >= 0 (got k_max=-5)\n"
 
     def test_failure_exits_1(self, monkeypatch, capsys):
         from gonal import cli

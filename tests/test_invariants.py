@@ -30,7 +30,7 @@ class TestEulerCharacteristics:
                 via_chow = intersect_number(
                     [-canonical_class(spec)], curve_class(spec)
                 ) + (n - 1) * (1 - g)
-                assert via_chow == chi_restricted_tangent(g, n, check=True)
+                assert via_chow == chi_restricted_tangent(g, n)
 
     def test_normal_bundle_examples(self):
         assert chi_normal_bundle(5, 3) == 17

@@ -1,0 +1,75 @@
+"""Byte-identity of the report and sweep outputs.
+
+The SHA-256 digests below pin the exact bytes of ``emit_json`` and
+``render_text`` and of ``gonal verify --format json``.  A change to any
+of these outputs must be intended, documented, and re-pinned here.
+"""
+
+import hashlib
+
+import pytest
+
+from gonal import cli
+from gonal.report import emit_json, generate_report, parse_json, render_text
+
+# (g, n, k_max): (emit_json digest, render_text digest)
+REPORTS = {
+    (5, 3, 6): (
+        "6cab4d2818eb5cff522a909e4645a6a33b39f638063fb0d019b59fa4f4c9cd2a",
+        "eedc62ad75397a02fd471349203debdb7301736c983c16faf87442c0ea79c9d7",
+    ),
+    (6, 3, 12): (
+        "a67ef2f88be4fe10392fd46f5ee3e88cdc447e7d2422fd37fb8ce46bab3667e6",
+        "b130f4e6d6081c2ae3c498de8303e235756bb388f8203825561755619e12ae23",
+    ),
+    (9, 4, 18): (
+        "67039ace52543ae6e34d2c5f19f25b4f6ef6c180347d5a2aa9b76a2a797bdf42",
+        "a635fb181fb098cabb2806c8172b0ab415a5f18b50d1e024bfb54ecf7a3e5fdb",
+    ),
+    (12, 5, 24): (
+        "0d79508ff962617668ad5c8076295e6f5d0af837c848d33397fdd055f8a02fe7",
+        "fceb08cbf2b11d6816fc8c7b56014277861e76fd23cea9ccdf267df059ba6bc6",
+    ),
+    (41, 7, 82): (
+        "b236102c2fefcf213691e68496b1b33d2e9f26504c2450003f1e984cbfa84c40",
+        "a5ecc2ff2486342618fae59ecdb48d657d965546899d335e4f1351cdd72d2d51",
+    ),
+    (2000, 3, 4000): (
+        "1c74743101c15927f8ea785cacf30b4120ffb0a9bc6b80523080f13d77e41038",
+        "4317f8fc3aabc27a150e3d2c96bd117ee19f10ae51087d255d6db9e913885bbd",
+    ),
+    (2000, 50, 4000): (
+        "bd9810404a716902d2563fe194bcc5a80c8c612c59359792abc44d474261a52d",
+        "4336794161bc5479b6e0349752588b9163706e7b17840aa68fb174eed11f091f",
+    ),
+    # g beyond the 53-bit safe range: the decimal-string path
+    ((1 << 60) + 1, 3, 4): (
+        "373f62bbe73981a18efd130852f48924af05cb41a019502558684aa48b662386",
+        "7e503a07f02fde67815ac9eef6a9a8291cb60a1c6ee0434dbca8be80b4ed2f44",
+    ),
+}
+
+VERIFY_JSON = "4f927c93774cda3e712ebc53f27a8804d86bf3bf046e8ce6f79887dadbddffaa"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_report_bytes(case):
+    report = generate_report(*case)
+    text = emit_json(report)
+    assert (sha256(text), sha256(render_text(report))) == REPORTS[case]
+    assert parse_json(text) == report
+
+
+def test_verify_json_bytes(capsys):
+    code = cli.main(
+        ["verify", "--genus-min", "5", "--genus-max", "30",
+         "--gonality-min", "3", "--gonality-max", "6", "--format", "json"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert '"checked": 2258' in out and '"skipped": 12' in out
+    assert sha256(out) == VERIFY_JSON

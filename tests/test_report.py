@@ -122,14 +122,14 @@ class TestSweep:
         assert summary.failed == 0
         assert summary.skip_reasons == {"requires n >= 3 and 2n-2 < g": 4}
 
-    def test_parallel_matches_serial(self):
-        serial = sweep_verify(range(5, 11), range(3, 5), jobs=1)
-        parallel = sweep_verify(range(5, 11), range(3, 5), jobs=3)
-        assert serial.to_dict() == parallel.to_dict()
-
     def test_empty_ranges_rejected(self):
         with pytest.raises(DomainError):
             sweep_verify(range(5, 5), range(3, 4))
+
+    def test_negative_kmax_rejected(self):
+        # every k-scan would be empty, so the sweep would pass vacuously
+        with pytest.raises(DomainError, match=r"requires k_max >= 0 \(got k_max=-5\)"):
+            sweep_verify(range(5, 9), range(3, 4), k_max=-5)
 
     def test_kmax_override(self):
         summary = sweep_verify(range(9, 10), range(3, 4), k_max=3)
