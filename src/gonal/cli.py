@@ -38,7 +38,6 @@ def _cmd_verify(args) -> int:
     summary = sweep_verify(
         range(args.genus_min, args.genus_max + 1),
         range(args.gonality_min, args.gonality_max + 1),
-        k_max=args.kmax,
     )
     if args.format == "json":
         sys.stdout.write(json.dumps(summary.to_dict(), indent=2) + "\n")
@@ -97,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--genus-max", type=int, required=True)
     ver.add_argument("--gonality-min", type=int, required=True)
     ver.add_argument("--gonality-max", type=int, required=True)
-    ver.add_argument("--kmax", type=int, default=None, help="section scan cutoff (default 2g per point)")
     ver.add_argument("--format", choices=("text", "json"), default="text")
     ver.set_defaults(func=_cmd_verify)
 

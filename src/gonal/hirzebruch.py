@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chow import intersect_number
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_gonal_range
 from .scroll import canonical_class, curve_class, generic_scroll, hyperplane_in_c0_f_basis
 
 
@@ -82,11 +82,16 @@ def canonical_bundle(e: int) -> FeBundle:
     return FeBundle(e, -2, -(e + 2))
 
 
+def _h0_switches(e: int, a: int) -> list[int]:
+    """The b at which h^0(a*C_0 + b*f) changes slope: i*e - 1, i = 0..a."""
+    return [i * e - 1 for i in range(a + 1)]
+
+
 def _h0(bundle: FeBundle) -> int:
     # h^0(P^1, Sym^a(O + O(-e)) (x) O(b)) summed over the splitting
     if bundle.a < 0:
         return 0
-    return sum(max(0, bundle.b - i * bundle.e + 1) for i in range(bundle.a + 1))
+    return sum(max(0, bundle.b - t) for t in _h0_switches(bundle.e, bundle.a))
 
 
 def bundle_cohomology(bundle: FeBundle) -> Cohomology:
@@ -121,8 +126,7 @@ def trigonal_curve_bundle(g: int) -> FeBundle:
     In the (C_0, f) basis this is (3, (g+2)/2) on F_0 for g even and
     (3, (g+5)/2) on F_1 for g odd.
     """
-    if g < 5:
-        raise DomainError(f"requires g >= 5 (got g={g})")
+    require_gonal_range(g, 3)
     e = g % 2
     _, m = hyperplane_in_c0_f_basis(generic_scroll(g, 3))
     return FeBundle(e, 3, 3 * m + 4 - g)
@@ -136,11 +140,9 @@ def trigonal_h0_oracle(g: int, k: int) -> int:
     the answer is h^0(kf) - h^0(kf - C) + h^1(kf - C), which is valid
     because h^1(O_S(kf)) = 0.  Both vanishing facts are asserted.
     """
-    if g < 5:
-        raise DomainError(f"requires g >= 5 (got g={g})")
+    curve = trigonal_curve_bundle(g)
     if k < 0:
         raise DomainError(f"requires k >= 0 (got k={k})")
-    curve = trigonal_curve_bundle(g)
     kf = FeBundle(curve.e, 0, k)
     on_s = bundle_cohomology(kf)
     twisted = bundle_cohomology(kf - curve)
@@ -154,6 +156,14 @@ def trigonal_h0_oracle(g: int, k: int) -> int:
             f"h^1(O_S(kf)) = {on_s.h1} != 0 at (g={g}, k={k})"
         )
     return on_s.h0 - twisted.h0 + twisted.h1
+
+
+def trigonal_h0_switches(g: int) -> list[int]:
+    """The k at which trigonal_h0_oracle(g, k) changes slope: the oracle is
+    h^0(kf) + h^0(K + C - kf) - chi(kf - C), and chi is affine in k."""
+    curve = trigonal_curve_bundle(g)
+    dual = canonical_bundle(curve.e) + curve  # K + C - kf at k = 0
+    return _h0_switches(curve.e, 0) + [dual.b - t for t in _h0_switches(dual.e, dual.a)]
 
 
 class RatherFreeResult(NamedTuple):
@@ -173,8 +183,7 @@ def rather_free_check(g: int) -> RatherFreeResult:
     scroll's intersection ring, together with the verdict of the
     sufficient criterion: pairing <= -2 and h^1(O_S) = 0.
     """
-    if g < 5:
-        raise DomainError(f"requires g >= 5 (got g={g})")
+    require_gonal_range(g, 3)
     spec = generic_scroll(g, 3)
     pairing = intersect_number([canonical_class(spec)], curve_class(spec))
     irregularity = bundle_cohomology(FeBundle(g % 2, 0, 0)).h1

@@ -9,6 +9,7 @@ Everything is an exact integer; branch thresholds are decided by integer
 comparisons, never floats.
 """
 
+from bisect import bisect_right
 from math import comb
 from typing import Sequence
 
@@ -66,17 +67,22 @@ def gonal_pencil_count(n: int) -> int:
     return comb(2 * n - 2, n - 1) // n
 
 
+def ballico_switches(g: int, n: int) -> list[int]:
+    """The k at which ballico_h0 changes formula: the least k with k(n-1) >= g."""
+    return [-(-g // (n - 1))]
+
+
 def ballico_h0(g: int, n: int, k: int) -> int:
     """Sections of k times the pencil on the generic n-gonal curve.
 
     k+1 below the threshold k < g/(n-1), and the Riemann-Roch value
-    nk - g + 1 at or above it.  The threshold comparison is exact:
-    k(n-1) < g.
+    nk - g + 1 at or above it.  The threshold is the exact integer
+    ceil(g/(n-1)) of ballico_switches.
     """
     _require_scroll_range(g, n)
     if k < 0:
         raise DomainError(f"requires k >= 0 (got k={k})")
-    if k * (n - 1) < g:
+    if k < ballico_switches(g, n)[0]:
         return k + 1
     return n * k - g + 1
 
@@ -97,11 +103,9 @@ def _maroni_branch(
 ) -> int:
     """Value of branch j of the piecewise section-count formula at k.
 
-    Branch 0 is k+1, branch j for 1 <= j <= n-2 is
-    (j+1)k + 1 - j*eta - (r_1 + ... + r_j), branch n-1 is nk + 1 - g.
+    Branch j for 0 <= j <= n-2 is (j+1)k + 1 - j*eta - (r_1 + ... + r_j),
+    which is k+1 for j = 0; branch n-1 is nk + 1 - g.
     """
-    if j == 0:
-        return k + 1
     if j == n - 1:
         return n * k + 1 - g
     return (j + 1) * k + 1 - j * eta - sum(splitting[:j])
@@ -125,13 +129,8 @@ def maroni_h0(
     else:
         spec = ScrollSpec(AmbientScroll(g, n), tuple(splitting))
     rs = spec.splitting
-    eta = _maroni_eta(g, n, rs)
-    if k < eta:
-        return k + 1
-    for j in range(1, n - 1):
-        if eta + rs[j - 1] <= k < eta + rs[j]:
-            return _maroni_branch(g, n, eta, rs, j, k)
-    return _maroni_branch(g, n, eta, rs, n - 1, k)
+    j = bisect_right(maroni_branch_boundaries(g, n, rs), k)
+    return _maroni_branch(g, n, _maroni_eta(g, n, rs), rs, j, k)
 
 
 def maroni_branch_boundaries(
@@ -150,12 +149,9 @@ def maroni_branch_continuity(
     """Adjacent branches of the piecewise formula agree at every boundary."""
     if splitting is None:
         splitting = generic_scroll(g, n).splitting
-    rs = tuple(splitting)
-    eta = _maroni_eta(g, n, rs)
-    for j in range(1, n):
-        k = eta + rs[j - 1]
-        left = _maroni_branch(g, n, eta, rs, j - 1, k)
-        right = _maroni_branch(g, n, eta, rs, j, k)
-        if left != right:
-            return False
-    return True
+    eta = _maroni_eta(g, n, splitting)
+    return all(
+        _maroni_branch(g, n, eta, splitting, j - 1, k)
+        == _maroni_branch(g, n, eta, splitting, j, k)
+        for j, k in enumerate(maroni_branch_boundaries(g, n, splitting), start=1)
+    )

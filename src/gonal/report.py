@@ -104,11 +104,6 @@ class GonalReport:
         return _decoder(cls)(d)
 
 
-def _require_k_max(k_max: int) -> None:
-    if k_max < 0:
-        raise DomainError(f"requires k_max >= 0 (got k_max={k_max})")
-
-
 def _chi_tangent_chow(kx: DivisorClass, curve: ChowClass) -> int:
     """chi(T_X|C) through the intersection ring: -K.C + (n-1)(1-g)."""
     amb = curve.ambient
@@ -122,7 +117,8 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     structure sheaf and always contributes 1).  Deterministic: identical
     inputs give identical reports.
     """
-    _require_k_max(k_max)
+    if k_max < 0:
+        raise DomainError(f"requires k_max >= 0 (got k_max={k_max})")
     spec = generic_scroll(g, n)
     aut = aut_group_numerics(spec)
     kx = canonical_class(spec)
@@ -398,7 +394,26 @@ def _rand_class(rng: random.Random, ambient: AmbientScroll) -> ChowClass:
     return ChowClass(ambient, coeffs)
 
 
-def _point_checks(g: int, n: int, k_max: int | None) -> list[CheckResult]:
+def _decisive_ks(*switches: Iterable[int]) -> list[int]:
+    """The k >= 0 among 0, 1 and t-1, t, t+1 for each switch t, a k where a
+    section count changes formula.  Both sides of a k-identity are affine
+    between consecutive points and from the next-to-last point on, so
+    agreement at the points decides every k >= 0.  So do the predicates
+    of ballico-riemann-roch-bound: h^0 - chi is positive below its switch
+    and zero from it on, on a gap iff at both ends.  The h^1 of
+    riemann-roch-on-curve is that h^0 - chi.
+    """
+    near = {k for ts in switches for t in ts for k in (t - 1, t, t + 1)}
+    return sorted(k for k in near | {0, 1} if k >= 0)
+
+
+def _curve_h1(curve: hirzebruch.FeBundle, k: int) -> int:
+    """h^1(O_C(kf)) = h^2(kf - C) - h^2(kf), by the restriction sequence."""
+    kf = hirzebruch.FeBundle(curve.e, 0, k)
+    return hirzebruch.bundle_cohomology(kf - curve).h2 - hirzebruch.bundle_cohomology(kf).h2
+
+
+def _point_checks(g: int, n: int) -> list[CheckResult]:
     """All per-(g, n) properties; one CheckResult per named property."""
     out: list[CheckResult] = []
 
@@ -409,8 +424,6 @@ def _point_checks(g: int, n: int, k_max: int | None) -> list[CheckResult]:
         return [
             CheckResult(g, n, "hypothesis", "skip", "requires n >= 3 and 2n-2 < g")
         ]
-    ks = range(0, (k_max if k_max is not None else 2 * g) + 1)
-
     spec = generic_scroll(g, n)
     amb = spec.ambient
     hyper = amb.hyperplane()
@@ -492,23 +505,21 @@ def _point_checks(g: int, n: int, k_max: int | None) -> list[CheckResult]:
         invariants.moduli_dimension(g, n) == 2 * n + 2 * g - 5,
         "on this grid 2n-2 < g, so the gonal branch is the minimum",
     )
+    ballico_switches = invariants.ballico_switches(g, n)
     rec(
         "invariants/maroni-ballico",
         all(
             invariants.maroni_h0(g, n, k) == invariants.ballico_h0(g, n, k)
-            for k in ks
+            for k in _decisive_ks(invariants.maroni_branch_boundaries(g, n), ballico_switches)
         ),
     )
     rec("invariants/branch-continuity", invariants.maroni_branch_continuity(g, n))
     rec(
         "invariants/ballico-riemann-roch-bound",
         all(
-            invariants.ballico_h0(g, n, k) >= n * k + 1 - g
-            and (
-                (invariants.ballico_h0(g, n, k) == n * k + 1 - g)
-                == (k * (n - 1) >= g)
-            )
-            for k in ks
+            h0 == chi if k * (n - 1) >= g else h0 > chi
+            for k in _decisive_ks(ballico_switches)
+            for h0, chi in [(invariants.ballico_h0(g, n, k), n * k + 1 - g)]
         ),
     )
 
@@ -547,11 +558,12 @@ def _point_checks(g: int, n: int, k_max: int | None) -> list[CheckResult]:
             "picard/trigonal-mod-3",
             verdict.divisor == (3 if g % 3 == 1 else 1),
         )
+        oracle_switches = hirzebruch.trigonal_h0_switches(g)
         rec(
             "oracle/ballico-agreement",
             all(
                 hirzebruch.trigonal_h0_oracle(g, k) == invariants.ballico_h0(g, 3, k)
-                for k in ks
+                for k in _decisive_ks(oracle_switches, ballico_switches)
             ),
         )
         curve_fe = hirzebruch.trigonal_curve_bundle(g)
@@ -563,16 +575,10 @@ def _point_checks(g: int, n: int, k_max: int | None) -> list[CheckResult]:
         )
         pairing, free = hirzebruch.rather_free_check(g)
         rec("oracle/rather-free", pairing == -g - 8 and free, f"(K_S.L) = {pairing}")
-        rr_ok = True
-        for k in ks:
-            kf = hirzebruch.FeBundle(curve_fe.e, 0, k)
-            h0_c = hirzebruch.trigonal_h0_oracle(g, k)
-            h1_c = (
-                hirzebruch.bundle_cohomology(kf - curve_fe).h2
-                - hirzebruch.bundle_cohomology(kf).h2
-            )
-            if h0_c - h1_c != 3 * k + 1 - g or h1_c < 0:
-                rr_ok = False
+        rr_ok = all(
+            0 <= _curve_h1(curve_fe, k) == hirzebruch.trigonal_h0_oracle(g, k) - (3 * k + 1 - g)
+            for k in _decisive_ks(oracle_switches)
+        )
         rec("oracle/riemann-roch-on-curve", rr_ok)
 
     return out
@@ -586,9 +592,7 @@ def _gf_polymul(u: list[int], v: list[int], p: int) -> list[int]:
     return out
 
 
-def _global_checks(
-    g_values: list[int], n_values: list[int], k_max: int | None
-) -> list[CheckResult]:
+def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult]:
     """Properties that are not tied to a single grid point."""
     out: list[CheckResult] = []
 
@@ -659,23 +663,22 @@ def _global_checks(
                 twist_ok = False
     rec("global/twist-invariance", twist_ok)
 
-    rec(
-        "global/hyperelliptic-dimension",
-        all(
-            hyperelliptic.hg_dimension(g) == 2 * g - 1 == (2 * g + 2) - 3
-            for g in g_values
-            if g >= 2
+    hyper_genera = [g for g in g_values if g >= 2]
+    hyper_checks = {
+        "global/hyperelliptic-dimension": all(
+            hyperelliptic.hg_dimension(g) == 2 * g - 1 == (2 * g + 2) - 3 for g in hyper_genera
         ),
-    )
-    rec(
-        "global/hyperelliptic-constraint",
-        all(
+        "global/hyperelliptic-constraint": all(
             picard.modular_degree_constraint(g, 2)
             == DivisibilityVerdict(2, VerdictStatus.THEOREM, True)
-            for g in g_values
-            if g >= 2
+            for g in hyper_genera
         ),
-    )
+    }
+    for name, ok in hyper_checks.items():
+        if hyper_genera:
+            rec(name, ok)
+        else:  # all() over no case would pass vacuously
+            out.append(CheckResult(0, 0, name, "skip", "no genus >= 2 in the grid"))
 
     # pencil count at the boundary genus, by two routes
     from math import factorial
@@ -712,28 +715,22 @@ def _global_checks(
     return out
 
 
-def sweep_verify(
-    g_range: Iterable[int],
-    n_range: Iterable[int],
-    k_max: int | None = None,
-) -> SweepSummary:
+def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary:
     """Run every module property over the (g, n) grid and summarize.
 
     Grid points whose hypotheses fail are counted as skips with a
-    reason; failures are collected, never raised.  ``k_max=None`` scans
-    k up to 2g at each point.
+    reason; failures are collected, never raised.  Identities in k are
+    decided for every k >= 0.
     """
     g_values = sorted(set(g_range))
     n_values = sorted(set(n_range))
     if not g_values or not n_values:
         raise DomainError("sweep ranges must be non-empty")
-    if k_max is not None:
-        _require_k_max(k_max)
 
-    results = _global_checks(g_values, n_values, k_max)
+    results = _global_checks(g_values, n_values)
     for g in g_values:
         for n in n_values:
-            results.extend(_point_checks(g, n, k_max))
+            results.extend(_point_checks(g, n))
 
     passed = sum(1 for r in results if r.outcome == "pass")
     failed = [r for r in results if r.outcome == "fail"]

@@ -65,16 +65,17 @@ class TestVerifyCommand:
         assert doc["checked"] > 0
         assert doc["first_failure"] is None
 
-    def test_negative_kmax_exits_2(self):
+    def test_kmax_is_usage_error(self):
+        # k-identities are decided for every k, so there is no cutoff
         proc = run_cli(
             "verify",
             "--genus-min", "5", "--genus-max", "8",
             "--gonality-min", "3", "--gonality-max", "3",
-            "--kmax", "-5",
+            "--kmax", "5",
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == "error: requires k_max >= 0 (got k_max=-5)\n"
+        assert "unrecognized arguments: --kmax 5" in proc.stderr
 
     def test_failure_exits_1(self, monkeypatch, capsys):
         from gonal import cli

@@ -122,6 +122,19 @@ class TestTrigonalOracle:
             trigonal_h0_oracle(5, -1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: trigonal_curve_bundle(4),
+        lambda: trigonal_h0_oracle(4, -1),  # the genus is checked before k
+        lambda: rather_free_check(4),
+    ],
+)
+def test_boundary_genus_message(call):
+    with pytest.raises(DomainError, match=r"^requires 2n-2 < g \(got 2n-2=4, g=4\)$"):
+        call()
+
+
 class TestVeryAmple:
     def test_trigonal_curve_systems(self):
         assert very_ample(FeBundle(1, 3, 5))  # g = 5

@@ -1,7 +1,7 @@
 """Byte-identity of the report and sweep outputs.
 
 The SHA-256 digests below pin the exact bytes of ``emit_json`` and
-``render_text`` and of ``gonal verify --format json``.  A change to any
+``render_text`` and of ``gonal verify`` in text and JSON.  A change to any
 of these outputs must be intended, documented, and re-pinned here.
 """
 
@@ -50,6 +50,7 @@ REPORTS = {
 }
 
 VERIFY_JSON = "4f927c93774cda3e712ebc53f27a8804d86bf3bf046e8ce6f79887dadbddffaa"
+VERIFY_TEXT = "fef68fcf21dfe9ce321a1bf04f903be862be1eb783de66ab6c023fa89b5e6027"
 
 
 def sha256(text: str) -> str:
@@ -73,3 +74,13 @@ def test_verify_json_bytes(capsys):
     assert code == 0
     assert '"checked": 2258' in out and '"skipped": 12' in out
     assert sha256(out) == VERIFY_JSON
+
+
+def test_verify_text_bytes(capsys):
+    code = cli.main(
+        ["verify", "--genus-min", "5", "--genus-max", "30",
+         "--gonality-min", "3", "--gonality-max", "6"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sha256(out) == VERIFY_TEXT

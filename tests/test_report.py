@@ -1,10 +1,15 @@
 """Tests for report generation, serialization, and the sweep harness."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
+from gonal import hirzebruch, invariants
 from gonal.errors import DomainError
 from gonal.report import (
     GonalReport,
+    _curve_h1,
+    _decisive_ks,
     _encode_ints,
     emit_json,
     generate_report,
@@ -126,11 +131,96 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep_verify(range(5, 5), range(3, 4))
 
-    def test_negative_kmax_rejected(self):
-        # every k-scan would be empty, so the sweep would pass vacuously
-        with pytest.raises(DomainError, match=r"requires k_max >= 0 \(got k_max=-5\)"):
-            sweep_verify(range(5, 9), range(3, 4), k_max=-5)
+    def test_no_hyperelliptic_genus_skips(self):
+        # below genus 2 the hyperelliptic checks have no case to evaluate
+        summary = sweep_verify(range(0, 2), range(0, 2))
+        assert (summary.checked, summary.failed, summary.skipped) == (10, 0, 6)
+        assert summary.skip_reasons == {
+            "requires n >= 3 and 2n-2 < g": 4,
+            "no genus >= 2 in the grid": 2,
+        }
 
-    def test_kmax_override(self):
-        summary = sweep_verify(range(9, 10), range(3, 4), k_max=3)
-        assert summary.failed == 0
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_section_evaluations_do_not_grow_with_g(self, monkeypatch, n):
+        calls = []
+        for module, name in (
+            (invariants, "ballico_h0"),
+            (invariants, "maroni_h0"),
+            (hirzebruch, "trigonal_h0_oracle"),
+        ):
+            def counted(*args, _f=getattr(module, name)):
+                calls.append(args)
+                return _f(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        def evaluations(g):
+            calls.clear()
+            assert sweep_verify([g], [n]).ok
+            return len(calls)
+
+        assert evaluations(200) <= evaluations(20)
+
+
+def _affine_between(values, ks):
+    """values[k] is affine between consecutive ks and from ks[-1] - 1 on."""
+    spans = [(p, q, q) for p, q in zip(ks, ks[1:])]
+    spans.append((ks[-1] - 1, ks[-1], len(values) - 1))
+    return all(
+        (values[k] - values[p]) * (q - p) == (values[q] - values[p]) * (k - p)
+        for p, q, end in spans
+        for k in range(p, end + 1)
+    )
+
+
+def _splittings(g, n):
+    """Every splitting that embeds for (g, n)."""
+    for tail in combinations_with_replacement(range(g - n + 1), n - 2):
+        rs = (0, *tail)
+        if sum(rs) < g - n + 1 and (g - sum(rs)) % (n - 1) == 0:
+            yield rs
+
+
+class TestDecisiveKs:
+    """The switch lists are complete: each section count is affine between
+    the points _decisive_ks picks from them, checked by brute force up to
+    k = 4g.  A branch added without its switch fails here."""
+
+    def test_points(self):
+        assert _decisive_ks() == [0, 1]
+        assert _decisive_ks([-1], [5, 5]) == [0, 1, 4, 5, 6]
+        assert _decisive_ks([0, 9]) == [0, 1, 8, 9, 10]
+
+    def test_ballico(self):
+        for n in range(3, 9):
+            for g in range(2 * n - 1, 61):
+                values = [invariants.ballico_h0(g, n, k) for k in range(4 * g + 1)]
+                assert _affine_between(
+                    values, _decisive_ks(invariants.ballico_switches(g, n))
+                ), (g, n)
+
+    def test_maroni_generic(self):
+        for n in range(3, 7):
+            for g in range(2 * n - 1, 41):
+                values = [invariants.maroni_h0(g, n, k) for k in range(4 * g + 1)]
+                ks = _decisive_ks(invariants.maroni_branch_boundaries(g, n))
+                assert _affine_between(values, ks), (g, n)
+
+    def test_maroni_every_splitting(self):
+        for n in range(3, 7):
+            for g in range(2 * n - 1, 21):
+                for rs in _splittings(g, n):
+                    values = [
+                        invariants.maroni_h0(g, n, k, rs) for k in range(4 * g + 1)
+                    ]
+                    ks = _decisive_ks(invariants.maroni_branch_boundaries(g, n, rs))
+                    assert _affine_between(values, ks), (g, n, rs)
+
+    def test_trigonal_oracle_and_curve_h1(self):
+        for g in range(5, 81):
+            ks = _decisive_ks(hirzebruch.trigonal_h0_switches(g))
+            values = [hirzebruch.trigonal_h0_oracle(g, k) for k in range(4 * g + 1)]
+            assert _affine_between(values, ks), g
+            curve = hirzebruch.trigonal_curve_bundle(g)
+            h1 = [_curve_h1(curve, k) for k in range(4 * g + 1)]
+            assert _affine_between(h1, ks), g
