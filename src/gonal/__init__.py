@@ -63,7 +63,6 @@ from .scroll import (
     canonical_class,
     curve_class,
     generic_scroll,
-    hyperplane_in_c0_f_basis,
     validate_scroll,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "gonal_pencil_count",
     "h1_double_pencil",
     "hg_dimension",
-    "hyperplane_in_c0_f_basis",
     "intersect_number",
     "maroni_branch_continuity",
     "maroni_h0",

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .chow import intersect_number
 from .errors import ConsistencyError, DomainError, require_gonal_range
-from .scroll import canonical_class, curve_class, generic_scroll, hyperplane_in_c0_f_basis
+from .scroll import canonical_class, curve_class, generic_scroll
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,12 @@ def very_ample(bundle: FeBundle) -> bool:
 def trigonal_curve_bundle(g: int) -> FeBundle:
     """The class 3D + (4-g)f of a canonical trigonal curve on its surface.
 
-    In the (C_0, f) basis this is (3, (g+2)/2) on F_0 for g even and
-    (3, (g+5)/2) on F_1 for g odd.
+    By adjunction this is 3C_0 + ((g+2+3e)/2) f on F_e with e = g mod 2:
+    (3, (g+2)/2) on F_0 for g even and (3, (g+5)/2) on F_1 for g odd.
     """
     require_gonal_range(g, 3)
     e = g % 2
-    _, m = hyperplane_in_c0_f_basis(generic_scroll(g, 3))
-    return FeBundle(e, 3, 3 * m + 4 - g)
+    return FeBundle(e, 3, (g + 2 + 3 * e) // 2)
 
 
 def trigonal_h0_oracle(g: int, k: int) -> int:

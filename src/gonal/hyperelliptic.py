@@ -21,16 +21,35 @@ from .errors import DomainError, UnsupportedError
 Scalar = Fraction | int
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below the least
+# strong pseudoprime to all of them, _MR_BOUND (Sorenson and Webster,
+# Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality for p below _MR_BOUND; larger p is refused."""
+    if p >= _MR_BOUND:
+        raise DomainError(f"requires p < {_MR_BOUND} (got p={p})")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    q = 3
-    while q * q <= p:
+    for q in _MR_BASES:
         if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        q += 2
     return True
 
 

@@ -19,6 +19,7 @@ import types
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
+from math import factorial
 from typing import Iterable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from . import hirzebruch, hyperelliptic, invariants, picard
@@ -104,10 +105,17 @@ class GonalReport:
         return _decoder(cls)(d)
 
 
-def _chi_tangent_chow(kx: DivisorClass, curve: ChowClass) -> int:
-    """chi(T_X|C) through the intersection ring: -K.C + (n-1)(1-g)."""
-    amb = curve.ambient
-    return intersect_number([-kx], curve) + (amb.n - 1) * (1 - amb.g)
+def _decisive_ks(*switches: Iterable[int]) -> list[int]:
+    """The k >= 0 among 0, 1 and t-1, t, t+1 for each switch t, a k where a
+    section count changes formula.  Both sides of a k-identity are affine
+    between consecutive points and from the next-to-last point on, so
+    agreement at the points decides every k >= 0.  So do the predicates
+    of ballico-riemann-roch-bound: h^0 - chi is positive below its switch
+    and zero from it on, on a gap iff at both ends.  The h^1 of
+    riemann-roch-on-curve is that h^0 - chi.
+    """
+    near = {k for ts in switches for t in ts for k in (t - 1, t, t + 1)}
+    return sorted(k for k in near | {0, 1} if k >= 0)
 
 
 def generate_report(g: int, n: int, k_max: int) -> GonalReport:
@@ -125,7 +133,8 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     curve = curve_class(spec)
 
     chi_t = invariants.chi_restricted_tangent(g, n)
-    chi_t_chow = _chi_tangent_chow(kx, curve)
+    # chi(T_X|C) through the intersection ring: -K.C + (n-1)(1-g)
+    chi_t_chow = intersect_number([-kx], curve) + (n - 1) * (1 - g)
     chi_n = invariants.chi_normal_bundle(g, n)
     inv = InvariantSummary(
         chi_restricted_tangent=chi_t,
@@ -145,7 +154,14 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
             oracle = hirzebruch.trigonal_h0_oracle(g, k)
             rows.append(OracleRow(k, h0, oracle, h0 == oracle))
         oracle_checks: tuple[OracleRow, ...] | None = tuple(rows)
-        oracle_agreement: bool | None = all(r.agree for r in rows)
+        # the printed rows, and every k >= 0 whatever k_max is
+        decisive = _decisive_ks(
+            hirzebruch.trigonal_h0_switches(g), invariants.ballico_switches(g, 3)
+        )
+        oracle_agreement: bool | None = all(r.agree for r in rows) and all(
+            hirzebruch.trigonal_h0_oracle(g, k) == invariants.ballico_h0(g, 3, k)
+            for k in decisive
+        )
         h0_curve_system = hirzebruch.bundle_cohomology(
             hirzebruch.trigonal_curve_bundle(g)
         ).h0
@@ -161,7 +177,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
 
     flags = ConsistencyFlags(
         euler_chain=(chi_t == chi_t_chow == n * n + 1 - g)
-        and (chi_n == chi_t + 3 * g - 3),
+        and (chi_n == chi_t + 3 * g - 3 == 2 * g + n * n - 2),
         branch_continuity=invariants.maroni_branch_continuity(g, n),
         dim_p_l=dim_p_l,
         oracle_agreement=oracle_agreement,
@@ -394,19 +410,6 @@ def _rand_class(rng: random.Random, ambient: AmbientScroll) -> ChowClass:
     return ChowClass(ambient, coeffs)
 
 
-def _decisive_ks(*switches: Iterable[int]) -> list[int]:
-    """The k >= 0 among 0, 1 and t-1, t, t+1 for each switch t, a k where a
-    section count changes formula.  Both sides of a k-identity are affine
-    between consecutive points and from the next-to-last point on, so
-    agreement at the points decides every k >= 0.  So do the predicates
-    of ballico-riemann-roch-bound: h^0 - chi is positive below its switch
-    and zero from it on, on a gap iff at both ends.  The h^1 of
-    riemann-roch-on-curve is that h^0 - chi.
-    """
-    near = {k for ts in switches for t in ts for k in (t - 1, t, t + 1)}
-    return sorted(k for k in near | {0, 1} if k >= 0)
-
-
 def _curve_h1(curve: hirzebruch.FeBundle, k: int) -> int:
     """h^1(O_C(kf)) = h^2(kf - C) - h^2(kf), by the restriction sequence."""
     kf = hirzebruch.FeBundle(curve.e, 0, k)
@@ -414,7 +417,14 @@ def _curve_h1(curve: hirzebruch.FeBundle, k: int) -> int:
 
 
 def _point_checks(g: int, n: int) -> list[CheckResult]:
-    """All per-(g, n) properties; one CheckResult per named property."""
+    """All per-(g, n) properties; one CheckResult per named property.
+
+    The values the dossier holds are read from generate_report(g, n, 0);
+    the flag-backed checks record its consistency flags, whose predicates
+    live there.  The independent routes (Chow-ring algebra and pairings,
+    maroni-ballico, the Picard lattice, rather-free and Riemann-Roch on
+    the curve) are computed here.
+    """
     out: list[CheckResult] = []
 
     def rec(name: str, ok: bool, detail: str = "") -> None:
@@ -424,12 +434,12 @@ def _point_checks(g: int, n: int) -> list[CheckResult]:
         return [
             CheckResult(g, n, "hypothesis", "skip", "requires n >= 3 and 2n-2 < g")
         ]
-    spec = generic_scroll(g, n)
-    amb = spec.ambient
+    rep = generate_report(g, n, 0)
+    s, inv, flags = rep.scroll, rep.invariants, rep.consistency_flags
+    amb = AmbientScroll(g, n)
     hyper = amb.hyperplane()
     fiber = amb.fiber()
-    curve = curve_class(spec)
-    kx = canonical_class(spec)
+    curve = ChowClass(amb, {(a, b): c for a, b, c in rep.curve_class})
 
     # intersection ring normalization
     rec(
@@ -465,44 +475,39 @@ def _point_checks(g: int, n: int) -> list[CheckResult]:
     rec("chow/confluent-reduction", confluent)
 
     # scroll classification
-    rec("scroll/generic-valid", validate_scroll(spec.splitting, g, n))
+    rec("scroll/generic-valid", validate_scroll(s.splitting, g, n))
     rec(
         "scroll/shift-nonnegative",
-        spec.shift >= 0 and (g - spec.big_n) % (n - 1) == 0,
-        f"shift = {spec.shift}",
+        s.shift >= 0 and (g - s.big_n) % (n - 1) == 0,
+        f"shift = {s.shift}",
     )
     fc = intersect_number([fiber], curve)
     dc = intersect_number([hyper], curve)
     rec("scroll/fiber-pairing", fc == n, f"f.C = {fc}")
     rec("scroll/hyperplane-pairing", dc == 2 * g - 2, f"D.C = {dc}")
-    chi_t_chow = _chi_tangent_chow(kx, curve)
+    chi_t_chow = inv.chi_restricted_tangent_chow
     rec(
         "scroll/euler-pairing",
         chi_t_chow == n * n + 1 - g,
         f"-K.C = {chi_t_chow - (n - 1) * (1 - g)}",
     )
-    aut = aut_group_numerics(spec)
     rec(
         "scroll/aut-numerics",
-        aut.total_dim == n * n - 2 * n + 3
-        and aut.total_dim == aut.vertical_dim + 3
-        and aut.components == (2 if (n == 3 and g % 2 == 0) else 1),
+        s.aut_total_dim == n * n - 2 * n + 3
+        and s.aut_total_dim == s.aut_vertical_dim + 3
+        and s.aut_components == (2 if (n == 3 and g % 2 == 0) else 1),
     )
 
     # curve invariants
-    chi_t = invariants.chi_restricted_tangent(g, n)
-    chi_n = invariants.chi_normal_bundle(g, n)
     rec(
         "invariants/euler-chain",
-        chi_t == chi_t_chow
-        and chi_n == chi_t + 3 * g - 3
-        and chi_n == 2 * g + n * n - 2,
-        f"chi(T|C) = {chi_t}, chi(N) = {chi_n}",
+        flags.euler_chain,
+        f"chi(T|C) = {inv.chi_restricted_tangent}, chi(N) = {inv.chi_normal_bundle}",
     )
-    rec("invariants/h1-double-pencil", invariants.h1_double_pencil(g, n) == g - 2 * n + 2)
+    rec("invariants/h1-double-pencil", inv.h1_double_pencil == g - 2 * n + 2)
     rec(
         "invariants/moduli-dimension",
-        invariants.moduli_dimension(g, n) == 2 * n + 2 * g - 5,
+        inv.moduli_dimension == 2 * n + 2 * g - 5,
         "on this grid 2n-2 < g, so the gonal branch is the minimum",
     )
     ballico_switches = invariants.ballico_switches(g, n)
@@ -513,7 +518,7 @@ def _point_checks(g: int, n: int) -> list[CheckResult]:
             for k in _decisive_ks(invariants.maroni_branch_boundaries(g, n), ballico_switches)
         ),
     )
-    rec("invariants/branch-continuity", invariants.maroni_branch_continuity(g, n))
+    rec("invariants/branch-continuity", flags.branch_continuity)
     rec(
         "invariants/ballico-riemann-roch-bound",
         all(
@@ -536,7 +541,7 @@ def _point_checks(g: int, n: int) -> list[CheckResult]:
         and omega_witness[0] * (2 * g - 2) + omega_witness[1] * n == 2 * g - 2
         and (d == 1 or picard.solve_degree(g, n, d + 1) is None),
     )
-    verdict = picard.modular_degree_constraint(g, n)
+    verdict = rep.divisibility
     expected_status = (
         VerdictStatus.PROVEN_FOR_TRIGONAL if n == 3 else VerdictStatus.CONJECTURE
     )
@@ -558,26 +563,14 @@ def _point_checks(g: int, n: int) -> list[CheckResult]:
             "picard/trigonal-mod-3",
             verdict.divisor == (3 if g % 3 == 1 else 1),
         )
-        oracle_switches = hirzebruch.trigonal_h0_switches(g)
-        rec(
-            "oracle/ballico-agreement",
-            all(
-                hirzebruch.trigonal_h0_oracle(g, k) == invariants.ballico_h0(g, 3, k)
-                for k in _decisive_ks(oracle_switches, ballico_switches)
-            ),
-        )
-        curve_fe = hirzebruch.trigonal_curve_bundle(g)
-        h0_system = hirzebruch.bundle_cohomology(curve_fe).h0
-        rec(
-            "oracle/dim-P(L)",
-            h0_system - 1 == 2 * g + 7 and chi_n == 2 * g + 7,
-            f"h0(O_S(C)) = {h0_system}",
-        )
+        rec("oracle/ballico-agreement", flags.oracle_agreement)
+        rec("oracle/dim-P(L)", flags.dim_p_l)
         pairing, free = hirzebruch.rather_free_check(g)
         rec("oracle/rather-free", pairing == -g - 8 and free, f"(K_S.L) = {pairing}")
+        curve_fe = hirzebruch.trigonal_curve_bundle(g)
         rr_ok = all(
             0 <= _curve_h1(curve_fe, k) == hirzebruch.trigonal_h0_oracle(g, k) - (3 * k + 1 - g)
-            for k in _decisive_ks(oracle_switches)
+            for k in _decisive_ks(hirzebruch.trigonal_h0_switches(g))
         )
         rec("oracle/riemann-roch-on-curve", rr_ok)
 
@@ -663,38 +656,30 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult
                 twist_ok = False
     rec("global/twist-invariance", twist_ok)
 
+    # all() over no case would pass vacuously, so a check with none is a skip
     hyper_genera = [g for g in g_values if g >= 2]
-    hyper_checks = {
-        "global/hyperelliptic-dimension": all(
+    pencil_gonalities = [n for n in n_values if n >= 2]
+    case_checks = {
+        "global/hyperelliptic-dimension": (hyper_genera, "genus", all(
             hyperelliptic.hg_dimension(g) == 2 * g - 1 == (2 * g + 2) - 3 for g in hyper_genera
-        ),
-        "global/hyperelliptic-constraint": all(
+        )),
+        "global/hyperelliptic-constraint": (hyper_genera, "genus", all(
             picard.modular_degree_constraint(g, 2)
             == DivisibilityVerdict(2, VerdictStatus.THEOREM, True)
             for g in hyper_genera
-        ),
+        )),
+        # pencil count at the boundary genus, by two routes
+        "global/pencil-count": (pencil_gonalities, "gonality", all(
+            invariants.gonal_pencil_count(n)
+            == factorial(2 * n - 2) // (factorial(n) * factorial(n - 1))
+            for n in pencil_gonalities
+        ) and invariants.gonal_pencil_count(3) == 2 and invariants.gonal_pencil_count(4) == 5),
     }
-    for name, ok in hyper_checks.items():
-        if hyper_genera:
+    for name, (cases, what, ok) in case_checks.items():
+        if cases:
             rec(name, ok)
-        else:  # all() over no case would pass vacuously
-            out.append(CheckResult(0, 0, name, "skip", "no genus >= 2 in the grid"))
-
-    # pencil count at the boundary genus, by two routes
-    from math import factorial
-
-    counts_ok = all(
-        invariants.gonal_pencil_count(n)
-        == factorial(2 * n - 2) // (factorial(n) * factorial(n - 1))
-        for n in n_values
-        if n >= 2
-    )
-    rec(
-        "global/pencil-count",
-        counts_ok
-        and invariants.gonal_pencil_count(3) == 2
-        and invariants.gonal_pencil_count(4) == 5,
-    )
+        else:
+            out.append(CheckResult(0, 0, name, "skip", f"no {what} >= 2 in the grid"))
     rec(
         "global/moduli-boundary",
         invariants.moduli_dimension(4, 3) == 9

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chow import AmbientScroll, ChowClass, DivisorClass
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError
 
 
 def validate_scroll(splitting: Sequence[int], g: int, n: int) -> bool:
@@ -138,16 +138,3 @@ def aut_group_numerics(spec: ScrollSpec) -> AutNumerics:
     is_p1xp1 = spec.is_generic and n == 3 and spec.g % 2 == 0
     return AutNumerics(total, vertical, 2 if is_p1xp1 else 1, spec.is_generic)
 
-
-def hyperplane_in_c0_f_basis(spec: ScrollSpec) -> tuple[int, int]:
-    """Hyperplane class of a trigonal scroll in the surface basis (C_0, f).
-
-    Returns (1, (g-2)/2) for g even (the scroll is F_0) and
-    (1, (g-1)/2) for g odd (the scroll is F_1).
-    """
-    if spec.n != 3:
-        raise UnsupportedError(
-            f"the C_0/f surface basis is only exposed for n = 3 (got n={spec.n})"
-        )
-    g = spec.g
-    return (1, (g - 2) // 2 if g % 2 == 0 else (g - 1) // 2)

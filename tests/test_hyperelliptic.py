@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from gonal.errors import DomainError, UnsupportedError
 from gonal.hyperelliptic import (
+    _MR_BOUND,
     BinaryForm,
     HyperellipticModel,
     discriminant_nonzero,
+    _is_prime,
     hg_dimension,
     twist_with_point,
 )
@@ -48,6 +51,11 @@ class TestBinaryForm:
         with pytest.raises(DomainError):
             BinaryForm(6, (1,) * 7, p=9)
 
+    def test_large_prime_modulus_accepted(self):
+        p = 2**61 - 1
+        form = BinaryForm(6, (-1, 1, 0, 0, 0, 0, 1), p=p)
+        assert form.coefficients[0] == p - 1
+
     def test_rational_normalization(self):
         form = BinaryForm(6, (1, 2, 3, 4, 5, 6, 7))
         assert all(isinstance(c, Fraction) for c in form.coefficients)
@@ -63,6 +71,28 @@ class TestBinaryForm:
         assert form.evaluate(Fraction(1, 2)) == Fraction(-945, 64)
         gf = BinaryForm(6, from_roots([0, 1, 2, 3, 4, 5], 6), p=101)
         assert gf.evaluate(6) == 720 % 101
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_1e5(self):
+        def by_trial_division(p):
+            return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+        for p in range(10**5):
+            assert _is_prime(p) == by_trial_division(p), p
+
+    def test_pseudoprimes_rejected(self):
+        assert not _is_prime(561)  # Carmichael number
+        assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+
+    def test_mersenne_prime_accepted(self):
+        assert _is_prime(2**61 - 1)
+
+    def test_above_bound_raises(self):
+        with pytest.raises(DomainError):
+            _is_prime(_MR_BOUND)
+        with pytest.raises(DomainError, match="requires p < "):
+            BinaryForm(6, (1,) * 7, p=2**89 - 1)  # prime, but past the bound
 
 
 class TestDiscriminant:

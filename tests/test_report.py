@@ -4,13 +4,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from gonal import hirzebruch, invariants
+from gonal import hirzebruch, invariants, picard, report
 from gonal.errors import DomainError
 from gonal.report import (
     GonalReport,
     _curve_h1,
     _decisive_ks,
     _encode_ints,
+    _point_checks,
     emit_json,
     generate_report,
     parse_json,
@@ -132,13 +133,25 @@ class TestSweep:
             sweep_verify(range(5, 5), range(3, 4))
 
     def test_no_hyperelliptic_genus_skips(self):
-        # below genus 2 the hyperelliptic checks have no case to evaluate
+        # below genus 2 the hyperelliptic checks have no case to evaluate,
+        # and below gonality 2 neither has the pencil count
         summary = sweep_verify(range(0, 2), range(0, 2))
-        assert (summary.checked, summary.failed, summary.skipped) == (10, 0, 6)
+        assert (summary.checked, summary.failed, summary.skipped) == (9, 0, 7)
         assert summary.skip_reasons == {
             "requires n >= 3 and 2n-2 < g": 4,
             "no genus >= 2 in the grid": 2,
+            "no gonality >= 2 in the grid": 1,
         }
+
+    def test_no_pencil_gonality_skips(self):
+        summary = sweep_verify(range(5, 7), range(0, 2))
+        assert (summary.failed, summary.skipped) == (0, 5)
+        assert summary.skip_reasons == {
+            "requires n >= 3 and 2n-2 < g": 4,
+            "no gonality >= 2 in the grid": 1,
+        }
+        with_pencils = sweep_verify(range(5, 7), range(0, 3))
+        assert with_pencils.skip_reasons == {"requires n >= 3 and 2n-2 < g": 6}
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_section_evaluations_do_not_grow_with_g(self, monkeypatch, n):
@@ -160,6 +173,51 @@ class TestSweep:
             return len(calls)
 
         assert evaluations(200) <= evaluations(20)
+
+
+class TestPointChecksReadTheDossier:
+    def test_report_and_sweep_fail_together(self, monkeypatch):
+        # an off-by-one in the surface oracle at the Ballico switch, a k
+        # that k_max = 0 prints no row for
+        switch = invariants.ballico_switches(5, 3)[0]
+        oracle = hirzebruch.trigonal_h0_oracle
+        monkeypatch.setattr(
+            hirzebruch,
+            "trigonal_h0_oracle",
+            lambda g, k: oracle(g, k) + (k == switch),
+        )
+        assert generate_report(5, 3, 0).consistency_flags.oracle_agreement is False
+        outcomes = {r.name: r.outcome for r in _point_checks(5, 3)}
+        assert outcomes["oracle/ballico-agreement"] == "fail"
+
+    @pytest.mark.parametrize("g, n", [(5, 3), (6, 3), (9, 4), (12, 5)])
+    def test_dossier_values_are_not_recomputed(self, monkeypatch, g, n):
+        dossier = generate_report(g, n, 0)
+        monkeypatch.setattr(report, "generate_report", lambda *args: dossier)
+
+        def forbidden(*args):
+            raise AssertionError("recomputed a value the dossier holds")
+
+        monkeypatch.setattr(report, "aut_group_numerics", forbidden)
+        monkeypatch.setattr(picard, "modular_degree_constraint", forbidden)
+        for name in (
+            "chi_restricted_tangent",
+            "chi_normal_bundle",
+            "h1_double_pencil",
+            "moduli_dimension",
+            "maroni_branch_continuity",
+        ):
+            monkeypatch.setattr(invariants, name, forbidden)
+        cohomology = hirzebruch.bundle_cohomology
+        curve = hirzebruch.trigonal_curve_bundle(g) if n == 3 else None
+
+        def guarded(bundle):
+            assert bundle != curve, "recomputed h0(O_S(C))"
+            return cohomology(bundle)
+
+        monkeypatch.setattr(hirzebruch, "bundle_cohomology", guarded)
+        results = _point_checks(g, n)
+        assert results and all(r.outcome == "pass" for r in results)
 
 
 def _affine_between(values, ks):

@@ -2,16 +2,15 @@
 
 import pytest
 
-from gonal.chow import AmbientScroll, intersect_number
-from gonal.errors import DomainError, UnsupportedError
-from gonal.hirzebruch import FeBundle
+from gonal.chow import AmbientScroll, DivisorClass, intersect_number
+from gonal.errors import DomainError
+from gonal.hirzebruch import canonical_bundle, trigonal_curve_bundle
 from gonal.scroll import (
     ScrollSpec,
     aut_group_numerics,
     canonical_class,
     curve_class,
     generic_scroll,
-    hyperplane_in_c0_f_basis,
     validate_scroll,
 )
 
@@ -131,20 +130,19 @@ class TestAutNumerics:
         assert not a.generic
 
 
-class TestHyperplaneSurfaceBasis:
-    def test_even_genus(self):
-        assert hyperplane_in_c0_f_basis(generic_scroll(6, 3)) == (1, 2)
-
-    def test_odd_genus(self):
-        assert hyperplane_in_c0_f_basis(generic_scroll(5, 3)) == (1, 2)
-
-    def test_self_intersection_matches_scroll_degree(self):
-        # D = C_0 + m f has D^2 = g - 2 on the surface
-        for g in range(5, 20):
-            c0, m = hyperplane_in_c0_f_basis(generic_scroll(g, 3))
-            d = FeBundle(g % 2, c0, m)
-            assert d.intersect(d) == g - 2
-
-    def test_higher_gonality_unsupported(self):
-        with pytest.raises(UnsupportedError):
-            hyperplane_in_c0_f_basis(generic_scroll(9, 4))
+class TestTrigonalSurfaceMatchesScroll:
+    def test_curve_pairings_on_both_routes(self):
+        # C^2 and K_S.C by FeBundle.intersect on F_e equal the scroll's
+        # Chow-ring values for the curve class 3D + (4-g)f
+        for g in range(5, 201):
+            c = trigonal_curve_bundle(g)
+            k = canonical_bundle(c.e)
+            spec = generic_scroll(g, 3)
+            curve = curve_class(spec)
+            c_div = DivisorClass(spec.ambient, 3, 4 - g)
+            assert c.intersect(c) == intersect_number([c_div], curve) == 3 * g + 6
+            assert (
+                k.intersect(c)
+                == intersect_number([canonical_class(spec)], curve)
+                == -g - 8
+            )
