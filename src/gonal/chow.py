@@ -21,7 +21,7 @@ unrestricted concurrent use.
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DomainError, require_gonal_range
+from .errors import DomainError, require_at_least, require_gonal_range
 
 # (a, b): exponents of D and f
 Monomial = tuple[int, int]
@@ -39,10 +39,8 @@ class AmbientScroll:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise DomainError(f"requires n >= 3 (got n={self.n})")
-        if self.g < 2:
-            raise DomainError(f"requires g >= 2 (got g={self.g})")
+        require_at_least("n", self.n, 3)
+        require_at_least("g", self.g, 2)
         require_gonal_range(self.g, self.n)
 
     @property

@@ -1,4 +1,4 @@
-"""Exception types and the standing range hypothesis shared across the package."""
+"""Exception types and the range hypotheses shared across the package."""
 
 
 class DomainError(ValueError):
@@ -11,6 +11,12 @@ class UnsupportedError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, never bad user input."""
+
+
+def require_at_least(name: str, value: int, bound: int) -> None:
+    """Raise DomainError unless value >= bound; name is the variable's name."""
+    if value < bound:
+        raise DomainError(f"requires {name} >= {bound} (got {name}={value})")
 
 
 def in_gonal_range(g: int, n: int) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chow import intersect_number
-from .errors import ConsistencyError, DomainError, require_gonal_range
+from .errors import ConsistencyError, DomainError, require_at_least, require_gonal_range
 from .scroll import canonical_class, curve_class, generic_scroll
 
 
@@ -36,8 +36,7 @@ class FeBundle:
     b: int
 
     def __post_init__(self) -> None:
-        if self.e < 0:
-            raise DomainError(f"requires e >= 0 (got e={self.e})")
+        require_at_least("e", self.e, 0)
 
     def _coerce(self, other) -> "FeBundle":
         if not isinstance(other, FeBundle):
@@ -140,8 +139,7 @@ def trigonal_h0_oracle(g: int, k: int) -> int:
     because h^1(O_S(kf)) = 0.  Both vanishing facts are asserted.
     """
     curve = trigonal_curve_bundle(g)
-    if k < 0:
-        raise DomainError(f"requires k >= 0 (got k={k})")
+    require_at_least("k", k, 0)
     kf = FeBundle(curve.e, 0, k)
     on_s = bundle_cohomology(kf)
     twisted = bundle_cohomology(kf - curve)

@@ -10,13 +10,22 @@ Coefficients live in an exact domain: the rationals (p=None, stored as
 Fraction) or a prime field GF(p) with p odd.  Characteristic 2 is
 refused outright.  Discriminant vanishing is decided by two independent
 routes, the Euclidean algorithm on (f, f') and a Sylvester-matrix
-resultant, which must and do agree.
+resultant, which must and do agree.  Both run on integers only: a
+rational form is first scaled by the least common denominator of its
+coefficients, which keeps every root.  Euclid then runs on
+pseudo-remainders, each reduced to its primitive part (Collins, J. ACM
+14, 1967), and the resultant is decided by Bareiss elimination, which
+divides exactly by the previous pivot (Math. Comp. 22, 1968).  Over
+GF(p) the same steps are reduced mod p instead.  No coefficient
+becomes a fraction, so the default Euclid route stays practical for
+large-genus forms.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, UnsupportedError, require_at_least
 
 Scalar = Fraction | int
 
@@ -61,86 +70,69 @@ def _normalize_scalar(c, p: int | None) -> Scalar:
     return c % p
 
 
-def _trim(cs: list) -> list:
-    cs = list(cs)
+def _reduce(cs: list, p: int | None) -> list:
+    """The trimmed canonical associate of an integer polynomial: its
+    primitive part over Z (p=None), its residues mod p over GF(p)."""
+    if p is None:
+        content = gcd(*cs)
+        cs = [c // content for c in cs] if content > 1 else list(cs)
+    else:
+        cs = [c % p for c in cs]
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
 
 
-def _deriv(cs: list, p: int | None) -> list:
-    out = [i * cs[i] for i in range(1, len(cs))]
-    if p is not None:
-        out = [c % p for c in out]
-    return _trim(out)
-
-
-def _inv(c, p: int | None):
-    if p is None:
-        return Fraction(1) / c
-    return pow(c, -1, p)
-
-
-def _poly_rem(a: list, b: list, p: int | None) -> list:
-    """Remainder of a modulo b over the coefficient field (b nonzero)."""
-    a = _trim(a)
-    lead_inv = _inv(b[-1], p)
-    while len(a) >= len(b):
-        q = a[-1] * lead_inv
-        if p is not None:
-            q %= p
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] = a[shift + i] - q * bc
-            if p is not None:
-                a[shift + i] %= p
-        a = _trim(a)
-    return a
-
-
 def _gcd_degree(f: list, h: list, p: int | None) -> int:
-    """Degree of gcd(f, h) over the field; both inputs nonzero."""
-    a, b = _trim(f), _trim(h)
+    """Degree of gcd(f, h) over Q or GF(p); integer inputs, both nonzero.
+
+    Euclid on pseudo-remainders: each division step scales by the
+    divisor's leading coefficient instead of dividing by it, and each
+    step is reduced by _reduce, so no fraction arises and the integer
+    coefficients stay primitive.
+    """
+    a, b = _reduce(f, p), _reduce(h, p)
     while b:
-        a, b = b, _poly_rem(a, b, p)
+        while len(a) >= len(b):
+            q, shift = a[-1], len(a) - len(b)
+            a = [b[-1] * c for c in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            a = _reduce(a, p)
+        a, b = b, a
     return len(a) - 1
 
 
 def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
-    """Res(f, h) != 0, decided by Gaussian elimination on the Sylvester
-    matrix of the two (trimmed, nonzero) polynomials."""
+    """Res(f, h) != 0, decided by Bareiss elimination on the Sylvester
+    matrix of the two nonzero integer polynomials.
+
+    Over Z each step divides exactly by the previous pivot, so entries
+    stay minors of the matrix; over GF(p) the same step is reduced mod p
+    instead, which only scales rows by the nonzero pivot.
+    """
+    f, h = _reduce(f, p), _reduce(h, p)
     m, t = len(f) - 1, len(h) - 1
     if m == 0 or t == 0:
         return True  # a nonzero constant shares no root with anything
     size = m + t
-    zero = 0 if p is not None else Fraction(0)
-    mat = []
-    for i in range(t):
-        row = [zero] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c if p is None else c % p
-        mat.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(h)):
-            row[i + j] = c if p is None else c % p
-        mat.append(row)
+    mat = [[0] * i + f[::-1] + [0] * (t - 1 - i) for i in range(t)]
+    mat += [[0] * i + h[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    prev = 1
     for col in range(size):
         pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
         if pivot is None:
             return False
         mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv_p = _inv(mat[col][col], p)
-        for r in range(col + 1, size):
-            if mat[r][col] == 0:
-                continue
-            factor = mat[r][col] * inv_p
-            if p is not None:
-                factor %= p
-            for cidx in range(col, size):
-                mat[r][cidx] = mat[r][cidx] - factor * mat[col][cidx]
-                if p is not None:
-                    mat[r][cidx] %= p
+        top = mat[col]
+        for row in mat[col + 1 :]:
+            lead = row[col]
+            if lead == 0 and p is not None:
+                continue  # mod p rows need not stay minors: leave a zero lead alone
+            for c in range(col + 1, size):
+                x = top[col] * row[c] - lead * top[c]
+                row[c] = x % p if p is not None else x // prev
+        prev = top[col]
     return True
 
 
@@ -198,7 +190,8 @@ def discriminant_nonzero(form: BinaryForm, method: str = "gcd") -> bool:
     must be simple, and the dehomogenization must be squarefree.
     method="gcd" decides squarefreeness by the Euclidean algorithm on
     (f, f'); method="resultant" decides it by Res(f, f') != 0 on the
-    Sylvester matrix.  The two routes agree everywhere.
+    Sylvester matrix.  The two routes agree everywhere.  Both see f
+    scaled to integer coefficients.
     """
     cs = list(form.coefficients)
     d = form.degree
@@ -206,8 +199,12 @@ def discriminant_nonzero(form: BinaryForm, method: str = "gcd") -> bool:
         return False
     if cs[d] == 0 and cs[d - 1] == 0:
         return False  # root at infinity with multiplicity >= 2
-    f = _trim(cs)
-    fp = _deriv(f, form.p)
+    # clearing denominators by their least common multiple keeps every root
+    scale = 1
+    for c in cs:
+        scale *= c.denominator // gcd(scale, c.denominator)
+    f = [c.numerator * (scale // c.denominator) for c in cs]
+    fp = _reduce([i * c for i, c in enumerate(f)][1:], form.p)
     if not fp:
         return False  # f' = 0 in characteristic p: f is a p-th power
     if method == "gcd":
@@ -261,6 +258,5 @@ def hg_dimension(g: int) -> int:
     Computed as the dimension 2g+2 of the projective space of binary
     forms of degree 2g+2 minus the 3 dimensions of PGL(2).
     """
-    if g < 2:
-        raise DomainError(f"requires g >= 2 (got g={g})")
+    require_at_least("g", g, 2)
     return (2 * g + 2) - 3

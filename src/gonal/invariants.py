@@ -14,13 +14,12 @@ from math import comb
 from typing import Sequence
 
 from .chow import AmbientScroll
-from .errors import DomainError, require_gonal_range
+from .errors import DomainError, require_at_least, require_gonal_range
 from .scroll import ScrollSpec, generic_scroll
 
 
 def _require_scroll_range(g: int, n: int) -> None:
-    if n < 3:
-        raise DomainError(f"requires n >= 3 (got n={n})")
+    require_at_least("n", n, 3)
     require_gonal_range(g, n)
 
 
@@ -42,18 +41,15 @@ def chi_normal_bundle(g: int, n: int) -> int:
 
 def h1_double_pencil(g: int, n: int) -> int:
     """h^1 of twice the pencil on the generic curve: g - 2n + 2."""
-    if n < 2:
-        raise DomainError(f"requires n >= 2 (got n={n})")
+    require_at_least("n", n, 2)
     require_gonal_range(g, n)
     return g - 2 * n + 2
 
 
 def moduli_dimension(g: int, n: int) -> int:
     """Dimension of the n-gonal locus in moduli: min(3g-3, 2n+2g-5)."""
-    if g < 2:
-        raise DomainError(f"requires g >= 2 (got g={g})")
-    if n < 2:
-        raise DomainError(f"requires n >= 2 (got n={n})")
+    require_at_least("g", g, 2)
+    require_at_least("n", n, 2)
     return min(3 * g - 3, 2 * n + 2 * g - 5)
 
 
@@ -62,8 +58,7 @@ def gonal_pencil_count(n: int) -> int:
 
     The exact value (2n-2)! / (n! (n-1)!), a Catalan number.
     """
-    if n < 2:
-        raise DomainError(f"requires n >= 2 (got n={n})")
+    require_at_least("n", n, 2)
     return comb(2 * n - 2, n - 1) // n
 
 
@@ -80,8 +75,7 @@ def ballico_h0(g: int, n: int, k: int) -> int:
     ceil(g/(n-1)) of ballico_switches.
     """
     _require_scroll_range(g, n)
-    if k < 0:
-        raise DomainError(f"requires k >= 0 (got k={k})")
+    require_at_least("k", k, 0)
     if k < ballico_switches(g, n)[0]:
         return k + 1
     return n * k - g + 1
@@ -122,8 +116,7 @@ def maroni_h0(
     splitting is the generic one, where this agrees with ballico_h0.
     """
     _require_scroll_range(g, n)
-    if k < 0:
-        raise DomainError(f"requires k >= 0 (got k={k})")
+    require_at_least("k", k, 0)
     if splitting is None:
         spec = generic_scroll(g, n)
     else:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .errors import DomainError, require_gonal_range
+from .errors import DomainError, require_at_least, require_gonal_range
 
 
 class VerdictStatus(str, Enum):
@@ -43,10 +43,8 @@ class PicardLattice:
     n: int
 
     def __post_init__(self) -> None:
-        if self.g < 2:
-            raise DomainError(f"requires g >= 2 (got g={self.g})")
-        if self.n < 2:
-            raise DomainError(f"requires n >= 2 (got n={self.n})")
+        require_at_least("g", self.g, 2)
+        require_at_least("n", self.n, 2)
 
     @property
     def generator_degrees(self) -> tuple[int, int]:
@@ -71,10 +69,8 @@ def modular_degree_constraint(g: int, n: int) -> DivisibilityVerdict:
     n >= 4: a multiple of gcd(n, 2g-2), conjectural.  For n >= 3 the
     hypothesis 4 <= 2n-2 < g is required.
     """
-    if g < 2:
-        raise DomainError(f"requires g >= 2 (got g={g})")
-    if n < 2:
-        raise DomainError(f"requires n >= 2 (got n={n})")
+    require_at_least("g", g, 2)
+    require_at_least("n", n, 2)
     if n == 2:
         return DivisibilityVerdict(2, VerdictStatus.THEOREM, sharp=True)
     require_gonal_range(g, n)
@@ -136,7 +132,7 @@ def sharpness_witness(g: int, n: int) -> SharpnessWitness:
     the returned integer combination, so no multiple of a larger d can
     constrain every family.
     """
-    if n < 3 or 2 * n - 2 < 4:
+    if n < 3:
         raise DomainError(f"requires 4 <= 2n-2 (got 2n-2={2 * n - 2})")
     require_gonal_range(g, n)
     divisor = degree_subgroup(g, n)

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Union, get_args, get_origin, get_type_h
 
 from . import hirzebruch, hyperelliptic, invariants, picard
 from .chow import AmbientScroll, ChowClass, DivisorClass, intersect_number
-from .errors import DomainError, in_gonal_range
+from .errors import DomainError, in_gonal_range, require_at_least
 from .picard import DivisibilityVerdict, VerdictStatus
 from .scroll import (
     aut_group_numerics,
@@ -125,8 +125,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     structure sheaf and always contributes 1).  Deterministic: identical
     inputs give identical reports.
     """
-    if k_max < 0:
-        raise DomainError(f"requires k_max >= 0 (got k_max={k_max})")
+    require_at_least("k_max", k_max, 0)
     spec = generic_scroll(g, n)
     aut = aut_group_numerics(spec)
     kx = canonical_class(spec)
@@ -165,9 +164,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
         h0_curve_system = hirzebruch.bundle_cohomology(
             hirzebruch.trigonal_curve_bundle(g)
         ).h0
-        dim_p_l: bool | None = (h0_curve_system - 1 == 2 * g + 7) and (
-            chi_n == 2 * g + 7
-        )
+        dim_p_l: bool | None = h0_curve_system - 1 == chi_n
         surface = f"F{g % 2}"
     else:
         oracle_checks = None
@@ -176,8 +173,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
         surface = None
 
     flags = ConsistencyFlags(
-        euler_chain=(chi_t == chi_t_chow == n * n + 1 - g)
-        and (chi_n == chi_t + 3 * g - 3 == 2 * g + n * n - 2),
+        euler_chain=chi_t == chi_t_chow and chi_n == chi_t + 3 * g - 3,
         branch_continuity=invariants.maroni_branch_continuity(g, n),
         dim_p_l=dim_p_l,
         oracle_agreement=oracle_agreement,

@@ -1,0 +1,59 @@
+"""The exact message of each lower-bound hypothesis at its public entry points."""
+
+import pytest
+
+from gonal.chow import AmbientScroll
+from gonal.errors import DomainError
+from gonal.hirzebruch import FeBundle, trigonal_h0_oracle
+from gonal.hyperelliptic import hg_dimension
+from gonal.invariants import (
+    ballico_h0,
+    chi_normal_bundle,
+    chi_restricted_tangent,
+    gonal_pencil_count,
+    h1_double_pencil,
+    maroni_h0,
+    moduli_dimension,
+)
+from gonal.picard import PicardLattice, modular_degree_constraint, sharpness_witness
+from gonal.report import generate_report
+
+
+# Each guarded public entry point, with its exact message.  Where two
+# lower bounds fail at once, the first check in the function wins.
+GUARDED = [
+    (AmbientScroll, (9, 2), "requires n >= 3 (got n=2)"),
+    (AmbientScroll, (1, 2), "requires n >= 3 (got n=2)"),
+    (AmbientScroll, (1, 3), "requires g >= 2 (got g=1)"),
+    (FeBundle, (-1, 0, 0), "requires e >= 0 (got e=-1)"),
+    (trigonal_h0_oracle, (6, -1), "requires k >= 0 (got k=-1)"),
+    (hg_dimension, (1,), "requires g >= 2 (got g=1)"),
+    (chi_restricted_tangent, (9, 2), "requires n >= 3 (got n=2)"),
+    (chi_normal_bundle, (9, 2), "requires n >= 3 (got n=2)"),
+    (h1_double_pencil, (9, 1), "requires n >= 2 (got n=1)"),
+    (moduli_dimension, (1, 1), "requires g >= 2 (got g=1)"),
+    (moduli_dimension, (9, 1), "requires n >= 2 (got n=1)"),
+    (gonal_pencil_count, (1,), "requires n >= 2 (got n=1)"),
+    (ballico_h0, (9, 2, 1), "requires n >= 3 (got n=2)"),
+    (ballico_h0, (9, 3, -1), "requires k >= 0 (got k=-1)"),
+    (maroni_h0, (9, 2, 1), "requires n >= 3 (got n=2)"),
+    (maroni_h0, (9, 3, -1), "requires k >= 0 (got k=-1)"),
+    (PicardLattice, (1, 1), "requires g >= 2 (got g=1)"),
+    (PicardLattice, (9, 1), "requires n >= 2 (got n=1)"),
+    (modular_degree_constraint, (1, 1), "requires g >= 2 (got g=1)"),
+    (modular_degree_constraint, (9, 1), "requires n >= 2 (got n=1)"),
+    (sharpness_witness, (9, 2), "requires 4 <= 2n-2 (got 2n-2=2)"),
+    (sharpness_witness, (9, -4), "requires 4 <= 2n-2 (got 2n-2=-10)"),
+    (generate_report, (9, 3, -1), "requires k_max >= 0 (got k_max=-1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,args,message",
+    GUARDED,
+    ids=[f"{entry.__name__}{args}" for entry, args, _ in GUARDED],
+)
+def test_guard_message(entry, args, message):
+    with pytest.raises(DomainError) as info:
+        entry(*args)
+    assert str(info.value) == message

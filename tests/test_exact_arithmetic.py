@@ -3,7 +3,9 @@
 A static guard over the source of ``gonal``: it refuses float literals,
 the name ``float``, any ``math`` import beyond the integer functions
 comb, gcd, factorial and isqrt, and any true division ``/`` that has no
-``Fraction(...)`` operand.
+``Fraction(...)`` operand.  A second guard keeps the discriminant
+elimination in ``hyperelliptic`` on integers: the two routes and every
+module helper they call never name ``Fraction``.
 """
 
 import ast
@@ -96,3 +98,47 @@ def test_guard_catches(snippet):
 )
 def test_guard_allows(snippet):
     assert _float_hazards(ast.parse(snippet)) == []
+
+
+INTEGER_ROUTES = ("_gcd_degree", "_resultant_nonzero")
+
+
+def _called_helpers(tree: ast.Module, roots) -> dict[str, ast.FunctionDef]:
+    """The module-level functions named in roots and, transitively, in them."""
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reached, todo = {}, list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached[name] = defs[name]
+        todo += [
+            n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name) and n.id in defs
+        ]
+    return reached
+
+
+def _names_fraction(fn: ast.FunctionDef) -> bool:
+    return any(
+        (isinstance(n, ast.Name) and n.id == "Fraction")
+        or (isinstance(n, ast.Attribute) and n.attr == "Fraction")
+        for n in ast.walk(fn)
+    )
+
+
+def test_discriminant_routes_are_integer_only():
+    path = SOURCE / "hyperelliptic.py"
+    helpers = _called_helpers(ast.parse(path.read_text()), INTEGER_ROUTES)
+    assert set(INTEGER_ROUTES) < set(helpers)  # they call at least one helper
+    assert [name for name, fn in helpers.items() if _names_fraction(fn)] == []
+
+
+def test_route_guard_follows_calls():
+    tree = ast.parse(
+        "def _route(f):\n    return _helper(f)\n"
+        "def _helper(f):\n    return Fraction(f[0])\n"
+        "def _unrelated():\n    return Fraction(1)\n"
+    )
+    helpers = _called_helpers(tree, ["_route"])
+    assert set(helpers) == {"_route", "_helper"}
+    assert [name for name, fn in helpers.items() if _names_fraction(fn)] == ["_helper"]

@@ -160,6 +160,58 @@ class TestDiscriminant:
             discriminant_nonzero(BinaryForm(6, (-1, 0, 0, 0, 0, 0, 1)), "magic")
 
 
+def oracle_form(genus: int, kind: str) -> list:
+    """Seeded coefficients c_0..c_{2g+2} of one kind of form."""
+    rng = random.Random(100 * genus + len(kind))
+    d = 2 * genus + 2
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    if kind == "integer":
+        return [rng.randint(-9, 9) for _ in range(d)] + [rng.choice((-1, 1))]
+    if kind == "rational":
+        return [rational() for _ in range(d + 1)]
+    if kind == "planted":  # (x - 3/2)^2 times a rational form of degree d - 2
+        return poly_mul([Fraction(9, 4), -3, 1], [rational() for _ in range(d - 1)])
+    assert kind == "infinity"  # top coefficient 0: a simple root at infinity
+    return [rational() for _ in range(d - 1)] + [Fraction(rng.randint(1, 9), 7), 0]
+
+
+ORACLE_CASES = [
+    (genus, kind, method)
+    for genus in (20, 40)
+    for kind in ("integer", "rational", "planted", "infinity")
+    for method in ("gcd", "resultant")
+    # Bareiss with mixed denominators takes seconds at genus 40
+    if genus == 20 or kind == "integer" or method == "gcd"
+]
+
+
+class TestSympyOracle:
+    """Both routes against sympy.discriminant, a test-only oracle."""
+
+    @pytest.fixture(scope="class")
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    @pytest.mark.parametrize("genus,kind,method", ORACLE_CASES, ids=str)
+    def test_agrees_with_sympy(self, sympy, genus, kind, method):
+        cs = [Fraction(c) for c in oracle_form(genus, kind)]
+        top = max(i for i, c in enumerate(cs) if c != 0)
+        poly = sympy.Poly.from_list(
+            [sympy.Rational(c.numerator, c.denominator) for c in cs[top::-1]],
+            sympy.Symbol("x"),
+            domain="QQ",
+        )
+        # a root at infinity is simple exactly when one of the top two
+        # coefficients of the form is nonzero
+        expected = poly.discriminant() != 0 and (cs[-1] != 0 or cs[-2] != 0)
+        assert expected == (kind != "planted")
+        form = BinaryForm(2 * genus + 2, tuple(cs))
+        assert discriminant_nonzero(form, method) == expected
+
+
 class TestModel:
     def squarefree_form(self, p=None):
         return BinaryForm(6, from_roots([0, 1, 2, 3, 4, 5], 6), p=p)
