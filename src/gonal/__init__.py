@@ -18,7 +18,6 @@ from .hirzebruch import (
     rather_free_check,
     trigonal_curve_bundle,
     trigonal_h0_oracle,
-    very_ample,
 )
 from .hyperelliptic import (
     BinaryForm,
@@ -33,18 +32,14 @@ from .invariants import (
     chi_restricted_tangent,
     gonal_pencil_count,
     h1_double_pencil,
-    maroni_branch_continuity,
     maroni_h0,
     moduli_dimension,
 )
 from .picard import (
     DivisibilityVerdict,
-    PicardLattice,
-    SharpnessWitness,
     VerdictStatus,
     degree_subgroup,
     modular_degree_constraint,
-    sharpness_witness,
     solve_degree,
 )
 from .report import (
@@ -81,10 +76,8 @@ __all__ = [
     "FeBundle",
     "GonalReport",
     "HyperellipticModel",
-    "PicardLattice",
     "RatherFreeResult",
     "ScrollSpec",
-    "SharpnessWitness",
     "SweepSummary",
     "UnsupportedError",
     "VerdictStatus",
@@ -105,19 +98,16 @@ __all__ = [
     "h1_double_pencil",
     "hg_dimension",
     "intersect_number",
-    "maroni_branch_continuity",
     "maroni_h0",
     "moduli_dimension",
     "modular_degree_constraint",
     "parse_json",
     "rather_free_check",
     "render_text",
-    "sharpness_witness",
     "solve_degree",
     "sweep_verify",
     "trigonal_curve_bundle",
     "trigonal_h0_oracle",
     "twist_with_point",
     "validate_scroll",
-    "very_ample",
 ]

@@ -112,9 +112,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes a value such as -5,1 or -3/2 for an option, so a value
+# starting with "-" is bound to the option before it, as --opt=value.
+_SIGNED_VALUE_OPTIONS = ("--coeffs", "--a", "--x0")
+
+
+def _bind_signed_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg.startswith("-"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (DomainError, UnsupportedError) as exc:

@@ -112,13 +112,6 @@ def bundle_cohomology(bundle: FeBundle) -> Cohomology:
     return Cohomology(h0, h1, h2)
 
 
-def very_ample(bundle: FeBundle) -> bool:
-    """Very-ampleness of a*C_0 + b*f: a > 0 and b > a*e (b > 0 on F_0)."""
-    if bundle.e == 0:
-        return bundle.a > 0 and bundle.b > 0
-    return bundle.a > 0 and bundle.b > bundle.a * bundle.e
-
-
 def trigonal_curve_bundle(g: int) -> FeBundle:
     """The class 3D + (4-g)f of a canonical trigonal curve on its surface.
 

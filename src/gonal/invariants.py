@@ -135,16 +135,3 @@ def maroni_branch_boundaries(
     eta = _maroni_eta(g, n, splitting)
     return [eta + r for r in splitting]
 
-
-def maroni_branch_continuity(
-    g: int, n: int, splitting: Sequence[int] | None = None
-) -> bool:
-    """Adjacent branches of the piecewise formula agree at every boundary."""
-    if splitting is None:
-        splitting = generic_scroll(g, n).splitting
-    eta = _maroni_eta(g, n, splitting)
-    return all(
-        _maroni_branch(g, n, eta, splitting, j - 1, k)
-        == _maroni_branch(g, n, eta, splitting, j, k)
-        for j, k in enumerate(maroni_branch_boundaries(g, n, splitting), start=1)
-    )

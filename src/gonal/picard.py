@@ -34,30 +34,11 @@ class DivisibilityVerdict:
             raise DomainError(f"divisor must be positive (got {self.divisor})")
 
 
-@dataclass(frozen=True)
-class PicardLattice:
-    """Rank-2 lattice spanned by the relative canonical class (vertical
-    degree 2g-2) and the relative pencil (vertical degree n)."""
-
-    g: int
-    n: int
-
-    def __post_init__(self) -> None:
-        require_at_least("g", self.g, 2)
-        require_at_least("n", self.n, 2)
-
-    @property
-    def generator_degrees(self) -> tuple[int, int]:
-        return (2 * self.g - 2, self.n)
-
-    def degree_of(self, alpha: int, beta: int) -> int:
-        """Vertical degree of alpha * omega + beta * pencil."""
-        return alpha * (2 * self.g - 2) + beta * self.n
-
-
 def degree_subgroup(g: int, n: int) -> int:
     """Generator of the image of the degree map: gcd(2g-2, n)."""
-    return gcd(*PicardLattice(g, n).generator_degrees)
+    require_at_least("g", g, 2)
+    require_at_least("n", n, 2)
+    return gcd(2 * g - 2, n)
 
 
 def modular_degree_constraint(g: int, n: int) -> DivisibilityVerdict:
@@ -101,7 +82,9 @@ def solve_degree(g: int, n: int, target: int) -> tuple[int, int] | None:
     witness is canonicalized to minimal |alpha|, ties broken by
     alpha >= 0, so output is deterministic.
     """
-    w, pencil = PicardLattice(g, n).generator_degrees
+    require_at_least("g", g, 2)
+    require_at_least("n", n, 2)
+    w, pencil = 2 * g - 2, n
     d, x, _ = _xgcd(w, pencil)
     if target % d != 0:
         return None
@@ -111,31 +94,3 @@ def solve_degree(g: int, n: int, target: int) -> tuple[int, int] | None:
         alpha -= step
     beta = (target - alpha * w) // pencil
     return (alpha, beta)
-
-
-@dataclass(frozen=True)
-class SharpnessWitness:
-    """Effective generator degrees certifying that the gcd constraint is
-    attained: the fiber-cut divisor has vertical degree n and the
-    relative canonical divisor has vertical degree 2g-2."""
-
-    fiber_degree: int
-    canonical_degree: int
-    achieved_divisor: int
-    combination: tuple[int, int]
-
-
-def sharpness_witness(g: int, n: int) -> SharpnessWitness:
-    """Arithmetic certificate for sharpness of the divisibility bound.
-
-    The two effective degrees are n and 2g-2; their gcd is realized by
-    the returned integer combination, so no multiple of a larger d can
-    constrain every family.
-    """
-    if n < 3:
-        raise DomainError(f"requires 4 <= 2n-2 (got 2n-2={2 * n - 2})")
-    require_gonal_range(g, n)
-    divisor = degree_subgroup(g, n)
-    combination = solve_degree(g, n, divisor)
-    assert combination is not None
-    return SharpnessWitness(n, 2 * g - 2, divisor, combination)

@@ -13,6 +13,7 @@ ones, with r = g mod (n-1) ones.  For n = 3 that surface is P^1 x P^1
 (g even) or the one-point blow-up of P^2 (g odd).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,11 +77,6 @@ class ScrollSpec:
         """The residue r = g mod (n-1) classifying the generic scroll."""
         return self.g % (self.n - 1)
 
-    @property
-    def is_generic(self) -> bool:
-        r = self.generic_type
-        return self.splitting == (0,) * (self.n - 1 - r) + (1,) * r
-
 
 def generic_scroll(g: int, n: int) -> ScrollSpec:
     """The scroll of the generic n-gonal curve of genus g.
@@ -113,28 +109,28 @@ def curve_class(spec: ScrollSpec) -> ChowClass:
 
 @dataclass(frozen=True)
 class AutNumerics:
-    """Dimension and component count of the scroll's automorphism group.
-
-    ``generic`` records whether the splitting was the generic one; the
-    component count is only backed by theory in that case and defaults
-    to 1 otherwise.
-    """
+    """Dimension and component count of the scroll's automorphism group."""
 
     total_dim: int
     vertical_dim: int
     components: int
-    generic: bool
 
 
 def aut_group_numerics(spec: ScrollSpec) -> AutNumerics:
-    """Aut(X) numerics: total dimension n^2-2n+3, vertical part (n-1)^2-1.
+    """Aut(X) numerics of X = P(E), E = O(-r_1) + ... + O(-r_{n-1}).
 
-    The group is connected except for P^1 x P^1 (n = 3, g even, generic
-    splitting), where swapping the rulings gives a second component.
+    The vertical part Aut(E)/G_m has dimension h^0(End E) - 1, where
+    h^0(End E) = sum over i, j of max(0, r_i - r_j + 1); PGL(2) on the
+    base adds 3.  The sum runs over the distinct r with their
+    multiplicities, so the cost stays linear in n.  The group is
+    connected except for P^1 x P^1 (n = 3, splitting (0, 0)), where
+    swapping the rulings gives a second component.
     """
-    n = spec.n
-    total = n * n - 2 * n + 3
-    vertical = (n - 1) ** 2 - 1
-    is_p1xp1 = spec.is_generic and n == 3 and spec.g % 2 == 0
-    return AutNumerics(total, vertical, 2 if is_p1xp1 else 1, spec.is_generic)
-
+    mult = Counter(spec.splitting)
+    end_e = sum(
+        mi * mj * max(0, ri - rj + 1)
+        for ri, mi in mult.items()
+        for rj, mj in mult.items()
+    )
+    is_p1xp1 = spec.splitting == (0, 0)
+    return AutNumerics(end_e + 2, end_e - 1, 2 if is_p1xp1 else 1)

@@ -20,7 +20,6 @@ from gonal.invariants import (
     chi_restricted_tangent,
     gonal_pencil_count,
     maroni_branch_boundaries,
-    maroni_branch_continuity,
     maroni_h0,
     moduli_dimension,
 )
@@ -80,11 +79,15 @@ def test_criterion_3_trigonal_oracle_equivalence():
 def test_criterion_4_maroni_ballico_agreement():
     ok = True
     for g, n in scroll_grid(5, 60):
+        spec = generic_scroll(g, n)
+        # h^0 on the scroll S(e_1, ..., e_{n-1}), e_i = shift + r_i
+        scroll_type = [spec.shift + r for r in spec.splitting]
         for k in range(0, 2 * g + 1):
-            if maroni_h0(g, n, k) != ballico_h0(g, n, k):
+            h0 = maroni_h0(g, n, k)
+            if h0 != ballico_h0(g, n, k):
                 ok = False
-        if not maroni_branch_continuity(g, n):
-            ok = False
+            if h0 != k + 1 + sum(max(0, k - 1 - e) for e in scroll_type):
+                ok = False
         if not maroni_branch_boundaries(g, n):
             ok = False
     verdict(4, ok, "piecewise = generic formula on n in 3..5, g <= 60, k <= 2g")

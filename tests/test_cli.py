@@ -130,3 +130,13 @@ class TestTwistCommand:
         proc = run_cli("twist", "--coeffs", "0,0,1,0,0,0,1", "--a", "1", "--x0", "1")
         assert proc.returncode == 2
         assert "discriminant" in proc.stderr
+
+    def test_negative_values_bind_to_their_options(self):
+        proc = run_cli(
+            "twist", "--coeffs", "-5,1,0,0,0,0,1", "--a", "-3/2", "--x0", "-1/2"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "genus 2 model: a = -3/2 -> a' = -351/64\n"
+            "rational point (-1/2, 1), residual 0\n"
+        )

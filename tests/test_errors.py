@@ -15,7 +15,7 @@ from gonal.invariants import (
     maroni_h0,
     moduli_dimension,
 )
-from gonal.picard import PicardLattice, modular_degree_constraint, sharpness_witness
+from gonal.picard import degree_subgroup, modular_degree_constraint, solve_degree
 from gonal.report import generate_report
 
 
@@ -38,12 +38,12 @@ GUARDED = [
     (ballico_h0, (9, 3, -1), "requires k >= 0 (got k=-1)"),
     (maroni_h0, (9, 2, 1), "requires n >= 3 (got n=2)"),
     (maroni_h0, (9, 3, -1), "requires k >= 0 (got k=-1)"),
-    (PicardLattice, (1, 1), "requires g >= 2 (got g=1)"),
-    (PicardLattice, (9, 1), "requires n >= 2 (got n=1)"),
+    (degree_subgroup, (1, 1), "requires g >= 2 (got g=1)"),
+    (degree_subgroup, (9, 1), "requires n >= 2 (got n=1)"),
+    (solve_degree, (1, 1, 0), "requires g >= 2 (got g=1)"),
+    (solve_degree, (9, 1, 0), "requires n >= 2 (got n=1)"),
     (modular_degree_constraint, (1, 1), "requires g >= 2 (got g=1)"),
     (modular_degree_constraint, (9, 1), "requires n >= 2 (got n=1)"),
-    (sharpness_witness, (9, 2), "requires 4 <= 2n-2 (got 2n-2=2)"),
-    (sharpness_witness, (9, -4), "requires 4 <= 2n-2 (got 2n-2=-10)"),
     (generate_report, (9, 3, -1), "requires k_max >= 0 (got k_max=-1)"),
 ]
 

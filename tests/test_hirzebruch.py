@@ -10,7 +10,6 @@ from gonal.hirzebruch import (
     rather_free_check,
     trigonal_curve_bundle,
     trigonal_h0_oracle,
-    very_ample,
     _rather_free_criterion,
 )
 from gonal.invariants import ballico_h0
@@ -133,23 +132,6 @@ class TestTrigonalOracle:
 def test_boundary_genus_message(call):
     with pytest.raises(DomainError, match=r"^requires 2n-2 < g \(got 2n-2=4, g=4\)$"):
         call()
-
-
-class TestVeryAmple:
-    def test_trigonal_curve_systems(self):
-        assert very_ample(FeBundle(1, 3, 5))  # g = 5
-        assert very_ample(FeBundle(0, 3, 4))  # g = 6
-
-    def test_boundary_cases(self):
-        assert not very_ample(FeBundle(1, 1, 1))  # b > a*e fails at equality
-        assert not very_ample(FeBundle(0, 1, 0))
-        assert not very_ample(FeBundle(2, 1, 2))
-        assert very_ample(FeBundle(2, 1, 3))
-        assert not very_ample(FeBundle(1, 0, 5))
-
-    def test_all_trigonal_genera(self):
-        for g in range(5, 41):
-            assert very_ample(trigonal_curve_bundle(g))
 
 
 class TestRatherFree:

@@ -11,7 +11,6 @@ from gonal.invariants import (
     gonal_pencil_count,
     h1_double_pencil,
     maroni_branch_boundaries,
-    maroni_branch_continuity,
     maroni_h0,
     moduli_dimension,
 )
@@ -131,15 +130,9 @@ class TestMaroni:
                 for k in range(0, 2 * g + 1):
                     assert maroni_h0(g, n, k) == ballico_h0(g, n, k)
 
-    def test_branch_continuity_generic(self):
-        for n in range(3, 6):
-            for g in range(2 * n - 1, 61):
-                assert maroni_branch_continuity(g, n)
-
     def test_branch_continuity_non_generic(self):
         # (11, 4) with splitting (0, 1, 4): eta = 2, boundaries 2, 3, 6
         assert maroni_branch_boundaries(11, 4, (0, 1, 4)) == [2, 3, 6]
-        assert maroni_branch_continuity(11, 4, (0, 1, 4))
         # values walk through all three branch families without jumps
         values = [maroni_h0(11, 4, k, (0, 1, 4)) for k in range(0, 12)]
         assert values == sorted(values)

@@ -5,16 +5,16 @@ from math import gcd
 
 import pytest
 
+from gonal.chow import intersect_number
 from gonal.errors import DomainError
 from gonal.picard import (
     DivisibilityVerdict,
-    PicardLattice,
     VerdictStatus,
     degree_subgroup,
     modular_degree_constraint,
-    sharpness_witness,
     solve_degree,
 )
+from gonal.scroll import curve_class, generic_scroll
 
 
 class TestDegreeSubgroup:
@@ -33,10 +33,8 @@ class TestDegreeSubgroup:
         rng = random.Random(5)
         for _ in range(200):
             g, n = rng.randrange(2, 40), rng.randrange(2, 12)
-            lattice = PicardLattice(g, n)
-            d = gcd(*lattice.generator_degrees)
-            value = lattice.degree_of(rng.randint(-9, 9), rng.randint(-9, 9))
-            assert value % d == 0
+            alpha, beta = rng.randint(-9, 9), rng.randint(-9, 9)
+            assert (alpha * (2 * g - 2) + beta * n) % degree_subgroup(g, n) == 0
 
 
 class TestModularDegreeConstraint:
@@ -119,26 +117,31 @@ class TestSolveDegree:
 
 
 class TestSharpnessWitness:
+    """The solve_degree witness for gcd(2g-2, n), evaluated on the Chow-ring
+    pairings D.C = 2g-2 and f.C = n, certifies that the bound is attained."""
+
+    @staticmethod
+    def pairings(g, n):
+        spec = generic_scroll(g, n)
+        curve = curve_class(spec)
+        amb = spec.ambient
+        return (
+            intersect_number([amb.hyperplane()], curve),
+            intersect_number([amb.fiber()], curve),
+        )
+
     def test_examples(self):
-        w = sharpness_witness(7, 3)
-        assert (w.fiber_degree, w.canonical_degree, w.achieved_divisor) == (3, 12, 3)
-        w = sharpness_witness(5, 3)
-        assert (w.fiber_degree, w.canonical_degree, w.achieved_divisor) == (3, 8, 1)
-        w = sharpness_witness(8, 4)
-        assert (w.fiber_degree, w.canonical_degree, w.achieved_divisor) == (4, 14, 2)
+        assert (*self.pairings(7, 3), degree_subgroup(7, 3)) == (12, 3, 3)
+        assert (*self.pairings(5, 3), degree_subgroup(5, 3)) == (8, 3, 1)
+        assert (*self.pairings(8, 4), degree_subgroup(8, 4)) == (14, 4, 2)
 
     def test_combination_certifies(self):
         for n in range(3, 7):
             for g in range(2 * n - 1, 41):
-                w = sharpness_witness(g, n)
-                alpha, beta = w.combination
-                assert alpha * w.canonical_degree + beta * w.fiber_degree == w.achieved_divisor
-
-    def test_hypothesis_violation(self):
-        with pytest.raises(DomainError):
-            sharpness_witness(4, 3)
-        with pytest.raises(DomainError):
-            sharpness_witness(10, 2)
+                dc, fc = self.pairings(g, n)
+                d = degree_subgroup(g, n)
+                alpha, beta = solve_degree(g, n, d)
+                assert alpha * dc + beta * fc == d
 
 
 def test_verdict_requires_positive_divisor():

@@ -1,6 +1,8 @@
 """Tests for report generation, serialization, and the sweep harness."""
 
+import re
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +176,89 @@ class TestSweep:
 
         assert evaluations(200) <= evaluations(20)
 
+    def test_confluence_steps_grow_linearly_in_n(self, monkeypatch):
+        iterations = []
+        reduce = report._stepwise_reduce
+
+        class Counted:
+            """The ambient scroll, counting the loop's reads of n."""
+
+            def __init__(self, ambient):
+                self.ambient, self.degree = ambient, ambient.degree
+
+            @property
+            def n(self):
+                iterations.append(1)
+                return self.ambient.n
+
+        monkeypatch.setattr(
+            report, "_stepwise_reduce", lambda amb, *args: reduce(Counted(amb), *args)
+        )
+
+        def steps(n):
+            iterations.clear()
+            _point_checks(2 * n + 1, n)
+            return len(iterations)
+
+        assert steps(80) <= 16 * steps(5)
+
+    def test_every_check_is_in_the_readme_table(self, monkeypatch):
+        names = set()
+        for checks in ("_global_checks", "_point_checks"):
+            def recorded(*args, _f=getattr(report, checks)):
+                results = _f(*args)
+                names.update(r.name for r in results)
+                return results
+
+            monkeypatch.setattr(report, checks, recorded)
+        sweep_verify(range(5, 31), range(3, 7))
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = set(re.findall(r"^\| `([^`]+)` \|", readme, re.MULTILINE))
+        assert names and names <= table, sorted(names - table)
+
+
+class TestBranchContinuity:
+    """The flag compares maroni_h0 with the h^0 on the scroll
+    S(e_1, ..., e_{n-1}), e_i = shift + r_i: k + 1 + sum of max(0, k - 1 - e_i)."""
+
+    def test_summed_form_every_splitting(self):
+        for n in range(3, 7):
+            for g in range(2 * n - 1, 21):
+                for rs in _splittings(g, n):
+                    shift = (g - sum(rs)) // (n - 1) - 1
+                    for k in range(4 * g + 1):
+                        summed = k + 1 + sum(max(0, k - 1 - shift - r) for r in rs)
+                        assert invariants.maroni_h0(g, n, k, rs) == summed, (g, n, rs, k)
+        assert (0, 1, 4) in _splittings(11, 4)
+
+    def test_flag_fails_on_a_shifted_formula(self, monkeypatch):
+        # every branch off by one: the branches still agree with one another
+        branch = invariants._maroni_branch
+        monkeypatch.setattr(
+            invariants, "_maroni_branch", lambda *args: branch(*args) + 1
+        )
+        for n in range(3, 8):
+            for g in range(2 * n - 1, 40):
+                flags = generate_report(g, n, 0).consistency_flags
+                assert flags.branch_continuity is False, (g, n)
+
+    def test_branch_evaluations_do_not_grow_with_n(self, monkeypatch):
+        calls = []
+        branch = invariants._maroni_branch
+
+        def counted(*args):
+            calls.append(args)
+            return branch(*args)
+
+        monkeypatch.setattr(invariants, "_maroni_branch", counted)
+
+        def evaluations(n):
+            calls.clear()
+            generate_report(2 * n + 1, n, 0)
+            return len(calls)
+
+        assert evaluations(40) <= evaluations(5)
+
 
 class TestPointChecksReadTheDossier:
     def test_report_and_sweep_fail_together(self, monkeypatch):
@@ -205,7 +290,6 @@ class TestPointChecksReadTheDossier:
             "chi_normal_bundle",
             "h1_double_pencil",
             "moduli_dimension",
-            "maroni_branch_continuity",
         ):
             monkeypatch.setattr(invariants, name, forbidden)
         cohomology = hirzebruch.bundle_cohomology

@@ -35,7 +35,8 @@ class TestGenericScroll:
             for g in range(2 * n - 1, 41):
                 spec = generic_scroll(g, n)
                 assert validate_scroll(spec.splitting, g, n)
-                assert spec.is_generic
+                assert set(spec.splitting) <= {0, 1}
+                assert spec.big_n == spec.generic_type
 
     def test_range_violation(self):
         with pytest.raises(DomainError):
@@ -119,15 +120,23 @@ class TestAutNumerics:
             for g in range(2 * n - 1, 30):
                 a = aut_group_numerics(generic_scroll(g, n))
                 assert a.components == (2 if n == 3 and g % 2 == 0 else 1)
-                assert a.generic
 
     def test_non_generic_splitting_flagged(self):
-        # (g, n) = (11, 4): N must be 2 mod 3 and < 8, so (0, 1, 4) works
-        spec = ScrollSpec(AmbientScroll(11, 4), (0, 1, 4))
-        assert not spec.is_generic
-        a = aut_group_numerics(spec)
-        assert a.components == 1
-        assert not a.generic
+        # (g, n) = (11, 4): N must be 2 mod 3 and < 8, so (0, 1, 4) works;
+        # h^0(End E) = 3 + 2 + 5 + 4 from the pairs r_i = r_j, (1, 0),
+        # (4, 0) and (4, 1)
+        a = aut_group_numerics(ScrollSpec(AmbientScroll(11, 4), (0, 1, 4)))
+        assert (a.total_dim, a.vertical_dim, a.components) == (16, 13, 1)
+
+    def test_hirzebruch_surfaces(self):
+        # dim Aut F_e = e + 5 for e >= 1; F_0 = P^1 x P^1 has dimension 6
+        # and two components
+        for e in range(1, 8):
+            g = e + 4  # N = e < g - 2 and N = g mod 2
+            a = aut_group_numerics(ScrollSpec(AmbientScroll(g, 3), (0, e)))
+            assert (a.total_dim, a.vertical_dim, a.components) == (e + 5, e + 2, 1)
+        a = aut_group_numerics(ScrollSpec(AmbientScroll(8, 3), (0, 0)))
+        assert (a.total_dim, a.components) == (6, 2)
 
 
 class TestTrigonalSurfaceMatchesScroll:
