@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .chow import AmbientScroll
 from .errors import DomainError, require_at_least, require_gonal_range
-from .scroll import ScrollSpec, generic_scroll
+from .scroll import ScrollSpec, _generic_splitting
 
 
 def _require_scroll_range(g: int, n: int) -> None:
@@ -118,10 +118,9 @@ def maroni_h0(
     _require_scroll_range(g, n)
     require_at_least("k", k, 0)
     if splitting is None:
-        spec = generic_scroll(g, n)
+        rs = _generic_splitting(g, n)
     else:
-        spec = ScrollSpec(AmbientScroll(g, n), tuple(splitting))
-    rs = spec.splitting
+        rs = ScrollSpec(AmbientScroll(g, n), tuple(splitting)).splitting
     j = bisect_right(maroni_branch_boundaries(g, n, rs), k)
     return _maroni_branch(g, n, _maroni_eta(g, n, rs), rs, j, k)
 
@@ -131,7 +130,8 @@ def maroni_branch_boundaries(
 ) -> list[int]:
     """The branch switch points eta + r_j, j = 1..n-1."""
     if splitting is None:
-        splitting = generic_scroll(g, n).splitting
+        _require_scroll_range(g, n)
+        splitting = _generic_splitting(g, n)
     eta = _maroni_eta(g, n, splitting)
     return [eta + r for r in splitting]
 

@@ -16,15 +16,17 @@ first, then grid points sorted by (g, n)).
 import json
 import random
 import types
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from math import factorial, gcd
-from typing import Iterable, NamedTuple, Union, get_args, get_origin, get_type_hints
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from . import hirzebruch, hyperelliptic, invariants, picard
 from .chow import AmbientScroll, ChowClass, DivisorClass, intersect_number
-from .errors import DomainError, in_gonal_range, require_at_least
+from .errors import ConsistencyError, DomainError, in_gonal_range, require_at_least
 from .picard import DivisibilityVerdict, VerdictStatus
 from .scroll import (
     aut_group_numerics,
@@ -118,6 +120,30 @@ def _decisive_ks(*switches: Iterable[int]) -> list[int]:
     return sorted(k for k in near | {0, 1} if k >= 0)
 
 
+def _piecewise_affine(points: list[tuple[int, int]]) -> Callable[[int], int]:
+    """The function through the (k, value) points, sorted by k, that is
+    affine between consecutive points and continues its last piece.
+
+    Each slope is an exact integer: a remainder means integer values
+    that no affine piece joins, and raises ConsistencyError.
+    """
+    pieces = []
+    for (p, vp), (q, vq) in zip(points, points[1:]):
+        slope, rem = divmod(vq - vp, q - p)
+        if rem:
+            raise ConsistencyError(
+                f"no integer slope from ({p}, {vp}) to ({q}, {vq})"
+            )
+        pieces.append((p, vp, slope))
+    starts = [p for p, _, _ in pieces]
+
+    def value(k: int) -> int:
+        p, vp, slope = pieces[max(0, bisect_right(starts, k) - 1)]
+        return vp + slope * (k - p)
+
+    return value
+
+
 def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     """The full invariant dossier for one (g, n).
 
@@ -148,16 +174,22 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     sections = tuple((k, invariants.ballico_h0(g, n, k)) for k in ks)
 
     if n == 3:
-        rows = []
-        for k, h0 in sections:
-            oracle = hirzebruch.trigonal_h0_oracle(g, k)
-            rows.append(OracleRow(k, h0, oracle, h0 == oracle))
-        oracle_checks: tuple[OracleRow, ...] | None = tuple(rows)
+        # the oracle at its own switch points, affine between them
+        oracle = _piecewise_affine(
+            [
+                (k, hirzebruch.trigonal_h0_oracle(g, k))
+                for k in _decisive_ks(hirzebruch.trigonal_h0_switches(g))
+            ]
+        )
+        oracle_checks: tuple[OracleRow, ...] | None = tuple(
+            OracleRow(k, h0, v, h0 == v)
+            for (k, h0), v in zip(sections, map(oracle, ks))
+        )
         # the printed rows, and every k >= 0 whatever k_max is
         decisive = _decisive_ks(
             hirzebruch.trigonal_h0_switches(g), invariants.ballico_switches(g, 3)
         )
-        oracle_agreement: bool | None = all(r.agree for r in rows) and all(
+        oracle_agreement: bool | None = all(r.agree for r in oracle_checks) and all(
             hirzebruch.trigonal_h0_oracle(g, k) == invariants.ballico_h0(g, 3, k)
             for k in decisive
         )
@@ -288,8 +320,76 @@ def _decoder(tp):
     raise TypeError(f"no JSON decoder for {tp!r}")
 
 
+# The k-indexed tables run to k_max rows, so emit_json writes them from a
+# row template instead of json.dumps.  The layout is json.dumps at
+# indent 2: a top-level value at depth 1, a table row at depth 2.
+
+
+@cache
+def _json_tables(cls: type) -> dict[str, type]:
+    """The row type of each ungrouped field typed tuple[Row, ...], or that | None."""
+    hints = get_type_hints(cls)
+    tables = {}
+    for name, group in _json_fields(cls):
+        tp = hints[name]
+        if get_origin(tp) in (Union, types.UnionType):
+            (tp,) = [a for a in get_args(tp) if a is not type(None)]
+        if group is None and get_origin(tp) is tuple and get_args(tp)[-1] is Ellipsis:
+            (tables[name],) = set(get_args(tp)) - {Ellipsis}
+    return tables
+
+
+def _json_cell(tp: type) -> Callable[[object], str]:
+    """The json.dumps text of a row cell of type tp, after _encode_ints."""
+    if tp is bool:
+        return lambda v: "true" if v else "false"
+    if tp is int:
+        return lambda v: str(v) if -_SAFE_INT_MAX <= v <= _SAFE_INT_MAX else f'"{v}"'
+    raise TypeError(f"no JSON table cell for {tp!r}")
+
+
+@cache
+def _row_template(tp: type) -> tuple[Callable[..., str], tuple]:
+    """The filler of a template for a table row of type tp at depth 2,
+    and a (getter, cell renderer) pair per slot.
+
+    A dataclass row is an object keyed by its _json_fields; a tuple row
+    is an array.
+    """
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        names = [name for name, _ in _json_fields(tp)]
+        slots = [json.dumps(name) + ": {}" for name in names]
+        cells = [(attrgetter(name), _json_cell(hints[name])) for name in names]
+        opening, closing = "{{", "}}"
+    else:
+        slots = ["{}"] * len(get_args(tp))
+        cells = [(itemgetter(i), _json_cell(t)) for i, t in enumerate(get_args(tp))]
+        opening, closing = "[", "]"
+    template = opening + "\n      " + ",\n      ".join(slots) + "\n    " + closing
+    return template.format, tuple(cells)
+
+
 def emit_json(report: GonalReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
+    """json.dumps(report.to_dict(), indent=2) plus a newline, byte for byte."""
+    top: dict = {}
+    for name, group in _json_fields(GonalReport):
+        value = getattr(report, name)
+        if group is None:
+            top[name] = value
+        else:
+            top.setdefault(group, {})[name] = value
+    tables = _json_tables(GonalReport)
+    entries = []
+    for key, value in top.items():
+        if key in tables and value:
+            fill, cells = _row_template(tables[key])
+            rows = (fill(*[cell(get(row)) for get, cell in cells]) for row in value)
+            text = "[\n    " + ",\n    ".join(rows) + "\n  ]"
+        else:
+            text = json.dumps(_encode_ints(value), indent=2).replace("\n", "\n  ")
+        entries.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(entries) + "\n}\n"
 
 
 def parse_json(text: str) -> GonalReport:

@@ -15,6 +15,7 @@ ones, with r = g mod (n-1) ones.  For n = 3 that surface is P^1 x P^1
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .chow import AmbientScroll, ChowClass, DivisorClass
@@ -62,12 +63,12 @@ class ScrollSpec:
     def n(self) -> int:
         return self.ambient.n
 
-    @property
+    @cached_property
     def big_n(self) -> int:
         """Sum of the splitting invariants."""
         return sum(self.splitting)
 
-    @property
+    @cached_property
     def shift(self) -> int:
         """Fiber shift (g-N)/(n-1) - 1 of the embedding divisor."""
         return (self.g - self.big_n) // (self.n - 1) - 1
@@ -78,15 +79,20 @@ class ScrollSpec:
         return self.g % (self.n - 1)
 
 
-def generic_scroll(g: int, n: int) -> ScrollSpec:
-    """The scroll of the generic n-gonal curve of genus g.
+def _generic_splitting(g: int, n: int) -> tuple[int, ...]:
+    """n-1-r zeros followed by r ones, where r = g mod (n-1).
 
-    Its splitting is n-1-r zeros followed by r ones, where
-    r = g mod (n-1).
+    Under 2n-2 < g it always embeds: N = r <= n-2 < g-n+1, and
+    g - r = 0 (mod n-1).
     """
-    ambient = AmbientScroll(g, n)
     r = g % (n - 1)
-    return ScrollSpec(ambient, (0,) * (n - 1 - r) + (1,) * r)
+    return (0,) * (n - 1 - r) + (1,) * r
+
+
+def generic_scroll(g: int, n: int) -> ScrollSpec:
+    """The scroll of the generic n-gonal curve of genus g, with the
+    splitting of _generic_splitting."""
+    return ScrollSpec(AmbientScroll(g, n), _generic_splitting(g, n))
 
 
 def canonical_class(spec: ScrollSpec) -> DivisorClass:

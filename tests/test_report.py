@@ -1,18 +1,22 @@
 """Tests for report generation, serialization, and the sweep harness."""
 
+import json
 import re
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
-from gonal import hirzebruch, invariants, picard, report
-from gonal.errors import DomainError
+from gonal import hirzebruch, invariants, picard, report, scroll
+from gonal.errors import ConsistencyError, DomainError
 from gonal.report import (
     GonalReport,
+    OracleRow,
     _curve_h1,
     _decisive_ks,
     _encode_ints,
+    _piecewise_affine,
     _point_checks,
     emit_json,
     generate_report,
@@ -68,9 +72,33 @@ class TestSerialization:
         report = generate_report(g, n, k)
         assert parse_json(emit_json(report)) == report
 
-    def test_snake_case_fields(self):
-        import json
+    def test_emit_matches_json_dumps(self):
+        """emit_json writes the tables from a row template; json.dumps of
+        to_dict is the second route to the same bytes."""
+        reports = [
+            generate_report(g, n, k_max)
+            for n in range(3, 7)
+            for g in range(2 * n - 1, 41)
+            for k_max in (0, 2 * g)
+        ]
+        big = generate_report((1 << 60) + 1, 3, 4)
+        safe = (1 << 53) - 1
+        reports += [
+            big,
+            replace(
+                big,
+                section_counts=((1, safe), (2, safe + 1)),
+                oracle_checks=(OracleRow(1, -safe - 1, safe, False),),
+            ),
+        ]
+        for r in reports:
+            assert emit_json(r) == json.dumps(r.to_dict(), indent=2) + "\n", (
+                r.g,
+                r.n,
+                r.k_max,
+            )
 
+    def test_snake_case_fields(self):
         doc = json.loads(emit_json(generate_report(5, 3, 2)))
         assert set(doc) == {
             "input",
@@ -113,6 +141,77 @@ class TestRenderText:
         text = render_text(generate_report(8, 4, 2))
         assert "not applicable" in text
         assert "dim-P(L) n/a" in text
+
+
+class TestOracleColumn:
+    """The printed oracle column is the surface oracle at its switch
+    points, affine between them."""
+
+    def test_every_printed_k_against_the_oracle(self):
+        for g in range(5, 61):
+            r = generate_report(g, 3, 2 * g)
+            expected = [hirzebruch.trigonal_h0_oracle(g, k) for k in range(1, 2 * g + 1)]
+            doc = json.loads(emit_json(r))
+            assert [row["oracle_value"] for row in doc["oracle_checks"]] == expected, g
+            lines = render_text(r).splitlines()
+            start = lines.index("  k   h0   oracle  agree") + 1
+            table = [line.split() for line in lines[start : start + 2 * g]]
+            assert [int(cols[2]) for cols in table] == expected, g
+            assert [int(cols[0]) for cols in table] == list(range(1, 2 * g + 1))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda switches: [-1], lambda switches: [t - 3 for t in switches]],
+        ids=["no-switches", "switches-minus-3"],
+    )
+    def test_a_wrong_switch_list_shows(self, monkeypatch, mutate):
+        switches = hirzebruch.trigonal_h0_switches
+        monkeypatch.setattr(
+            hirzebruch, "trigonal_h0_switches", lambda g: mutate(switches(g))
+        )
+        for g in range(5, 61):
+            try:
+                r = generate_report(g, 3, 2 * g)
+            except ConsistencyError:
+                continue
+            assert not all(row.agree for row in r.oracle_checks), g
+            assert r.consistency_flags.oracle_agreement is False, g
+
+    def test_oracle_calls_do_not_grow_with_g(self, monkeypatch):
+        calls = []
+        oracle = hirzebruch.trigonal_h0_oracle
+
+        def counted(g, k):
+            calls.append(k)
+            return oracle(g, k)
+
+        monkeypatch.setattr(hirzebruch, "trigonal_h0_oracle", counted)
+
+        def evaluations(g):
+            calls.clear()
+            generate_report(g, 3, 2 * g)
+            return len(calls)
+
+        assert evaluations(200) == evaluations(20000)
+
+    def test_slopes_are_exact(self):
+        line = _piecewise_affine([(0, 1), (1, 2), (4, 11), (5, 14)])
+        assert [line(k) for k in range(8)] == [1, 2, 5, 8, 11, 14, 17, 20]
+        with pytest.raises(ConsistencyError):
+            _piecewise_affine([(0, 0), (2, 1)])
+
+    @pytest.mark.parametrize("g, n", [(5, 3), (6, 3), (20, 7), (41, 7)])
+    def test_one_scroll_per_report(self, monkeypatch, g, n):
+        specs = []
+        post_init = scroll.ScrollSpec.__post_init__
+
+        def counted(self):
+            specs.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(scroll.ScrollSpec, "__post_init__", counted)
+        generate_report(g, n, 2 * g)
+        assert len(specs) == 1
 
 
 class TestSweep:

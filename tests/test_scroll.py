@@ -2,6 +2,9 @@
 
 import pytest
 
+from dataclasses import fields
+
+from gonal import scroll
 from gonal.chow import AmbientScroll, DivisorClass, intersect_number
 from gonal.errors import DomainError
 from gonal.hirzebruch import canonical_bundle, trigonal_curve_bundle
@@ -65,6 +68,18 @@ class TestShift:
                 spec = generic_scroll(g, n)
                 assert (g - spec.big_n) % (n - 1) == 0
                 assert spec.shift >= 0
+
+    def test_splitting_summed_once(self, monkeypatch):
+        spec = generic_scroll(41, 7)
+        text = repr(spec)
+        sums = []
+        monkeypatch.setattr(
+            scroll, "sum", lambda xs: sums.append(xs) or sum(xs), raising=False
+        )
+        assert (spec.big_n, spec.shift, spec.big_n, spec.shift) == (5, 5, 5, 5)
+        assert len(sums) == 1
+        assert [f.name for f in fields(spec)] == ["ambient", "splitting"]
+        assert repr(spec) == text and spec == generic_scroll(41, 7)
 
 
 class TestCanonicalClass:
