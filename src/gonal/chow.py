@@ -54,8 +54,8 @@ class AmbientScroll:
     def unit(self) -> "ChowClass":
         return ChowClass(self, {(0, 0): 1})
 
-    def monomial(self, a: int, b: int, coeff: int = 1) -> "ChowClass":
-        return ChowClass(self, {(a, b): coeff})
+    def monomial(self, a: int, b: int) -> "ChowClass":
+        return ChowClass(self, {(a, b): 1})
 
     def point_class(self) -> "ChowClass":
         return ChowClass(self, {(self.n - 2, 1): 1})
@@ -71,19 +71,13 @@ def _add_term(acc: dict, ambient: AmbientScroll, a: int, b: int, c: int) -> None
     """Accumulate c * D^a f^b into acc, rewriting to normal form."""
     if a < 0 or b < 0:
         raise DomainError(f"negative exponent in monomial D^{a} f^{b}")
-    if c == 0:
-        return
     n = ambient.n
-    while True:
-        if b >= 2 or a + b > n - 1:
-            return  # killed by f^2 = 0 or by codimension > dim X
-        if a <= n - 2:
-            acc[(a, b)] = acc.get((a, b), 0) + c
-            return
-        # here a = n-1 and b = 0: substitute D^{n-1} = deg(X) D^{n-2} f
-        c *= ambient.degree
-        a -= 1
-        b += 1
+    if c == 0 or b >= 2 or a + b > n - 1:
+        return  # killed by f^2 = 0 or by codimension > dim X
+    if a == n - 1:
+        # here b = 0: substitute D^{n-1} = deg(X) D^{n-2} f
+        a, b, c = n - 2, 1, c * ambient.degree
+    acc[(a, b)] = acc.get((a, b), 0) + c
 
 
 class ChowClass:
@@ -110,9 +104,6 @@ class ChowClass:
     @property
     def coefficients(self) -> dict[Monomial, int]:
         return dict(self._coeffs)
-
-    def coefficient(self, a: int, b: int) -> int:
-        return self._coeffs.get((a, b), 0)
 
     def is_zero(self) -> bool:
         return not self._coeffs

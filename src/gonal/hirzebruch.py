@@ -173,8 +173,8 @@ def rather_free_check(g: int) -> RatherFreeResult:
     scroll's intersection ring, together with the verdict of the
     sufficient criterion: pairing <= -2 and h^1(O_S) = 0.
     """
-    require_gonal_range(g, 3)
+    e = trigonal_curve_bundle(g).e
     spec = generic_scroll(g, 3)
     pairing = intersect_number([canonical_class(spec)], curve_class(spec))
-    irregularity = bundle_cohomology(FeBundle(g % 2, 0, 0)).h1
+    irregularity = bundle_cohomology(FeBundle(e, 0, 0)).h1
     return RatherFreeResult(pairing, _rather_free_criterion(pairing, irregularity))

@@ -195,10 +195,8 @@ def discriminant_nonzero(form: BinaryForm, method: str = "gcd") -> bool:
     """
     cs = list(form.coefficients)
     d = form.degree
-    if all(c == 0 for c in cs):
-        return False
     if cs[d] == 0 and cs[d - 1] == 0:
-        return False  # root at infinity with multiplicity >= 2
+        return False  # root at infinity with multiplicity >= 2, or f = 0
     # clearing denominators by their least common multiple keeps every root
     scale = 1
     for c in cs:

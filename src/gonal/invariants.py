@@ -14,7 +14,7 @@ from math import comb
 from typing import Sequence
 
 from .chow import AmbientScroll
-from .errors import DomainError, require_at_least, require_gonal_range
+from .errors import require_at_least, require_gonal_range
 from .scroll import ScrollSpec, _generic_splitting
 
 
@@ -81,28 +81,14 @@ def ballico_h0(g: int, n: int, k: int) -> int:
     return n * k - g + 1
 
 
-def _maroni_eta(g: int, n: int, splitting: Sequence[int]) -> int:
-    big_n = sum(splitting)
-    eta, rem = divmod(g - big_n, n - 1)
-    if rem != 0:
-        raise DomainError(
-            f"invalid splitting {tuple(splitting)}: g - N = {g - big_n} "
-            f"is not divisible by n-1 = {n - 1}"
-        )
-    return eta
-
-
-def _maroni_branch(
-    g: int, n: int, eta: int, splitting: Sequence[int], j: int, k: int
-) -> int:
+def _maroni_branch(boundaries: Sequence[int], j: int, k: int) -> int:
     """Value of branch j of the piecewise section-count formula at k.
 
-    Branch j for 0 <= j <= n-2 is (j+1)k + 1 - j*eta - (r_1 + ... + r_j),
-    which is k+1 for j = 0; branch n-1 is nk + 1 - g.
+    Branch j is (j+1)k + 1 - j*eta - (r_1 + ... + r_j), where the last two
+    terms are the sum of the first j boundaries eta + r_i.  It is k+1 for
+    j = 0 and nk + 1 - g for j = n-1, because (n-1)*eta + N = g.
     """
-    if j == n - 1:
-        return n * k + 1 - g
-    return (j + 1) * k + 1 - j * eta - sum(splitting[:j])
+    return (j + 1) * k + 1 - sum(boundaries[:j])
 
 
 def maroni_h0(
@@ -117,21 +103,22 @@ def maroni_h0(
     """
     _require_scroll_range(g, n)
     require_at_least("k", k, 0)
-    if splitting is None:
-        rs = _generic_splitting(g, n)
-    else:
-        rs = ScrollSpec(AmbientScroll(g, n), tuple(splitting)).splitting
-    j = bisect_right(maroni_branch_boundaries(g, n, rs), k)
-    return _maroni_branch(g, n, _maroni_eta(g, n, rs), rs, j, k)
+    boundaries = maroni_branch_boundaries(g, n, splitting)
+    return _maroni_branch(boundaries, bisect_right(boundaries, k), k)
 
 
 def maroni_branch_boundaries(
     g: int, n: int, splitting: Sequence[int] | None = None
 ) -> list[int]:
-    """The branch switch points eta + r_j, j = 1..n-1."""
-    if splitting is None:
-        _require_scroll_range(g, n)
-        splitting = _generic_splitting(g, n)
-    eta = _maroni_eta(g, n, splitting)
-    return [eta + r for r in splitting]
+    """The branch switch points eta + r_j, j = 1..n-1, eta = (g-N)/(n-1).
 
+    A given splitting is validated by ScrollSpec; the default is the
+    generic one.
+    """
+    _require_scroll_range(g, n)
+    if splitting is None:
+        rs = _generic_splitting(g, n)
+    else:
+        rs = ScrollSpec(AmbientScroll(g, n), tuple(splitting)).splitting
+    eta = (g - sum(rs)) // (n - 1)
+    return [eta + r for r in rs]

@@ -60,21 +60,6 @@ def modular_degree_constraint(g: int, n: int) -> DivisibilityVerdict:
     return DivisibilityVerdict(divisor, status, sharp=True)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(d, x, y) with a*x + b*y = d = gcd(a, b)."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    d, next_d = a, b
-    while next_d:
-        q = d // next_d
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        d, next_d = next_d, d - q * next_d
-    if d < 0:
-        x, y, d = -x, -y, -d
-    return d, x, y
-
-
 def solve_degree(g: int, n: int, target: int) -> tuple[int, int] | None:
     """Integers (alpha, beta) with alpha*(2g-2) + beta*n = target, if any.
 
@@ -85,11 +70,11 @@ def solve_degree(g: int, n: int, target: int) -> tuple[int, int] | None:
     require_at_least("g", g, 2)
     require_at_least("n", n, 2)
     w, pencil = 2 * g - 2, n
-    d, x, _ = _xgcd(w, pencil)
+    d = gcd(w, pencil)
     if target % d != 0:
         return None
     step = pencil // d
-    alpha = (x * (target // d)) % step
+    alpha = pow(w // d, -1, step) * (target // d) % step
     if 2 * alpha > step:
         alpha -= step
     beta = (target - alpha * w) // pencil

@@ -174,11 +174,12 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     sections = tuple((k, invariants.ballico_h0(g, n, k)) for k in ks)
 
     if n == 3:
+        oracle_switches = hirzebruch.trigonal_h0_switches(g)
         # the oracle at its own switch points, affine between them
         oracle = _piecewise_affine(
             [
                 (k, hirzebruch.trigonal_h0_oracle(g, k))
-                for k in _decisive_ks(hirzebruch.trigonal_h0_switches(g))
+                for k in _decisive_ks(oracle_switches)
             ]
         )
         oracle_checks: tuple[OracleRow, ...] | None = tuple(
@@ -186,18 +187,14 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
             for (k, h0), v in zip(sections, map(oracle, ks))
         )
         # the printed rows, and every k >= 0 whatever k_max is
-        decisive = _decisive_ks(
-            hirzebruch.trigonal_h0_switches(g), invariants.ballico_switches(g, 3)
-        )
+        decisive = _decisive_ks(oracle_switches, invariants.ballico_switches(g, 3))
         oracle_agreement: bool | None = all(r.agree for r in oracle_checks) and all(
             hirzebruch.trigonal_h0_oracle(g, k) == invariants.ballico_h0(g, 3, k)
             for k in decisive
         )
-        h0_curve_system = hirzebruch.bundle_cohomology(
-            hirzebruch.trigonal_curve_bundle(g)
-        ).h0
-        dim_p_l: bool | None = h0_curve_system - 1 == chi_n
-        surface = f"F{g % 2}"
+        curve_fe = hirzebruch.trigonal_curve_bundle(g)
+        dim_p_l: bool | None = hirzebruch.bundle_cohomology(curve_fe).h0 - 1 == chi_n
+        surface = f"F{curve_fe.e}"
     else:
         oracle_checks = None
         oracle_agreement = None
@@ -262,12 +259,25 @@ def _json_fields(cls: type) -> tuple[tuple[str, str | None], ...]:
     return tuple((f.name, f.metadata.get("json_group")) for f in fields(cls))
 
 
+def _grouped(obj) -> dict:
+    """The fields of a dataclass by name, in field order, with grouped
+    fields nested under their group's key."""
+    out: dict = {}
+    for name, group in _json_fields(type(obj)):
+        value = getattr(obj, name)
+        if group is None:
+            out[name] = value
+        else:
+            out.setdefault(group, {})[name] = value
+    return out
+
+
 def _encode_ints(obj):
     """The JSON value of obj, in one walk.
 
-    A dataclass becomes a dict in field order, with grouped fields nested
-    under their group's key; an enum becomes its value, a tuple a list,
-    and an integer beyond the 53-bit safe range a decimal string.
+    A dataclass becomes the dict _grouped builds, an enum its value, a
+    tuple a list, and an integer beyond the 53-bit safe range a decimal
+    string.
     """
     if type(obj) is int:
         return obj if -_SAFE_INT_MAX <= obj <= _SAFE_INT_MAX else str(obj)
@@ -278,14 +288,7 @@ def _encode_ints(obj):
     if isinstance(obj, dict):
         return {k: _encode_ints(v) for k, v in obj.items()}
     if is_dataclass(obj):
-        out: dict = {}
-        for name, group in _json_fields(type(obj)):
-            value = _encode_ints(getattr(obj, name))
-            if group is None:
-                out[name] = value
-            else:
-                out.setdefault(group, {})[name] = value
-        return out
+        return _encode_ints(_grouped(obj))
     return obj
 
 
@@ -372,16 +375,9 @@ def _row_template(tp: type) -> tuple[Callable[..., str], tuple]:
 
 def emit_json(report: GonalReport) -> str:
     """json.dumps(report.to_dict(), indent=2) plus a newline, byte for byte."""
-    top: dict = {}
-    for name, group in _json_fields(GonalReport):
-        value = getattr(report, name)
-        if group is None:
-            top[name] = value
-        else:
-            top.setdefault(group, {})[name] = value
     tables = _json_tables(GonalReport)
     entries = []
-    for key, value in top.items():
+    for key, value in _grouped(report).items():
         if key in tables and value:
             fill, cells = _row_template(tables[key])
             rows = (fill(*[cell(get(row)) for get, cell in cells]) for row in value)
@@ -431,9 +427,9 @@ def render_text(report: GonalReport) -> str:
         lines.append("section counts h^0(k g^1_n):")
         if report.oracle_checks is not None:
             lines.append("  k   h0   oracle  agree")
-            oracle = {r.k: r for r in report.oracle_checks}
-            for k, h0 in report.section_counts:
-                row = oracle[k]
+            # both tables run over the same ks in the same order
+            rows = zip(report.section_counts, report.oracle_checks, strict=True)
+            for (k, h0), row in rows:
                 lines.append(
                     f"  {k:<3} {h0:<4} {row.oracle_value:<7} "
                     f"{'yes' if row.agree else 'NO'}"

@@ -149,3 +149,14 @@ class TestMaroni:
     def test_invalid_splitting_rejected(self):
         with pytest.raises(DomainError):
             maroni_h0(5, 3, 2, (0, 0))  # 0 != 5 mod 2: eta not integral
+
+    @pytest.mark.parametrize(
+        "splitting", [(0, 7), (5, 0), (0, -1), (0, 1, 2), (0, 2)]
+    )
+    def test_boundaries_validate_like_maroni_h0(self, splitting):
+        # both resolve a given splitting through ScrollSpec, one message
+        with pytest.raises(DomainError) as from_h0:
+            maroni_h0(9, 3, 0, splitting)
+        with pytest.raises(DomainError) as from_boundaries:
+            maroni_branch_boundaries(9, 3, splitting)
+        assert str(from_boundaries.value) == str(from_h0.value)

@@ -52,6 +52,11 @@ REPORTS = {
 VERIFY_JSON = "4f927c93774cda3e712ebc53f27a8804d86bf3bf046e8ce6f79887dadbddffaa"
 VERIFY_TEXT = "fef68fcf21dfe9ce321a1bf04f903be862be1eb783de66ab6c023fa89b5e6027"
 
+# One digest over many outputs, fed in a fixed order: emit_json then
+# render_text of every report on the grid, and verify text then JSON.
+REPORT_GRID = "dfe23421cc4f67c2014d7ea815206db130bd6b00d5e99f763456d70caf9c083d"
+VERIFY_GRID = "e3206afea1c3eefd8231017076d1f24e1577191ac49596c1a05601418209cc5a"
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -84,3 +89,28 @@ def test_verify_text_bytes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert sha256(out) == VERIFY_TEXT
+
+
+def test_report_grid_bytes():
+    digest = hashlib.sha256()
+    for n in range(3, 11):
+        for g in range(2 * n - 1, 81):
+            for k_max in (0, 2 * g):
+                report = generate_report(g, n, k_max)
+                digest.update(emit_json(report).encode())
+                digest.update(render_text(report).encode())
+    assert digest.hexdigest() == REPORT_GRID
+
+
+def test_verify_grid_bytes(capsys):
+    digest = hashlib.sha256()
+    for fmt in ("text", "json"):
+        code = cli.main(
+            ["verify", "--genus-min", "0", "--genus-max", "40",
+             "--gonality-min", "0", "--gonality-max", "12", "--format", fmt]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        digest.update(out.encode())
+    assert '"checked": 6402' in out and '"skipped": 263' in out
+    assert digest.hexdigest() == VERIFY_GRID

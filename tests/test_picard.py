@@ -100,17 +100,22 @@ class TestSolveDegree:
                 assert alpha * (2 * g - 2) + beta * n == target
 
     def test_minimal_alpha_canonicalization(self):
-        for g, n, target in [(5, 3, 1), (5, 3, 8), (6, 4, 2), (10, 7, 3)]:
-            alpha, beta = solve_degree(g, n, target)
-            d = degree_subgroup(g, n)
-            step = n // d
-            # no representative with strictly smaller |alpha| exists
-            for other in range(-step, step + 1):
-                if (target - other * (2 * g - 2)) % n == 0:
-                    assert abs(alpha) <= abs(other)
-            # tie at step/2 resolves to the non-negative side
-            if abs(alpha) * 2 == step:
-                assert alpha >= 0
+        # the witness is pinned by brute force: among every alpha in
+        # -step..step that solves the equation, the least |alpha|, with a
+        # tie at step/2 resolved to the non-negative side; None if none
+        for g in range(2, 61):
+            w = 2 * g - 2
+            for n in range(2, 21):
+                step = n // degree_subgroup(g, n)
+                for target in range(-60, 61):
+                    solutions = [
+                        a for a in range(-step, step + 1) if (target - a * w) % n == 0
+                    ]
+                    expected = None
+                    if solutions:
+                        alpha = min(solutions, key=lambda a: (abs(a), a < 0))
+                        expected = (alpha, (target - alpha * w) // n)
+                    assert solve_degree(g, n, target) == expected, (g, n, target)
 
     def test_zero_target(self):
         assert solve_degree(5, 3, 0) == (0, 0)
