@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from math import factorial, gcd
-from operator import attrgetter, itemgetter
+from itertools import repeat
+from operator import eq
 from typing import Callable, Iterable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from . import hirzebruch, hyperelliptic, invariants, picard
@@ -62,8 +63,7 @@ class InvariantSummary:
     moduli_dimension: int
 
 
-@dataclass(frozen=True)
-class OracleRow:
+class OracleRow(NamedTuple):
     k: int
     formula_value: int
     oracle_value: int
@@ -144,6 +144,27 @@ def _piecewise_affine(points: list[tuple[int, int]]) -> Callable[[int], int]:
     return value
 
 
+def _affine_column(h0: Callable[[int], int], switches: list[int], k_max: int) -> list[int]:
+    """h0(k) for k = 1 .. k_max, read from h0 at the decisive ks of its
+    switch list and joined by the exact slopes of _piecewise_affine.
+
+    h0 is evaluated only at the points up to k_max and the one after,
+    and not at all when k_max is 0.  Each piece is one range.
+    """
+    if k_max == 0:
+        return []
+    ks = _decisive_ks(switches)
+    ks = ks[: bisect_right(ks, k_max) + 1]
+    line = _piecewise_affine([(k, h0(k)) for k in ks])
+    column: list[int] = []
+    # pieces start at k = 1 and at each later point but the last
+    edges = [1, *ks[2:-1], k_max + 1]
+    for p, q in zip(edges, edges[1:]):
+        v, slope = line(p), line(p + 1) - line(p)
+        column += range(v, v + slope * (q - p), slope) if slope else repeat(v, q - p)
+    return column
+
+
 def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     """The full invariant dossier for one (g, n).
 
@@ -171,24 +192,25 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     )
 
     ks = range(1, k_max + 1)
-    sections = tuple((k, invariants.ballico_h0(g, n, k)) for k in ks)
+    ballico_switches = invariants.ballico_switches(g, n)
+    formula = _affine_column(
+        lambda k: invariants.ballico_h0(g, n, k), ballico_switches, k_max
+    )
+    sections = tuple(zip(ks, formula, strict=True))
 
     if n == 3:
         oracle_switches = hirzebruch.trigonal_h0_switches(g)
         # the oracle at its own switch points, affine between them
-        oracle = _piecewise_affine(
-            [
-                (k, hirzebruch.trigonal_h0_oracle(g, k))
-                for k in _decisive_ks(oracle_switches)
-            ]
+        oracle = _affine_column(
+            lambda k: hirzebruch.trigonal_h0_oracle(g, k), oracle_switches, k_max
         )
+        agree = list(map(eq, formula, oracle))
         oracle_checks: tuple[OracleRow, ...] | None = tuple(
-            OracleRow(k, h0, v, h0 == v)
-            for (k, h0), v in zip(sections, map(oracle, ks))
+            map(OracleRow, ks, formula, oracle, agree)
         )
         # the printed rows, and every k >= 0 whatever k_max is
-        decisive = _decisive_ks(oracle_switches, invariants.ballico_switches(g, 3))
-        oracle_agreement: bool | None = all(r.agree for r in oracle_checks) and all(
+        decisive = _decisive_ks(oracle_switches, ballico_switches)
+        oracle_agreement: bool | None = all(agree) and all(
             hirzebruch.trigonal_h0_oracle(g, k) == invariants.ballico_h0(g, 3, k)
             for k in decisive
         )
@@ -254,13 +276,21 @@ _SAFE_INT_MAX = (1 << 53) - 1
 
 
 @cache
+def _is_record(tp: type) -> bool:
+    """A dataclass or a NamedTuple: a type whose fields _json_fields lists."""
+    return is_dataclass(tp) or issubclass(tp, tuple) and hasattr(tp, "_fields")
+
+
+@cache
 def _json_fields(cls: type) -> tuple[tuple[str, str | None], ...]:
-    """(field name, JSON group or None) for each field of a dataclass."""
-    return tuple((f.name, f.metadata.get("json_group")) for f in fields(cls))
+    """(field name, JSON group or None) for each field of a record type."""
+    if is_dataclass(cls):
+        return tuple((f.name, f.metadata.get("json_group")) for f in fields(cls))
+    return tuple((name, None) for name in cls._fields)
 
 
 def _grouped(obj) -> dict:
-    """The fields of a dataclass by name, in field order, with grouped
+    """The fields of a record by name, in field order, with grouped
     fields nested under their group's key."""
     out: dict = {}
     for name, group in _json_fields(type(obj)):
@@ -275,20 +305,20 @@ def _grouped(obj) -> dict:
 def _encode_ints(obj):
     """The JSON value of obj, in one walk.
 
-    A dataclass becomes the dict _grouped builds, an enum its value, a
-    tuple a list, and an integer beyond the 53-bit safe range a decimal
-    string.
+    A record becomes the dict _grouped builds, an enum its value, any
+    other tuple a list, and an integer beyond the 53-bit safe range a
+    decimal string.
     """
     if type(obj) is int:
         return obj if -_SAFE_INT_MAX <= obj <= _SAFE_INT_MAX else str(obj)
+    if _is_record(type(obj)):
+        return _encode_ints(_grouped(obj))
     if isinstance(obj, (list, tuple)):
         return [_encode_ints(x) for x in obj]
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, dict):
         return {k: _encode_ints(v) for k, v in obj.items()}
-    if is_dataclass(obj):
-        return _encode_ints(_grouped(obj))
     return obj
 
 
@@ -307,7 +337,7 @@ def _decoder(tp):
         (item,) = set(get_args(tp)) - {Ellipsis}
         decode_item = _decoder(item)
         return lambda v: tuple(map(decode_item, v))
-    if is_dataclass(tp):
+    if _is_record(tp):
         hints = get_type_hints(tp)
         plan = tuple(
             (name, group, _decoder(hints[name])) for name, group in _json_fields(tp)
@@ -323,8 +353,9 @@ def _decoder(tp):
     raise TypeError(f"no JSON decoder for {tp!r}")
 
 
-# The k-indexed tables run to k_max rows, so emit_json writes them from a
-# row template instead of json.dumps.  The layout is json.dumps at
+# The k-indexed tables run to k_max rows, so emit_json writes them column
+# by column instead of through json.dumps: each column is rendered whole,
+# then each row fills one %-template.  The layout is json.dumps at
 # indent 2: a top-level value at depth 1, a table row at depth 2.
 
 
@@ -342,35 +373,42 @@ def _json_tables(cls: type) -> dict[str, type]:
     return tables
 
 
-def _json_cell(tp: type) -> Callable[[object], str]:
-    """The json.dumps text of a row cell of type tp, after _encode_ints."""
+def _json_column(tp: type, column: tuple) -> Iterable:
+    """The json.dumps texts of a column of table cells of type tp, after
+    _encode_ints, as %s writes them.
+
+    One range check covers an int column: %s writes a safe int as
+    json.dumps does.  A column with an unsafe cell is rendered cell by cell.
+    """
     if tp is bool:
-        return lambda v: "true" if v else "false"
+        return map(("false", "true").__getitem__, column)
     if tp is int:
-        return lambda v: str(v) if -_SAFE_INT_MAX <= v <= _SAFE_INT_MAX else f'"{v}"'
-    raise TypeError(f"no JSON table cell for {tp!r}")
+        if -_SAFE_INT_MAX <= min(column) and max(column) <= _SAFE_INT_MAX:
+            return column
+        return [str(v) if -_SAFE_INT_MAX <= v <= _SAFE_INT_MAX else f'"{v}"' for v in column]
+    raise TypeError(f"no JSON table column for {tp!r}")
 
 
 @cache
-def _row_template(tp: type) -> tuple[Callable[..., str], tuple]:
-    """The filler of a template for a table row of type tp at depth 2,
-    and a (getter, cell renderer) pair per slot.
+def _row_template(tp: type) -> tuple[str, tuple[type, ...]]:
+    """The %-template of a table row of type tp at depth 2, and the type
+    of each slot.
 
-    A dataclass row is an object keyed by its _json_fields; a tuple row
-    is an array.
+    A record row is an object keyed by its _json_fields; a tuple row is
+    an array.
     """
-    if is_dataclass(tp):
+    if _is_record(tp):
         hints = get_type_hints(tp)
         names = [name for name, _ in _json_fields(tp)]
-        slots = [json.dumps(name) + ": {}" for name in names]
-        cells = [(attrgetter(name), _json_cell(hints[name])) for name in names]
-        opening, closing = "{{", "}}"
+        slots = [json.dumps(name) + ": %s" for name in names]
+        cell_types = tuple(hints[name] for name in names)
+        opening, closing = "{", "}"
     else:
-        slots = ["{}"] * len(get_args(tp))
-        cells = [(itemgetter(i), _json_cell(t)) for i, t in enumerate(get_args(tp))]
+        cell_types = get_args(tp)
+        slots = ["%s"] * len(cell_types)
         opening, closing = "[", "]"
     template = opening + "\n      " + ",\n      ".join(slots) + "\n    " + closing
-    return template.format, tuple(cells)
+    return template, cell_types
 
 
 def emit_json(report: GonalReport) -> str:
@@ -379,8 +417,9 @@ def emit_json(report: GonalReport) -> str:
     entries = []
     for key, value in _grouped(report).items():
         if key in tables and value:
-            fill, cells = _row_template(tables[key])
-            rows = (fill(*[cell(get(row)) for get, cell in cells]) for row in value)
+            template, cell_types = _row_template(tables[key])
+            columns = map(_json_column, cell_types, zip(*value))
+            rows = map(template.__mod__, zip(*columns))
             text = "[\n    " + ",\n    ".join(rows) + "\n  ]"
         else:
             text = json.dumps(_encode_ints(value), indent=2).replace("\n", "\n  ")
@@ -427,17 +466,14 @@ def render_text(report: GonalReport) -> str:
         lines.append("section counts h^0(k g^1_n):")
         if report.oracle_checks is not None:
             lines.append("  k   h0   oracle  agree")
+            ks, h0s = zip(*report.section_counts)
+            _, _, oracle, agree = zip(*report.oracle_checks)
             # both tables run over the same ks in the same order
-            rows = zip(report.section_counts, report.oracle_checks, strict=True)
-            for (k, h0), row in rows:
-                lines.append(
-                    f"  {k:<3} {h0:<4} {row.oracle_value:<7} "
-                    f"{'yes' if row.agree else 'NO'}"
-                )
+            rows = zip(ks, h0s, oracle, map(("NO", "yes").__getitem__, agree), strict=True)
+            lines += map("  %-3d %-4d %-7d %s".__mod__, rows)
         else:
             lines.append("  k   h0   (surface oracle not applicable for n > 3)")
-            for k, h0 in report.section_counts:
-                lines.append(f"  {k:<3} {h0}")
+            lines += map("  %-3d %d".__mod__, report.section_counts)
     div = report.divisibility
     lines += [
         f"modular degree: multiple of {div.divisor} "

@@ -47,6 +47,19 @@ REPORTS = {
         "373f62bbe73981a18efd130852f48924af05cb41a019502558684aa48b662386",
         "7e503a07f02fde67815ac9eef6a9a8291cb60a1c6ee0434dbca8be80b4ed2f44",
     ),
+    # the sizes of the benchmark's dossier ops
+    (12500, 3, 25000): (
+        "035bf019b326b94105ed5a639944037f05d3c732bec84f533e81d4e217951513",
+        "ca391637f87b1625453d3043d1cf978c6eee948a3c8419b59b9386034491e369",
+    ),
+    (20000, 3, 40000): (
+        "6c4ee1c27ec7a38dab03ac5b1d3f63d9d0eab9f42b593026cc04d901dc9fbfb7",
+        "3c77e4483d4cbf1f201d94092c92275e1ed39288d64eb7a034f739bd086961be",
+    ),
+    (15000, 27, 30000): (
+        "1439e537aa92ad0aba97dfff46b97dbbaa04280058ac504c0032dda3067b1e80",
+        "d29d44a4df447870ed679a7f1d712d9fcb05fbf825c4d1d41b6b18affa4f9865",
+    ),
 }
 
 VERIFY_JSON = "4f927c93774cda3e712ebc53f27a8804d86bf3bf046e8ce6f79887dadbddffaa"

@@ -83,12 +83,43 @@ class TestSerialization:
         ]
         big = generate_report((1 << 60) + 1, 3, 4)
         safe = (1 << 53) - 1
+        base = generate_report(9, 3, 6)
         reports += [
             big,
             replace(
                 big,
                 section_counts=((1, safe), (2, safe + 1)),
                 oracle_checks=(OracleRow(1, -safe - 1, safe, False),),
+            ),
+            # one unsafe cell in the middle of a column
+            replace(
+                base,
+                section_counts=((1, 2), (2, -safe - 5), (3, 4)),
+                oracle_checks=(
+                    OracleRow(1, 2, 2, True),
+                    OracleRow(2, 3, safe + 9, False),
+                    OracleRow(3, 4, 4, True),
+                ),
+            ),
+            # unsafe values only in the k column
+            replace(
+                base,
+                section_counts=((1, 2), (safe + 1, 3)),
+                oracle_checks=(OracleRow(-safe - 1, 2, 2, True), OracleRow(2, 3, 3, True)),
+            ),
+            # the edges of the safe range, inside and just outside
+            replace(
+                base,
+                section_counts=((safe, -safe), (-safe, safe), (safe + 1, -safe - 1)),
+                oracle_checks=(
+                    OracleRow(safe, -safe, safe, True),
+                    OracleRow(-safe - 1, safe + 1, -safe, False),
+                ),
+            ),
+            replace(
+                base,
+                section_counts=((safe, -safe), (-safe, safe)),
+                oracle_checks=(OracleRow(-safe, safe, -safe, False),),
             ),
         ]
         for r in reports:
@@ -97,6 +128,20 @@ class TestSerialization:
                 r.n,
                 r.k_max,
             )
+            assert parse_json(emit_json(r)) == r
+
+    def test_oracle_row_is_a_named_tuple(self):
+        row = OracleRow(3, 4, 4, True)
+        assert OracleRow._fields == ("k", "formula_value", "oracle_value", "agree")
+        assert (row.k, row.formula_value, row.oracle_value, row.agree) == (3, 4, 4, True)
+        with pytest.raises(AttributeError):
+            row.agree = False
+        assert hash(row) == hash(OracleRow(3, 4, 4, True))
+        assert len({row, OracleRow(3, 4, 4, True)}) == 1
+        report = generate_report(11, 3, 22)
+        assert all(type(r) is OracleRow for r in report.oracle_checks)
+        assert parse_json(emit_json(report)) == report
+        assert all(type(r) is OracleRow for r in parse_json(emit_json(report)).oracle_checks)
 
     def test_snake_case_fields(self):
         doc = json.loads(emit_json(generate_report(5, 3, 2)))
@@ -212,6 +257,91 @@ class TestOracleColumn:
         monkeypatch.setattr(scroll.ScrollSpec, "__post_init__", counted)
         generate_report(g, n, 2 * g)
         assert len(specs) == 1
+
+
+class TestFormulaColumn:
+    """The printed formula column is ballico_h0 at its switch points,
+    affine between them."""
+
+    @staticmethod
+    def _k_maxes(g, n):
+        t = invariants.ballico_switches(g, n)[0]
+        return sorted({0, 1, t - 1, t, t + 1, 2 * g})
+
+    def test_every_printed_k_against_the_formula(self):
+        for n in range(3, 9):
+            for g in range(2 * n - 1, 61):
+                for k_max in self._k_maxes(g, n):
+                    r = generate_report(g, n, k_max)
+                    ks = list(range(1, k_max + 1))
+                    expected = [invariants.ballico_h0(g, n, k) for k in ks]
+                    where = (g, n, k_max)
+                    doc = json.loads(emit_json(r))
+                    assert doc["section_counts"] == [[k, v] for k, v in zip(ks, expected)], where
+                    if n == 3:
+                        rows = doc["oracle_checks"]
+                        assert [row["k"] for row in rows] == ks, where
+                        assert [row["formula_value"] for row in rows] == expected, where
+                    text = render_text(r).splitlines()
+                    if not k_max:
+                        assert not any(line.startswith("section counts") for line in text)
+                        continue
+                    start = text.index("section counts h^0(k g^1_n):") + 2
+                    table = [line.split() for line in text[start : start + k_max]]
+                    assert [int(cols[0]) for cols in table] == ks, where
+                    assert [int(cols[1]) for cols in table] == expected, where
+
+    def test_an_off_by_one_in_the_formula_shows(self, monkeypatch):
+        h0 = invariants.ballico_h0
+        monkeypatch.setattr(
+            invariants,
+            "ballico_h0",
+            lambda g, n, k: h0(g, n, k) + (k == invariants.ballico_switches(g, n)[0]),
+        )
+        for g in range(5, 61):
+            try:
+                r = generate_report(g, 3, 2 * g)
+            except ConsistencyError:
+                continue
+            assert not all(row.agree for row in r.oracle_checks), g
+            assert r.consistency_flags.oracle_agreement is False, g
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        f = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("g, n", [(5, 3), (6, 3), (200, 3), (20001, 3), (9, 4), (200, 7)])
+    def test_no_column_evaluations_at_k_max_0(self, monkeypatch, g, n):
+        formula = self._count(monkeypatch, invariants, "ballico_h0")
+        oracle = self._count(monkeypatch, hirzebruch, "trigonal_h0_oracle")
+        generate_report(g, n, 0)
+        # only the oracle_agreement predicate evaluates, at its decisive ks
+        decisive = (
+            _decisive_ks(hirzebruch.trigonal_h0_switches(g), invariants.ballico_switches(g, 3))
+            if n == 3
+            else []
+        )
+        assert [k for _, _, k in formula] == decisive
+        assert [k for _, k in oracle] == decisive
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_formula_calls_do_not_grow_with_g(self, monkeypatch, n):
+        calls = self._count(monkeypatch, invariants, "ballico_h0")
+
+        def evaluations(g):
+            calls.clear()
+            generate_report(g, n, 2 * g)
+            return len(calls)
+
+        assert evaluations(200) == evaluations(20000)
 
 
 class TestSweep:
