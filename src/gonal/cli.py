@@ -5,26 +5,23 @@ Subcommands:
   verify  property sweep over a (g, n) grid; exit 1 on any failure
   twist   rescale a hyperelliptic model to pass through a rational point
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error
+(also a request that does not fit in memory).
 """
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, UnsupportedError
-from .hyperelliptic import BinaryForm, HyperellipticModel, twist_with_point
-from .report import (
-    emit_json,
-    generate_report,
-    render_sweep_text,
-    render_text,
-    sweep_verify,
-)
+
+# Each command imports the layers it runs, so `twist` never loads the
+# Chow ring, the scrolls or the report.
 
 
 def _cmd_report(args) -> int:
+    from .report import emit_json, generate_report, render_text
+
     k_max = args.kmax if args.kmax is not None else 2 * args.genus
     report = generate_report(args.genus, args.gonality, k_max)
     if args.format == "json":
@@ -35,6 +32,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .report import render_sweep_text, sweep_verify
+
     summary = sweep_verify(
         range(args.genus_min, args.genus_max + 1),
         range(args.gonality_min, args.gonality_max + 1),
@@ -47,6 +46,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_twist(args) -> int:
+    from fractions import Fraction
+
+    from .hyperelliptic import BinaryForm, HyperellipticModel, twist_with_point
+
     try:
         coeffs = [Fraction(c) for c in args.coeffs.split(",")]
         a = Fraction(args.a)
@@ -134,6 +137,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DomainError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the request does not fit in memory", file=sys.stderr)
         return 2
 
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -39,6 +41,19 @@ class TestReportCommand:
     def test_usage_error_exits_2(self):
         proc = run_cli("report", "--genus", "5")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_out_of_memory_exits_2(self, n, fmt):
+        # 2^50 rows need 8 PiB, more than any address space holds, so the
+        # allocation fails at once
+        proc = run_cli(
+            "report", "--genus", "2000", "--gonality", str(n),
+            "--kmax", str(2**50), "--format", fmt,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: the request does not fit in memory\n"
 
 
 class TestVerifyCommand:
@@ -78,7 +93,7 @@ class TestVerifyCommand:
         assert "unrecognized arguments: --kmax 5" in proc.stderr
 
     def test_failure_exits_1(self, monkeypatch, capsys):
-        from gonal import cli
+        from gonal import cli, report
         from gonal.report import SweepSummary
 
         broken = SweepSummary(
@@ -90,7 +105,8 @@ class TestVerifyCommand:
             failures=["g=5 n=3 example-check"],
             skip_reasons={},
         )
-        monkeypatch.setattr(cli, "sweep_verify", lambda *a, **k: broken)
+        # `verify` looks `sweep_verify` up in `report` when it runs
+        monkeypatch.setattr(report, "sweep_verify", lambda *a, **k: broken)
         code = cli.main(
             ["verify", "--genus-min", "5", "--genus-max", "5",
              "--gonality-min", "3", "--gonality-max", "3"]
@@ -140,3 +156,30 @@ class TestTwistCommand:
             "genus 2 model: a = -3/2 -> a' = -351/64\n"
             "rational point (-1/2, 1), residual 0\n"
         )
+
+
+def loaded_gonal_modules(code):
+    """The gonal modules a fresh interpreter holds after running code."""
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'gonal')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLoadOnDemand:
+    ENTRY = ["gonal", "gonal.cli", "gonal.errors"]
+
+    def test_import_cli_loads_no_layer(self):
+        assert loaded_gonal_modules("import gonal.cli") == self.ENTRY
+
+    def test_twist_loads_only_hyperelliptic(self):
+        code = (
+            "import gonal.cli\n"
+            "assert gonal.cli.main(['twist', '--coeffs', '5,1,0,0,0,0,1',"
+            " '--a', '2', '--x0', '0']) == 0"
+        )
+        assert loaded_gonal_modules(code) == self.ENTRY + ["gonal.hyperelliptic"]
