@@ -6,11 +6,13 @@ Subcommands:
   twist   rescale a hyperelliptic model to pass through a rational point
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error
-(also a request that does not fit in memory).
+(also a request that does not fit in memory), 141 (128 + SIGPIPE) when
+the reader closes stdout before the output ends.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import DomainError, UnsupportedError
@@ -20,14 +22,10 @@ from .errors import DomainError, UnsupportedError
 
 
 def _cmd_report(args) -> int:
-    from .report import emit_json, generate_report, render_text
+    from .report import generate_report, write_report
 
     k_max = args.kmax if args.kmax is not None else 2 * args.genus
-    report = generate_report(args.genus, args.gonality, k_max)
-    if args.format == "json":
-        sys.stdout.write(emit_json(report))
-    else:
-        sys.stdout.write(render_text(report))
+    write_report(generate_report(args.genus, args.gonality, k_max), args.format, sys.stdout)
     return 0
 
 
@@ -134,13 +132,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_bind_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (DomainError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: the request does not fit in memory", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: point stdout at the null device, so that the
+        # flush at exit drops what is left instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

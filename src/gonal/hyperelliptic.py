@@ -23,6 +23,7 @@ large-genus forms.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import DomainError, UnsupportedError, require_at_least
@@ -172,6 +173,12 @@ class BinaryForm:
     def genus(self) -> int:
         return (self.degree - 2) // 2
 
+    @cached_property
+    def smooth(self) -> bool:
+        """discriminant_nonzero(self), decided once per form: every model
+        on the form, the twisted one too, reads this verdict."""
+        return discriminant_nonzero(self)
+
     def evaluate(self, x) -> Scalar:
         """The dehomogenized value f(x, 1)."""
         x = _normalize_scalar(x, self.p)
@@ -224,7 +231,7 @@ class HyperellipticModel:
         if a == 0:
             raise DomainError("requires a != 0")
         object.__setattr__(self, "a", a)
-        if not discriminant_nonzero(self.form):
+        if not self.form.smooth:
             raise DomainError("the form has vanishing discriminant")
 
     def residual(self, x, y) -> Scalar:

@@ -17,13 +17,14 @@ import json
 import random
 import types
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
+from itertools import chain, compress, count, islice, repeat
 from math import factorial, gcd
-from itertools import repeat
-from operator import eq
-from typing import Callable, Iterable, NamedTuple, Union, get_args, get_origin, get_type_hints
+from operator import eq, index, itemgetter, ne
+from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from . import hirzebruch, hyperelliptic, invariants, picard
 from .chow import AmbientScroll, ChowClass, DivisorClass, intersect_number
@@ -36,6 +37,10 @@ from .scroll import (
     generic_scroll,
     validate_scroll,
 )
+
+# The largest k_max a report covers, so that every report ends in bounded
+# time: 10^7 rows of JSON stream in 10 to 15 s (CPython 3.11, one Xeon core).
+K_MAX_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,96 @@ class ConsistencyFlags:
     oracle_agreement: bool | None
 
 
+# A column of a k-table is a list of pieces (rows, value in the first row,
+# slope): affine runs in an int column, constant runs (slope 0) in a bool
+# column.  The section counts have O(n) pieces at any k_max.
+_Piece = tuple[int, int, int]
+
+
+def _cells(pieces: Iterable[_Piece]) -> Iterator:
+    """The cells of a column, top to bottom, made as they are read."""
+    return chain.from_iterable(
+        range(v, v + slope * rows, slope) if slope else repeat(v, rows)
+        for rows, v, slope in pieces
+    )
+
+
+def _runs(cells: Sequence, tp: type) -> list[_Piece]:
+    """A column of cells of type tp as pieces, each as long as it can be
+    from the top: affine runs for int, constant runs for bool."""
+    pieces, start = [], 0
+    while start < len(cells):
+        v = cells[start]
+        slope = cells[start + 1] - v if tp is int and start + 1 < len(cells) else 0
+        line = range(v, v + slope * (len(cells) - start), slope) if slope else repeat(v)
+        # the piece ends at the first cell off its line
+        rows = next(
+            compress(count(), map(ne, islice(cells, start, None), line)), len(cells) - start
+        )
+        pieces.append((rows, v, slope))
+        start += rows
+    return pieces
+
+
+class _Table(Sequence):
+    """The rows of a k-table, each of type ``row``, read from columns of
+    pieces.
+
+    Rows are made only as they are read, so a table holds its pieces,
+    never its rows.  A table equals any table, tuple or list of the same
+    rows.
+    """
+
+    __slots__ = ("row", "columns", "_rows")
+
+    def __init__(self, row: type, columns: Iterable[list[_Piece]]) -> None:
+        self.row = get_origin(row) or row  # tuple for tuple[int, int]
+        self.columns = tuple(columns)
+        self._rows = sum(rows for rows, _, _ in self.columns[0])
+
+    @classmethod
+    def from_cells(cls, row: type, columns: Iterable[Sequence]) -> "_Table":
+        """The table of the given cell columns, each cell converted to its
+        column's type as _decoder converts a JSON value."""
+        return cls(
+            row,
+            [
+                _runs(cells if set(map(type, cells)) <= {tp} else list(map(tp, cells)), tp)
+                for (_, tp), cells in zip(_row_cells(row), columns, strict=True)
+            ],
+        )
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __iter__(self) -> Iterator:
+        rows = zip(*map(_cells, self.columns))
+        return rows if self.row is tuple else map(partial(tuple.__new__, self.row), rows)
+
+    def __getitem__(self, i):
+        i = range(self._rows)[index(i)]
+        cells = []
+        for pieces in self.columns:
+            at = i
+            for rows, v, slope in pieces:
+                if at < rows:
+                    cells.append(v + slope * at if slope else v)
+                    break
+                at -= rows
+        return tuple.__new__(self.row, cells)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (_Table, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 # JSON groups fields of the flat record under these keys, in field order.
 _INPUT = {"json_group": "input"}
 _CLASSES = {"json_group": "classes"}
@@ -94,10 +189,18 @@ class GonalReport:
     canonical_class: tuple[int, int] = field(metadata=_CLASSES)
     curve_class: tuple[tuple[int, int, int], ...] = field(metadata=_CLASSES)
     invariants: InvariantSummary
-    section_counts: tuple[tuple[int, int], ...]
-    oracle_checks: tuple[OracleRow, ...] | None
+    section_counts: _Table[tuple[int, int]]
+    oracle_checks: _Table[OracleRow] | None
     divisibility: DivisibilityVerdict
     consistency_flags: ConsistencyFlags
+
+    def __post_init__(self) -> None:
+        # a table given as rows, as by dataclasses.replace, is read into pieces
+        for name, row in _tables(GonalReport).items():
+            rows = getattr(self, name)
+            if rows is not None and not isinstance(rows, _Table):
+                columns = list(zip(*rows)) or [()] * len(_row_cells(row))
+                object.__setattr__(self, name, _Table.from_cells(row, columns))
 
     def to_dict(self) -> dict:
         return _encode_ints(self)
@@ -144,35 +247,50 @@ def _piecewise_affine(points: list[tuple[int, int]]) -> Callable[[int], int]:
     return value
 
 
-def _affine_column(h0: Callable[[int], int], switches: list[int], k_max: int) -> list[int]:
-    """h0(k) for k = 1 .. k_max, read from h0 at the decisive ks of its
-    switch list and joined by the exact slopes of _piecewise_affine.
+def _affine_line(
+    h0: Callable[[int], int], switches: list[int], k_max: int
+) -> tuple[Callable[[int], int], list[int]]:
+    """h0 read at the decisive ks of its switch list and joined by the
+    exact slopes of _piecewise_affine, and the edges of its pieces over
+    k = 1 .. k_max: 1, each later point but the last, and k_max + 1.
 
-    h0 is evaluated only at the points up to k_max and the one after,
-    and not at all when k_max is 0.  Each piece is one range.
+    h0 is evaluated only at the points up to k_max and the one after.
+    At k_max = 0 there is no piece, and the line is h0, never called.
     """
     if k_max == 0:
-        return []
+        return h0, [1]
     ks = _decisive_ks(switches)
     ks = ks[: bisect_right(ks, k_max) + 1]
-    line = _piecewise_affine([(k, h0(k)) for k in ks])
-    column: list[int] = []
-    # pieces start at k = 1 and at each later point but the last
-    edges = [1, *ks[2:-1], k_max + 1]
-    for p, q in zip(edges, edges[1:]):
-        v, slope = line(p), line(p + 1) - line(p)
-        column += range(v, v + slope * (q - p), slope) if slope else repeat(v, q - p)
-    return column
+    return _piecewise_affine([(k, h0(k)) for k in ks]), [1, *ks[2:-1], k_max + 1]
+
+
+def _pieces(line: Callable[[int], int], edges: list[int]) -> list[_Piece]:
+    """The column line(k) for k from edges[0] to edges[-1] - 1, as one
+    piece between each two edges."""
+    return [(q - p, line(p), line(p + 1) - line(p)) for p, q in zip(edges, edges[1:])]
+
+
+def _zero_runs(rows: int, v: int, slope: int) -> list[_Piece]:
+    """The bool column v + slope * i == 0 for i < rows, as pieces."""
+    if not slope:
+        return [(rows, v == 0, 0)]
+    i, rem = divmod(-v, slope)
+    if rem or not 0 <= i < rows:
+        return [(rows, False, 0)]
+    return [piece for piece in ((i, False, 0), (1, True, 0), (rows - i - 1, False, 0)) if piece[0]]
 
 
 def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     """The full invariant dossier for one (g, n).
 
     Section and oracle tables cover k = 1 .. k_max (k = 0 is the
-    structure sheaf and always contributes 1).  Deterministic: identical
-    inputs give identical reports.
+    structure sheaf and always contributes 1), k_max at most K_MAX_LIMIT.
+    Each table holds O(n) affine pieces, whatever k_max is.
+    Deterministic: identical inputs give identical reports.
     """
     require_at_least("k_max", k_max, 0)
+    if k_max > K_MAX_LIMIT:
+        raise DomainError(f"requires k_max <= {K_MAX_LIMIT} (got k_max={k_max})")
     spec = generic_scroll(g, n)
     aut = aut_group_numerics(spec)
     kx = canonical_class(spec)
@@ -191,26 +309,31 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
         moduli_dimension=invariants.moduli_dimension(g, n),
     )
 
-    ks = range(1, k_max + 1)
+    ks = [(k_max, 1, 1)] if k_max else []
     ballico_switches = invariants.ballico_switches(g, n)
-    formula = _affine_column(
+    formula_line, formula_edges = _affine_line(
         lambda k: invariants.ballico_h0(g, n, k), ballico_switches, k_max
     )
-    sections = tuple(zip(ks, formula, strict=True))
+    formula = _pieces(formula_line, formula_edges)
+    sections = _Table(tuple, [ks, formula])
 
     if n == 3:
         oracle_switches = hirzebruch.trigonal_h0_switches(g)
         # the oracle at its own switch points, affine between them
-        oracle = _affine_column(
+        oracle_line, oracle_edges = _affine_line(
             lambda k: hirzebruch.trigonal_h0_oracle(g, k), oracle_switches, k_max
         )
-        agree = list(map(eq, formula, oracle))
-        oracle_checks: tuple[OracleRow, ...] | None = tuple(
-            map(OracleRow, ks, formula, oracle, agree)
+        # formula - oracle is affine between the edges of both columns
+        gaps = _pieces(
+            lambda k: formula_line(k) - oracle_line(k), sorted({*formula_edges, *oracle_edges})
+        )
+        agree = [run for gap in gaps for run in _zero_runs(*gap)]
+        oracle_checks: _Table | None = _Table(
+            OracleRow, [ks, formula, _pieces(oracle_line, oracle_edges), agree]
         )
         # the printed rows, and every k >= 0 whatever k_max is
         decisive = _decisive_ks(oracle_switches, ballico_switches)
-        oracle_agreement: bool | None = all(agree) and all(
+        oracle_agreement: bool | None = all(v for _, v, _ in agree) and all(
             hirzebruch.trigonal_h0_oracle(g, k) == invariants.ballico_h0(g, 3, k)
             for k in decisive
         )
@@ -289,6 +412,28 @@ def _json_fields(cls: type) -> tuple[tuple[str, str | None], ...]:
     return tuple((name, None) for name in cls._fields)
 
 
+@cache
+def _tables(cls: type) -> dict[str, type]:
+    """The row type of each field typed _Table[Row], or that | None."""
+    tables = {}
+    for name, tp in get_type_hints(cls).items():
+        if get_origin(tp) in (Union, types.UnionType):
+            (tp,) = [a for a in get_args(tp) if a is not type(None)]
+        if get_origin(tp) is _Table:
+            (tables[name],) = get_args(tp)
+    return tables
+
+
+@cache
+def _row_cells(tp: type) -> tuple[tuple[str | int, type], ...]:
+    """(JSON key, type) of each cell of a table row of type tp: a record
+    row is an object keyed by its _json_fields, a tuple row an array."""
+    if _is_record(tp):
+        hints = get_type_hints(tp)
+        return tuple((name, hints[name]) for name, _ in _json_fields(tp))
+    return tuple(enumerate(get_args(tp)))
+
+
 def _grouped(obj) -> dict:
     """The fields of a record by name, in field order, with grouped
     fields nested under their group's key."""
@@ -306,14 +451,14 @@ def _encode_ints(obj):
     """The JSON value of obj, in one walk.
 
     A record becomes the dict _grouped builds, an enum its value, any
-    other tuple a list, and an integer beyond the 53-bit safe range a
-    decimal string.
+    other tuple or a table a list, and an integer beyond the 53-bit safe
+    range a decimal string.
     """
     if type(obj) is int:
         return obj if -_SAFE_INT_MAX <= obj <= _SAFE_INT_MAX else str(obj)
     if _is_record(type(obj)):
         return _encode_ints(_grouped(obj))
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, _Table)):
         return [_encode_ints(x) for x in obj]
     if isinstance(obj, Enum):
         return obj.value
@@ -326,7 +471,8 @@ def _encode_ints(obj):
 def _decoder(tp):
     """A function rebuilding a value of type tp from its JSON value.
 
-    Integers may arrive as decimal strings; tuples are homogeneous.
+    Integers may arrive as decimal strings; tuples are homogeneous.  A
+    table is read column by column.
     """
     origin = get_origin(tp)
     if origin in (Union, types.UnionType):
@@ -337,6 +483,10 @@ def _decoder(tp):
         (item,) = set(get_args(tp)) - {Ellipsis}
         decode_item = _decoder(item)
         return lambda v: tuple(map(decode_item, v))
+    if origin is _Table:
+        (row,) = get_args(tp)
+        getters = [itemgetter(key) for key, _ in _row_cells(row)]
+        return lambda rows: _Table.from_cells(row, [list(map(get, rows)) for get in getters])
     if _is_record(tp):
         hints = get_type_hints(tp)
         plan = tuple(
@@ -353,78 +503,80 @@ def _decoder(tp):
     raise TypeError(f"no JSON decoder for {tp!r}")
 
 
-# The k-indexed tables run to k_max rows, so emit_json writes them column
-# by column instead of through json.dumps: each column is rendered whole,
-# then each row fills one %-template.  The layout is json.dumps at
-# indent 2: a top-level value at depth 1, a table row at depth 2.
+# The k-tables run to k_max rows, so the writers produce them a block of
+# rows at a time, straight from their columns: one %-template of
+# _BLOCK_ROWS rows per block.  The JSON layout is json.dumps at indent 2:
+# a top-level value at depth 1, a table row at depth 2.
+_BLOCK_ROWS = 1024
 
 
-@cache
-def _json_tables(cls: type) -> dict[str, type]:
-    """The row type of each ungrouped field typed tuple[Row, ...], or that | None."""
-    hints = get_type_hints(cls)
-    tables = {}
-    for name, group in _json_fields(cls):
-        tp = hints[name]
-        if get_origin(tp) in (Union, types.UnionType):
-            (tp,) = [a for a in get_args(tp) if a is not type(None)]
-        if group is None and get_origin(tp) is tuple and get_args(tp)[-1] is Ellipsis:
-            (tables[name],) = set(get_args(tp)) - {Ellipsis}
-    return tables
+def _row_blocks(template: str, sep: str, columns: list[Iterable], rows: int) -> Iterator[str]:
+    """template % the cells of each of the rows, joined by sep, one % per
+    block of _BLOCK_ROWS rows.  A block after the first starts with sep,
+    so each block is one write."""
+    cells = chain.from_iterable(zip(*columns))
+    lead = ""
+    for start in range(0, rows, _BLOCK_ROWS):
+        size = min(rows - start, _BLOCK_ROWS)
+        yield (lead + sep.join([template] * size)) % tuple(islice(cells, size * len(columns)))
+        lead = sep
 
 
-def _json_column(tp: type, column: tuple) -> Iterable:
-    """The json.dumps texts of a column of table cells of type tp, after
+def _json_cells(tp: type, pieces: list[_Piece]) -> Iterable:
+    """The json.dumps texts of a column's cells of type tp, after
     _encode_ints, as %s writes them.
 
-    One range check covers an int column: %s writes a safe int as
-    json.dumps does.  A column with an unsafe cell is rendered cell by cell.
+    Each piece is monotone, so its ends bound it: %s writes a column
+    inside the safe range as json.dumps does.  A column with an unsafe
+    cell is written cell by cell.
     """
+    cells = _cells(pieces)
     if tp is bool:
-        return map(("false", "true").__getitem__, column)
+        return map(("false", "true").__getitem__, cells)
     if tp is int:
-        if -_SAFE_INT_MAX <= min(column) and max(column) <= _SAFE_INT_MAX:
-            return column
-        return [str(v) if -_SAFE_INT_MAX <= v <= _SAFE_INT_MAX else f'"{v}"' for v in column]
+        ends = [end for rows, v, slope in pieces for end in (v, v + slope * (rows - 1))]
+        if all(-_SAFE_INT_MAX <= v <= _SAFE_INT_MAX for v in ends):
+            return cells
+        return (str(v) if -_SAFE_INT_MAX <= v <= _SAFE_INT_MAX else f'"{v}"' for v in cells)
     raise TypeError(f"no JSON table column for {tp!r}")
 
 
 @cache
-def _row_template(tp: type) -> tuple[str, tuple[type, ...]]:
-    """The %-template of a table row of type tp at depth 2, and the type
-    of each slot.
-
-    A record row is an object keyed by its _json_fields; a tuple row is
-    an array.
-    """
+def _row_template(tp: type) -> str:
+    """The %-template of a table row of type tp at depth 2."""
+    cells = _row_cells(tp)
     if _is_record(tp):
-        hints = get_type_hints(tp)
-        names = [name for name, _ in _json_fields(tp)]
-        slots = [json.dumps(name) + ": %s" for name in names]
-        cell_types = tuple(hints[name] for name in names)
+        slots = [json.dumps(key) + ": %s" for key, _ in cells]
         opening, closing = "{", "}"
     else:
-        cell_types = get_args(tp)
-        slots = ["%s"] * len(cell_types)
+        slots = ["%s"] * len(cells)
         opening, closing = "[", "]"
-    template = opening + "\n      " + ",\n      ".join(slots) + "\n    " + closing
-    return template, cell_types
+    return opening + "\n      " + ",\n      ".join(slots) + "\n    " + closing
+
+
+def _json_chunks(report: GonalReport) -> Iterator[str]:
+    """json.dumps(report.to_dict(), indent=2) plus a newline, in pieces."""
+    tables = _tables(GonalReport)
+    sep = "{\n  "
+    for key, value in _grouped(report).items():
+        yield f"{sep}{json.dumps(key)}: "
+        sep = ",\n  "
+        if key in tables and value:
+            columns = [
+                _json_cells(tp, pieces)
+                for (_, tp), pieces in zip(_row_cells(tables[key]), value.columns)
+            ]
+            yield "[\n    "
+            yield from _row_blocks(_row_template(tables[key]), ",\n    ", columns, len(value))
+            yield "\n  ]"
+        else:
+            yield json.dumps(_encode_ints(value), indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
 def emit_json(report: GonalReport) -> str:
     """json.dumps(report.to_dict(), indent=2) plus a newline, byte for byte."""
-    tables = _json_tables(GonalReport)
-    entries = []
-    for key, value in _grouped(report).items():
-        if key in tables and value:
-            template, cell_types = _row_template(tables[key])
-            columns = map(_json_column, cell_types, zip(*value))
-            rows = map(template.__mod__, zip(*columns))
-            text = "[\n    " + ",\n    ".join(rows) + "\n  ]"
-        else:
-            text = json.dumps(_encode_ints(value), indent=2).replace("\n", "\n  ")
-        entries.append(f"{json.dumps(key)}: {text}")
-    return "{\n  " + ",\n  ".join(entries) + "\n}\n"
+    return "".join(_json_chunks(report))
 
 
 def parse_json(text: str) -> GonalReport:
@@ -437,7 +589,8 @@ def _flag_str(value: bool | None) -> str:
     return "ok" if value else "FAIL"
 
 
-def render_text(report: GonalReport) -> str:
+def _text_chunks(report: GonalReport) -> Iterator[str]:
+    """The text dossier, in pieces."""
     s = report.scroll
     inv = report.invariants
     amb = AmbientScroll(report.g, report.n)
@@ -462,20 +615,30 @@ def render_text(report: GonalReport) -> str:
         f"  h^1(2 g^1_n)            {inv.h1_double_pencil}",
         f"  dim of the gonal locus  {inv.moduli_dimension}",
     ]
-    if report.section_counts:
+    sections = report.section_counts
+    table: Iterable[str] = ()
+    if sections:
         lines.append("section counts h^0(k g^1_n):")
         if report.oracle_checks is not None:
             lines.append("  k   h0   oracle  agree")
-            ks, h0s = zip(*report.section_counts)
-            _, _, oracle, agree = zip(*report.oracle_checks)
             # both tables run over the same ks in the same order
-            rows = zip(ks, h0s, oracle, map(("NO", "yes").__getitem__, agree), strict=True)
-            lines += map("  %-3d %-4d %-7d %s".__mod__, rows)
+            if len(report.oracle_checks) != len(sections):
+                raise ValueError("the section and oracle tables differ in length")
+            _, _, oracle, agree = report.oracle_checks.columns
+            columns = [
+                *map(_cells, sections.columns),
+                _cells(oracle),
+                map(("NO", "yes").__getitem__, _cells(agree)),
+            ]
+            table = _row_blocks("  %-3d %-4d %-7d %s\n", "", columns, len(sections))
         else:
             lines.append("  k   h0   (surface oracle not applicable for n > 3)")
-            lines += map("  %-3d %d".__mod__, report.section_counts)
+            columns = list(map(_cells, sections.columns))
+            table = _row_blocks("  %-3d %d\n", "", columns, len(sections))
+    yield "\n".join(lines) + "\n"
+    yield from table
     div = report.divisibility
-    lines += [
+    lines = [
         f"modular degree: multiple of {div.divisor} "
         f"[{div.status.value}{', sharp' if div.sharp else ''}]",
         "consistency: "
@@ -489,7 +652,21 @@ def render_text(report: GonalReport) -> str:
             )
         ),
     ]
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+
+
+def render_text(report: GonalReport) -> str:
+    return "".join(_text_chunks(report))
+
+
+_WRITERS = {"json": _json_chunks, "text": _text_chunks}
+
+
+def write_report(report: GonalReport, fmt: str, file) -> None:
+    """Write the report as emit_json ("json") or render_text ("text")
+    would return it, a block of table rows at a time, so memory stays
+    flat in k_max."""
+    file.writelines(_WRITERS[fmt](report))
 
 
 # ---------------------------------------------------------------------------

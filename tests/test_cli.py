@@ -45,15 +45,30 @@ class TestReportCommand:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("n", [3, 7])
     def test_out_of_memory_exits_2(self, n, fmt):
-        # 2^50 rows need 8 PiB, more than any address space holds, so the
-        # allocation fails at once
+        # 2^50 rows would stream for years: k_max is capped at 10^7
         proc = run_cli(
             "report", "--genus", "2000", "--gonality", str(n),
             "--kmax", str(2**50), "--format", fmt,
         )
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == "error: the request does not fit in memory\n"
+        assert proc.stderr == f"error: requires k_max <= 10000000 (got k_max={2**50})\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_pipe_exits_141(self, fmt):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gonal", "report", "--genus", "2000",
+             "--gonality", "3", "--kmax", "100000", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert len(head) == 100
+        assert err == b""
 
 
 class TestVerifyCommand:
@@ -91,6 +106,20 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "unrecognized arguments: --kmax 5" in proc.stderr
+
+    def test_closed_pipe_exits_141(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gonal", "verify", "--genus-min", "5",
+             "--genus-max", "8", "--gonality-min", "3", "--gonality-max", "3"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        # closed before the sweep ends, so the summary meets no reader
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
     def test_failure_exits_1(self, monkeypatch, capsys):
         from gonal import cli, report
@@ -146,6 +175,23 @@ class TestTwistCommand:
         proc = run_cli("twist", "--coeffs", "0,0,1,0,0,0,1", "--a", "1", "--x0", "1")
         assert proc.returncode == 2
         assert "discriminant" in proc.stderr
+
+    def test_one_discriminant_per_twist(self, monkeypatch, capsys):
+        from gonal import cli, hyperelliptic
+
+        calls = []
+        decide = hyperelliptic.discriminant_nonzero
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(hyperelliptic, "discriminant_nonzero", counted)
+        code = cli.main(["twist", "--coeffs", "5,1,0,0,0,0,1", "--a", "2", "--x0", "0"])
+        assert code == 0
+        assert "a' = 5" in capsys.readouterr().out
+        # the input model decides it; the twisted model reads the verdict
+        assert len(calls) == 1
 
     def test_negative_values_bind_to_their_options(self):
         proc = run_cli(

@@ -1,8 +1,9 @@
 """Byte-identity of the report and sweep outputs.
 
 The SHA-256 digests below pin the exact bytes of ``emit_json`` and
-``render_text`` and of ``gonal verify`` in text and JSON.  A change to any
-of these outputs must be intended, documented, and re-pinned here.
+``render_text``, of ``gonal report``, which streams the same bytes, and of
+``gonal verify`` in text and JSON.  A change to any of these outputs must
+be intended, documented, and re-pinned here.
 """
 
 import hashlib
@@ -81,6 +82,18 @@ def test_report_bytes(case):
     text = emit_json(report)
     assert (sha256(text), sha256(render_text(report))) == REPORTS[case]
     assert parse_json(text) == report
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", [(12500, 3, 25000), (20000, 3, 40000), (15000, 27, 30000)])
+def test_streamed_report_bytes(capsys, case, fmt):
+    g, n, k_max = case
+    code = cli.main(
+        ["report", "--genus", str(g), "--gonality", str(n), "--kmax", str(k_max),
+         "--format", fmt]
+    )
+    assert code == 0
+    assert sha256(capsys.readouterr().out) == REPORTS[case][fmt == "text"]
 
 
 def test_verify_json_bytes(capsys):

@@ -1,7 +1,10 @@
 """Tests for report generation, serialization, and the sweep harness."""
 
 import json
+import os
+import random
 import re
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -16,13 +19,17 @@ from gonal.report import (
     _curve_h1,
     _decisive_ks,
     _encode_ints,
+    _cells,
     _piecewise_affine,
     _point_checks,
+    _runs,
+    _zero_runs,
     emit_json,
     generate_report,
     parse_json,
     render_text,
     sweep_verify,
+    write_report,
 )
 
 
@@ -57,6 +64,11 @@ class TestGenerateReport:
     def test_negative_kmax_rejected(self):
         with pytest.raises(DomainError):
             generate_report(5, 3, -1)
+
+    def test_kmax_capped(self):
+        assert len(generate_report(5, 3, report.K_MAX_LIMIT).section_counts) == 10**7
+        with pytest.raises(DomainError, match="k_max <= 10000000"):
+            generate_report(5, 3, report.K_MAX_LIMIT + 1)
 
     def test_deterministic(self):
         a = generate_report(7, 3, 5)
@@ -173,6 +185,83 @@ class TestSerialization:
         assert GonalReport.from_dict(doc) == report
 
 
+class TestTables:
+    """The k-tables are read-only sequences of rows over affine pieces."""
+
+    def test_sequence_of_rows(self):
+        r = generate_report(11, 3, 30)
+        for table in (r.section_counts, r.oracle_checks):
+            rows = list(table)
+            assert len(table) == len(rows) == 30
+            assert [table[i] for i in range(-30, 30)] == rows + rows
+            assert type(table[-1]) is type(rows[-1])
+            with pytest.raises(IndexError):
+                table[30]
+            assert table == rows and table == tuple(rows) and tuple(rows) == table
+            assert table != rows[:-1] and table != rows[:-1] + [rows[0]]
+            assert hash(table) == hash(tuple(rows))
+        assert r.section_counts[0] == (1, 2)
+        assert r.oracle_checks[4] == OracleRow(5, 6, 6, True)
+
+    def test_replaced_rows_are_read_into_pieces(self):
+        base = generate_report(9, 3, 6)
+        rows = ((1, 5), (2, 7), (9, 7))
+        r = replace(base, section_counts=rows, oracle_checks=None)
+        assert type(r.section_counts) is type(base.section_counts)
+        assert r.section_counts == rows and list(r.section_counts) == list(rows)
+        assert replace(base, section_counts=()).section_counts == ()
+
+    def test_runs_round_trip(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            size = rng.randrange(0, 12)
+            ints = [rng.randrange(-3, 4) for _ in range(size)]
+            bools = [rng.random() < 0.5 for _ in range(size)]
+            assert list(_cells(_runs(ints, int))) == ints
+            back = list(_cells(_runs(bools, bool)))
+            assert back == bools and all(type(v) is bool for v in back)
+        # a column affine in k is one piece, whatever its length
+        assert _runs(range(7, 7 + 3 * 10**6, 3), int) == [(10**6, 7, 3)]
+
+    def test_zero_runs(self):
+        for rows in range(1, 7):
+            for v in range(-6, 7):
+                for slope in range(-3, 4):
+                    runs = _zero_runs(rows, v, slope)
+                    assert all(size > 0 for size, _, _ in runs)
+                    expected = [v + slope * i == 0 for i in range(rows)]
+                    assert list(_cells(runs)) == expected, (rows, v, slope)
+
+
+class TestFlatMemory:
+    """Memory is flat in k_max: tables hold pieces, and the writers hold
+    one block of rows at a time."""
+
+    @staticmethod
+    def _peak(fn) -> int:
+        fn()  # caches and lazy imports first
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_write(self, fmt):
+        def peak(k_max):
+            r = generate_report(2000, 3, k_max)
+            with open(os.devnull, "w") as sink:
+                return self._peak(lambda: write_report(r, fmt, sink))
+
+        assert peak(10**5) <= 2 * peak(10**3)
+
+    def test_generate(self):
+        assert self._peak(lambda: generate_report(20000, 3, 40000)) <= 2 * self._peak(
+            lambda: generate_report(2000, 3, 4000)
+        )
+
+
 class TestRenderText:
     def test_sections_present(self):
         text = render_text(generate_report(5, 3, 4))
@@ -220,6 +309,9 @@ class TestOracleColumn:
             except ConsistencyError:
                 continue
             assert not all(row.agree for row in r.oracle_checks), g
+            assert [row.agree for row in r.oracle_checks] == [
+                row.formula_value == row.oracle_value for row in r.oracle_checks
+            ], g
             assert r.consistency_flags.oracle_agreement is False, g
 
     def test_oracle_calls_do_not_grow_with_g(self, monkeypatch):

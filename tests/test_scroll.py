@@ -59,6 +59,10 @@ class TestValidateScroll:
             ScrollSpec(AmbientScroll(5, 3), (1, 1))  # not normalized
         with pytest.raises(DomainError):
             ScrollSpec(AmbientScroll(5, 3), (0, 1, 0))  # wrong length, unsorted
+        # embeds, so only the sortedness check can refuse its unsorted last pair
+        assert validate_scroll((0, 2, 1), 12, 4) is True
+        with pytest.raises(DomainError, match="sorted"):
+            ScrollSpec(AmbientScroll(12, 4), (0, 2, 1))
 
 
 class TestShift:
