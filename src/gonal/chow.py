@@ -19,7 +19,7 @@ unrestricted concurrent use.
 """
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, require_at_least, require_gonal_range
 
@@ -67,17 +67,41 @@ class AmbientScroll:
         return DivisorClass(self, 0, 1)
 
 
-def _add_term(acc: dict, ambient: AmbientScroll, a: int, b: int, c: int) -> None:
-    """Accumulate c * D^a f^b into acc, rewriting to normal form."""
-    if a < 0 or b < 0:
-        raise DomainError(f"negative exponent in monomial D^{a} f^{b}")
-    n = ambient.n
-    if c == 0 or b >= 2 or a + b > n - 1:
-        return  # killed by f^2 = 0 or by codimension > dim X
-    if a == n - 1:
-        # here b = 0: substitute D^{n-1} = deg(X) D^{n-2} f
-        a, b, c = n - 2, 1, c * ambient.degree
-    acc[(a, b)] = acc.get((a, b), 0) + c
+def _normal_form(ambient: AmbientScroll, terms: Iterable[tuple[Monomial, int]]) -> dict:
+    """Sum the terms c * D^a f^b, given as ((a, b), c), in normal form.
+
+    The one home of the rewriting rules: f^2 = 0, monomials above
+    codimension n-1 vanish, and D^{n-1} = deg(X) D^{n-2} f.  Zero
+    coefficients are dropped.
+    """
+    top = ambient.n - 1
+    acc: dict[Monomial, int] = {}
+    for m, c in terms:
+        a, b = m
+        if a < 0 or b < 0:
+            raise DomainError(f"negative exponent in monomial D^{a} f^{b}")
+        if c and b < 2 and a + b <= top:  # else killed by f^2 = 0 or codim > dim X
+            if a == top:
+                # here b = 0: substitute D^{n-1} = deg(X) D^{n-2} f
+                m, c = (top - 1, 1), c * ambient.degree
+            acc[m] = acc.get(m, 0) + c
+    return {m: c for m, c in acc.items() if c} if 0 in acc.values() else acc
+
+
+def _class(ambient: AmbientScroll, coeffs: dict) -> "ChowClass":
+    """A ChowClass from coefficients already in normal form, zeros dropped."""
+    x = object.__new__(ChowClass)
+    x.ambient = ambient
+    x._coeffs = coeffs
+    return x
+
+
+def _combine(x: dict, y: dict, sign: int) -> dict:
+    """x + sign * y for two normal forms: a normal form, zeros dropped."""
+    acc = dict(x)
+    for m, c in y.items():
+        acc[m] = acc.get(m, 0) + sign * c
+    return {m: c for m, c in acc.items() if c}
 
 
 class ChowClass:
@@ -86,6 +110,8 @@ class ChowClass:
     Construct from a mapping of monomials (a, b) to coefficients; any
     monomials outside the normal-form basis are rewritten on the spot.
     Supports +, -, * (by another class, a divisor class, or an integer).
+    Only the constructor and products rewrite: sums, negation, integer
+    multiples and divisor classes are in normal form by construction.
     """
 
     __slots__ = ("ambient", "_coeffs")
@@ -95,11 +121,8 @@ class ChowClass:
         ambient: AmbientScroll,
         coeffs: Mapping[Monomial, int] | None = None,
     ) -> None:
-        acc: dict[Monomial, int] = {}
-        for (a, b), c in (coeffs or {}).items():
-            _add_term(acc, ambient, a, b, c)
         self.ambient = ambient
-        self._coeffs = {m: c for m, c in sorted(acc.items()) if c != 0}
+        self._coeffs = _normal_form(ambient, coeffs.items()) if coeffs else {}
 
     @property
     def coefficients(self) -> dict[Monomial, int]:
@@ -121,7 +144,8 @@ class ChowClass:
             other = other.to_chow()
         if not isinstance(other, ChowClass):
             raise TypeError(f"cannot combine ChowClass with {type(other).__name__}")
-        if other.ambient != self.ambient:
+        # identity first: the classes of one scroll share its AmbientScroll
+        if other.ambient is not self.ambient and other.ambient != self.ambient:
             raise DomainError(
                 f"classes live on different scrolls: "
                 f"(g={self.ambient.g}, n={self.ambient.n}) vs "
@@ -130,29 +154,24 @@ class ChowClass:
         return other
 
     def __add__(self, other) -> "ChowClass":
-        other = self._coerce(other)
-        acc = dict(self._coeffs)
-        for m, c in other._coeffs.items():
-            acc[m] = acc.get(m, 0) + c
-        return ChowClass(self.ambient, acc)
+        return _class(self.ambient, _combine(self._coeffs, self._coerce(other)._coeffs, 1))
 
     def __sub__(self, other) -> "ChowClass":
-        return self + (-self._coerce(other))
+        return _class(self.ambient, _combine(self._coeffs, self._coerce(other)._coeffs, -1))
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(self.ambient, {m: -c for m, c in self._coeffs.items()})
+        return _class(self.ambient, {m: -c for m, c in self._coeffs.items()})
 
     def __mul__(self, other) -> "ChowClass":
         if isinstance(other, int):
-            return ChowClass(
-                self.ambient, {m: other * c for m, c in self._coeffs.items()}
-            )
-        other = self._coerce(other)
-        acc: dict[Monomial, int] = {}
-        for (a1, b1), c1 in self._coeffs.items():
-            for (a2, b2), c2 in other._coeffs.items():
-                _add_term(acc, self.ambient, a1 + a2, b1 + b2, c1 * c2)
-        return ChowClass(self.ambient, acc)
+            coeffs = {m: other * c for m, c in self._coeffs.items()} if other else {}
+            return _class(self.ambient, coeffs)
+        y = self._coerce(other)._coeffs
+        return _class(self.ambient, _normal_form(self.ambient, (
+            ((a1 + a2, b1 + b2), c1 * c2)
+            for (a1, b1), c1 in self._coeffs.items()
+            for (a2, b2), c2 in y.items()
+        )))
 
     def __rmul__(self, other) -> "ChowClass":
         if isinstance(other, int):
@@ -204,7 +223,13 @@ class DivisorClass:
     f: int
 
     def to_chow(self) -> ChowClass:
-        return ChowClass(self.ambient, {(1, 0): self.d, (0, 1): self.f})
+        # D and f are basis monomials of normal form, since n >= 3
+        coeffs = {}
+        if self.d:
+            coeffs[(1, 0)] = self.d
+        if self.f:
+            coeffs[(0, 1)] = self.f
+        return _class(self.ambient, coeffs)
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(self.ambient, -self.d, -self.f)

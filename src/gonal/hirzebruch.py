@@ -38,6 +38,18 @@ class FeBundle:
     def __post_init__(self) -> None:
         require_at_least("e", self.e, 0)
 
+    @classmethod
+    def _on(cls, e: int, a: int, b: int) -> "FeBundle":
+        """The bundle a*C_0 + b*f on an F_e already validated: no checks.
+
+        Writing the instance dict skips the frozen __setattr__ and the
+        constructor's validation of e.
+        """
+        x = object.__new__(cls)
+        d = x.__dict__
+        d["e"], d["a"], d["b"] = e, a, b
+        return x
+
     def _coerce(self, other) -> "FeBundle":
         if not isinstance(other, FeBundle):
             raise TypeError(f"cannot combine FeBundle with {type(other).__name__}")
@@ -51,18 +63,18 @@ class FeBundle:
 
     def __add__(self, other) -> "FeBundle":
         other = self._coerce(other)
-        return FeBundle(self.e, self.a + other.a, self.b + other.b)
+        return self._on(self.e, self.a + other.a, self.b + other.b)
 
     def __sub__(self, other) -> "FeBundle":
         other = self._coerce(other)
-        return FeBundle(self.e, self.a - other.a, self.b - other.b)
+        return self._on(self.e, self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "FeBundle":
-        return FeBundle(self.e, -self.a, -self.b)
+        return self._on(self.e, -self.a, -self.b)
 
     def __rmul__(self, k) -> "FeBundle":
         if isinstance(k, int):
-            return FeBundle(self.e, k * self.a, k * self.b)
+            return self._on(self.e, k * self.a, k * self.b)
         return NotImplemented
 
     def __str__(self) -> str:
@@ -90,20 +102,22 @@ def _h0(bundle: FeBundle) -> int:
     # h^0(P^1, Sym^a(O + O(-e)) (x) O(b)) summed over the splitting
     if bundle.a < 0:
         return 0
-    return sum(max(0, bundle.b - t) for t in _h0_switches(bundle.e, bundle.a))
+    b = bundle.b
+    return sum(b - t for t in _h0_switches(bundle.e, bundle.a) if t < b)
 
 
 def bundle_cohomology(bundle: FeBundle) -> Cohomology:
     """(h^0, h^1, h^2) of the bundle, all exact integers.
 
     h^0 by pushforward, h^2 = h^0(K - L) by Serre duality, and
-    h^1 = h^0 + h^2 - chi with chi = 1 + L.(L-K)/2.  A negative h^1
-    would mean the ingredients disagree and raises ConsistencyError.
+    h^1 = h^0 + h^2 - chi with chi = 1 + L.(L-K)/2 = 1 - L.(K-L)/2.
+    A negative h^1 would mean the ingredients disagree and raises
+    ConsistencyError.
     """
     h0 = _h0(bundle)
-    k = canonical_bundle(bundle.e)
-    h2 = _h0(k - bundle)
-    chi = 1 + bundle.intersect(bundle - k) // 2
+    dual = canonical_bundle(bundle.e) - bundle
+    h2 = _h0(dual)
+    chi = 1 - bundle.intersect(dual) // 2
     h1 = h0 + h2 - chi
     if h1 < 0:
         raise ConsistencyError(

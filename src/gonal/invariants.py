@@ -103,7 +103,7 @@ def maroni_h0(
     """
     _require_scroll_range(g, n)
     require_at_least("k", k, 0)
-    boundaries = maroni_branch_boundaries(g, n, splitting)
+    boundaries = _boundaries(g, n, splitting)
     return _maroni_branch(boundaries, bisect_right(boundaries, k), k)
 
 
@@ -116,6 +116,11 @@ def maroni_branch_boundaries(
     generic one.
     """
     _require_scroll_range(g, n)
+    return _boundaries(g, n, splitting)
+
+
+def _boundaries(g: int, n: int, splitting: Sequence[int] | None) -> list[int]:
+    # maroni_branch_boundaries once (g, n) is in range
     if splitting is None:
         rs = _generic_splitting(g, n)
     else:

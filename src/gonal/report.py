@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import chain, compress, count, islice, repeat
-from math import factorial, gcd
+from math import gcd
 from operator import eq, index, itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
@@ -41,6 +41,17 @@ from .scroll import (
 # The largest k_max a report covers, so that every report ends in bounded
 # time: 10^7 rows of JSON stream in 10 to 15 s (CPython 3.11, one Xeon core).
 K_MAX_LIMIT = 10**7
+# The largest gonality a report or a sweep takes, since the generic
+# splitting has n - 1 entries: (2000001, 10^6) reports in a few seconds.
+GONALITY_LIMIT = 10**6
+# global/pencil-count compares its two routes at the grid's gonalities up
+# to this bound; the Pieri table costs O(n^2) additions of O(n)-bit integers.
+_PENCIL_COUNT_MAX_N = 200
+
+
+def _require_gonality_limit(n: int) -> None:
+    if n > GONALITY_LIMIT:
+        raise DomainError(f"requires n <= {GONALITY_LIMIT} (got n={n})")
 
 
 @dataclass(frozen=True)
@@ -284,13 +295,15 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     """The full invariant dossier for one (g, n).
 
     Section and oracle tables cover k = 1 .. k_max (k = 0 is the
-    structure sheaf and always contributes 1), k_max at most K_MAX_LIMIT.
+    structure sheaf and always contributes 1), k_max at most K_MAX_LIMIT
+    and n at most GONALITY_LIMIT.
     Each table holds O(n) affine pieces, whatever k_max is.
     Deterministic: identical inputs give identical reports.
     """
     require_at_least("k_max", k_max, 0)
     if k_max > K_MAX_LIMIT:
         raise DomainError(f"requires k_max <= {K_MAX_LIMIT} (got k_max={k_max})")
+    _require_gonality_limit(n)
     spec = generic_scroll(g, n)
     aut = aut_group_numerics(spec)
     kx = canonical_class(spec)
@@ -914,6 +927,25 @@ def _gf_polymul(u: list[int], v: list[int], p: int) -> list[int]:
     return out
 
 
+def _pieri_degrees(m_max: int) -> list[int]:
+    """deg sigma_1^(2m) on the Grassmannian G(2, m+2), for m = 0..m_max.
+
+    Pieri's rule sigma_(a,b) * sigma_1 = sigma_(a+1,b) + sigma_(a,b+1)
+    (terms with b > a dropped) makes the degree the number of ways to
+    grow the partition (m, m) one box at a time: ballot paths from (0, 0)
+    to (m, m) that keep a >= b.  Rows stop at m on their own, so one
+    table of additions holds every m.
+    """
+    paths = [1] * (m_max + 1)  # paths to (a, 0)
+    degrees = [1]
+    for b in range(1, m_max + 1):
+        # paths[b] keeps its count: (b, b) is reached only from (b, b - 1)
+        for a in range(b + 1, m_max + 1):
+            paths[a] += paths[a - 1]
+        degrees.append(paths[b])
+    return degrees
+
+
 def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult]:
     """Properties that are not tied to a single grid point."""
     out: list[CheckResult] = []
@@ -988,6 +1020,9 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult
     # all() over no case would pass vacuously, so a check with none is a skip
     hyper_genera = [g for g in g_values if g >= 2]
     pencil_gonalities = [n for n in n_values if n >= 2]
+    pencil_cases = [n for n in pencil_gonalities if n <= _PENCIL_COUNT_MAX_N]
+    # Castelnuovo: a general curve of genus 2n-2 has deg G(2, n+1) pencils g^1_n
+    castelnuovo = _pieri_degrees(max(pencil_cases + [4]) - 1)
     case_checks = {
         "global/hyperelliptic-dimension": (hyper_genera, "genus", all(
             hyperelliptic.hg_dimension(g) == invariants.moduli_dimension(g, 2)
@@ -1000,10 +1035,9 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult
         )),
         # pencil count at the boundary genus, by two routes
         "global/pencil-count": (pencil_gonalities, "gonality", all(
-            invariants.gonal_pencil_count(n)
-            == factorial(2 * n - 2) // (factorial(n) * factorial(n - 1))
-            for n in pencil_gonalities
-        ) and invariants.gonal_pencil_count(3) == 2 and invariants.gonal_pencil_count(4) == 5),
+            invariants.gonal_pencil_count(n) == castelnuovo[n - 1] for n in pencil_cases
+        ) and invariants.gonal_pencil_count(3) == castelnuovo[2] == 2
+        and invariants.gonal_pencil_count(4) == castelnuovo[3] == 5),
     }
     for name, (cases, what, ok) in case_checks.items():
         if cases:
@@ -1046,6 +1080,7 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
     n_values = sorted(set(n_range))
     if not g_values or not n_values:
         raise DomainError("sweep ranges must be non-empty")
+    _require_gonality_limit(n_values[-1])
 
     results = _global_checks(g_values, n_values)
     for g in g_values:

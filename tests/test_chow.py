@@ -188,3 +188,135 @@ def test_repr_is_readable():
     assert repr(ChowClass(amb, {(1, 0): 3, (0, 1): -1})) == "3*D - f"
     assert repr(ChowClass(amb)) == "0"
     assert repr(amb.unit()) == "1"
+
+
+def _poly_add(x, y, sign=1):
+    out = dict(x)
+    for m, c in y.items():
+        out[m] = out.get(m, 0) + sign * c
+    return out
+
+
+def _poly_mul(x, y):
+    out = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            m = (a1 + a2, b1 + b2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _raw(rng, n, terms=4, codim=None):
+    """A polynomial in D and f, monomials outside normal form included,
+    coefficients in -3..3 with zero among them."""
+    out = {}
+    for _ in range(terms):
+        if codim is None:
+            m = (rng.randrange(0, n + 2), rng.randrange(0, 3))
+        else:
+            b = rng.randrange(0, min(codim, 2) + 1)
+            m = (codim - b, b)
+        out[m] = rng.randint(-3, 3)
+    return out
+
+
+class TestAgainstPolynomialModel:
+    """Each operation against Z[D, f] with no relation applied, reduced
+    once at the end by random-order rewriting (brute_reduce)."""
+
+    def test_ring_operations(self):
+        rng = random.Random(2718)
+        for n in range(3, 9):
+            for g in (2 * n - 1, 2 * n + 2, 3 * n + 7):
+                amb = AmbientScroll(g, n)
+
+                def reduce(poly):
+                    return brute_reduce(amb, poly, rng)
+
+                for _ in range(12):
+                    px, py = _raw(rng, n), _raw(rng, n)
+                    x, y = ChowClass(amb, px), ChowClass(amb, py)
+                    d, e, k = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
+                    pdv = {(1, 0): d, (0, 1): e}
+                    dv = DivisorClass(amb, d, e)
+                    assert x.coefficients == reduce(px)
+                    assert (x + y).coefficients == reduce(_poly_add(px, py))
+                    assert (x - y).coefficients == reduce(_poly_add(px, py, -1))
+                    assert (-x).coefficients == reduce(_poly_add({}, px, -1))
+                    assert (x * y).coefficients == reduce(_poly_mul(px, py))
+                    assert (x * dv).coefficients == reduce(_poly_mul(px, pdv))
+                    assert (x + dv).coefficients == reduce(_poly_add(px, pdv))
+                    assert dv.to_chow().coefficients == reduce(pdv)
+                    assert (k * x).coefficients == (x * k).coefficients == reduce(
+                        _poly_mul(px, {(0, 0): k})
+                    )
+                    assert (x - x).is_zero() and (x * 0).is_zero()
+
+    def test_intersect_number(self):
+        rng = random.Random(3141)
+        for n in range(3, 9):
+            amb = AmbientScroll(2 * n + 3, n)
+            for _ in range(40):
+                count = rng.randrange(0, n)
+                raw_divisors = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(count)]
+                raw_tail = _raw(rng, n, terms=3, codim=n - 1 - count)
+                product = raw_tail
+                for d, e in raw_divisors:
+                    product = _poly_mul(product, {(1, 0): d, (0, 1): e})
+                expected = brute_reduce(amb, product, rng).get((n - 2, 1), 0)
+                divisors = [DivisorClass(amb, d, e) for d, e in raw_divisors]
+                assert intersect_number(divisors, ChowClass(amb, raw_tail)) == expected
+
+
+class TestNormalisingWork:
+    """The rewriting runs once per product and never for a result that is
+    in normal form by construction."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        from gonal import chow
+
+        calls = []
+
+        def counted(ambient, terms, _f=chow._normal_form):
+            calls.append(1)
+            return _f(ambient, terms)
+
+        monkeypatch.setattr(chow, "_normal_form", counted)
+        return calls
+
+    def test_one_pass_per_product(self, passes):
+        amb = AmbientScroll(20, 6)
+        x = ChowClass(amb, {(1, 0): 2, (4, 0): -1, (0, 1): 3})
+        y = ChowClass(amb, {(2, 1): 5, (0, 0): 1})
+        dv = DivisorClass(amb, 2, -1)
+        passes.clear()
+        x * y
+        assert len(passes) == 1
+        x * dv
+        assert len(passes) == 2
+
+    def test_no_pass_for_normal_results(self, passes):
+        amb = AmbientScroll(20, 6)
+        x = ChowClass(amb, {(1, 0): 2, (4, 0): -1, (0, 1): 3})
+        y = ChowClass(amb, {(2, 1): 5, (0, 0): 1})
+        dv = DivisorClass(amb, 2, -1)
+        passes.clear()
+        results = [x + y, x - y, -x, 3 * x, x * 0, x + dv, dv.to_chow(), x - x]
+        assert passes == []
+        # and each is the class the constructor would build
+        for r in results:
+            assert r == ChowClass(amb, r.coefficients)
+            assert repr(r) == repr(ChowClass(amb, r.coefficients))
+            assert hash(r) == hash(ChowClass(amb, r.coefficients))
+
+
+def test_results_keep_their_errors():
+    x = ChowClass(AmbientScroll(5, 3), {(1, 0): 1})
+    y = ChowClass(AmbientScroll(7, 3), {(1, 0): 1})
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+        with pytest.raises(DomainError, match="different scrolls"):
+            op()
+    for op in (lambda: x + 1, lambda: x - "D", lambda: x * 1.5):
+        with pytest.raises(TypeError, match="cannot combine ChowClass"):
+            op()

@@ -7,11 +7,12 @@ import sys
 import pytest
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "gonal", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -53,6 +54,17 @@ class TestReportCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: requires k_max <= 10000000 (got k_max={2**50})\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_gonality_exits_2(self, fmt):
+        # the generic splitting would need 5 * 10^19 - 2 entries
+        proc = run_cli(
+            "report", "--genus", str(10**20), "--gonality", str(5 * 10**19 - 1),
+            "--kmax", "0", "--format", fmt,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: requires n <= 1000000 (got n=49999999999999999999)\n"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_closed_pipe_exits_141(self, fmt):
@@ -106,6 +118,28 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "unrecognized arguments: --kmax 5" in proc.stderr
+
+    def test_huge_gonality_exits_2(self):
+        proc = run_cli(
+            "verify",
+            "--genus-min", "5", "--genus-max", "5",
+            "--gonality-min", "3", "--gonality-max", str(10**6 + 1),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: requires n <= 1000000 (got n=1000001)\n"
+
+    def test_wide_gonality_range_finishes(self):
+        # it compared factorials of size 2n at every gonality, and did not
+        # finish in 20 s; every point but n = 3..4 is a skip
+        proc = run_cli(
+            "verify",
+            "--genus-min", "5", "--genus-max", "5",
+            "--gonality-min", "3", "--gonality-max", "100000",
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("checked 40  passed 40  failed 0  skipped 99997\n")
 
     def test_closed_pipe_exits_141(self):
         proc = subprocess.Popen(

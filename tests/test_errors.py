@@ -45,6 +45,8 @@ GUARDED = [
     (modular_degree_constraint, (1, 1), "requires g >= 2 (got g=1)"),
     (modular_degree_constraint, (9, 1), "requires n >= 2 (got n=1)"),
     (generate_report, (9, 3, -1), "requires k_max >= 0 (got k_max=-1)"),
+    (generate_report, (9, 3, 10**7 + 1), "requires k_max <= 10000000 (got k_max=10000001)"),
+    (generate_report, (10**20, 10**6 + 1, 0), "requires n <= 1000000 (got n=1000001)"),
 ]
 
 

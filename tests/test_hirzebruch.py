@@ -1,5 +1,7 @@
 """Tests for the Hirzebruch-surface cohomology oracle."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from gonal.errors import ConsistencyError, DomainError
@@ -167,3 +169,55 @@ def test_consistency_error_surfaces_not_clamps():
             hirzebruch.bundle_cohomology(FeBundle(0, 2, 2))
     finally:
         hirzebruch._h0 = original
+
+
+def _reference_cohomology(e, a, b):
+    """bundle_cohomology written out from its formulas, with no FeBundle:
+    h^0 by pushforward, h^2 = h^0(K - L), chi = 1 + L.(L - K)/2."""
+
+    def h0(a, b):
+        return sum(max(0, b - (i * e - 1)) for i in range(a + 1)) if a >= 0 else 0
+
+    ka, kb = -2, -(e + 2)
+    la, lb = a - ka, b - kb  # L - K
+    chi = 1 + (-e * a * la + a * lb + la * b) // 2
+    h2 = h0(ka - a, kb - b)
+    return h0(a, b), h0(a, b) + h2 - chi, h2
+
+
+class TestLeanCohomology:
+    def test_matches_the_formulas_on_the_serre_grid(self):
+        # the grid of global/fe-cohomology
+        for e in (0, 1):
+            for a in range(-6, 13):
+                for b in range(-40, 41):
+                    assert bundle_cohomology(FeBundle(e, a, b)) == _reference_cohomology(e, a, b)
+
+    def test_one_checked_bundle_per_cohomology(self, monkeypatch):
+        built = []
+        init = FeBundle.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FeBundle, "__init__", counted)
+        bundle = FeBundle(1, 2, 3)
+        built.clear()
+        bundle_cohomology(bundle)
+        assert len(built) <= 1
+
+    def test_arithmetic_results_equal_checked_bundles(self):
+        x, y = FeBundle(2, 1, -3), FeBundle(2, -4, 5)
+        for got, want in (
+            (x + y, FeBundle(2, -3, 2)),
+            (x - y, FeBundle(2, 5, -8)),
+            (-x, FeBundle(2, -1, 3)),
+            (3 * x, FeBundle(2, 3, -9)),
+        ):
+            assert got == want and hash(got) == hash(want)
+            assert repr(got) == repr(want) and str(got) == str(want)
+            with pytest.raises(FrozenInstanceError):
+                got.a = 0
+        with pytest.raises(DomainError, match="different surfaces"):
+            x + FeBundle(1, 0, 0)

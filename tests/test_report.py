@@ -20,6 +20,8 @@ from gonal.report import (
     _decisive_ks,
     _encode_ints,
     _cells,
+    _global_checks,
+    _pieri_degrees,
     _piecewise_affine,
     _point_checks,
     _runs,
@@ -69,6 +71,19 @@ class TestGenerateReport:
         assert len(generate_report(5, 3, report.K_MAX_LIMIT).section_counts) == 10**7
         with pytest.raises(DomainError, match="k_max <= 10000000"):
             generate_report(5, 3, report.K_MAX_LIMIT + 1)
+
+    def test_gonality_capped(self, monkeypatch):
+        with pytest.raises(DomainError) as info:
+            generate_report(10**20, 5 * 10**19 - 1, 0)
+        assert str(info.value) == "requires n <= 1000000 (got n=49999999999999999999)"
+        # the bound is read from its one home, for reports and sweeps alike
+        monkeypatch.setattr(report, "GONALITY_LIMIT", 10)
+        assert generate_report(21, 10, 0).n == 10
+        with pytest.raises(DomainError, match=r"^requires n <= 10 \(got n=11\)$"):
+            generate_report(23, 11, 0)
+        assert sweep_verify([21], range(3, 11)).ok
+        with pytest.raises(DomainError, match=r"^requires n <= 10 \(got n=11\)$"):
+            sweep_verify([21], range(3, 12))
 
     def test_deterministic(self):
         a = generate_report(7, 3, 5)
@@ -475,6 +490,48 @@ class TestSweep:
         }
         with_pencils = sweep_verify(range(5, 7), range(0, 3))
         assert with_pencils.skip_reasons == {"requires n >= 3 and 2n-2 < g": 6}
+
+    def test_pencil_count_cost_bounded_in_the_gonality_range(self, monkeypatch):
+        counts, tables = [], []
+        count = invariants.gonal_pencil_count
+        monkeypatch.setattr(
+            invariants, "gonal_pencil_count", lambda n: counts.append(n) or count(n)
+        )
+        monkeypatch.setattr(
+            report, "_pieri_degrees", lambda m: tables.append(m) or _pieri_degrees(m)
+        )
+        results = _global_checks([5], list(range(3, 4001)))
+        pencil = [r for r in results if r.name == "global/pencil-count"]
+        assert [r.outcome for r in pencil] == ["pass"]
+        # both routes at 3..200, and the fixed values at n = 3, 4
+        assert sorted(counts) == sorted([*range(3, 201), 3, 4])
+        assert tables == [199]
+
+    def test_pencil_count_above_the_case_bound(self):
+        # only the fixed values at n = 3, 4 are compared: still a pass
+        results = _global_checks([5], [500, 501])
+        assert [r.outcome for r in results if r.name == "global/pencil-count"] == ["pass"]
+
+    def test_pencil_count_routes_can_disagree(self, monkeypatch):
+        def off_by_one(m_max):
+            table = _pieri_degrees(m_max)
+            table[6] += 1  # n = 7
+            return table
+
+        monkeypatch.setattr(report, "_pieri_degrees", off_by_one)
+        outcome = {r.name: r.outcome for r in _global_checks([5], [7])}
+        assert outcome["global/pencil-count"] == "fail"
+        # n = 7 outside the grid: the wrong entry is never compared
+        outcome = {r.name: r.outcome for r in _global_checks([5], [8])}
+        assert outcome["global/pencil-count"] == "pass"
+
+    def test_pieri_degrees(self):
+        # deg G(2, m+2): 1, 1, 2, 5, 14, 42 (Schubert's count of lines
+        # meeting four general lines in P^3 is the 2)
+        assert _pieri_degrees(5) == [1, 1, 2, 5, 14, 42]
+        assert _pieri_degrees(0) == [1]
+        table = _pieri_degrees(60)
+        assert all(table[m] == invariants.gonal_pencil_count(m + 1) for m in range(1, 61))
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_section_evaluations_do_not_grow_with_g(self, monkeypatch, n):
