@@ -9,17 +9,20 @@ doubles; ``parse_json`` undoes this, and parse(emit(r)) == r.
 
 ``sweep_verify`` re-runs every cross-module identity over a grid of
 (g, n) and reports counts instead of aborting: a verification harness
-must surface all findings.  Aggregation order is canonical (globals
-first, then grid points sorted by (g, n)).
+must surface all findings, an error raised while checks run included.
+Aggregation order is canonical (globals first, then grid points sorted
+by (g, n)).
 """
 
 import json
 import random
 import types
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, compress, count, islice, repeat
 from math import gcd
@@ -685,6 +688,12 @@ def write_report(report: GonalReport, fmt: str, file) -> None:
 # ---------------------------------------------------------------------------
 # verification sweep
 # ---------------------------------------------------------------------------
+# A family of checks is a generator of rows (name, ok) or (name, ok, detail):
+# ok True passes, False fails, and None skips, with detail as its reason.
+# _run makes the rows into CheckResults.  An exception raised while a family
+# runs ends that family with one failing RAISED result, detail repr(exc), so
+# the sweep names it and goes on to the next family.
+RAISED = "sweep/raised"
 
 
 class CheckResult(NamedTuple):
@@ -713,9 +722,22 @@ class SweepSummary:
         return _encode_ints(self)
 
 
-def _stepwise_reduce(
-    ambient: AmbientScroll, a: int, b: int, c: int, order: str
-) -> dict:
+def _run(g: int, n: int, rows: Iterable[tuple]) -> list[CheckResult]:
+    """The results of one family's rows at (g, n), (0, 0) for a global
+    family: the one place check rows become CheckResults.  A skip gives
+    its reason: ok None without one is a failure."""
+    out = []
+    try:
+        for row in rows:
+            ok, detail = row[1], row[2] if len(row) == 3 else ""
+            outcome = "pass" if ok else "skip" if ok is None and detail else "fail"
+            out.append(CheckResult(g, n, row[0], outcome, detail))
+    except Exception as exc:
+        out.append(CheckResult(g, n, RAISED, "fail", repr(exc)))
+    return out
+
+
+def _stepwise_reduce(ambient: AmbientScroll, a: int, b: int, c: int, order: str) -> dict:
     """Rewrite c * D^a f^b one relation at a time, with a chosen rule
     priority, to confirm the two relations are confluent.
 
@@ -753,8 +775,8 @@ def _curve_h1(curve: hirzebruch.FeBundle, k: int) -> int:
     return hirzebruch.bundle_cohomology(kf - curve).h2 - hirzebruch.bundle_cohomology(kf).h2
 
 
-def _point_checks(g: int, n: int) -> list[CheckResult]:
-    """All per-(g, n) properties; one CheckResult per named property.
+def _point_rows(g: int, n: int) -> Iterator[tuple]:
+    """The rows of every per-(g, n) property.
 
     The values the dossier holds are read from generate_report(g, n, 0);
     the flag-backed checks record its consistency flags, whose predicates
@@ -762,15 +784,9 @@ def _point_checks(g: int, n: int) -> list[CheckResult]:
     maroni-ballico, the degree lattice, rather-free and Riemann-Roch on
     the curve) are computed here.
     """
-    out: list[CheckResult] = []
-
-    def rec(name: str, ok: bool, detail: str = "") -> None:
-        out.append(CheckResult(g, n, name, "pass" if ok else "fail", detail))
-
     if n < 3 or not in_gonal_range(g, n):
-        return [
-            CheckResult(g, n, "hypothesis", "skip", "requires n >= 3 and 2n-2 < g")
-        ]
+        yield "hypothesis", None, "requires n >= 3 and 2n-2 < g"
+        return
     rep = generate_report(g, n, 0)
     s, inv, flags = rep.scroll, rep.invariants, rep.consistency_flags
     amb = AmbientScroll(g, n)
@@ -779,144 +795,113 @@ def _point_checks(g: int, n: int) -> list[CheckResult]:
     curve = ChowClass(amb, {(a, b): c for a, b, c in rep.curve_class})
 
     # intersection ring normalization
-    rec(
-        "chow/point-degree",
-        amb.point_class().degree() == 1
-        and (amb.monomial(n - 2, 0) * fiber).degree() == 1,
+    yield "chow/point-degree", (
+        amb.point_class().degree() == 1 and (amb.monomial(n - 2, 0) * fiber).degree() == 1
     )
     top = amb.monomial(n - 2, 0) * hyper
-    rec(
-        "chow/top-power",
-        top.degree() == g - n + 1,
-        f"deg(D^(n-1)) = {top.degree()}",
-    )
+    yield "chow/top-power", top.degree() == g - n + 1, f"deg(D^(n-1)) = {top.degree()}"
     rng = random.Random(7919 * g + n)
     ff = fiber.to_chow() * fiber
-    rec(
-        "chow/fiber-squared",
-        all((ff * x).is_zero() for x in (amb.unit(), curve, _rand_class(rng, amb))),
+    yield "chow/fiber-squared", all(
+        (ff * x).is_zero() for x in (amb.unit(), curve, _rand_class(rng, amb))
     )
     x, y, z = (_rand_class(rng, amb) for _ in range(3))
-    rec("chow/commutative", x * y == y * x)
-    rec("chow/associative", (x * y) * z == x * (y * z))
-    rec("chow/distributive", x * (y + z) == x * y + x * z)
+    xy, xz = x * y, x * z
+    yield "chow/commutative", xy == y * x
+    yield "chow/associative", xy * z == x * (y * z)
+    # a subtraction that adds leaves x * (y + z) - x * z at x * y + 2 x * z
+    xyz = x * (y + z)
+    yield "chow/distributive", xyz == xy + xz and xyz - xz == xy
     confluent = True
     for a in range(0, n + 2):
         for b in range(0, 3):
             closed = amb.monomial(a, b).coefficients
-            if (
-                _stepwise_reduce(amb, a, b, 1, "f_first") != closed
-                or _stepwise_reduce(amb, a, b, 1, "d_first") != closed
-            ):
-                confluent = False
-    rec("chow/confluent-reduction", confluent)
+            confluent &= _stepwise_reduce(amb, a, b, 1, "f_first") == closed
+            confluent &= _stepwise_reduce(amb, a, b, 1, "d_first") == closed
+    yield "chow/confluent-reduction", confluent
 
     # scroll classification
-    rec("scroll/generic-valid", validate_scroll(s.splitting, g, n))
-    rec(
-        "scroll/shift-nonnegative",
-        s.shift >= 0 and (n - 1) * s.shift + s.big_n == top.degree(),
-        f"shift = {s.shift}",
-    )
+    yield "scroll/generic-valid", validate_scroll(s.splitting, g, n)
+    yield "scroll/shift-nonnegative", (
+        s.shift >= 0 and (n - 1) * s.shift + s.big_n == top.degree()
+    ), f"shift = {s.shift}"
     fc = intersect_number([fiber], curve)
     dc = intersect_number([hyper], curve)
-    rec("scroll/fiber-pairing", fc == n, f"f.C = {fc}")
-    rec("scroll/hyperplane-pairing", dc == 2 * g - 2, f"D.C = {dc}")
+    yield "scroll/fiber-pairing", fc == n, f"f.C = {fc}"
+    yield "scroll/hyperplane-pairing", dc == 2 * g - 2, f"D.C = {dc}"
     chi_t_chow = inv.chi_restricted_tangent_chow
-    rec(
-        "scroll/euler-pairing",
-        chi_t_chow == n * n + 1 - g,
-        f"-K.C = {chi_t_chow - (n - 1) * (1 - g)}",
+    yield "scroll/euler-pairing", chi_t_chow == n * n + 1 - g, (
+        f"-K.C = {chi_t_chow - (n - 1) * (1 - g)}"
     )
-    rec(
-        "scroll/aut-numerics",
+    yield "scroll/aut-numerics", (
         s.aut_total_dim == n * n - 2 * n + 3
         and s.aut_total_dim == s.aut_vertical_dim + 3
-        and s.aut_components == (2 if (n == 3 and g % 2 == 0) else 1),
+        and s.aut_components == (2 if (n == 3 and g % 2 == 0) else 1)
     )
 
     # curve invariants
-    rec(
-        "invariants/euler-chain",
-        flags.euler_chain,
-        f"chi(T|C) = {inv.chi_restricted_tangent}, chi(N) = {inv.chi_normal_bundle}",
+    yield "invariants/euler-chain", flags.euler_chain, (
+        f"chi(T|C) = {inv.chi_restricted_tangent}, chi(N) = {inv.chi_normal_bundle}"
     )
     # Riemann-Roch: h^1 = h^0 - chi
-    rec(
-        "invariants/h1-double-pencil",
-        inv.h1_double_pencil == invariants.ballico_h0(g, n, 2) - (2 * n + 1 - g),
+    yield "invariants/h1-double-pencil", (
+        inv.h1_double_pencil == invariants.ballico_h0(g, n, 2) - (2 * n + 1 - g)
     )
     # Riemann-Hurwitz: a simply branched n-sheeted cover of P^1 has
     # (2g-2) + 2n branch points, moved by PGL(2) of dimension 3
-    rec(
-        "invariants/moduli-dimension",
-        inv.moduli_dimension == (2 * g - 2) + 2 * n - 3,
-        "on this grid 2n-2 < g, so the gonal branch is the minimum",
+    yield "invariants/moduli-dimension", inv.moduli_dimension == (2 * g - 2) + 2 * n - 3, (
+        "on this grid 2n-2 < g, so the gonal branch is the minimum"
     )
     ballico_switches = invariants.ballico_switches(g, n)
-    rec(
-        "invariants/maroni-ballico",
-        all(
-            invariants.maroni_h0(g, n, k) == invariants.ballico_h0(g, n, k)
-            for k in _decisive_ks(invariants.maroni_branch_boundaries(g, n), ballico_switches)
-        ),
+    yield "invariants/maroni-ballico", all(
+        invariants.maroni_h0(g, n, k) == invariants.ballico_h0(g, n, k)
+        for k in _decisive_ks(invariants.maroni_branch_boundaries(g, n), ballico_switches)
     )
-    rec("invariants/branch-continuity", flags.branch_continuity)
-    rec(
-        "invariants/ballico-riemann-roch-bound",
-        all(
-            h0 == chi if k * (n - 1) >= g else h0 > chi
-            for k in _decisive_ks(ballico_switches)
-            for h0, chi in [(invariants.ballico_h0(g, n, k), n * k + 1 - g)]
-        ),
+    yield "invariants/branch-continuity", flags.branch_continuity
+    yield "invariants/ballico-riemann-roch-bound", all(
+        h0 == chi if k * (n - 1) >= g else h0 > chi
+        for k in _decisive_ks(ballico_switches)
+        for h0, chi in [(invariants.ballico_h0(g, n, k), n * k + 1 - g)]
     )
 
     # degree lattice
     d = picard.degree_subgroup(g, n)
-    rec("picard/divides-generators", d == gcd(dc, fc))
+    yield "picard/divides-generators", d == gcd(dc, fc)
     witness = picard.solve_degree(g, n, d)
     omega_witness = picard.solve_degree(g, n, 2 * g - 2)
-    rec(
-        "picard/solve-reevaluates",
+    yield "picard/solve-reevaluates", (
         witness is not None
         and witness[0] * (2 * g - 2) + witness[1] * n == d
         and omega_witness is not None
         and omega_witness[0] * (2 * g - 2) + omega_witness[1] * n == 2 * g - 2
-        and (d == 1 or picard.solve_degree(g, n, d + 1) is None),
+        and (d == 1 or picard.solve_degree(g, n, d + 1) is None)
     )
     verdict = rep.divisibility
-    expected_status = (
-        VerdictStatus.PROVEN_FOR_TRIGONAL if n == 3 else VerdictStatus.CONJECTURE
-    )
-    rec(
-        "picard/constraint",
-        verdict.divisor == d and verdict.status == expected_status and verdict.sharp,
+    expected_status = VerdictStatus.PROVEN_FOR_TRIGONAL if n == 3 else VerdictStatus.CONJECTURE
+    yield "picard/constraint", (
+        verdict.divisor == d and verdict.status == expected_status and verdict.sharp
     )
     # the witness for d, evaluated on the Chow-ring pairings
-    rec(
-        "picard/sharpness-witness",
-        verdict.sharp
-        and witness is not None
-        and witness[0] * dc + witness[1] * fc == d,
+    yield "picard/sharpness-witness", (
+        verdict.sharp and witness is not None and witness[0] * dc + witness[1] * fc == d
     )
 
     if n == 3:
-        rec(
-            "picard/trigonal-mod-3",
-            verdict.divisor == (3 if g % 3 == 1 else 1),
-        )
-        rec("oracle/ballico-agreement", flags.oracle_agreement)
-        rec("oracle/dim-P(L)", flags.dim_p_l)
+        yield "picard/trigonal-mod-3", verdict.divisor == (3 if g % 3 == 1 else 1)
+        yield "oracle/ballico-agreement", flags.oracle_agreement
+        yield "oracle/dim-P(L)", flags.dim_p_l
         pairing, free = hirzebruch.rather_free_check(g)
-        rec("oracle/rather-free", pairing == -g - 8 and free, f"(K_S.L) = {pairing}")
+        yield "oracle/rather-free", pairing == -g - 8 and free, f"(K_S.L) = {pairing}"
         curve_fe = hirzebruch.trigonal_curve_bundle(g)
-        rr_ok = all(
+        yield "oracle/riemann-roch-on-curve", all(
             0 <= _curve_h1(curve_fe, k) == hirzebruch.trigonal_h0_oracle(g, k) - (3 * k + 1 - g)
             for k in _decisive_ks(hirzebruch.trigonal_h0_switches(g))
         )
-        rec("oracle/riemann-roch-on-curve", rr_ok)
 
-    return out
+
+def _point_checks(g: int, n: int) -> list[CheckResult]:
+    """All per-(g, n) properties; one CheckResult per named property."""
+    return _run(g, n, _point_rows(g, n))
 
 
 def _gf_polymul(u: list[int], v: list[int], p: int) -> list[int]:
@@ -946,41 +931,31 @@ def _pieri_degrees(m_max: int) -> list[int]:
     return degrees
 
 
-def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult]:
-    """Properties that are not tied to a single grid point."""
-    out: list[CheckResult] = []
-
-    def rec(name: str, ok: bool, detail: str = "") -> None:
-        out.append(CheckResult(0, 0, name, "pass" if ok else "fail", detail))
-
-    # surface oracle self-consistency: h^1 >= 0 by construction (raises on
-    # violation) and Serre duality flips the cohomology triple
+def _fe_rows() -> Iterator[tuple]:
+    """The surface oracle on its own: Serre duality flips the cohomology
+    triple, and h^1 >= 0 (bundle_cohomology raises on a violation)."""
     serre_ok = True
-    try:
-        for e in (0, 1):
-            k = hirzebruch.canonical_bundle(e)
-            for a in range(-6, 13):
-                for b in range(-40, 41):
-                    bundle = hirzebruch.FeBundle(e, a, b)
-                    h = hirzebruch.bundle_cohomology(bundle)
-                    dual = hirzebruch.bundle_cohomology(k - bundle)
-                    if (h.h0, h.h1, h.h2) != (dual.h2, dual.h1, dual.h0):
-                        serre_ok = False
-    except Exception as exc:  # ConsistencyError would mean negative h^1
-        rec("global/fe-cohomology", False, repr(exc))
-    else:
-        rec("global/fe-cohomology", serre_ok)
-    ok_sheaf = all(
+    for e in (0, 1):
+        k = hirzebruch.canonical_bundle(e)
+        for a in range(-6, 13):
+            for b in range(-40, 41):
+                bundle = hirzebruch.FeBundle(e, a, b)
+                h = hirzebruch.bundle_cohomology(bundle)
+                dual = hirzebruch.bundle_cohomology(k - bundle)
+                serre_ok &= (h.h0, h.h1, h.h2) == (dual.h2, dual.h1, dual.h0)
+    yield "global/fe-cohomology", serre_ok
+    yield "global/fe-structure-sheaf", all(
         hirzebruch.bundle_cohomology(hirzebruch.FeBundle(e, 0, 0)) == (1, 0, 0)
         for e in range(0, 4)
     )
-    rec("global/fe-structure-sheaf", ok_sheaf)
 
+
+def _hyperelliptic_rows() -> Iterator[tuple]:
+    """The discriminant's two routes, and the twist."""
     # discriminant: Euclid route vs Sylvester-resultant route
     p = 10007
     rng = random.Random(20240)
-    agree = True
-    verdicts_ok = True
+    agree = verdicts_ok = True
     for trial in range(200):
         genus = rng.choice((2, 3, 4))
         d = 2 * genus + 2
@@ -998,83 +973,86 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult
         form = hyperelliptic.BinaryForm(d, tuple(cs), p=p)
         by_gcd = hyperelliptic.discriminant_nonzero(form, method="gcd")
         by_res = hyperelliptic.discriminant_nonzero(form, method="resultant")
-        if by_gcd != by_res:
-            agree = False
-        if kind in (1, 2) and by_gcd:
-            verdicts_ok = False
-    rec("global/discriminant-dual-route", agree and verdicts_ok)
+        agree &= by_gcd == by_res
+        verdicts_ok &= not (kind in (1, 2) and by_gcd)
+    yield "global/discriminant-dual-route", agree and verdicts_ok
 
-    # the twist never changes the form and always lands on the curve
+    # the twist keeps the form, sets a' = f(x0), summed here over Fractions
+    # rather than by BinaryForm.evaluate, and lands on the curve
     twist_ok = True
     for genus in (2, 3):
         d = 2 * genus + 2
         cs = [1] + [0] * (d - 1) + [1]  # x^d + 1: squarefree in char 0
         form = hyperelliptic.BinaryForm(d, tuple(cs))
         model = hyperelliptic.HyperellipticModel(2, form)
-        for x0 in (0, 1, -2, 5):
+        for x0 in (0, 1, -2, 5, Fraction(-3, 2)):
             twisted, point = hyperelliptic.twist_with_point(model, x0)
-            if twisted.form != model.form or twisted.residual(*point) != 0:
-                twist_ok = False
-    rec("global/twist-invariance", twist_ok)
+            twist_ok &= (
+                twisted.form == model.form
+                and twisted.a == sum(c * Fraction(x0) ** i for i, c in enumerate(cs))
+                and twisted.residual(*point) == 0
+            )
+    yield "global/twist-invariance", twist_ok
 
+
+def _case_rows(g_values: list[int], n_values: list[int]) -> Iterator[tuple]:
+    """The counts over the grid's genera and gonalities, and the Brill-Noether boundary."""
     # all() over no case would pass vacuously, so a check with none is a skip
     hyper_genera = [g for g in g_values if g >= 2]
     pencil_gonalities = [n for n in n_values if n >= 2]
     pencil_cases = [n for n in pencil_gonalities if n <= _PENCIL_COUNT_MAX_N]
     # Castelnuovo: a general curve of genus 2n-2 has deg G(2, n+1) pencils g^1_n
     castelnuovo = _pieri_degrees(max(pencil_cases + [4]) - 1)
-    case_checks = {
-        "global/hyperelliptic-dimension": (hyper_genera, "genus", all(
+    cases = {"genus": hyper_genera, "gonality": pencil_gonalities}
+    for name, what, ok in (
+        ("global/hyperelliptic-dimension", "genus", all(
             hyperelliptic.hg_dimension(g) == invariants.moduli_dimension(g, 2)
             for g in hyper_genera
         )),
-        "global/hyperelliptic-constraint": (hyper_genera, "genus", all(
+        ("global/hyperelliptic-constraint", "genus", all(
             picard.modular_degree_constraint(g, 2)
             == DivisibilityVerdict(picard.degree_subgroup(g, 2), VerdictStatus.THEOREM, True)
             for g in hyper_genera
         )),
         # pencil count at the boundary genus, by two routes
-        "global/pencil-count": (pencil_gonalities, "gonality", all(
+        ("global/pencil-count", "gonality", all(
             invariants.gonal_pencil_count(n) == castelnuovo[n - 1] for n in pencil_cases
         ) and invariants.gonal_pencil_count(3) == castelnuovo[2] == 2
         and invariants.gonal_pencil_count(4) == castelnuovo[3] == 5),
-    }
-    for name, (cases, what, ok) in case_checks.items():
-        if cases:
-            rec(name, ok)
-        else:
-            out.append(CheckResult(0, 0, name, "skip", f"no {what} >= 2 in the grid"))
+    ):
+        yield (name, ok) if cases[what] else (name, None, f"no {what} >= 2 in the grid")
     # Brill-Noether: the general curve of genus g has gonality (g+3)//2,
     # so the n-gonal locus is all of moduli exactly from there on
-    rec(
-        "global/moduli-boundary",
-        all(
-            (invariants.moduli_dimension(g, n) == 3 * g - 3) == (n >= (g + 3) // 2)
-            for n in range(2, 13)
-            for g in range(2, 2 * n + 3)
-        ),
+    yield "global/moduli-boundary", all(
+        (invariants.moduli_dimension(g, n) == 3 * g - 3) == (n >= (g + 3) // 2)
+        for n in range(2, 13)
+        for g in range(2, 2 * n + 3)
     )
 
-    # report determinism and JSON round-trip at representative points
+
+def _report_rows() -> Iterator[tuple]:
+    """Report determinism and JSON round trip at representative points."""
     for rg, rn, rk in ((5, 3, 6), (8, 4, 4)):
         rep = generate_report(rg, rn, rk)
         again = generate_report(rg, rn, rk)
         text = emit_json(rep)
-        rec(
-            f"global/report-deterministic-{rg}-{rn}",
-            rep == again and text == emit_json(again),
-        )
-        rec(f"global/report-roundtrip-{rg}-{rn}", parse_json(text) == rep)
+        yield f"global/report-deterministic-{rg}-{rn}", rep == again and text == emit_json(again)
+        yield f"global/report-roundtrip-{rg}-{rn}", parse_json(text) == rep
 
-    return out
+
+def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult]:
+    """Properties that are not tied to a single grid point, family by
+    family, so that an error in one family does not stop the others."""
+    families = (_fe_rows(), _hyperelliptic_rows(), _case_rows(g_values, n_values), _report_rows())
+    return [r for rows in families for r in _run(0, 0, rows)]
 
 
 def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary:
     """Run every module property over the (g, n) grid and summarize.
 
     Grid points whose hypotheses fail are counted as skips with a
-    reason; failures are collected, never raised.  Identities in k are
-    decided for every k >= 0.
+    reason; failures, and errors raised while checks run, are collected,
+    never raised.  Identities in k are decided for every k >= 0.
     """
     g_values = sorted(set(g_range))
     n_values = sorted(set(n_range))
@@ -1085,28 +1063,23 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
     results = _global_checks(g_values, n_values)
     for g in g_values:
         for n in n_values:
-            results.extend(_point_checks(g, n))
+            results += _point_checks(g, n)
 
-    passed = sum(1 for r in results if r.outcome == "pass")
-    failed = [r for r in results if r.outcome == "fail"]
-    skipped = [r for r in results if r.outcome == "skip"]
-    skip_reasons: dict[str, int] = {}
-    for r in skipped:
-        skip_reasons[r.detail] = skip_reasons.get(r.detail, 0) + 1
-
-    def describe(r: CheckResult) -> str:
-        where = f"g={r.g} n={r.n} " if (r.g, r.n) != (0, 0) else ""
-        suffix = f": {r.detail}" if r.detail else ""
-        return f"{where}{r.name}{suffix}"
-
+    tally = Counter(r.outcome for r in results)
+    failures = [
+        f"{f'g={r.g} n={r.n} ' if (r.g, r.n) != (0, 0) else ''}{r.name}"
+        + (f": {r.detail}" if r.detail else "")
+        for r in results
+        if r.outcome == "fail"
+    ]
     return SweepSummary(
-        checked=passed + len(failed),
-        passed=passed,
-        failed=len(failed),
-        skipped=len(skipped),
-        first_failure=describe(failed[0]) if failed else None,
-        failures=[describe(r) for r in failed[:20]],
-        skip_reasons=skip_reasons,
+        checked=tally["pass"] + tally["fail"],
+        passed=tally["pass"],
+        failed=tally["fail"],
+        skipped=tally["skip"],
+        first_failure=failures[0] if failures else None,
+        failures=failures[:20],
+        skip_reasons=Counter(r.detail for r in results if r.outcome == "skip"),
     )
 
 
@@ -1117,11 +1090,8 @@ def render_sweep_text(summary: SweepSummary) -> str:
     ]
     if summary.skip_reasons:
         lines.append("skip reasons:")
-        for reason, count in sorted(summary.skip_reasons.items()):
-            lines.append(f"  {count} x {reason}")
+        lines += [f"  {count} x {reason}" for reason, count in sorted(summary.skip_reasons.items())]
     if summary.failures:
-        lines.append("failures:")
-        for f in summary.failures:
-            lines.append(f"  {f}")
+        lines += ["failures:", *(f"  {f}" for f in summary.failures)]
     lines.append("ok" if summary.ok else "FAILED")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from gonal import hirzebruch, invariants, picard, report, scroll
+from gonal import cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
+from gonal.chow import ChowClass
 from gonal.errors import ConsistencyError, DomainError
 from gonal.report import (
     GonalReport,
@@ -451,6 +452,16 @@ class TestFormulaColumn:
         assert evaluations(200) == evaluations(20000)
 
 
+# Mutants the sweep on g 5..30 x n 3..6 must fail on: (owner, attribute,
+# the mutant made from the attribute).
+MUTANTS = {
+    # chi = 1 + L.(K-L)/2: bundle_cohomology's chi is the one reader of the pairing
+    "chi-sign": (hirzebruch.FeBundle, "intersect", lambda f: lambda s, o: -f(s, o)),
+    "chow-sub-adds": (ChowClass, "__sub__", lambda f: ChowClass.__add__),
+    "evaluate-plus-one": (hyperelliptic.BinaryForm, "evaluate", lambda f: lambda s, x: f(s, x) + 1),
+}
+
+
 class TestSweep:
     def test_clean_grid(self):
         summary = sweep_verify(range(5, 13), range(3, 5))
@@ -582,17 +593,60 @@ class TestSweep:
 
     def test_every_check_is_in_the_readme_table(self, monkeypatch):
         names = set()
-        for checks in ("_global_checks", "_point_checks"):
-            def recorded(*args, _f=getattr(report, checks)):
-                results = _f(*args)
-                names.update(r.name for r in results)
-                return results
+        run = report._run
 
-            monkeypatch.setattr(report, checks, recorded)
+        def recorded(*args):
+            results = run(*args)
+            names.update(r.name for r in results)
+            return results
+
+        monkeypatch.setattr(report, "_run", recorded)
         sweep_verify(range(5, 31), range(3, 7))
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         table = set(re.findall(r"^\| `([^`]+)` \|", readme, re.MULTILINE))
         assert names and names <= table, sorted(names - table)
+        # and no stale row: each row is a check the sweep ran, or the
+        # failure the runner records for a raised error
+        assert table == names | {report.RAISED}, sorted(table ^ (names | {report.RAISED}))
+
+    def test_run_records_rows_and_a_raised_error(self):
+        def family():
+            yield "a", True
+            yield "b", False, "detail"
+            yield "c", None, "no case"
+            yield "d", None  # a skip with no reason
+            raise ConsistencyError("broken")
+
+        results = report._run(5, 3, family())
+        assert [(r.g, r.n) for r in results] == [(5, 3)] * 5
+        assert [(r.name, r.outcome, r.detail) for r in results] == [
+            ("a", "pass", ""),
+            ("b", "fail", "detail"),
+            ("c", "skip", "no case"),
+            ("d", "fail", ""),
+            (report.RAISED, "fail", "ConsistencyError('broken')"),
+        ]
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_the_sweep_fails_on_a_mutant(self, monkeypatch, capsys, mutant):
+        owner, attr, mutate = MUTANTS[mutant]
+        monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
+        summary = sweep_verify(range(5, 31), range(3, 7))
+        assert summary.failed > 0
+        if mutant == "chi-sign":
+            # the oracle's ConsistencyError is a failing check, not a traceback
+            assert summary.first_failure.startswith(f"{report.RAISED}: ConsistencyError(")
+            outcome = {r.name: r.outcome for r in _global_checks([5], [3])}
+            assert outcome[report.RAISED] == "fail"
+            # the families after the one that raised still run
+            assert outcome["global/twist-invariance"] == "pass"
+            assert outcome["global/moduli-boundary"] == "pass"
+            argv = ["verify", "--genus-min", "5", "--genus-max", "30",
+                    "--gonality-min", "3", "--gonality-max", "6"]
+            assert cli.main(argv) == 1
+            out, err = capsys.readouterr()
+            assert f"{report.RAISED}: ConsistencyError(" in out
+            assert "Traceback" not in err
 
 
 class TestBranchContinuity:
