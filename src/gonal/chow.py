@@ -21,7 +21,7 @@ unrestricted concurrent use.
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, require_at_least, require_gonal_range
+from .errors import DomainError, require_scroll_range
 
 # (a, b): exponents of D and f
 Monomial = tuple[int, int]
@@ -39,9 +39,7 @@ class AmbientScroll:
     n: int
 
     def __post_init__(self) -> None:
-        require_at_least("n", self.n, 3)
-        require_at_least("g", self.g, 2)
-        require_gonal_range(self.g, self.n)
+        require_scroll_range(self.g, self.n)
 
     @property
     def dimension(self) -> int:

@@ -1,4 +1,5 @@
-"""Exception types and the range hypotheses shared across the package."""
+"""Exception types and the range hypotheses shared across the package:
+the pencil range, the scroll range, and 2n-2 < g on its own."""
 
 
 class DomainError(ValueError):
@@ -28,3 +29,21 @@ def require_gonal_range(g: int, n: int) -> None:
     """Raise DomainError unless 2n-2 < g; each caller checks its own bound on n."""
     if not in_gonal_range(g, n):
         raise DomainError(f"requires 2n-2 < g (got 2n-2={2 * n - 2}, g={g})")
+
+
+def require_pencil_range(g: int, n: int) -> None:
+    """The pencil hypothesis: a degree-n pencil in genus g, g >= 2 and n >= 2."""
+    require_at_least("g", g, 2)
+    require_at_least("n", n, 2)
+
+
+def in_scroll_range(g: int, n: int) -> bool:
+    """The scroll hypothesis: n >= 3, g >= 2 and 2n-2 < g."""
+    return n >= 3 and g >= 2 and in_gonal_range(g, n)
+
+
+def require_scroll_range(g: int, n: int) -> None:
+    """Raise DomainError naming the first of n >= 3, g >= 2, 2n-2 < g to fail."""
+    require_at_least("n", n, 3)
+    require_at_least("g", g, 2)
+    require_gonal_range(g, n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chow import intersect_number
-from .errors import ConsistencyError, DomainError, require_at_least, require_gonal_range
+from .errors import ConsistencyError, DomainError, require_at_least, require_scroll_range
 from .scroll import canonical_class, curve_class, generic_scroll
 
 
@@ -132,7 +132,7 @@ def trigonal_curve_bundle(g: int) -> FeBundle:
     By adjunction this is 3C_0 + ((g+2+3e)/2) f on F_e with e = g mod 2:
     (3, (g+2)/2) on F_0 for g even and (3, (g+5)/2) on F_1 for g odd.
     """
-    require_gonal_range(g, 3)
+    require_scroll_range(g, 3)
     e = g % 2
     return FeBundle(e, 3, (g + 2 + 3 * e) // 2)
 

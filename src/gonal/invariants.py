@@ -14,18 +14,13 @@ from math import comb
 from typing import Sequence
 
 from .chow import AmbientScroll
-from .errors import require_at_least, require_gonal_range
+from .errors import require_at_least, require_gonal_range, require_pencil_range, require_scroll_range
 from .scroll import ScrollSpec, _generic_splitting
-
-
-def _require_scroll_range(g: int, n: int) -> None:
-    require_at_least("n", n, 3)
-    require_gonal_range(g, n)
 
 
 def chi_restricted_tangent(g: int, n: int) -> int:
     """chi of the ambient tangent bundle restricted to the curve: n^2+1-g."""
-    _require_scroll_range(g, n)
+    require_scroll_range(g, n)
     return n * n + 1 - g
 
 
@@ -35,7 +30,7 @@ def chi_normal_bundle(g: int, n: int) -> int:
     This is also the dimension of the Hilbert scheme of such curves on
     the generic scroll, and equals chi_restricted_tangent + 3g - 3.
     """
-    _require_scroll_range(g, n)
+    require_scroll_range(g, n)
     return 2 * g + n * n - 2
 
 
@@ -48,8 +43,7 @@ def h1_double_pencil(g: int, n: int) -> int:
 
 def moduli_dimension(g: int, n: int) -> int:
     """Dimension of the n-gonal locus in moduli: min(3g-3, 2n+2g-5)."""
-    require_at_least("g", g, 2)
-    require_at_least("n", n, 2)
+    require_pencil_range(g, n)
     return min(3 * g - 3, 2 * n + 2 * g - 5)
 
 
@@ -74,7 +68,7 @@ def ballico_h0(g: int, n: int, k: int) -> int:
     nk - g + 1 at or above it.  The threshold is the exact integer
     ceil(g/(n-1)) of ballico_switches.
     """
-    _require_scroll_range(g, n)
+    require_scroll_range(g, n)
     require_at_least("k", k, 0)
     if k < ballico_switches(g, n)[0]:
         return k + 1
@@ -101,7 +95,7 @@ def maroni_h0(
     (j = 1..n-2), and nk + 1 - g once k >= eta + r_{n-1}.  The default
     splitting is the generic one, where this agrees with ballico_h0.
     """
-    _require_scroll_range(g, n)
+    require_scroll_range(g, n)
     require_at_least("k", k, 0)
     boundaries = _boundaries(g, n, splitting)
     return _maroni_branch(boundaries, bisect_right(boundaries, k), k)
@@ -115,7 +109,7 @@ def maroni_branch_boundaries(
     A given splitting is validated by ScrollSpec; the default is the
     generic one.
     """
-    _require_scroll_range(g, n)
+    require_scroll_range(g, n)
     return _boundaries(g, n, splitting)
 
 

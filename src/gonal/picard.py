@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .errors import DomainError, require_at_least, require_gonal_range
+from .errors import DomainError, require_pencil_range, require_scroll_range
 
 
 class VerdictStatus(str, Enum):
@@ -36,8 +36,7 @@ class DivisibilityVerdict:
 
 def degree_subgroup(g: int, n: int) -> int:
     """Generator of the image of the degree map: gcd(2g-2, n)."""
-    require_at_least("g", g, 2)
-    require_at_least("n", n, 2)
+    require_pencil_range(g, n)
     return gcd(2 * g - 2, n)
 
 
@@ -50,11 +49,10 @@ def modular_degree_constraint(g: int, n: int) -> DivisibilityVerdict:
     n >= 4: a multiple of gcd(n, 2g-2), conjectural.  For n >= 3 the
     hypothesis 4 <= 2n-2 < g is required.
     """
-    require_at_least("g", g, 2)
-    require_at_least("n", n, 2)
+    require_pencil_range(g, n)
     if n == 2:
         return DivisibilityVerdict(2, VerdictStatus.THEOREM, sharp=True)
-    require_gonal_range(g, n)
+    require_scroll_range(g, n)
     divisor = gcd(n, 2 * g - 2)
     status = VerdictStatus.PROVEN_FOR_TRIGONAL if n == 3 else VerdictStatus.CONJECTURE
     return DivisibilityVerdict(divisor, status, sharp=True)
@@ -67,8 +65,7 @@ def solve_degree(g: int, n: int, target: int) -> tuple[int, int] | None:
     witness is canonicalized to minimal |alpha|, ties broken by
     alpha >= 0, so output is deterministic.
     """
-    require_at_least("g", g, 2)
-    require_at_least("n", n, 2)
+    require_pencil_range(g, n)
     w, pencil = 2 * g - 2, n
     d = gcd(w, pencil)
     if target % d != 0:

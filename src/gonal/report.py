@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, ge
 
 from . import hirzebruch, hyperelliptic, invariants, picard
 from .chow import AmbientScroll, ChowClass, DivisorClass, intersect_number
-from .errors import ConsistencyError, DomainError, in_gonal_range, require_at_least
+from .errors import ConsistencyError, DomainError, in_scroll_range, require_at_least
 from .picard import DivisibilityVerdict, VerdictStatus
 from .scroll import (
     aut_group_numerics,
@@ -47,6 +47,9 @@ K_MAX_LIMIT = 10**7
 # The largest gonality a report or a sweep takes, since the generic
 # splitting has n - 1 entries: (2000001, 10^6) reports in a few seconds.
 GONALITY_LIMIT = 10**6
+# The most (g, n) points a sweep takes: at n <= 10 a point in range costs 0.4
+# to 0.8 ms and a skip 3 us (CPython 3.11, one Xeon core), about a minute in all.
+SWEEP_POINT_LIMIT = 10**5
 # global/pencil-count compares its two routes at the grid's gonalities up
 # to this bound; the Pieri table costs O(n^2) additions of O(n)-bit integers.
 _PENCIL_COUNT_MAX_N = 200
@@ -154,7 +157,7 @@ class _Table(Sequence):
             row,
             [
                 _runs(cells if set(map(type, cells)) <= {tp} else list(map(tp, cells)), tp)
-                for (_, tp), cells in zip(_row_cells(row), columns, strict=True)
+                for (_, _, tp), cells in zip(_plan(row), columns, strict=True)
             ],
         )
 
@@ -213,7 +216,7 @@ class GonalReport:
         for name, row in _tables(GonalReport).items():
             rows = getattr(self, name)
             if rows is not None and not isinstance(rows, _Table):
-                columns = list(zip(*rows)) or [()] * len(_row_cells(row))
+                columns = list(zip(*rows)) or [()] * len(_plan(row))
                 object.__setattr__(self, name, _Table.from_cells(row, columns))
 
     def to_dict(self) -> dict:
@@ -416,45 +419,38 @@ _SAFE_INT_MAX = (1 << 53) - 1
 
 @cache
 def _is_record(tp: type) -> bool:
-    """A dataclass or a NamedTuple: a type whose fields _json_fields lists."""
+    """A dataclass or a NamedTuple: a type whose fields _plan lists."""
     return is_dataclass(tp) or issubclass(tp, tuple) and hasattr(tp, "_fields")
 
 
 @cache
-def _json_fields(cls: type) -> tuple[tuple[str, str | None], ...]:
-    """(field name, JSON group or None) for each field of a record type."""
-    if is_dataclass(cls):
-        return tuple((f.name, f.metadata.get("json_group")) for f in fields(cls))
-    return tuple((name, None) for name in cls._fields)
+def _plan(tp: type) -> tuple[tuple[str | int, str | None, type], ...]:
+    """The field plan of tp, the one reader of its type hints: (JSON key,
+    JSON group or None, type) of each field of a record type, in field
+    order, or of each cell of a tuple row type such as tuple[int, int],
+    keyed by position.  A type X | None is read as X."""
+    if not _is_record(tp):
+        return tuple((i, None, t) for i, t in enumerate(get_args(tp)))
+    groups = {f.name: f.metadata.get("json_group") for f in fields(tp)} if is_dataclass(tp) else {}
+    plan = []
+    for name, t in get_type_hints(tp).items():
+        if get_origin(t) in (Union, types.UnionType):
+            (t,) = [a for a in get_args(t) if a is not type(None)]
+        plan.append((name, groups.get(name), t))
+    return tuple(plan)
 
 
 @cache
 def _tables(cls: type) -> dict[str, type]:
     """The row type of each field typed _Table[Row], or that | None."""
-    tables = {}
-    for name, tp in get_type_hints(cls).items():
-        if get_origin(tp) in (Union, types.UnionType):
-            (tp,) = [a for a in get_args(tp) if a is not type(None)]
-        if get_origin(tp) is _Table:
-            (tables[name],) = get_args(tp)
-    return tables
-
-
-@cache
-def _row_cells(tp: type) -> tuple[tuple[str | int, type], ...]:
-    """(JSON key, type) of each cell of a table row of type tp: a record
-    row is an object keyed by its _json_fields, a tuple row an array."""
-    if _is_record(tp):
-        hints = get_type_hints(tp)
-        return tuple((name, hints[name]) for name, _ in _json_fields(tp))
-    return tuple(enumerate(get_args(tp)))
+    return {name: get_args(t)[0] for name, _, t in _plan(cls) if get_origin(t) is _Table}
 
 
 def _grouped(obj) -> dict:
     """The fields of a record by name, in field order, with grouped
     fields nested under their group's key."""
     out: dict = {}
-    for name, group in _json_fields(type(obj)):
+    for name, group, _ in _plan(type(obj)):
         value = getattr(obj, name)
         if group is None:
             out[name] = value
@@ -488,32 +484,25 @@ def _decoder(tp):
     """A function rebuilding a value of type tp from its JSON value.
 
     Integers may arrive as decimal strings; tuples are homogeneous.  A
-    table is read column by column.
+    table is read column by column, and null is None in any record field.
     """
     origin = get_origin(tp)
-    if origin in (Union, types.UnionType):
-        (inner,) = [a for a in get_args(tp) if a is not type(None)]
-        decode_inner = _decoder(inner)
-        return lambda v: None if v is None else decode_inner(v)
     if origin is tuple:
         (item,) = set(get_args(tp)) - {Ellipsis}
         decode_item = _decoder(item)
         return lambda v: tuple(map(decode_item, v))
     if origin is _Table:
         (row,) = get_args(tp)
-        getters = [itemgetter(key) for key, _ in _row_cells(row)]
+        getters = [itemgetter(key) for key, _, _ in _plan(row)]
         return lambda rows: _Table.from_cells(row, [list(map(get, rows)) for get in getters])
     if _is_record(tp):
-        hints = get_type_hints(tp)
-        plan = tuple(
-            (name, group, _decoder(hints[name])) for name, group in _json_fields(tp)
-        )
-        return lambda d: tp(
-            *[
-                decode(d[name] if group is None else d[group][name])
-                for name, group, decode in plan
-            ]
-        )
+        plan = [(name, group, _decoder(t)) for name, group, t in _plan(tp)]
+
+        def decode(d: dict):
+            values = [d[name] if group is None else d[group][name] for name, group, _ in plan]
+            return tp(*[None if v is None else dec(v) for v, (_, _, dec) in zip(values, plan)])
+
+        return decode
     if tp in (int, bool, str) or issubclass(tp, Enum):
         return tp  # each converts its own JSON value; int also parses strings
     raise TypeError(f"no JSON decoder for {tp!r}")
@@ -560,9 +549,9 @@ def _json_cells(tp: type, pieces: list[_Piece]) -> Iterable:
 @cache
 def _row_template(tp: type) -> str:
     """The %-template of a table row of type tp at depth 2."""
-    cells = _row_cells(tp)
+    cells = _plan(tp)
     if _is_record(tp):
-        slots = [json.dumps(key) + ": %s" for key, _ in cells]
+        slots = [json.dumps(key) + ": %s" for key, _, _ in cells]
         opening, closing = "{", "}"
     else:
         slots = ["%s"] * len(cells)
@@ -580,7 +569,7 @@ def _json_chunks(report: GonalReport) -> Iterator[str]:
         if key in tables and value:
             columns = [
                 _json_cells(tp, pieces)
-                for (_, tp), pieces in zip(_row_cells(tables[key]), value.columns)
+                for (_, _, tp), pieces in zip(_plan(tables[key]), value.columns)
             ]
             yield "[\n    "
             yield from _row_blocks(_row_template(tables[key]), ",\n    ", columns, len(value))
@@ -691,8 +680,8 @@ def write_report(report: GonalReport, fmt: str, file) -> None:
 # A family of checks is a generator of rows (name, ok) or (name, ok, detail):
 # ok True passes, False fails, and None skips, with detail as its reason.
 # _run makes the rows into CheckResults.  An exception raised while a family
-# runs ends that family with one failing RAISED result, detail repr(exc), so
-# the sweep names it and goes on to the next family.
+# runs ends it with one failing RAISED result, detail repr(exc) and a global
+# family's name, so the sweep names it and goes on to the next family.
 RAISED = "sweep/raised"
 
 
@@ -722,10 +711,10 @@ class SweepSummary:
         return _encode_ints(self)
 
 
-def _run(g: int, n: int, rows: Iterable[tuple]) -> list[CheckResult]:
-    """The results of one family's rows at (g, n), (0, 0) for a global
-    family: the one place check rows become CheckResults.  A skip gives
-    its reason: ok None without one is a failure."""
+def _run(g: int, n: int, rows: Iterable[tuple], family: str = "") -> list[CheckResult]:
+    """The results of one family's rows at (g, n), or at (0, 0) under its
+    name for a global family: the one place check rows become CheckResults.
+    A skip gives its reason: ok None without one is a failure."""
     out = []
     try:
         for row in rows:
@@ -733,7 +722,8 @@ def _run(g: int, n: int, rows: Iterable[tuple]) -> list[CheckResult]:
             outcome = "pass" if ok else "skip" if ok is None and detail else "fail"
             out.append(CheckResult(g, n, row[0], outcome, detail))
     except Exception as exc:
-        out.append(CheckResult(g, n, RAISED, "fail", repr(exc)))
+        detail = f"{exc!r} (family: {family})" if family else repr(exc)
+        out.append(CheckResult(g, n, RAISED, "fail", detail))
     return out
 
 
@@ -784,7 +774,7 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
     maroni-ballico, the degree lattice, rather-free and Riemann-Roch on
     the curve) are computed here.
     """
-    if n < 3 or not in_gonal_range(g, n):
+    if not in_scroll_range(g, n):
         yield "hypothesis", None, "requires n >= 3 and 2n-2 < g"
         return
     rep = generate_report(g, n, 0)
@@ -1043,8 +1033,9 @@ def _report_rows() -> Iterator[tuple]:
 def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult]:
     """Properties that are not tied to a single grid point, family by
     family, so that an error in one family does not stop the others."""
+    names = ("F_e oracle", "hyperelliptic routes", "case counts", "report round trip")
     families = (_fe_rows(), _hyperelliptic_rows(), _case_rows(g_values, n_values), _report_rows())
-    return [r for rows in families for r in _run(0, 0, rows)]
+    return [r for name, rows in zip(names, families) for r in _run(0, 0, rows, name)]
 
 
 def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary:
@@ -1052,34 +1043,41 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
 
     Grid points whose hypotheses fail are counted as skips with a
     reason; failures, and errors raised while checks run, are collected,
-    never raised.  Identities in k are decided for every k >= 0.
+    never raised.  Identities in k are decided for every k >= 0.  A grid
+    beyond SWEEP_POINT_LIMIT or GONALITY_LIMIT is refused before any check runs.
     """
-    g_values = sorted(set(g_range))
-    n_values = sorted(set(n_range))
+    # an increasing range is sorted and distinct, and gives its ends and
+    # size unbuilt (len overflows past sys.maxsize)
+    g_values, n_values = (
+        r if isinstance(r, range) and r.step > 0 else sorted(set(r)) for r in (g_range, n_range)
+    )
     if not g_values or not n_values:
         raise DomainError("sweep ranges must be non-empty")
     _require_gonality_limit(n_values[-1])
+    points = 1
+    for v in (g_values, n_values):
+        points *= len(v) if isinstance(v, list) else (v[-1] - v[0]) // v.step + 1
+    if points > SWEEP_POINT_LIMIT:
+        raise DomainError(f"requires at most {SWEEP_POINT_LIMIT} grid points (got {points})")
 
-    results = _global_checks(g_values, n_values)
-    for g in g_values:
-        for n in n_values:
-            results += _point_checks(g, n)
-
-    tally = Counter(r.outcome for r in results)
-    failures = [
-        f"{f'g={r.g} n={r.n} ' if (r.g, r.n) != (0, 0) else ''}{r.name}"
-        + (f": {r.detail}" if r.detail else "")
-        for r in results
-        if r.outcome == "fail"
-    ]
+    # results are counted as they arrive, never kept
+    tally, skip_reasons, failures = Counter(), Counter(), []
+    grid = (r for g in g_values for n in n_values for r in _point_checks(g, n))
+    for r in chain(_global_checks(g_values, n_values), grid):
+        tally[r.outcome] += 1
+        if r.outcome == "skip":
+            skip_reasons[r.detail] += 1
+        elif r.outcome == "fail" and len(failures) < 20:
+            where = f"g={r.g} n={r.n} " if (r.g, r.n) != (0, 0) else ""
+            failures.append(where + r.name + (f": {r.detail}" if r.detail else ""))
     return SweepSummary(
         checked=tally["pass"] + tally["fail"],
         passed=tally["pass"],
         failed=tally["fail"],
         skipped=tally["skip"],
         first_failure=failures[0] if failures else None,
-        failures=failures[:20],
-        skip_reasons=Counter(r.detail for r in results if r.outcome == "skip"),
+        failures=failures,
+        skip_reasons=skip_reasons,
     )
 
 

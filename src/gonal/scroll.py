@@ -47,7 +47,8 @@ class ScrollSpec:
             raise DomainError(f"splitting needs n-1 = {n - 1} entries (got {len(r)})")
         if r[0] != 0:
             raise DomainError("splitting must be normalized with first entry 0")
-        if any(x < 0 for x in r) or any(r[i] > r[i + 1] for i in range(len(r) - 1)):
+        # with r[0] == 0, a sorted splitting is non-negative
+        if any(r[i] > r[i + 1] for i in range(len(r) - 1)):
             raise DomainError("splitting must be sorted and non-negative")
         if not validate_scroll(r, g, n):
             raise DomainError(

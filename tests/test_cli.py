@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -128,6 +129,26 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: requires n <= 1000000 (got n=1000001)\n"
+
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            # refused from the request's bounds, before any list is built
+            (("5", "5", "3", str(10**8)), "requires n <= 1000000 (got n=100000000)"),
+            (("5", str(10**8), "3", "3"), "requires at most 100000 grid points (got 99999996)"),
+        ],
+    )
+    def test_huge_request_is_refused_at_once(self, bounds, message):
+        start = time.perf_counter()
+        proc = run_cli(
+            "verify",
+            "--genus-min", bounds[0], "--genus-max", bounds[1],
+            "--gonality-min", bounds[2], "--gonality-max", bounds[3],
+        )
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
     def test_wide_gonality_range_finishes(self):
         # it compared factorials of size 2n at every gonality, and did not

@@ -4,7 +4,7 @@ import pytest
 
 from gonal.chow import AmbientScroll
 from gonal.errors import DomainError
-from gonal.hirzebruch import FeBundle, trigonal_h0_oracle
+from gonal.hirzebruch import FeBundle, trigonal_curve_bundle, trigonal_h0_oracle
 from gonal.hyperelliptic import hg_dimension
 from gonal.invariants import (
     ballico_h0,
@@ -12,6 +12,7 @@ from gonal.invariants import (
     chi_restricted_tangent,
     gonal_pencil_count,
     h1_double_pencil,
+    maroni_branch_boundaries,
     maroni_h0,
     moduli_dimension,
 )
@@ -47,6 +48,11 @@ GUARDED = [
     (generate_report, (9, 3, -1), "requires k_max >= 0 (got k_max=-1)"),
     (generate_report, (9, 3, 10**7 + 1), "requires k_max <= 10000000 (got k_max=10000001)"),
     (generate_report, (10**20, 10**6 + 1, 0), "requires n <= 1000000 (got n=1000001)"),
+    # the scroll hypothesis fails at the boundary genus g = 2n-2
+    (trigonal_curve_bundle, (4,), "requires 2n-2 < g (got 2n-2=4, g=4)"),
+    (trigonal_curve_bundle, (1,), "requires g >= 2 (got g=1)"),
+    (modular_degree_constraint, (8, 5), "requires 2n-2 < g (got 2n-2=8, g=8)"),
+    (maroni_branch_boundaries, (6, 4), "requires 2n-2 < g (got 2n-2=6, g=6)"),
 ]
 
 

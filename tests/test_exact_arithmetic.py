@@ -5,7 +5,9 @@ the name ``float``, any ``math`` import beyond the integer functions
 comb, gcd, factorial and isqrt, and any true division ``/`` that has no
 ``Fraction(...)`` operand.  A second guard keeps the discriminant
 elimination in ``hyperelliptic`` on integers: the two routes and every
-module helper they call never name ``Fraction``.
+module helper they call never name ``Fraction``.  A third pins the calls
+of the single-bound range helpers outside ``errors``, so that each
+standing hypothesis keeps its one home there.
 """
 
 import ast
@@ -98,6 +100,70 @@ def test_guard_catches(snippet):
 )
 def test_guard_allows(snippet):
     assert _float_hazards(ast.parse(snippet)) == []
+
+
+# Outside errors.py, the range helpers are called only for the bounds
+# that belong to one function: k, k_max and e, hg_dimension's genus,
+# gonal_pencil_count's n, and h1_double_pencil's pair.  The pencil and
+# scroll hypotheses are checked through require_pencil_range and
+# require_scroll_range, so a hand-assembled one changes this list.
+RANGE_HELPERS = {"require_at_least", "require_gonal_range", "in_gonal_range"}
+RANGE_CALLS = [
+    ("hirzebruch.FeBundle.__post_init__", "require_at_least('e', self.e, 0)"),
+    ("hirzebruch.trigonal_h0_oracle", "require_at_least('k', k, 0)"),
+    ("hyperelliptic.hg_dimension", "require_at_least('g', g, 2)"),
+    ("invariants.h1_double_pencil", "require_at_least('n', n, 2)"),
+    ("invariants.h1_double_pencil", "require_gonal_range(g, n)"),
+    ("invariants.gonal_pencil_count", "require_at_least('n', n, 2)"),
+    ("invariants.ballico_h0", "require_at_least('k', k, 0)"),
+    ("invariants.maroni_h0", "require_at_least('k', k, 0)"),
+    ("report.generate_report", "require_at_least('k_max', k_max, 0)"),
+]
+
+
+def _range_calls(node: ast.AST, scope: str) -> list[tuple[str, str]]:
+    """(enclosing function, call source) of each call of a RANGE_HELPERS
+    name under node, the function named by its dotted path from scope."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id in RANGE_HELPERS
+        ):
+            found.append((scope, ast.unparse(child)))
+        found += _range_calls(child, inner)
+    return found
+
+
+def test_range_helpers_are_called_only_for_single_bounds():
+    calls = [
+        call
+        for path in MODULES
+        if path.name != "errors.py"
+        for call in _range_calls(ast.parse(path.read_text()), path.stem)
+    ]
+    assert calls == RANGE_CALLS
+
+
+def test_range_call_guard_finds_hand_assembled_checks():
+    tree = ast.parse(
+        "class Scroll:\n"
+        "    def __post_init__(self):\n"
+        "        require_at_least('n', self.n, 3)\n"
+        "        require_gonal_range(self.g, self.n)\n"
+        "def point(g, n):\n"
+        "    if n < 3 or not in_gonal_range(g, n):\n"
+        "        return require_scroll_range(g, n)\n"
+    )
+    assert _range_calls(tree, "m") == [
+        ("m.Scroll.__post_init__", "require_at_least('n', self.n, 3)"),
+        ("m.Scroll.__post_init__", "require_gonal_range(self.g, self.n)"),
+        ("m.point", "in_gonal_range(g, n)"),
+    ]
 
 
 INTEGER_ROUTES = ("_gcd_degree", "_resultant_nonzero")

@@ -86,6 +86,17 @@ class TestGenerateReport:
         with pytest.raises(DomainError, match=r"^requires n <= 10 \(got n=11\)$"):
             sweep_verify([21], range(3, 12))
 
+    def test_sweep_points_capped(self, monkeypatch):
+        monkeypatch.setattr(report, "SWEEP_POINT_LIMIT", 6)
+        # a list counts its distinct values, a range its length
+        assert sweep_verify([5, 6, 6, 7], range(3, 5)).ok
+        with pytest.raises(DomainError, match=r"^requires at most 6 grid points \(got 8\)$"):
+            sweep_verify(range(5, 9), [3, 4, 4])
+        # refused before a check runs, however wide the range
+        monkeypatch.setattr(report, "_global_checks", None)
+        with pytest.raises(DomainError, match=r"\(got 10000000000000000000000\)$"):
+            sweep_verify(range(10**22), range(3, 4))
+
     def test_deterministic(self):
         a = generate_report(7, 3, 5)
         b = generate_report(7, 3, 5)
@@ -636,8 +647,16 @@ class TestSweep:
         if mutant == "chi-sign":
             # the oracle's ConsistencyError is a failing check, not a traceback
             assert summary.first_failure.startswith(f"{report.RAISED}: ConsistencyError(")
-            outcome = {r.name: r.outcome for r in _global_checks([5], [3])}
+            results = _global_checks([5], [3])
+            outcome = {r.name: r.outcome for r in results}
             assert outcome[report.RAISED] == "fail"
+            # the two families that raise are told apart by name
+            raised = [r.detail for r in results if r.name == report.RAISED]
+            assert [d[d.rindex(" (family: "):] for d in raised] == [
+                " (family: F_e oracle)",
+                " (family: report round trip)",
+            ]
+            assert all(d.startswith("ConsistencyError(") for d in raised)
             # the families after the one that raised still run
             assert outcome["global/twist-invariance"] == "pass"
             assert outcome["global/moduli-boundary"] == "pass"

@@ -63,6 +63,10 @@ class TestValidateScroll:
         assert validate_scroll((0, 2, 1), 12, 4) is True
         with pytest.raises(DomainError, match="sorted"):
             ScrollSpec(AmbientScroll(12, 4), (0, 2, 1))
+        # after a first entry 0, a negative entry is out of order
+        for rs in ((0, -1), (0, 1, -2)):
+            with pytest.raises(DomainError, match="sorted and non-negative"):
+                ScrollSpec(AmbientScroll(12, len(rs) + 1), rs)
 
 
 class TestShift:
