@@ -244,7 +244,8 @@ def intersect_number(divisors: Sequence[DivisorClass], tail: ChowClass) -> int:
     """
     ambient = tail.ambient
     for dv in divisors:
-        if dv.ambient != ambient:
+        # identity first, as ChowClass._coerce compares
+        if dv.ambient is not ambient and dv.ambient != ambient:
             raise DomainError("classes live on different scrolls")
     codims = tail.codimensions()
     if len(codims) > 1:

@@ -20,6 +20,15 @@ from .errors import DomainError, UnsupportedError
 # Each command imports the layers it runs, so `twist` never loads the
 # Chow ring, the scrolls or the report.
 
+# The most digits a rational literal of `twist` spells, a decimal exponent
+# counted as the digits it adds, so that each parses at once and prints:
+# Fraction("1e100000000") alone would build 10^(10^8).
+TWIST_LITERAL_DIGITS = 4000
+# The most digits `twist` prints in the numerator or the denominator of the
+# twisted value a' = f(x0): the interpreter's default limit on int-to-text
+# conversion.
+TWIST_VALUE_DIGITS = 4300
+
 
 def _cmd_report(args) -> int:
     from .report import generate_report, write_report
@@ -43,20 +52,45 @@ def _cmd_verify(args) -> int:
     return 0 if summary.ok else 1
 
 
+def _literal_digits(text: str) -> int:
+    """The digits a rational literal spells: its length, or, with a decimal
+    exponent, the length before the exponent plus the exponent's size."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if exponent and len(text) <= TWIST_LITERAL_DIGITS:
+        try:
+            return len(mantissa) + abs(int(exponent))
+        except ValueError:
+            pass  # not a literal: Fraction refuses it
+    return len(text)
+
+
 def _cmd_twist(args) -> int:
     from fractions import Fraction
 
     from .hyperelliptic import BinaryForm, HyperellipticModel, twist_with_point
 
+    literals = [*args.coeffs.split(","), args.a, args.x0]
+    for digits in map(_literal_digits, literals):
+        if digits > TWIST_LITERAL_DIGITS:
+            raise DomainError(
+                f"requires rational literals of at most {TWIST_LITERAL_DIGITS} digits, "
+                f"an exponent counted as the digits it adds (got {digits})"
+            )
     try:
-        coeffs = [Fraction(c) for c in args.coeffs.split(",")]
-        a = Fraction(args.a)
-        x0 = Fraction(args.x0)
+        *coeffs, a, x0 = map(Fraction, literals)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"could not parse rational input: {exc}") from exc
     form = BinaryForm(len(coeffs) - 1, tuple(coeffs))
     model = HyperellipticModel(a, form)
     twisted, point = twist_with_point(model, x0)
+    # a part of at most 3 * TWIST_VALUE_DIGITS bits is below 10^TWIST_VALUE_DIGITS,
+    # so the power is built only for a part that may be too long
+    parts = (abs(twisted.a.numerator), twisted.a.denominator)
+    if any(v.bit_length() > 3 * TWIST_VALUE_DIGITS and v >= 10**TWIST_VALUE_DIGITS for v in parts):
+        raise DomainError(
+            f"requires a twisted value a' = f(x0) of at most {TWIST_VALUE_DIGITS} digits "
+            f"in numerator and denominator"
+        )
     payload = {
         "genus": form.genus,
         "original_a": str(model.a),

@@ -39,11 +39,18 @@ def require_pencil_range(g: int, n: int) -> None:
 
 def in_scroll_range(g: int, n: int) -> bool:
     """The scroll hypothesis: n >= 3, g >= 2 and 2n-2 < g."""
-    return n >= 3 and g >= 2 and in_gonal_range(g, n)
+    # 2n-2 < g written out: the passing path of require_scroll_range is this one call
+    return n >= 3 and g >= 2 and 2 * n - 2 < g
 
 
 def require_scroll_range(g: int, n: int) -> None:
-    """Raise DomainError naming the first of n >= 3, g >= 2, 2n-2 < g to fail."""
+    """Raise DomainError naming the first of n >= 3, g >= 2, 2n-2 < g to fail.
+
+    A point in range is answered by one in_scroll_range test; the bounds
+    are checked one by one, for the message, only when it fails.
+    """
+    if in_scroll_range(g, n):
+        return
     require_at_least("n", n, 3)
     require_at_least("g", g, 2)
     require_gonal_range(g, n)

@@ -17,6 +17,7 @@ in the scroll and is no longer a divisor.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .chow import intersect_number
@@ -90,6 +91,14 @@ class Cohomology(NamedTuple):
 
 def canonical_bundle(e: int) -> FeBundle:
     """The canonical class of F_e: -2C_0 - (e+2)f."""
+    return _canonical(e)
+
+
+# Bundles are immutable, so one instance per surface serves every caller;
+# the package uses F_0 .. F_3.
+@lru_cache(maxsize=4, typed=True)
+def _canonical(e: int) -> FeBundle:
+    # canonical_bundle, derived once per e
     return FeBundle(e, -2, -(e + 2))
 
 
@@ -115,7 +124,7 @@ def bundle_cohomology(bundle: FeBundle) -> Cohomology:
     ConsistencyError.
     """
     h0 = _h0(bundle)
-    dual = canonical_bundle(bundle.e) - bundle
+    dual = _canonical(bundle.e) - bundle
     h2 = _h0(dual)
     chi = 1 - bundle.intersect(dual) // 2
     h1 = h0 + h2 - chi
@@ -132,6 +141,13 @@ def trigonal_curve_bundle(g: int) -> FeBundle:
     By adjunction this is 3C_0 + ((g+2+3e)/2) f on F_e with e = g mod 2:
     (3, (g+2)/2) on F_0 for g even and (3, (g+5)/2) on F_1 for g odd.
     """
+    return _trigonal_curve(g)
+
+
+# The sweep visits one genus at a time.
+@lru_cache(maxsize=1)
+def _trigonal_curve(g: int) -> FeBundle:
+    # trigonal_curve_bundle, derived once per genus
     require_scroll_range(g, 3)
     e = g % 2
     return FeBundle(e, 3, (g + 2 + 3 * e) // 2)
@@ -145,9 +161,9 @@ def trigonal_h0_oracle(g: int, k: int) -> int:
     the answer is h^0(kf) - h^0(kf - C) + h^1(kf - C), which is valid
     because h^1(O_S(kf)) = 0.  Both vanishing facts are asserted.
     """
-    curve = trigonal_curve_bundle(g)
+    curve = _trigonal_curve(g)
     require_at_least("k", k, 0)
-    kf = FeBundle(curve.e, 0, k)
+    kf = FeBundle._on(curve.e, 0, k)
     on_s = bundle_cohomology(kf)
     twisted = bundle_cohomology(kf - curve)
     if twisted.h0 != 0:
@@ -165,8 +181,8 @@ def trigonal_h0_oracle(g: int, k: int) -> int:
 def trigonal_h0_switches(g: int) -> list[int]:
     """The k at which trigonal_h0_oracle(g, k) changes slope: the oracle is
     h^0(kf) + h^0(K + C - kf) - chi(kf - C), and chi is affine in k."""
-    curve = trigonal_curve_bundle(g)
-    dual = canonical_bundle(curve.e) + curve  # K + C - kf at k = 0
+    curve = _trigonal_curve(g)
+    dual = _canonical(curve.e) + curve  # K + C - kf at k = 0
     return _h0_switches(curve.e, 0) + [dual.b - t for t in _h0_switches(dual.e, dual.a)]
 
 

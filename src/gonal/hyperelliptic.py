@@ -23,7 +23,7 @@ large-genus forms.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import DomainError, UnsupportedError, require_at_least
@@ -38,6 +38,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
+# The sweep builds 200 forms over one prime field: each p is decided once.
+@lru_cache(maxsize=4)
 def _is_prime(p: int) -> bool:
     """Deterministic primality for p below _MR_BOUND; larger p is refused."""
     if p >= _MR_BOUND:

@@ -10,6 +10,8 @@ comparisons, never floats.
 """
 
 from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
@@ -75,14 +77,15 @@ def ballico_h0(g: int, n: int, k: int) -> int:
     return n * k - g + 1
 
 
-def _maroni_branch(boundaries: Sequence[int], j: int, k: int) -> int:
+def _maroni_branch(prefix_sums: Sequence[int], j: int, k: int) -> int:
     """Value of branch j of the piecewise section-count formula at k.
 
     Branch j is (j+1)k + 1 - j*eta - (r_1 + ... + r_j), where the last two
-    terms are the sum of the first j boundaries eta + r_i.  It is k+1 for
-    j = 0 and nk + 1 - g for j = n-1, because (n-1)*eta + N = g.
+    terms are prefix_sums[j], the sum of the first j boundaries eta + r_i.
+    It is k+1 for j = 0 and nk + 1 - g for j = n-1, because
+    (n-1)*eta + N = g.
     """
-    return (j + 1) * k + 1 - sum(boundaries[:j])
+    return (j + 1) * k + 1 - prefix_sums[j]
 
 
 def maroni_h0(
@@ -97,8 +100,8 @@ def maroni_h0(
     """
     require_scroll_range(g, n)
     require_at_least("k", k, 0)
-    boundaries = _boundaries(g, n, splitting)
-    return _maroni_branch(boundaries, bisect_right(boundaries, k), k)
+    boundaries, prefix_sums = _maroni_data(g, n, None if splitting is None else tuple(splitting))
+    return _maroni_branch(prefix_sums, bisect_right(boundaries, k), k)
 
 
 def maroni_branch_boundaries(
@@ -110,14 +113,21 @@ def maroni_branch_boundaries(
     generic one.
     """
     require_scroll_range(g, n)
-    return _boundaries(g, n, splitting)
+    return list(_maroni_data(g, n, None if splitting is None else tuple(splitting))[0])
 
 
-def _boundaries(g: int, n: int, splitting: Sequence[int] | None) -> list[int]:
-    # maroni_branch_boundaries once (g, n) is in range
+# The sweep visits one (g, n) at a time, and an entry holds O(n) integers,
+# so one entry is enough and keeps the memory of a single point.
+@lru_cache(maxsize=1)
+def _maroni_data(
+    g: int, n: int, splitting: tuple[int, ...] | None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The boundaries of maroni_branch_boundaries once (g, n) is in range,
+    and their prefix sums: derived once per (g, n, splitting)."""
     if splitting is None:
         rs = _generic_splitting(g, n)
     else:
-        rs = ScrollSpec(AmbientScroll(g, n), tuple(splitting)).splitting
+        rs = ScrollSpec(AmbientScroll(g, n), splitting).splitting
     eta = (g - sum(rs)) // (n - 1)
-    return [eta + r for r in rs]
+    boundaries = tuple(eta + r for r in rs)
+    return boundaries, (0, *accumulate(boundaries))

@@ -29,7 +29,7 @@ from math import gcd
 from operator import eq, index, itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
-from . import hirzebruch, hyperelliptic, invariants, picard
+from . import chow, hirzebruch, hyperelliptic, invariants, picard
 from .chow import AmbientScroll, ChowClass, DivisorClass, intersect_number
 from .errors import ConsistencyError, DomainError, in_scroll_range, require_at_least
 from .picard import DivisibilityVerdict, VerdictStatus
@@ -47,9 +47,17 @@ K_MAX_LIMIT = 10**7
 # The largest gonality a report or a sweep takes, since the generic
 # splitting has n - 1 entries: (2000001, 10^6) reports in a few seconds.
 GONALITY_LIMIT = 10**6
+# The least genus a report or a sweep refuses.  Every value they print is
+# below 10^14 * g (the curve class's (n-2)(n-g+1), a section count nk-g+1),
+# so it keeps within the 4,300 digits the interpreter writes by default.
+GENUS_LIMIT = 10**4000
 # The most (g, n) points a sweep takes: at n <= 10 a point in range costs 0.4
 # to 0.8 ms and a skip 3 us (CPython 3.11, one Xeon core), about a minute in all.
 SWEEP_POINT_LIMIT = 10**5
+# The largest sum of n over the points in range a sweep takes: a point costs
+# about 0.4 ms + 7 us * n, so 10^5 points at n near 20 with this sum take 47 s,
+# and 2 x 10^3 points at n up to 2 x 10^3 take 12 s (CPython 3.11, one Xeon core).
+SWEEP_GONALITY_LIMIT = 2 * 10**6
 # global/pencil-count compares its two routes at the grid's gonalities up
 # to this bound; the Pieri table costs O(n^2) additions of O(n)-bit integers.
 _PENCIL_COUNT_MAX_N = 200
@@ -58,6 +66,13 @@ _PENCIL_COUNT_MAX_N = 200
 def _require_gonality_limit(n: int) -> None:
     if n > GONALITY_LIMIT:
         raise DomainError(f"requires n <= {GONALITY_LIMIT} (got n={n})")
+
+
+def _require_genus_limit(g: int) -> None:
+    # g itself may have too many digits to print
+    if g >= GENUS_LIMIT:
+        digits = len(str(GENUS_LIMIT)) - 1
+        raise DomainError(f"requires g < 10^{digits} (got a genus of more than {digits} digits)")
 
 
 @dataclass(frozen=True)
@@ -301,11 +316,12 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     """The full invariant dossier for one (g, n).
 
     Section and oracle tables cover k = 1 .. k_max (k = 0 is the
-    structure sheaf and always contributes 1), k_max at most K_MAX_LIMIT
-    and n at most GONALITY_LIMIT.
+    structure sheaf and always contributes 1), g below GENUS_LIMIT, k_max
+    at most K_MAX_LIMIT and n at most GONALITY_LIMIT.
     Each table holds O(n) affine pieces, whatever k_max is.
     Deterministic: identical inputs give identical reports.
     """
+    _require_genus_limit(g)
     require_at_least("k_max", k_max, 0)
     if k_max > K_MAX_LIMIT:
         raise DomainError(f"requires k_max <= {K_MAX_LIMIT} (got k_max={k_max})")
@@ -368,13 +384,15 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     # h^0(O_C(kR)) = k + 1 + sum of max(0, k - 1 - e_i) on the scroll
     # S(e_1, ..., e_{n-1}), e_i = shift + r_i, bends only at 1 + e_i; with
     # the maroni_h0 boundaries the decisive points decide every k >= 0
+    # the sum runs over the distinct r_i with their multiplicities, as
+    # aut_group_numerics sums, so each k costs O(1) on the generic scroll
     shift = spec.shift
-    scroll_type = [shift + r for r in spec.splitting]
+    mult = Counter(spec.splitting).items()
     branch_continuity = all(
         invariants.maroni_h0(g, n, k)
-        == k + 1 + sum(max(0, k - 1 - e) for e in scroll_type)
+        == k + 1 + sum(m * max(0, k - 1 - shift - r) for r, m in mult)
         for k in _decisive_ks(
-            invariants.maroni_branch_boundaries(g, n), [1 + e for e in scroll_type]
+            invariants.maroni_branch_boundaries(g, n), [1 + shift + r for r, _ in mult]
         )
     )
     flags = ConsistencyFlags(
@@ -720,7 +738,7 @@ def _run(g: int, n: int, rows: Iterable[tuple], family: str = "") -> list[CheckR
         for row in rows:
             ok, detail = row[1], row[2] if len(row) == 3 else ""
             outcome = "pass" if ok else "skip" if ok is None and detail else "fail"
-            out.append(CheckResult(g, n, row[0], outcome, detail))
+            out.append(tuple.__new__(CheckResult, (g, n, row[0], outcome, detail)))
     except Exception as exc:
         detail = f"{exc!r} (family: {family})" if family else repr(exc)
         out.append(CheckResult(g, n, RAISED, "fail", detail))
@@ -761,7 +779,7 @@ def _rand_class(rng: random.Random, ambient: AmbientScroll) -> ChowClass:
 
 def _curve_h1(curve: hirzebruch.FeBundle, k: int) -> int:
     """h^1(O_C(kf)) = h^2(kf - C) - h^2(kf), by the restriction sequence."""
-    kf = hirzebruch.FeBundle(curve.e, 0, k)
+    kf = hirzebruch.FeBundle._on(curve.e, 0, k)
     return hirzebruch.bundle_cohomology(kf - curve).h2 - hirzebruch.bundle_cohomology(kf).h2
 
 
@@ -805,7 +823,7 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
     confluent = True
     for a in range(0, n + 2):
         for b in range(0, 3):
-            closed = amb.monomial(a, b).coefficients
+            closed = chow._normal_form(amb, (((a, b), 1),))
             confluent &= _stepwise_reduce(amb, a, b, 1, "f_first") == closed
             confluent &= _stepwise_reduce(amb, a, b, 1, "d_first") == closed
     yield "chow/confluent-reduction", confluent
@@ -929,7 +947,7 @@ def _fe_rows() -> Iterator[tuple]:
         k = hirzebruch.canonical_bundle(e)
         for a in range(-6, 13):
             for b in range(-40, 41):
-                bundle = hirzebruch.FeBundle(e, a, b)
+                bundle = hirzebruch.FeBundle._on(e, a, b)  # e checked by canonical_bundle
                 h = hirzebruch.bundle_cohomology(bundle)
                 dual = hirzebruch.bundle_cohomology(k - bundle)
                 serre_ok &= (h.h0, h.h1, h.h2) == (dual.h2, dual.h1, dual.h0)
@@ -1044,7 +1062,8 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
     Grid points whose hypotheses fail are counted as skips with a
     reason; failures, and errors raised while checks run, are collected,
     never raised.  Identities in k are decided for every k >= 0.  A grid
-    beyond SWEEP_POINT_LIMIT or GONALITY_LIMIT is refused before any check runs.
+    beyond GONALITY_LIMIT, GENUS_LIMIT, SWEEP_POINT_LIMIT or
+    SWEEP_GONALITY_LIMIT is refused before any check runs.
     """
     # an increasing range is sorted and distinct, and gives its ends and
     # size unbuilt (len overflows past sys.maxsize)
@@ -1054,11 +1073,24 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
     if not g_values or not n_values:
         raise DomainError("sweep ranges must be non-empty")
     _require_gonality_limit(n_values[-1])
+    _require_genus_limit(g_values[-1])
     points = 1
     for v in (g_values, n_values):
         points *= len(v) if isinstance(v, list) else (v[-1] - v[0]) // v.step + 1
     if points > SWEEP_POINT_LIMIT:
-        raise DomainError(f"requires at most {SWEEP_POINT_LIMIT} grid points (got {points})")
+        # ranges with ends of thousands of digits make a count too long to print
+        got = points if points < GENUS_LIMIT else f"10^{len(str(GENUS_LIMIT)) - 1} or more"
+        raise DomainError(f"requires at most {SWEEP_POINT_LIMIT} grid points (got {got})")
+    # each range now has at most SWEEP_POINT_LIMIT values; the points in
+    # range at n are the g > 2n-2, and n >= 3 makes g >= 2
+    gonality = sum(
+        n * (len(g_values) - bisect_right(g_values, 2 * n - 2)) for n in n_values if n >= 3
+    )
+    if gonality > SWEEP_GONALITY_LIMIT:
+        raise DomainError(
+            f"requires a sum of n over the points in range of at most "
+            f"{SWEEP_GONALITY_LIMIT} (got {gonality})"
+        )
 
     # results are counted as they arrive, never kept
     tally, skip_reasons, failures = Counter(), Counter(), []

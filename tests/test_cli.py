@@ -17,6 +17,20 @@ def run_cli(*args, timeout=None):
     )
 
 
+def assert_refused(args, message):
+    """The command exits 2 in under 1 s with one stderr line and no stdout."""
+    start = time.perf_counter()
+    proc = run_cli(*args, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message}\n"
+
+
+# a genus of 4,300 digits: each value a report prints would have more
+HUGE_GENUS = str(9 * 10**4299)
+GENUS_MESSAGE = "requires g < 10^4000 (got a genus of more than 4000 digits)"
+
+
 class TestReportCommand:
     def test_text_output(self):
         proc = run_cli("report", "--genus", "5", "--gonality", "3", "--kmax", "6")
@@ -66,6 +80,15 @@ class TestReportCommand:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: requires n <= 1000000 (got n=49999999999999999999)\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_huge_genus_exits_2(self, fmt):
+        # it ended in a traceback: a value exceeded the 4,300 digits the
+        # interpreter converts to text
+        args = ["report", "--genus", HUGE_GENUS, "--gonality", "3", "--kmax", "0"]
+        assert_refused([*args, "--format", fmt], GENUS_MESSAGE)
+        # the default k_max of 2g is not printed either
+        assert_refused(args[:5], GENUS_MESSAGE)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_closed_pipe_exits_141(self, fmt):
@@ -136,6 +159,18 @@ class TestVerifyCommand:
             # refused from the request's bounds, before any list is built
             (("5", "5", "3", str(10**8)), "requires n <= 1000000 (got n=100000000)"),
             (("5", str(10**8), "3", "3"), "requires at most 100000 grid points (got 99999996)"),
+            # one point in range costs time linear in n: the sum of n is capped
+            (
+                ("200001", "200001", "3", "100000"),
+                "requires a sum of n over the points in range of at most 2000000 (got 5000049997)",
+            ),
+            # it reported a false sweep/raised: ValueError(...)
+            ((HUGE_GENUS, HUGE_GENUS, "3", "3"), GENUS_MESSAGE),
+            # a count of 8,600 digits is not printed: it was a traceback
+            (
+                ("-" + HUGE_GENUS, "5", "-" + HUGE_GENUS, "3"),
+                "requires at most 100000 grid points (got 10^4000 or more)",
+            ),
         ],
     )
     def test_huge_request_is_refused_at_once(self, bounds, message):
@@ -247,6 +282,41 @@ class TestTwistCommand:
         assert "a' = 5" in capsys.readouterr().out
         # the input model decides it; the twisted model reads the verdict
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "coeffs,a,x0,message",
+        [
+            # f(x0) has 6,001 digits, too many to print
+            ("1,0,0,0,0,0,1", "1", "1e1000",
+             "requires a twisted value a' = f(x0) of at most 4300 digits in numerator and denominator"),
+            # each literal is sized before Fraction parses it: 1e100000000
+            # did not finish in 20 s
+            ("1e100000,0,0,0,0,0,1", "1", "1",
+             "requires rational literals of at most 4000 digits, "
+             "an exponent counted as the digits it adds (got 100001)"),
+            ("1,0,0,0,0,0,1", "1e100000000", "1",
+             "requires rational literals of at most 4000 digits, "
+             "an exponent counted as the digits it adds (got 100000001)"),
+            ("1,0,0,0,0,0,1", "1", "-1/" + "7" * 4001,
+             "requires rational literals of at most 4000 digits, "
+             "an exponent counted as the digits it adds (got 4004)"),
+        ],
+    )
+    def test_huge_values_exit_2(self, coeffs, a, x0, message):
+        assert_refused(["twist", f"--coeffs={coeffs}", f"--a={a}", f"--x0={x0}"], message)
+
+    def test_largest_literals_print(self):
+        # at the literal bound, and f(x0) within the printed digits
+        proc = run_cli("twist", "--coeffs=1,0,0,0,0,0,1", "--a=1e-3999", "--x0=1e700")
+        assert proc.returncode == 0, proc.stderr
+        assert f"a = 1/1{'0' * 3999} -> a' = 1{'0' * 4199}1\n" in proc.stdout
+        # a' = 1000 x0^6 + 1 at x0 = 10^716 has 4,300 digits, at 10 times that 4,301
+        proc = run_cli("twist", "--coeffs=1,0,0,0,0,0,1000", "--a=1", "--x0=1e716")
+        assert proc.returncode == 0, proc.stderr
+        assert f"a' = 1{'0' * 4298}1\n" in proc.stdout
+        proc = run_cli("twist", "--coeffs=1,0,0,0,0,0,10000", "--a=1", "--x0=1e716")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "at most 4300 digits" in proc.stderr
 
     def test_negative_values_bind_to_their_options(self):
         proc = run_cli(

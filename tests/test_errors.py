@@ -65,3 +65,17 @@ def test_guard_message(entry, args, message):
     with pytest.raises(DomainError) as info:
         entry(*args)
     assert str(info.value) == message
+
+
+def test_scroll_range_passes_without_another_guard(monkeypatch):
+    # a point in range is answered by one in_scroll_range test; the bound
+    # by bound checks run only to name the bound that fails
+    from gonal import errors
+
+    def forbidden(*args):
+        raise AssertionError("a single-bound guard ran on the passing path")
+
+    for name in ("require_at_least", "require_gonal_range", "in_gonal_range"):
+        monkeypatch.setattr(errors, name, forbidden)
+    for g, n in ((5, 3), (9, 4), (2 * 10**6 + 1, 10**6), (10**40, 3)):
+        assert errors.require_scroll_range(g, n) is None

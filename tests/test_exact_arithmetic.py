@@ -7,10 +7,13 @@ comb, gcd, factorial and isqrt, and any true division ``/`` that has no
 elimination in ``hyperelliptic`` on integers: the two routes and every
 module helper they call never name ``Fraction``.  A third pins the calls
 of the single-bound range helpers outside ``errors``, so that each
-standing hypothesis keeps its one home there.
+standing hypothesis keeps its one home there.  A fourth bounds every
+``functools`` memo, and keeps every public callable a plain function.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -208,3 +211,90 @@ def test_route_guard_follows_calls():
     helpers = _called_helpers(tree, ["_route"])
     assert set(helpers) == {"_route", "_helper"}
     assert [name for name, fn in helpers.items() if _names_fraction(fn)] == ["_helper"]
+
+
+# Memos: every functools memo in the package names a finite maxsize, so no
+# cache grows with the integers a user passes.  The report codec's caches
+# are keyed by record type, one entry per type, and are exempt by name.
+TYPE_KEYED_CACHES = {
+    ("report", "_is_record"),
+    ("report", "_plan"),
+    ("report", "_tables"),
+    ("report", "_decoder"),
+    ("report", "_row_template"),
+}
+
+
+def _memo_kind(node: ast.expr) -> str | None:
+    """"cache" or "lru_cache" when node names that functools memo."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in ("cache", "lru_cache") else None
+
+
+def _maxsize(memo: ast.expr):
+    """The maxsize a memo decorator sets: an int, or None when unbounded or
+    not written out (a bare lru_cache takes its default)."""
+    if not isinstance(memo, ast.Call) or _memo_kind(memo.func) != "lru_cache":
+        return None
+    given = memo.args[:1] + [kw.value for kw in memo.keywords if kw.arg == "maxsize"]
+    if len(given) == 1 and isinstance(given[0], ast.Constant) and type(given[0].value) is int:
+        return given[0].value
+    return None
+
+
+def _memos(tree: ast.AST) -> list[tuple[str, object]]:
+    """(name, maxsize) of each memo: a decorated function, or the target of
+    an assignment such as f = lru_cache(maxsize=2)(g)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            memos = [d for d in node.decorator_list if _memo_kind(getattr(d, "func", d))]
+            found += [(node.name, _maxsize(d)) for d in memos]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            memo = node.value.func  # cache(g), or lru_cache(...)(g)
+            if _memo_kind(getattr(memo, "func", memo)):
+                found += [(ast.unparse(t), _maxsize(memo)) for t in node.targets]
+    return found
+
+
+def test_every_memo_is_bounded():
+    memos = {(p.stem, name): size for p in MODULES for name, size in _memos(ast.parse(p.read_text()))}
+    assert TYPE_KEYED_CACHES <= set(memos)  # no stale exemption
+    unbounded = sorted(key for key, size in memos.items() if size is None)
+    assert unbounded == sorted(TYPE_KEYED_CACHES)
+    assert all(0 < size <= 4 for key, size in memos.items() if key not in TYPE_KEYED_CACHES)
+
+
+def test_memo_guard_reads_each_form():
+    tree = ast.parse(
+        "@cache\ndef a(x): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef b(x): pass\n"
+        "@lru_cache\ndef c(x): pass\n"
+        "@lru_cache(typed=True)\ndef d(x): pass\n"
+        "@lru_cache(3)\ndef e(x): pass\n"
+        "@lru_cache(maxsize=2, typed=True)\ndef f(x): pass\n"
+        "@cached_property\ndef g(self): pass\n"
+        "h = lru_cache(maxsize=1)(f)\n"
+        "i = cache(f)\n"
+    )
+    assert _memos(tree) == [
+        ("a", None), ("b", None), ("c", None), ("d", None), ("e", 3), ("f", 2),
+        ("h", 1), ("i", None),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_callables_are_plain_functions(path):
+    # the tracer in bench/spans.py traces inspect.isfunction callables, and
+    # tests patch public functions by module attribute: a memo would hide them
+    mod = importlib.import_module(f"gonal.{path.stem}" if path.stem != "__init__" else "gonal")
+    wrapped = [
+        name
+        for name, obj in vars(mod).items()
+        if not name.startswith("_")
+        and callable(obj)
+        and not inspect.isclass(obj)
+        and getattr(obj, "__module__", None) == mod.__name__
+        and not inspect.isfunction(obj)
+    ]
+    assert wrapped == []

@@ -207,6 +207,41 @@ class TestLeanCohomology:
         bundle_cohomology(bundle)
         assert len(built) <= 1
 
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The checked FeBundles built, by their arguments."""
+        built = []
+        init = FeBundle.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FeBundle, "__init__", counted)
+        return built
+
+    def test_no_checked_bundle_once_e_is_known(self, checked):
+        bundle = FeBundle(1, 2, 3)
+        canonical_bundle(1)  # K of F_1 is derived once
+        checked.clear()
+        bundle_cohomology(bundle)
+        bundle_cohomology(-bundle)
+        assert checked == []
+
+    def test_oracle_derives_its_curve_once(self, checked):
+        values = [trigonal_h0_oracle(11, k) for k in range(30)]
+        assert values == [ballico_h0(11, 3, k) for k in range(30)]
+        # the curve class on F_1 and K of F_1, at most once each
+        assert len(checked) <= 2
+
+    def test_serre_loop_builds_no_checked_bundle(self, checked):
+        from gonal.report import _fe_rows
+
+        assert [ok for _, ok in _fe_rows()] == [True, True]
+        # 3,078 bundles in the Serre loop; only the four structure sheaves
+        # O on F_0 .. F_3 and at most one K per surface are checked
+        assert len(checked) <= 8
+
     def test_arithmetic_results_equal_checked_bundles(self):
         x, y = FeBundle(2, 1, -3), FeBundle(2, -4, 5)
         for got, want in (

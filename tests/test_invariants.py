@@ -160,3 +160,35 @@ class TestMaroni:
         with pytest.raises(DomainError) as from_boundaries:
             maroni_branch_boundaries(9, 3, splitting)
         assert str(from_boundaries.value) == str(from_h0.value)
+
+
+class TestMaroniMemo:
+    """maroni_h0 and maroni_branch_boundaries share boundaries and prefix
+    sums derived once per (g, n, splitting): the memo keeps splittings
+    apart, and a refused input is refused on every call."""
+
+    def test_interleaved_splittings(self):
+        g, n = 20, 4
+        generic = generic_scroll(g, n).splitting
+        other = (0, 0, 5)  # N = 5 < g-n+1 and 20 - 5 = 0 (mod 3)
+        assert generic != other
+        for k in range(3 * g):
+            for splitting in (None, list(other), generic, other, None, [*generic]):
+                rs = generic if splitting is None else tuple(splitting)
+                shift = (g - sum(rs)) // (n - 1) - 1
+                summed = k + 1 + sum(max(0, k - 1 - shift - r) for r in rs)
+                assert maroni_h0(g, n, k, splitting) == summed, (k, splitting)
+                eta = shift + 1
+                assert maroni_branch_boundaries(g, n, splitting) == [eta + r for r in rs]
+
+    def test_invalid_input_raises_on_every_call(self):
+        for _ in range(3):
+            assert maroni_h0(20, 4, 3) == 4
+            with pytest.raises(DomainError, match="does not embed"):
+                maroni_h0(20, 4, 3, (0, 0, 1))
+            with pytest.raises(DomainError, match="sorted"):
+                maroni_h0(20, 4, 3, [0, 2, 1])
+            with pytest.raises(DomainError, match=r"^requires 2n-2 < g \(got 2n-2=6, g=6\)$"):
+                maroni_h0(6, 4, 3)
+            with pytest.raises(DomainError, match="does not embed"):
+                maroni_branch_boundaries(20, 4, [0, 0, 1])

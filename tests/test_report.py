@@ -97,6 +97,42 @@ class TestGenerateReport:
         with pytest.raises(DomainError, match=r"\(got 10000000000000000000000\)$"):
             sweep_verify(range(10**22), range(3, 4))
 
+    def test_genus_capped(self, monkeypatch):
+        # every value a report or a sweep prints stays within the digits
+        # the interpreter converts to text
+        message = r"^requires g < 10\^4000 \(got a genus of more than 4000 digits\)$"
+        with pytest.raises(DomainError, match=message):
+            generate_report(report.GENUS_LIMIT, 3, 0)
+        with pytest.raises(DomainError, match=message):
+            sweep_verify(range(5, report.GENUS_LIMIT + 1), [3])
+        assert generate_report(report.GENUS_LIMIT - 1, 3, 0).g == 10**4000 - 1
+        # read from its one home
+        monkeypatch.setattr(report, "GENUS_LIMIT", 100)
+        assert sweep_verify(range(97, 100), [3, 4]).ok
+        for call in (lambda: generate_report(100, 3, 0), lambda: sweep_verify([99, 100], [3])):
+            with pytest.raises(DomainError, match=r"^requires g < 10\^2 \(got a genus of more than 2 digits\)$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "g_values, n_values",
+        [
+            (range(5, 9), range(0, 5)),
+            ([12, 5, 30, 12], [7, 3, 4, 4]),
+            (range(5, 40, 7), range(3, 12, 2)),
+        ],
+    )
+    def test_summed_gonality_capped(self, monkeypatch, g_values, n_values):
+        # the sum of n over the points in range, skips not counted
+        total = sum(n for g in set(g_values) for n in set(n_values) if n >= 3 and 2 * n - 2 < g)
+        monkeypatch.setattr(report, "SWEEP_GONALITY_LIMIT", total)
+        assert sweep_verify(g_values, n_values).ok
+        monkeypatch.setattr(report, "SWEEP_GONALITY_LIMIT", total - 1)
+        # refused before a check runs
+        monkeypatch.setattr(report, "_global_checks", None)
+        message = rf"^requires a sum of n over the points in range of at most {total - 1} \(got {total}\)$"
+        with pytest.raises(DomainError, match=message):
+            sweep_verify(g_values, n_values)
+
     def test_deterministic(self):
         a = generate_report(7, 3, 5)
         b = generate_report(7, 3, 5)
@@ -470,6 +506,12 @@ MUTANTS = {
     "chi-sign": (hirzebruch.FeBundle, "intersect", lambda f: lambda s, o: -f(s, o)),
     "chow-sub-adds": (ChowClass, "__sub__", lambda f: ChowClass.__add__),
     "evaluate-plus-one": (hyperelliptic.BinaryForm, "evaluate", lambda f: lambda s, x: f(s, x) + 1),
+    # the prefix sums of the Maroni boundaries shifted by one entry
+    "prefix-sums-shifted": (
+        invariants,
+        "_maroni_data",
+        lambda f: lambda *key: (f(*key)[0], (0, *f(*key)[1][:-1])),
+    ),
 }
 
 
@@ -709,6 +751,66 @@ class TestBranchContinuity:
             return len(calls)
 
         assert evaluations(40) <= evaluations(5)
+
+
+class TestPerPointWork:
+    """Facts fixed for a grid point are derived once per point, in memos
+    that hold a point's worth of data."""
+
+    def test_boundaries_derived_once_per_point(self, monkeypatch):
+        calls = []
+        split = invariants._generic_splitting
+        monkeypatch.setattr(
+            invariants, "_generic_splitting", lambda g, n: calls.append((g, n)) or split(g, n)
+        )
+        invariants._maroni_data.cache_clear()
+        for g, n in ((41, 7), (43, 7), (41, 6), (12, 3)):
+            calls.clear()
+            results = _point_checks(g, n)
+            assert all(r.outcome == "pass" for r in results)
+            # across generate_report and the point's own rows
+            assert calls == [(g, n)]
+
+    def test_one_primality_decision_per_prime(self):
+        hyperelliptic._is_prime.cache_clear()
+        assert sweep_verify(range(5, 7), range(3, 4)).ok
+        # 200 forms over GF(10007), one decision
+        info = hyperelliptic._is_prime.cache_info()
+        assert (info.misses, info.hits) == (1, 199)
+
+    def test_confluence_builds_no_class(self, monkeypatch):
+        built = []
+        init = ChowClass.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ChowClass, "__init__", counted)
+
+        def classes(n):
+            built.clear()
+            _point_checks(2 * n + 1, n)
+            return len(built)
+
+        # the check reads 3(n+2) closed forms from chow._normal_form
+        assert classes(40) == classes(5)
+
+    def test_memory_of_a_few_points_is_that_of_one(self, monkeypatch):
+        # each memo holds O(1) entries, so a sweep keeps no point's O(n)
+        # data once it has moved on
+        monkeypatch.setattr(report, "_global_checks", lambda *ranges: [])
+
+        def peak(g_values):
+            tracemalloc.start()
+            try:
+                assert sweep_verify(g_values, [5000]).ok
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak([10001])
+        assert peak(range(10003, 10007)) <= 2 * one
 
 
 class TestPointChecksReadTheDossier:
