@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from math import gcd
 
 from .errors import DomainError, UnsupportedError
 
@@ -22,12 +23,9 @@ from .errors import DomainError, UnsupportedError
 
 # The most digits a rational literal of `twist` spells, a decimal exponent
 # counted as the digits it adds, so that each parses at once and prints:
-# Fraction("1e100000000") alone would build 10^(10^8).
+# Fraction("1e100000000") alone would build 10^(10^8).  A lower limit of
+# the interpreter on int-to-text conversion lowers it.
 TWIST_LITERAL_DIGITS = 4000
-# The most digits `twist` prints in the numerator or the denominator of the
-# twisted value a' = f(x0): the interpreter's default limit on int-to-text
-# conversion.
-TWIST_VALUE_DIGITS = 4300
 
 
 def _cmd_report(args) -> int:
@@ -64,16 +62,29 @@ def _literal_digits(text: str) -> int:
     return len(text)
 
 
+def _denominator_too_long(scaled: list[int], q: int, digits: int) -> bool:
+    """Whether f(x0), x0 = p/q in lowest terms, surely has a denominator of more
+    than `digits` digits.  scaled holds c'_i = L*c_i, L the lcm of the c_i's
+    denominators.  With c'_m the top nonzero one, f(x0) = N / (L*q^m) with
+    N = c'_m p^m (mod q), so if c'_m is prime to q the reduced denominator is >= q^m."""
+    m = max(i for i, c in enumerate(scaled) if c)
+    # q^m >= 2^((bits(q) - 1) m), and 2^3.33 > 10
+    return 100 * (q.bit_length() - 1) * m >= 333 * digits and gcd(scaled[m], q) == 1
+
+
 def _cmd_twist(args) -> int:
     from fractions import Fraction
 
-    from .hyperelliptic import BinaryForm, HyperellipticModel, twist_with_point
+    from .hyperelliptic import BinaryForm, HyperellipticModel, _integer_scaled, twist_with_point
 
+    # the interpreter's int-to-text limit; 0, or none before Python 3.10.7, is no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    literal_digits = min(TWIST_LITERAL_DIGITS, limit) if limit else TWIST_LITERAL_DIGITS
     literals = [*args.coeffs.split(","), args.a, args.x0]
     for digits in map(_literal_digits, literals):
-        if digits > TWIST_LITERAL_DIGITS:
+        if digits > literal_digits:
             raise DomainError(
-                f"requires rational literals of at most {TWIST_LITERAL_DIGITS} digits, "
+                f"requires rational literals of at most {literal_digits} digits, "
                 f"an exponent counted as the digits it adds (got {digits})"
             )
     try:
@@ -82,15 +93,17 @@ def _cmd_twist(args) -> int:
         raise DomainError(f"could not parse rational input: {exc}") from exc
     form = BinaryForm(len(coeffs) - 1, tuple(coeffs))
     model = HyperellipticModel(a, form)
+    too_long = DomainError(
+        f"requires a twisted value a' = f(x0) of at most {limit} digits "
+        "in numerator and denominator"
+    )
+    if limit and _denominator_too_long(_integer_scaled(coeffs), x0.denominator, limit):
+        raise too_long
     twisted, point = twist_with_point(model, x0)
-    # a part of at most 3 * TWIST_VALUE_DIGITS bits is below 10^TWIST_VALUE_DIGITS,
-    # so the power is built only for a part that may be too long
+    # a part of at most 3 * limit bits is below 10^limit: build the power only past that
     parts = (abs(twisted.a.numerator), twisted.a.denominator)
-    if any(v.bit_length() > 3 * TWIST_VALUE_DIGITS and v >= 10**TWIST_VALUE_DIGITS for v in parts):
-        raise DomainError(
-            f"requires a twisted value a' = f(x0) of at most {TWIST_VALUE_DIGITS} digits "
-            f"in numerator and denominator"
-        )
+    if limit and any(v.bit_length() > 3 * limit and v >= 10**limit for v in parts):
+        raise too_long
     payload = {
         "genus": form.genus,
         "original_a": str(model.a),

@@ -17,12 +17,9 @@ in the scroll and is no longer a divisor.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
-from .chow import intersect_number
 from .errors import ConsistencyError, DomainError, require_at_least, require_scroll_range
-from .scroll import canonical_class, curve_class, generic_scroll
 
 
 @dataclass(frozen=True)
@@ -89,17 +86,14 @@ class Cohomology(NamedTuple):
     h2: int
 
 
+def _dual(bundle: FeBundle) -> FeBundle:
+    """The Serre dual K - L of L = bundle, with K = -2C_0 - (e+2)f."""
+    return FeBundle._on(bundle.e, -2 - bundle.a, -(bundle.e + 2) - bundle.b)
+
+
 def canonical_bundle(e: int) -> FeBundle:
     """The canonical class of F_e: -2C_0 - (e+2)f."""
-    return _canonical(e)
-
-
-# Bundles are immutable, so one instance per surface serves every caller;
-# the package uses F_0 .. F_3.
-@lru_cache(maxsize=4, typed=True)
-def _canonical(e: int) -> FeBundle:
-    # canonical_bundle, derived once per e
-    return FeBundle(e, -2, -(e + 2))
+    return _dual(FeBundle(e, 0, 0))
 
 
 def _h0_switches(e: int, a: int) -> list[int]:
@@ -124,14 +118,12 @@ def bundle_cohomology(bundle: FeBundle) -> Cohomology:
     ConsistencyError.
     """
     h0 = _h0(bundle)
-    dual = _canonical(bundle.e) - bundle
+    dual = _dual(bundle)
     h2 = _h0(dual)
     chi = 1 - bundle.intersect(dual) // 2
     h1 = h0 + h2 - chi
     if h1 < 0:
-        raise ConsistencyError(
-            f"negative h^1 = {h1} for {bundle}: h0={h0}, h2={h2}, chi={chi}"
-        )
+        raise ConsistencyError(f"negative h^1 = {h1} for {bundle}: h0={h0}, h2={h2}, chi={chi}")
     return Cohomology(h0, h1, h2)
 
 
@@ -141,16 +133,9 @@ def trigonal_curve_bundle(g: int) -> FeBundle:
     By adjunction this is 3C_0 + ((g+2+3e)/2) f on F_e with e = g mod 2:
     (3, (g+2)/2) on F_0 for g even and (3, (g+5)/2) on F_1 for g odd.
     """
-    return _trigonal_curve(g)
-
-
-# The sweep visits one genus at a time.
-@lru_cache(maxsize=1)
-def _trigonal_curve(g: int) -> FeBundle:
-    # trigonal_curve_bundle, derived once per genus
     require_scroll_range(g, 3)
     e = g % 2
-    return FeBundle(e, 3, (g + 2 + 3 * e) // 2)
+    return FeBundle._on(e, 3, (g + 2 + 3 * e) // 2)
 
 
 def trigonal_h0_oracle(g: int, k: int) -> int:
@@ -161,28 +146,25 @@ def trigonal_h0_oracle(g: int, k: int) -> int:
     the answer is h^0(kf) - h^0(kf - C) + h^1(kf - C), which is valid
     because h^1(O_S(kf)) = 0.  Both vanishing facts are asserted.
     """
-    curve = _trigonal_curve(g)
+    curve = trigonal_curve_bundle(g)
     require_at_least("k", k, 0)
     kf = FeBundle._on(curve.e, 0, k)
     on_s = bundle_cohomology(kf)
     twisted = bundle_cohomology(kf - curve)
     if twisted.h0 != 0:
         raise ConsistencyError(
-            f"h^0(kf - C) = {twisted.h0} != 0 at (g={g}, k={k}); "
-            f"the C_0-coefficient should be -3"
+            f"h^0(kf - C) = {twisted.h0} != 0 at (g={g}, k={k}); the C_0-coefficient should be -3"
         )
     if on_s.h1 != 0:
-        raise ConsistencyError(
-            f"h^1(O_S(kf)) = {on_s.h1} != 0 at (g={g}, k={k})"
-        )
+        raise ConsistencyError(f"h^1(O_S(kf)) = {on_s.h1} != 0 at (g={g}, k={k})")
     return on_s.h0 - twisted.h0 + twisted.h1
 
 
 def trigonal_h0_switches(g: int) -> list[int]:
     """The k at which trigonal_h0_oracle(g, k) changes slope: the oracle is
     h^0(kf) + h^0(K + C - kf) - chi(kf - C), and chi is affine in k."""
-    curve = _trigonal_curve(g)
-    dual = _canonical(curve.e) + curve  # K + C - kf at k = 0
+    curve = trigonal_curve_bundle(g)
+    dual = _dual(-curve)  # K + C - kf at k = 0
     return _h0_switches(curve.e, 0) + [dual.b - t for t in _h0_switches(dual.e, dual.a)]
 
 
@@ -199,12 +181,11 @@ def _rather_free_criterion(pairing: int, irregularity: int) -> bool:
 def rather_free_check(g: int) -> RatherFreeResult:
     """Check that the trigonal curve system separates points fiberwise.
 
-    Returns the intersection pairing (K_S . L) = -g-8, computed in the
-    scroll's intersection ring, together with the verdict of the
-    sufficient criterion: pairing <= -2 and h^1(O_S) = 0.
+    Returns the intersection pairing (K_S . L) on the surface F_e itself,
+    -g-8 by adjunction, together with the verdict of the sufficient
+    criterion: pairing <= -2 and h^1(O_S) = 0.
     """
-    e = trigonal_curve_bundle(g).e
-    spec = generic_scroll(g, 3)
-    pairing = intersect_number([canonical_class(spec)], curve_class(spec))
-    irregularity = bundle_cohomology(FeBundle(e, 0, 0)).h1
+    curve = trigonal_curve_bundle(g)
+    pairing = canonical_bundle(curve.e).intersect(curve)
+    irregularity = bundle_cohomology(FeBundle(curve.e, 0, 0)).h1
     return RatherFreeResult(pairing, _rather_free_criterion(pairing, irregularity))

@@ -192,6 +192,14 @@ class BinaryForm:
         return acc
 
 
+def _integer_scaled(cs) -> list[int]:
+    """The coefficients times the least common multiple of their denominators."""
+    scale = 1
+    for c in cs:
+        scale *= c.denominator // gcd(scale, c.denominator)
+    return [c.numerator * (scale // c.denominator) for c in cs]
+
+
 def discriminant_nonzero(form: BinaryForm, method: str = "gcd") -> bool:
     """True iff the form has 2g+2 distinct roots in the projective line.
 
@@ -206,11 +214,7 @@ def discriminant_nonzero(form: BinaryForm, method: str = "gcd") -> bool:
     d = form.degree
     if cs[d] == 0 and cs[d - 1] == 0:
         return False  # root at infinity with multiplicity >= 2, or f = 0
-    # clearing denominators by their least common multiple keeps every root
-    scale = 1
-    for c in cs:
-        scale *= c.denominator // gcd(scale, c.denominator)
-    f = [c.numerator * (scale // c.denominator) for c in cs]
+    f = _integer_scaled(cs)  # keeps every root
     fp = _reduce([i * c for i, c in enumerate(f)][1:], form.p)
     if not fp:
         return False  # f' = 0 in characteristic p: f is a p-th power

@@ -437,8 +437,9 @@ _SAFE_INT_MAX = (1 << 53) - 1
 
 @cache
 def _is_record(tp: type) -> bool:
-    """A dataclass or a NamedTuple: a type whose fields _plan lists."""
-    return is_dataclass(tp) or issubclass(tp, tuple) and hasattr(tp, "_fields")
+    """A dataclass or a NamedTuple; an alias such as tuple[int, int] is neither."""
+    named_tuple = isinstance(tp, type) and issubclass(tp, tuple) and hasattr(tp, "_fields")
+    return is_dataclass(tp) or named_tuple
 
 
 @cache

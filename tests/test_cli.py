@@ -1,6 +1,8 @@
 """End-to-end tests of the command line through a real interpreter."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 import time
@@ -8,19 +10,21 @@ import time
 import pytest
 
 
-def run_cli(*args, timeout=None):
+def run_cli(*args, timeout=None, env=None, python=sys.executable):
+    """Run `python -m gonal args`, with env added to the environment."""
     return subprocess.run(
-        [sys.executable, "-m", "gonal", *args],
+        [python, "-m", "gonal", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env={**os.environ, **env} if env else None,
     )
 
 
-def assert_refused(args, message):
+def assert_refused(args, message, env=None):
     """The command exits 2 in under 1 s with one stderr line and no stdout."""
     start = time.perf_counter()
-    proc = run_cli(*args, timeout=20)
+    proc = run_cli(*args, timeout=20, env=env)
     assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {message}\n"
@@ -48,6 +52,17 @@ class TestReportCommand:
         assert doc["input"] == {"g": 5, "n": 3, "k_max": 6}
         assert doc["invariants"]["hilbert_scheme_dimension"] == 17
         assert len(doc["oracle_checks"]) == 6
+
+    def test_json_output_under_python_3_13(self):
+        # 3.13's issubclass refuses an alias such as tuple[int, int]
+        python = shutil.which("python3.13")
+        probe = "import sys, gonal; assert sys.version_info >= (3, 13)"
+        if python is None or subprocess.run([python, "-c", probe], capture_output=True).returncode:
+            pytest.skip("no python3.13 that imports gonal on PATH")
+        args = ("report", "--genus", "12", "--gonality", "3", "--format", "json")
+        proc = run_cli(*args, python=python)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli(*args).stdout
 
     def test_domain_error_exits_2(self):
         proc = run_cli("report", "--genus", "4", "--gonality", "3")
@@ -289,6 +304,10 @@ class TestTwistCommand:
             # f(x0) has 6,001 digits, too many to print
             ("1,0,0,0,0,0,1", "1", "1e1000",
              "requires a twisted value a' = f(x0) of at most 4300 digits in numerator and denominator"),
+            # x0 = p/q with two ~2,000-digit parts: the denominator of f(x0)
+            # is at least q^202, known from the sizes before f(x0) is computed
+            (",".join(["1"] * 203), "1", "7" * 2000 + "/" + "3" * 1999,
+             "requires a twisted value a' = f(x0) of at most 4300 digits in numerator and denominator"),
             # each literal is sized before Fraction parses it: 1e100000000
             # did not finish in 20 s
             ("1e100000,0,0,0,0,0,1", "1", "1",
@@ -317,6 +336,30 @@ class TestTwistCommand:
         proc = run_cli("twist", "--coeffs=1,0,0,0,0,0,10000", "--a=1", "--x0=1e716")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "at most 4300 digits" in proc.stderr
+
+    def test_lowered_digit_limit_is_read(self):
+        # a' = 10^1200 + 1, and a = 10^-700, are too long for a limit of 640
+        limit = {"PYTHONINTMAXSTRDIGITS": "640"}
+        assert_refused(
+            ["twist", "--coeffs=1,0,0,0,0,0,1", "--a=1", "--x0=1e200"],
+            "requires a twisted value a' = f(x0) of at most 640 digits in numerator and denominator",
+            env=limit,
+        )
+        assert_refused(
+            ["twist", "--coeffs=1,0,0,0,0,0,1", "--a=1e-700", "--x0=1"],
+            "requires rational literals of at most 640 digits, "
+            "an exponent counted as the digits it adds (got 701)",
+            env=limit,
+        )
+
+    def test_lifted_digit_limit_is_read(self):
+        # a' = 10000 x0^6 + 1 at x0 = 10^716 has 4,301 digits
+        proc = run_cli(
+            "twist", "--coeffs=1,0,0,0,0,0,10000", "--a=1", "--x0=1e716",
+            env={"PYTHONINTMAXSTRDIGITS": "0"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"a' = 1{'0' * 4299}1\n" in proc.stdout
 
     def test_negative_values_bind_to_their_options(self):
         proc = run_cli(

@@ -283,6 +283,12 @@ def test_memo_guard_reads_each_form():
     ]
 
 
+def test_surface_oracle_holds_no_memo():
+    # every F_e class is derived in place from its (e, a, b)
+    (path,) = [p for p in MODULES if p.stem == "hirzebruch"]
+    assert _memos(ast.parse(path.read_text())) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_public_callables_are_plain_functions(path):
     # the tracer in bench/spans.py traces inspect.isfunction callables, and

@@ -1,6 +1,10 @@
 """Tests for the Hirzebruch-surface cohomology oracle."""
 
+import ast
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,24 @@ class TestRatherFree:
     def test_range_violation(self):
         with pytest.raises(DomainError):
             rather_free_check(4)
+
+
+class TestStandsAlone:
+    """The surface oracle is a route of its own: it reads no Chow ring and
+    no scroll, so a fault there cannot reach it."""
+
+    def test_imports_only_errors(self):
+        from gonal import hirzebruch
+
+        tree = ast.parse(Path(hirzebruch.__file__).read_text())
+        relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+        assert relative == {"errors"}
+        probe = (
+            "import sys, gonal.hirzebruch\n"
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'gonal'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["gonal", "gonal.errors", "gonal.hirzebruch"]
 
 
 def test_consistency_error_surfaces_not_clamps():

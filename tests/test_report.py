@@ -1,10 +1,13 @@
 """Tests for report generation, serialization, and the sweep harness."""
 
+import builtins
 import json
 import os
 import random
 import re
+import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -12,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from gonal import cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
-from gonal.chow import ChowClass
-from gonal.errors import ConsistencyError, DomainError
+from gonal.chow import ChowClass, DivisorClass
+from gonal.errors import ConsistencyError, DomainError, in_scroll_range
 from gonal.report import (
     GonalReport,
     OracleRow,
@@ -142,6 +145,32 @@ class TestGenerateReport:
 
 
 class TestSerialization:
+    @pytest.fixture
+    def strict_issubclass(self, monkeypatch):
+        """issubclass as Python 3.13 has it, which refuses an alias such as
+        tuple[int, int], with the codec's type-keyed caches emptied."""
+
+        def strict(cls, classinfo):
+            if not isinstance(cls, type):
+                raise TypeError("issubclass() arg 1 must be a class")
+            return builtins.issubclass(cls, classinfo)
+
+        caches = (report._is_record, report._plan, report._tables, report._decoder, report._row_template)
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(report, "issubclass", strict, raising=False)
+        yield
+        for cache in caches:
+            cache.cache_clear()
+
+    def test_records_under_a_strict_issubclass(self, strict_issubclass):
+        is_record = report._is_record.__wrapped__
+        assert not is_record(tuple[int, int])
+        assert is_record(GonalReport) and is_record(OracleRow)
+        assert not is_record(int)
+        r = generate_report(12, 3, 24)
+        assert parse_json(emit_json(r)) == r
+
     @pytest.mark.parametrize("g,n,k", [(5, 3, 6), (8, 4, 3), (12, 5, 0)])
     def test_json_round_trip(self, g, n, k):
         report = generate_report(g, n, k)
@@ -499,6 +528,15 @@ class TestFormulaColumn:
         assert evaluations(200) == evaluations(20000)
 
 
+def patch_everywhere(monkeypatch, name, replacement):
+    """Replace gonal.scroll's function name in every gonal module that holds
+    it, as an edit of its source would."""
+    original = getattr(scroll, name)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("gonal.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 # Mutants the sweep on g 5..30 x n 3..6 must fail on: (owner, attribute,
 # the mutant made from the attribute).
 MUTANTS = {
@@ -811,6 +849,55 @@ class TestPerPointWork:
 
         one = peak([10001])
         assert peak(range(10003, 10007)) <= 2 * one
+
+    def test_one_generic_scroll_per_report(self, monkeypatch):
+        # each dossier builds its point's scroll, and no check builds another
+        built = []
+        generic = scroll.generic_scroll
+        patch_everywhere(
+            monkeypatch, "generic_scroll", lambda g, n: built.append((g, n)) or generic(g, n)
+        )
+        g_range, n_range = range(5, 121), range(3, 11)
+        assert sweep_verify(g_range, n_range).ok
+        points = [(g, n) for g in g_range for n in n_range if in_scroll_range(g, n)]
+        # global/report-deterministic builds two reports at each of two points
+        round_trip = [(5, 3), (5, 3), (8, 4), (8, 4)]
+        assert Counter(built) == Counter(points + round_trip)
+        assert len(built) == 876
+
+
+class TestRatherFreeRoute:
+    """oracle/rather-free pairs K_S with the curve on F_e itself, and
+    scroll/euler-pairing pairs them in the scroll's Chow ring: a fault in
+    one route leaves the other passing."""
+
+    @staticmethod
+    def failing() -> Counter:
+        return Counter(
+            r.name for g in range(5, 31) for r in _point_checks(g, 3) if r.outcome == "fail"
+        )
+
+    def test_a_scroll_fault_leaves_the_surface_route(self, monkeypatch):
+        canonical = scroll.canonical_class
+
+        def shifted(spec):
+            k = canonical(spec)
+            return DivisorClass(spec.ambient, k.d, k.f + 1)
+
+        patch_everywhere(monkeypatch, "canonical_class", shifted)
+        failing = self.failing()
+        assert failing["scroll/euler-pairing"] == 26
+        assert failing["oracle/rather-free"] == 0
+
+    def test_a_surface_fault_fails_the_surface_route(self, monkeypatch):
+        intersect = hirzebruch.FeBundle.intersect
+        # C_0^2 = -e - 1
+        monkeypatch.setattr(
+            hirzebruch.FeBundle, "intersect", lambda s, o: intersect(s, o) - s.a * o.a
+        )
+        failing = self.failing()
+        assert failing["oracle/rather-free"] == 26
+        assert failing["scroll/euler-pairing"] == 0
 
 
 class TestPointChecksReadTheDossier:
