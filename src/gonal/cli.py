@@ -62,20 +62,40 @@ def _literal_digits(text: str) -> int:
     return len(text)
 
 
-def _denominator_too_long(scaled: list[int], q: int, digits: int) -> bool:
-    """Whether f(x0), x0 = p/q in lowest terms, surely has a denominator of more
-    than `digits` digits.  scaled holds c'_i = L*c_i, L the lcm of the c_i's
-    denominators.  With c'_m the top nonzero one, f(x0) = N / (L*q^m) with
-    N = c'_m p^m (mod q), so if c'_m is prime to q the reduced denominator is >= q^m."""
+def _value_too_long(coeffs: list, x0, digits: int) -> bool:
+    """Whether f(x0), x0 = p/q in lowest terms, surely has a numerator or a
+    denominator of more than `digits` digits, read from sizes before f(x0) is
+    computed.  Write c'_i = L*c_i, L the lcm of the c_i's denominators, and
+    c'_m for the top nonzero one.
+
+    f(x0) = N / (L*q^m) with N = c'_m p^m (mod q), so if c'_m is prime to q
+    the reduced denominator is >= q^m.  If |p| >= q and |c'_m p| >=
+    2q (|c'_0| + ... + |c'_{m-1}|), the lower terms are at most half the top
+    one, so the reduced numerator is >= |f(x0)| >= |c_m| |x0|^m / 2.
+    """
+    from .hyperelliptic import _integer_scaled
+
+    scaled = _integer_scaled(coeffs)
     m = max(i for i, c in enumerate(scaled) if c)
-    # q^m >= 2^((bits(q) - 1) m), and 2^3.33 > 10
-    return 100 * (q.bit_length() - 1) * m >= 333 * digits and gcd(scaled[m], q) == 1
+    p, q = abs(x0.numerator), x0.denominator
+    # a >= 2^(bits(a) - 1) and b < 2^bits(b), and 2^3.33 > 10
+    if 100 * (q.bit_length() - 1) * m >= 333 * digits and gcd(scaled[m], q) == 1:
+        return True
+    if p < q or abs(scaled[m]) * p < 2 * q * sum(map(abs, scaled[:m])):
+        return False
+    c = coeffs[m]
+    # |c_m| |x0|^m / 2 >= 2^bits
+    bits = (
+        abs(c.numerator).bit_length() - 1 - c.denominator.bit_length()
+        + m * (p.bit_length() - 1 - q.bit_length()) - 1
+    )
+    return 100 * bits >= 333 * digits
 
 
 def _cmd_twist(args) -> int:
     from fractions import Fraction
 
-    from .hyperelliptic import BinaryForm, HyperellipticModel, _integer_scaled, twist_with_point
+    from .hyperelliptic import BinaryForm, HyperellipticModel, twist_with_point
 
     # the interpreter's int-to-text limit; 0, or none before Python 3.10.7, is no limit
     limit = getattr(sys, "get_int_max_str_digits", int)()
@@ -97,7 +117,7 @@ def _cmd_twist(args) -> int:
         f"requires a twisted value a' = f(x0) of at most {limit} digits "
         "in numerator and denominator"
     )
-    if limit and _denominator_too_long(_integer_scaled(coeffs), x0.denominator, limit):
+    if limit and _value_too_long(coeffs, x0, limit):
         raise too_long
     twisted, point = twist_with_point(model, x0)
     # a part of at most 3 * limit bits is below 10^limit: build the power only past that

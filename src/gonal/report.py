@@ -2,7 +2,7 @@
 
 ``generate_report`` aggregates every module's output for one (g, n)
 into a deterministic record with text and JSON renderings.  The JSON is
-derived from the dataclass fields: snake_case field names, enums as
+derived from the record fields: snake_case field names, enums as
 their values, and integers beyond the 53-bit safe range as decimal
 strings, so output survives consumers that parse JSON numbers as
 doubles; ``parse_json`` undoes this, and parse(emit(r)) == r.
@@ -15,21 +15,20 @@ by (g, n)).
 """
 
 import json
-import random
+import sys
 import types
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, compress, count, islice, repeat
 from math import gcd
 from operator import eq, index, itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
-from . import chow, hirzebruch, hyperelliptic, invariants, picard
+from . import chow, hirzebruch, invariants, picard
 from .chow import AmbientScroll, ChowClass, DivisorClass, intersect_number
 from .errors import ConsistencyError, DomainError, in_scroll_range, require_at_least
 from .picard import DivisibilityVerdict, VerdictStatus
@@ -49,7 +48,8 @@ K_MAX_LIMIT = 10**7
 GONALITY_LIMIT = 10**6
 # The least genus a report or a sweep refuses.  Every value they print is
 # below 10^14 * g (the curve class's (n-2)(n-g+1), a section count nk-g+1),
-# so it keeps within the 4,300 digits the interpreter writes by default.
+# so it keeps within the 4,300 digits the interpreter writes by default; a
+# lower int-to-text limit of L digits lowers it to 10^(L - 14).
 GENUS_LIMIT = 10**4000
 # The most (g, n) points a sweep takes: at n <= 10 a point in range costs 0.4
 # to 0.8 ms and a skip 3 us (CPython 3.11, one Xeon core), about a minute in all.
@@ -68,15 +68,27 @@ def _require_gonality_limit(n: int) -> None:
         raise DomainError(f"requires n <= {GONALITY_LIMIT} (got n={n})")
 
 
+def _genus_bound() -> int:
+    """GENUS_LIMIT, lowered by the interpreter's int-to-text limit."""
+    # 0, or none before Python 3.10.7, is no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return min(GENUS_LIMIT, 10 ** (limit - 14)) if limit else GENUS_LIMIT
+
+
 def _require_genus_limit(g: int) -> None:
-    # g itself may have too many digits to print
-    if g >= GENUS_LIMIT:
-        digits = len(str(GENUS_LIMIT)) - 1
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # a g of at most 3 * (limit - 14) bits is below 10^(limit - 14): build
+    # the bound only past that
+    if g < GENUS_LIMIT and not (limit and g.bit_length() > 3 * (limit - 14)):
+        return
+    bound = _genus_bound()
+    if g >= bound:
+        # g itself may have too many digits to print
+        digits = len(str(bound)) - 1
         raise DomainError(f"requires g < 10^{digits} (got a genus of more than {digits} digits)")
 
 
-@dataclass(frozen=True)
-class ScrollSummary:
+class ScrollSummary(NamedTuple):
     dimension: int
     degree: int
     ambient_dim: int
@@ -90,8 +102,7 @@ class ScrollSummary:
     aut_components: int
 
 
-@dataclass(frozen=True)
-class InvariantSummary:
+class InvariantSummary(NamedTuple):
     chi_restricted_tangent: int
     chi_restricted_tangent_chow: int
     chi_normal_bundle: int
@@ -107,8 +118,7 @@ class OracleRow(NamedTuple):
     agree: bool
 
 
-@dataclass(frozen=True)
-class ConsistencyFlags:
+class ConsistencyFlags(NamedTuple):
     """None means not applicable for this (g, n), never silently omitted."""
 
     euler_chain: bool
@@ -712,8 +722,7 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-@dataclass
-class SweepSummary:
+class SweepSummary(NamedTuple):
     checked: int
     passed: int
     failed: int
@@ -769,7 +778,7 @@ def _stepwise_reduce(ambient: AmbientScroll, a: int, b: int, c: int, order: str)
         b += 1
 
 
-def _rand_class(rng: random.Random, ambient: AmbientScroll) -> ChowClass:
+def _rand_class(rng: "random.Random", ambient: AmbientScroll) -> ChowClass:
     coeffs = {}
     for _ in range(3):
         a = rng.randrange(0, ambient.n)
@@ -796,6 +805,8 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
     if not in_scroll_range(g, n):
         yield "hypothesis", None, "requires n >= 3 and 2n-2 < g"
         return
+    import random
+
     rep = generate_report(g, n, 0)
     s, inv, flags = rep.scroll, rep.invariants, rep.consistency_flags
     amb = AmbientScroll(g, n)
@@ -961,6 +972,11 @@ def _fe_rows() -> Iterator[tuple]:
 
 def _hyperelliptic_rows() -> Iterator[tuple]:
     """The discriminant's two routes, and the twist."""
+    import random
+    from fractions import Fraction
+
+    from . import hyperelliptic
+
     # discriminant: Euclid route vs Sylvester-resultant route
     p = 10007
     rng = random.Random(20240)
@@ -1006,6 +1022,8 @@ def _hyperelliptic_rows() -> Iterator[tuple]:
 
 def _case_rows(g_values: list[int], n_values: list[int]) -> Iterator[tuple]:
     """The counts over the grid's genera and gonalities, and the Brill-Noether boundary."""
+    from . import hyperelliptic
+
     # all() over no case would pass vacuously, so a check with none is a skip
     hyper_genera = [g for g in g_values if g >= 2]
     pencil_gonalities = [n for n in n_values if n >= 2]
@@ -1080,7 +1098,8 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
         points *= len(v) if isinstance(v, list) else (v[-1] - v[0]) // v.step + 1
     if points > SWEEP_POINT_LIMIT:
         # ranges with ends of thousands of digits make a count too long to print
-        got = points if points < GENUS_LIMIT else f"10^{len(str(GENUS_LIMIT)) - 1} or more"
+        bound = _genus_bound()
+        got = points if points < bound else f"10^{len(str(bound)) - 1} or more"
         raise DomainError(f"requires at most {SWEEP_POINT_LIMIT} grid points (got {got})")
     # each range now has at most SWEEP_POINT_LIMIT values; the points in
     # range at n are the g > 2n-2, and n >= 3 makes g >= 2

@@ -16,7 +16,7 @@ ones, with r = g mod (n-1) ones.  For n = 3 that surface is P^1 x P^1
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .chow import AmbientScroll, ChowClass, DivisorClass
 from .errors import DomainError
@@ -114,8 +114,7 @@ def curve_class(spec: ScrollSpec) -> ChowClass:
     )
 
 
-@dataclass(frozen=True)
-class AutNumerics:
+class AutNumerics(NamedTuple):
     """Dimension and component count of the scroll's automorphism group."""
 
     total_dim: int

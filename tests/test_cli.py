@@ -308,6 +308,12 @@ class TestTwistCommand:
             # is at least q^202, known from the sizes before f(x0) is computed
             (",".join(["1"] * 203), "1", "7" * 2000 + "/" + "3" * 1999,
              "requires a twisted value a' = f(x0) of at most 4300 digits in numerator and denominator"),
+            # x0 with a long numerator: |f(x0)| >= |c_m| |x0|^m / 2 bounds the
+            # numerator from the sizes; each took 3 s to evaluate first
+            (",".join(["1"] * 203), "1", "7" * 4000,
+             "requires a twisted value a' = f(x0) of at most 4300 digits in numerator and denominator"),
+            (",".join(["1"] * 203), "1", "7" * 3998 + "/3",
+             "requires a twisted value a' = f(x0) of at most 4300 digits in numerator and denominator"),
             # each literal is sized before Fraction parses it: 1e100000000
             # did not finish in 20 s
             ("1e100000,0,0,0,0,0,1", "1", "1",
@@ -352,6 +358,26 @@ class TestTwistCommand:
             env=limit,
         )
 
+    def test_lowered_digit_limit_lowers_the_genus_bound(self):
+        # every value a report prints is below 10^14 * g: 640 digits allow g < 10^626
+        limit = {"PYTHONINTMAXSTRDIGITS": "640"}
+        genus = "9" * 639
+        message = "requires g < 10^626 (got a genus of more than 626 digits)"
+        for fmt in ("json", "text"):
+            assert_refused(
+                ["report", "--genus", genus, "--gonality", "1000", "--kmax", "2", "--format", fmt],
+                message,
+                env=limit,
+            )
+        assert_refused(
+            ["verify", "--genus-min", genus, "--genus-max", genus,
+             "--gonality-min", "3", "--gonality-max", "3"],
+            message,
+            env=limit,
+        )
+        proc = run_cli("report", "--genus", "9" * 626, "--gonality", "1000", "--kmax", "2", env=limit)
+        assert proc.returncode == 0, proc.stderr
+
     def test_lifted_digit_limit_is_read(self):
         # a' = 10000 x0^6 + 1 at x0 = 10^716 has 4,301 digits
         proc = run_cli(
@@ -372,16 +398,18 @@ class TestTwistCommand:
         )
 
 
-def loaded_gonal_modules(code):
-    """The gonal modules a fresh interpreter holds after running code."""
-    probe = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'gonal')))"
-    )
+def loaded_modules(code):
+    """The modules a fresh interpreter holds after running code."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_gonal_modules(code):
+    """The gonal modules a fresh interpreter holds after running code."""
+    return [m for m in loaded_modules(code) if m.partition(".")[0] == "gonal"]
 
 
 class TestLoadOnDemand:
@@ -397,3 +425,25 @@ class TestLoadOnDemand:
             " '--a', '2', '--x0', '0']) == 0"
         )
         assert loaded_gonal_modules(code) == self.ENTRY + ["gonal.hyperelliptic"]
+
+    @pytest.mark.parametrize("n", ["3", "5"])
+    def test_report_loads_only_the_dossier(self, n):
+        code = (
+            "import gonal.cli\n"
+            f"assert gonal.cli.main(['report', '--genus', '20', '--gonality', '{n}']) == 0"
+        )
+        modules = loaded_modules(code)
+        layers = ["chow", "hirzebruch", "invariants", "picard", "report", "scroll"]
+        assert [m for m in modules if m.partition(".")[0] == "gonal"] == sorted(
+            self.ENTRY + ["gonal." + layer for layer in layers]
+        )
+        # the sweep's Fraction and hyperelliptic imports are deferred
+        assert "fractions" not in modules
+
+    def test_verify_loads_hyperelliptic(self):
+        code = (
+            "import gonal.cli\n"
+            "assert gonal.cli.main(['verify', '--genus-min', '5', '--genus-max', '5',"
+            " '--gonality-min', '3', '--gonality-max', '3']) == 0"
+        )
+        assert "gonal.hyperelliptic" in loaded_gonal_modules(code)

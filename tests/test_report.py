@@ -18,8 +18,12 @@ from gonal import cli, hirzebruch, hyperelliptic, invariants, picard, report, sc
 from gonal.chow import ChowClass, DivisorClass
 from gonal.errors import ConsistencyError, DomainError, in_scroll_range
 from gonal.report import (
+    ConsistencyFlags,
     GonalReport,
+    InvariantSummary,
     OracleRow,
+    ScrollSummary,
+    SweepSummary,
     _curve_h1,
     _decisive_ks,
     _encode_ints,
@@ -246,6 +250,26 @@ class TestSerialization:
         assert all(type(r) is OracleRow for r in report.oracle_checks)
         assert parse_json(emit_json(report)) == report
         assert all(type(r) is OracleRow for r in parse_json(emit_json(report)).oracle_checks)
+
+    def test_record_types_survive_the_round_trip(self):
+        # a NamedTuple equals a plain tuple, so equality alone would not see
+        # a decoder that builds tuples
+        records = (
+            ("scroll", ScrollSummary),
+            ("invariants", InvariantSummary),
+            ("consistency_flags", ConsistencyFlags),
+        )
+        for r in (generate_report(11, 3, 22), generate_report(13, 5, 4)):
+            back = parse_json(emit_json(r))
+            assert back == r
+            for name, tp in records:
+                assert type(getattr(r, name)) is tp and type(getattr(back, name)) is tp
+        summary = sweep_verify(range(5, 9), range(3, 5))
+        assert type(summary) is SweepSummary
+        doc = summary.to_dict()
+        assert list(doc) == list(SweepSummary._fields)
+        again = SweepSummary(**doc)
+        assert type(again) is SweepSummary and again == summary
 
     def test_snake_case_fields(self):
         doc = json.loads(emit_json(generate_report(5, 3, 2)))
