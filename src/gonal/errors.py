@@ -20,6 +20,12 @@ def require_at_least(name: str, value: int, bound: int) -> None:
         raise DomainError(f"requires {name} >= {bound} (got {name}={value})")
 
 
+def require_at_most(name: str, value: int, bound: int) -> None:
+    """Raise DomainError unless value <= bound; name is the variable's name."""
+    if value > bound:
+        raise DomainError(f"requires {name} <= {bound} (got {name}={value})")
+
+
 def in_gonal_range(g: int, n: int) -> bool:
     """The hypothesis 2n-2 < g: the genus lies above the boundary genus 2n-2."""
     return 2 * n - 2 < g

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, ge
 
 from . import chow, hirzebruch, invariants, picard
 from .chow import AmbientScroll, ChowClass, DivisorClass, intersect_number
-from .errors import ConsistencyError, DomainError, in_scroll_range, require_at_least
+from .errors import ConsistencyError, DomainError, in_scroll_range, require_at_least, require_at_most
 from .picard import DivisibilityVerdict, VerdictStatus
 from .scroll import (
     aut_group_numerics,
@@ -61,11 +61,6 @@ SWEEP_GONALITY_LIMIT = 2 * 10**6
 # global/pencil-count compares its two routes at the grid's gonalities up
 # to this bound; the Pieri table costs O(n^2) additions of O(n)-bit integers.
 _PENCIL_COUNT_MAX_N = 200
-
-
-def _require_gonality_limit(n: int) -> None:
-    if n > GONALITY_LIMIT:
-        raise DomainError(f"requires n <= {GONALITY_LIMIT} (got n={n})")
 
 
 def _genus_bound() -> int:
@@ -265,51 +260,46 @@ def _decisive_ks(*switches: Iterable[int]) -> list[int]:
     return sorted(k for k in near | {0, 1} if k >= 0)
 
 
-def _piecewise_affine(points: list[tuple[int, int]]) -> Callable[[int], int]:
-    """The function through the (k, value) points, sorted by k, that is
-    affine between consecutive points and continues its last piece.
+def _column(h0: Callable[[int], int], switches: list[int], k_max: int) -> list[_Piece]:
+    """h0 over k = 1 .. k_max as pieces: read at the decisive ks of its
+    switch list, joined by exact integer slopes, the last piece continued.
 
-    Each slope is an exact integer: a remainder means integer values
-    that no affine piece joins, and raises ConsistencyError.
+    h0 is evaluated only at the points up to k_max and the one after, and
+    never at k_max = 0, which has no piece.  A slope with a remainder
+    means integer values that no affine piece joins, and raises
+    ConsistencyError.
     """
+    if k_max == 0:
+        return []
+    ks = _decisive_ks(switches)
+    points = [(k, h0(k)) for k in ks[: bisect_right(ks, k_max) + 1]]
+    last = points[-1][0]
     pieces = []
     for (p, vp), (q, vq) in zip(points, points[1:]):
         slope, rem = divmod(vq - vp, q - p)
         if rem:
-            raise ConsistencyError(
-                f"no integer slope from ({p}, {vp}) to ({q}, {vq})"
-            )
-        pieces.append((p, vp, slope))
-    starts = [p for p, _, _ in pieces]
-
-    def value(k: int) -> int:
-        p, vp, slope = pieces[max(0, bisect_right(starts, k) - 1)]
-        return vp + slope * (k - p)
-
-    return value
+            raise ConsistencyError(f"no integer slope from ({p}, {vp}) to ({q}, {vq})")
+        # rows start at k = 1, so the piece from 0 to 1 gives only its slope
+        # when another piece follows
+        start, end = max(p, 1), q if q < last else k_max + 1
+        if start < end:
+            pieces.append((end - start, vp + slope * (start - p), slope))
+    return pieces
 
 
-def _affine_line(
-    h0: Callable[[int], int], switches: list[int], k_max: int
-) -> tuple[Callable[[int], int], list[int]]:
-    """h0 read at the decisive ks of its switch list and joined by the
-    exact slopes of _piecewise_affine, and the edges of its pieces over
-    k = 1 .. k_max: 1, each later point but the last, and k_max + 1.
-
-    h0 is evaluated only at the points up to k_max and the one after.
-    At k_max = 0 there is no piece, and the line is h0, never called.
-    """
-    if k_max == 0:
-        return h0, [1]
-    ks = _decisive_ks(switches)
-    ks = ks[: bisect_right(ks, k_max) + 1]
-    return _piecewise_affine([(k, h0(k)) for k in ks]), [1, *ks[2:-1], k_max + 1]
-
-
-def _pieces(line: Callable[[int], int], edges: list[int]) -> list[_Piece]:
-    """The column line(k) for k from edges[0] to edges[-1] - 1, as one
-    piece between each two edges."""
-    return [(q - p, line(p), line(p + 1) - line(p)) for p, q in zip(edges, edges[1:])]
+def _minus(a: list[_Piece], b: list[_Piece]) -> list[_Piece]:
+    """The int column a - b of two columns of the same rows, one piece
+    between each two edges of either."""
+    gaps, a, b = [], a[::-1], b[::-1]
+    while a:
+        (ra, va, sa), (rb, vb, sb) = a.pop(), b.pop()
+        rows = min(ra, rb)
+        gaps.append((rows, va - vb, sa - sb))
+        if ra > rows:
+            a.append((ra - rows, va + sa * rows, sa))
+        if rb > rows:
+            b.append((rb - rows, vb + sb * rows, sb))
+    return gaps
 
 
 def _zero_runs(rows: int, v: int, slope: int) -> list[_Piece]:
@@ -333,9 +323,8 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     """
     _require_genus_limit(g)
     require_at_least("k_max", k_max, 0)
-    if k_max > K_MAX_LIMIT:
-        raise DomainError(f"requires k_max <= {K_MAX_LIMIT} (got k_max={k_max})")
-    _require_gonality_limit(n)
+    require_at_most("k_max", k_max, K_MAX_LIMIT)
+    require_at_most("n", n, GONALITY_LIMIT)
     spec = generic_scroll(g, n)
     aut = aut_group_numerics(spec)
     kx = canonical_class(spec)
@@ -356,26 +345,15 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
 
     ks = [(k_max, 1, 1)] if k_max else []
     ballico_switches = invariants.ballico_switches(g, n)
-    formula_line, formula_edges = _affine_line(
-        lambda k: invariants.ballico_h0(g, n, k), ballico_switches, k_max
-    )
-    formula = _pieces(formula_line, formula_edges)
+    formula = _column(partial(invariants.ballico_h0, g, n), ballico_switches, k_max)
     sections = _Table(tuple, [ks, formula])
 
     if n == 3:
         oracle_switches = hirzebruch.trigonal_h0_switches(g)
         # the oracle at its own switch points, affine between them
-        oracle_line, oracle_edges = _affine_line(
-            lambda k: hirzebruch.trigonal_h0_oracle(g, k), oracle_switches, k_max
-        )
-        # formula - oracle is affine between the edges of both columns
-        gaps = _pieces(
-            lambda k: formula_line(k) - oracle_line(k), sorted({*formula_edges, *oracle_edges})
-        )
-        agree = [run for gap in gaps for run in _zero_runs(*gap)]
-        oracle_checks: _Table | None = _Table(
-            OracleRow, [ks, formula, _pieces(oracle_line, oracle_edges), agree]
-        )
+        oracle = _column(partial(hirzebruch.trigonal_h0_oracle, g), oracle_switches, k_max)
+        agree = [run for gap in _minus(formula, oracle) for run in _zero_runs(*gap)]
+        oracle_checks: _Table | None = _Table(OracleRow, [ks, formula, oracle, agree])
         # the printed rows, and every k >= 0 whatever k_max is
         decisive = _decisive_ks(oracle_switches, ballico_switches)
         oracle_agreement: bool | None = all(v for _, v, _ in agree) and all(
@@ -1091,7 +1069,7 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
     )
     if not g_values or not n_values:
         raise DomainError("sweep ranges must be non-empty")
-    _require_gonality_limit(n_values[-1])
+    require_at_most("n", n_values[-1], GONALITY_LIMIT)
     _require_genus_limit(g_values[-1])
     points = 1
     for v in (g_values, n_values):

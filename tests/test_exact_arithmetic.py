@@ -107,10 +107,11 @@ def test_guard_allows(snippet):
 
 # Outside errors.py, the range helpers are called only for the bounds
 # that belong to one function: k, k_max and e, hg_dimension's genus,
-# gonal_pencil_count's n, and h1_double_pencil's pair.  The pencil and
-# scroll hypotheses are checked through require_pencil_range and
-# require_scroll_range, so a hand-assembled one changes this list.
-RANGE_HELPERS = {"require_at_least", "require_gonal_range", "in_gonal_range"}
+# gonal_pencil_count's n, h1_double_pencil's pair, and the caps of the
+# report and the sweep.  The pencil and scroll hypotheses are checked
+# through require_pencil_range and require_scroll_range, so a
+# hand-assembled one changes this list.
+RANGE_HELPERS = {"require_at_least", "require_at_most", "require_gonal_range", "in_gonal_range"}
 RANGE_CALLS = [
     ("hirzebruch.FeBundle.__post_init__", "require_at_least('e', self.e, 0)"),
     ("hirzebruch.trigonal_h0_oracle", "require_at_least('k', k, 0)"),
@@ -121,6 +122,9 @@ RANGE_CALLS = [
     ("invariants.ballico_h0", "require_at_least('k', k, 0)"),
     ("invariants.maroni_h0", "require_at_least('k', k, 0)"),
     ("report.generate_report", "require_at_least('k_max', k_max, 0)"),
+    ("report.generate_report", "require_at_most('k_max', k_max, K_MAX_LIMIT)"),
+    ("report.generate_report", "require_at_most('n', n, GONALITY_LIMIT)"),
+    ("report.sweep_verify", "require_at_most('n', n_values[-1], GONALITY_LIMIT)"),
 ]
 
 

@@ -9,7 +9,8 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from functools import partial
+from itertools import accumulate, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,10 @@ from gonal.report import (
     _decisive_ks,
     _encode_ints,
     _cells,
+    _column,
     _global_checks,
+    _minus,
     _pieri_degrees,
-    _piecewise_affine,
     _point_checks,
     _runs,
     _zero_runs,
@@ -348,6 +350,52 @@ class TestTables:
                     expected = [v + slope * i == 0 for i in range(rows)]
                     assert list(_cells(runs)) == expected, (rows, v, slope)
 
+    def test_column(self):
+        # each column against its h0 at every printed k, h0 read only at the
+        # decisive ks up to k_max and the one after
+        columns = [
+            (partial(invariants.ballico_h0, g, n), invariants.ballico_switches(g, n), g)
+            for n in range(3, 7)
+            for g in range(2 * n - 1, 31)
+        ] + [
+            (partial(hirzebruch.trigonal_h0_oracle, g), hirzebruch.trigonal_h0_switches(g), g)
+            for g in range(5, 41)
+        ]
+        for h0, switches, g in columns:
+            values = [h0(k) for k in range(1, 3 * g + 1)]
+            ks = _decisive_ks(switches)
+            for k_max in range(3 * g + 1):
+                calls = []
+                pieces = _column(lambda k: calls.append(k) or h0(k), switches, k_max)
+                assert all(rows > 0 for rows, _, _ in pieces), (switches, k_max)
+                assert list(_cells(pieces)) == values[:k_max], (switches, k_max)
+                after = [k for k in ks if k > k_max][:1]
+                read = [k for k in ks if k <= k_max] + after if k_max else []
+                assert calls == read, (switches, k_max)
+
+    def test_minus(self):
+        rng = random.Random(19)
+
+        def column(rows):
+            pieces = []
+            while rows:
+                size = min(rows, rng.choice([1, 1, 2, 3, 5]))
+                pieces.append((size, rng.randrange(-5, 6), rng.randrange(-3, 4)))
+                rows -= size
+            return pieces
+
+        def edges(pieces):
+            return set(accumulate(rows for rows, _, _ in pieces))
+
+        for _ in range(500):
+            rows = rng.randrange(0, 16)
+            a, b = column(rows), column(rows)
+            gaps = _minus(a, b)
+            expected = [x - y for x, y in zip(_cells(a), _cells(b), strict=True)]
+            assert list(_cells(gaps)) == expected, (a, b)
+            # one piece between each two edges of either column
+            assert edges(gaps) == edges(a) | edges(b) and len(gaps) == len(edges(gaps)), (a, b)
+
 
 class TestFlatMemory:
     """Memory is flat in k_max: tables hold pieces, and the writers hold
@@ -448,10 +496,12 @@ class TestOracleColumn:
         assert evaluations(200) == evaluations(20000)
 
     def test_slopes_are_exact(self):
-        line = _piecewise_affine([(0, 1), (1, 2), (4, 11), (5, 14)])
-        assert [line(k) for k in range(8)] == [1, 2, 5, 8, 11, 14, 17, 20]
-        with pytest.raises(ConsistencyError):
-            _piecewise_affine([(0, 0), (2, 1)])
+        # read at 0, 1, 3, 4 and 5: slope 1 up to k = 1, then 3
+        column = _column(lambda k: 3 * k - 1 if k else 1, [4], 7)
+        assert column == [(2, 2, 3), (1, 8, 3), (4, 11, 3)]
+        assert list(_cells(column)) == [2, 5, 8, 11, 14, 17, 20]
+        with pytest.raises(ConsistencyError, match=r"^no integer slope from \(1, 0\) to \(3, 1\)$"):
+            _column({0: 0, 1: 0, 3: 1, 4: 1, 5: 1}.__getitem__, [4], 5)
 
     @pytest.mark.parametrize("g, n", [(5, 3), (6, 3), (20, 7), (41, 7)])
     def test_one_scroll_per_report(self, monkeypatch, g, n):
