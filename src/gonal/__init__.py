@@ -16,7 +16,7 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "chow": ("AmbientScroll", "ChowClass", "DivisorClass", "intersect_number"),
+    "chow": ("AmbientScroll", "ChowClass", "intersect_number"),
     "errors": ("ConsistencyError", "DomainError", "UnsupportedError"),
     "hirzebruch": (
         "Cohomology", "FeBundle", "RatherFreeResult", "bundle_cohomology",

@@ -58,11 +58,12 @@ class AmbientScroll:
     def point_class(self) -> "ChowClass":
         return ChowClass(self, {(self.n - 2, 1): 1})
 
-    def hyperplane(self) -> "DivisorClass":
-        return DivisorClass(self, 1, 0)
+    def hyperplane(self) -> "ChowClass":
+        # D and f are basis monomials of normal form, since n >= 3
+        return _class(self, {(1, 0): 1})
 
-    def fiber(self) -> "DivisorClass":
-        return DivisorClass(self, 0, 1)
+    def fiber(self) -> "ChowClass":
+        return _class(self, {(0, 1): 1})
 
 
 def _normal_form(ambient: AmbientScroll, terms: Iterable[tuple[Monomial, int]]) -> dict:
@@ -107,9 +108,9 @@ class ChowClass:
 
     Construct from a mapping of monomials (a, b) to coefficients; any
     monomials outside the normal-form basis are rewritten on the spot.
-    Supports +, -, * (by another class, a divisor class, or an integer).
-    Only the constructor and products rewrite: sums, negation, integer
-    multiples and divisor classes are in normal form by construction.
+    Supports +, -, * (by another class or an integer); a divisor is a
+    class of codimension 1.  Only the constructor and products rewrite:
+    sums, negation, integer multiples, D and f are normal by construction.
     """
 
     __slots__ = ("ambient", "_coeffs")
@@ -138,8 +139,6 @@ class ChowClass:
         return self._coeffs.get((self.ambient.n - 2, 1), 0)
 
     def _coerce(self, other) -> "ChowClass":
-        if isinstance(other, DivisorClass):
-            other = other.to_chow()
         if not isinstance(other, ChowClass):
             raise TypeError(f"cannot combine ChowClass with {type(other).__name__}")
         # identity first: the classes of one scroll share its AmbientScroll
@@ -212,33 +211,10 @@ def _monomial_str(a: int, b: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """A codimension-1 class d*D + f_coeff*f, embedding losslessly in the ring."""
-
-    ambient: AmbientScroll
-    d: int
-    f: int
-
-    def to_chow(self) -> ChowClass:
-        # D and f are basis monomials of normal form, since n >= 3
-        coeffs = {}
-        if self.d:
-            coeffs[(1, 0)] = self.d
-        if self.f:
-            coeffs[(0, 1)] = self.f
-        return _class(self.ambient, coeffs)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.ambient, -self.d, -self.f)
-
-    def __str__(self) -> str:
-        return repr(self.to_chow())
-
-
-def intersect_number(divisors: Sequence[DivisorClass], tail: ChowClass) -> int:
+def intersect_number(divisors: Sequence[ChowClass], tail: ChowClass) -> int:
     """Degree of the intersection product of divisor classes with a tail class.
 
+    Each divisor must lie in codimension 1 (the zero class included).
     The tail must be homogeneous and the total codimension (one per
     divisor plus the tail's) must equal n-1; a zero tail gives 0.
     """
@@ -247,6 +223,8 @@ def intersect_number(divisors: Sequence[DivisorClass], tail: ChowClass) -> int:
         # identity first, as ChowClass._coerce compares
         if dv.ambient is not ambient and dv.ambient != ambient:
             raise DomainError("classes live on different scrolls")
+        if dv.codimensions() - {1}:
+            raise DomainError(f"divisor {dv!r} is not of codimension 1")
     codims = tail.codimensions()
     if len(codims) > 1:
         raise DomainError(

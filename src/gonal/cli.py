@@ -31,7 +31,7 @@ TWIST_LITERAL_DIGITS = 4000
 def _cmd_report(args) -> int:
     from .report import generate_report, write_report
 
-    k_max = args.kmax if args.kmax is not None else 2 * args.genus
+    k_max = args.kmax if args.kmax is not None else max(2 * args.genus, 0)
     write_report(generate_report(args.genus, args.gonality, k_max), args.format, sys.stdout)
     return 0
 

@@ -29,7 +29,7 @@ from operator import eq, index, itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from . import chow, hirzebruch, invariants, picard
-from .chow import AmbientScroll, ChowClass, DivisorClass, intersect_number
+from .chow import AmbientScroll, ChowClass, intersect_number
 from .errors import ConsistencyError, DomainError, in_scroll_range, require_at_least, require_at_most
 from .picard import DivisibilityVerdict, VerdictStatus
 from .scroll import (
@@ -410,7 +410,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
             aut_vertical_dim=aut.vertical_dim,
             aut_components=aut.components,
         ),
-        canonical_class=(kx.d, kx.f),
+        canonical_class=itemgetter((1, 0), (0, 1))(kx.coefficients),
         curve_class=curve_coeffs,
         invariants=inv,
         section_counts=sections,
@@ -606,7 +606,8 @@ def _text_chunks(report: GonalReport) -> Iterator[str]:
     s = report.scroll
     inv = report.invariants
     amb = AmbientScroll(report.g, report.n)
-    kx = DivisorClass(amb, *report.canonical_class)
+    d, f = report.canonical_class
+    kx = amb.hyperplane() * d + amb.fiber() * f
     curve = ChowClass(amb, {(a, b): c for a, b, c in report.curve_class})
     lines = [
         f"n-gonal curve dossier: g={report.g}, n={report.n} (sections up to k={report.k_max})",
@@ -799,7 +800,7 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
     top = amb.monomial(n - 2, 0) * hyper
     yield "chow/top-power", top.degree() == g - n + 1, f"deg(D^(n-1)) = {top.degree()}"
     rng = random.Random(7919 * g + n)
-    ff = fiber.to_chow() * fiber
+    ff = fiber * fiber
     yield "chow/fiber-squared", all(
         (ff * x).is_zero() for x in (amb.unit(), curve, _rand_class(rng, amb))
     )

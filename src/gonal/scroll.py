@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .chow import AmbientScroll, ChowClass, DivisorClass
+from .chow import AmbientScroll, ChowClass
 from .errors import DomainError
 
 
@@ -96,10 +96,10 @@ def generic_scroll(g: int, n: int) -> ScrollSpec:
     return ScrollSpec(AmbientScroll(g, n), _generic_splitting(g, n))
 
 
-def canonical_class(spec: ScrollSpec) -> DivisorClass:
+def canonical_class(spec: ScrollSpec) -> ChowClass:
     """The canonical divisor class -(n-1)D + (g-n-1)f."""
     g, n = spec.g, spec.n
-    return DivisorClass(spec.ambient, -(n - 1), g - n - 1)
+    return ChowClass(spec.ambient, {(1, 0): -(n - 1), (0, 1): g - n - 1})
 
 
 def curve_class(spec: ScrollSpec) -> ChowClass:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gonal.chow import AmbientScroll, ChowClass, DivisorClass, intersect_number
+from gonal.chow import AmbientScroll, ChowClass, intersect_number
 from gonal.errors import DomainError
 
 
@@ -49,12 +49,12 @@ class TestAmbientScroll:
 class TestNormalForm:
     def test_fiber_squared_is_zero(self):
         amb = AmbientScroll(5, 3)
-        f = amb.fiber().to_chow()
+        f = amb.fiber()
         assert (f * f).is_zero()
 
     def test_hyperplane_square_trigonal(self):
         amb = AmbientScroll(5, 3)
-        d = amb.hyperplane().to_chow()
+        d = amb.hyperplane()
         assert (d * d).coefficients == {(1, 1): 3}
 
     def test_mixed_product(self):
@@ -67,7 +67,7 @@ class TestNormalForm:
 
     def test_high_powers_vanish(self):
         amb = AmbientScroll(9, 4)
-        d = amb.hyperplane().to_chow()
+        d = amb.hyperplane()
         d3 = d * d * d
         assert d3.degree() == 6  # the scroll degree g-n+1
         assert (d3 * d).is_zero()
@@ -162,7 +162,7 @@ class TestIntersectNumber:
     def test_canonical_pairing_general_genus(self):
         for g in range(5, 13):
             amb = AmbientScroll(g, 3)
-            omega = DivisorClass(amb, -2, g - 4)
+            omega = amb.hyperplane() * -2 + amb.fiber() * (g - 4)
             curve = ChowClass(amb, {(1, 0): 3, (0, 1): 4 - g})
             assert intersect_number([omega], curve) == -g - 8
 
@@ -181,6 +181,22 @@ class TestIntersectNumber:
     def test_zero_tail_gives_zero(self):
         amb = AmbientScroll(9, 4)
         assert intersect_number([amb.hyperplane()], ChowClass(amb)) == 0
+
+    def test_divisor_outside_codimension_one_rejected(self):
+        amb = AmbientScroll(9, 4)
+        # each total is n-1 = 3 when a divisor counts as codimension 1
+        for divisor, tail in [
+            (amb.unit(), amb.monomial(1, 1)),
+            (amb.hyperplane() + amb.unit(), amb.monomial(2, 0)),
+            (amb.monomial(2, 0), amb.fiber()),
+        ]:
+            with pytest.raises(DomainError, match="not of codimension 1"):
+                intersect_number([divisor], tail)
+
+    def test_zero_divisor_gives_zero(self):
+        amb = AmbientScroll(9, 4)
+        assert intersect_number([ChowClass(amb)], amb.monomial(2, 0)) == 0
+        assert intersect_number([amb.fiber(), ChowClass(amb)], amb.monomial(1, 0)) == 0
 
 
 def test_repr_is_readable():
@@ -238,7 +254,7 @@ class TestAgainstPolynomialModel:
                     x, y = ChowClass(amb, px), ChowClass(amb, py)
                     d, e, k = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
                     pdv = {(1, 0): d, (0, 1): e}
-                    dv = DivisorClass(amb, d, e)
+                    dv = amb.hyperplane() * d + amb.fiber() * e
                     assert x.coefficients == reduce(px)
                     assert (x + y).coefficients == reduce(_poly_add(px, py))
                     assert (x - y).coefficients == reduce(_poly_add(px, py, -1))
@@ -246,7 +262,7 @@ class TestAgainstPolynomialModel:
                     assert (x * y).coefficients == reduce(_poly_mul(px, py))
                     assert (x * dv).coefficients == reduce(_poly_mul(px, pdv))
                     assert (x + dv).coefficients == reduce(_poly_add(px, pdv))
-                    assert dv.to_chow().coefficients == reduce(pdv)
+                    assert dv.coefficients == reduce(pdv)
                     assert (k * x).coefficients == (x * k).coefficients == reduce(
                         _poly_mul(px, {(0, 0): k})
                     )
@@ -264,7 +280,7 @@ class TestAgainstPolynomialModel:
                 for d, e in raw_divisors:
                     product = _poly_mul(product, {(1, 0): d, (0, 1): e})
                 expected = brute_reduce(amb, product, rng).get((n - 2, 1), 0)
-                divisors = [DivisorClass(amb, d, e) for d, e in raw_divisors]
+                divisors = [amb.hyperplane() * d + amb.fiber() * e for d, e in raw_divisors]
                 assert intersect_number(divisors, ChowClass(amb, raw_tail)) == expected
 
 
@@ -289,7 +305,7 @@ class TestNormalisingWork:
         amb = AmbientScroll(20, 6)
         x = ChowClass(amb, {(1, 0): 2, (4, 0): -1, (0, 1): 3})
         y = ChowClass(amb, {(2, 1): 5, (0, 0): 1})
-        dv = DivisorClass(amb, 2, -1)
+        dv = amb.hyperplane() * 2 - amb.fiber()
         passes.clear()
         x * y
         assert len(passes) == 1
@@ -300,9 +316,9 @@ class TestNormalisingWork:
         amb = AmbientScroll(20, 6)
         x = ChowClass(amb, {(1, 0): 2, (4, 0): -1, (0, 1): 3})
         y = ChowClass(amb, {(2, 1): 5, (0, 0): 1})
-        dv = DivisorClass(amb, 2, -1)
+        dv = amb.hyperplane() * 2 - amb.fiber()
         passes.clear()
-        results = [x + y, x - y, -x, 3 * x, x * 0, x + dv, dv.to_chow(), x - x]
+        results = [x + y, x - y, -x, 3 * x, x * 0, x + dv, amb.hyperplane(), amb.fiber(), x - x]
         assert passes == []
         # and each is the class the constructor would build
         for r in results:

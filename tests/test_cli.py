@@ -73,6 +73,19 @@ class TestReportCommand:
         proc = run_cli("report", "--genus", "5")
         assert proc.returncode == 2
 
+    def test_negative_genus_names_the_genus(self):
+        # the default k_max of 2g is not named: the user never passed -10
+        proc = run_cli("report", "--genus", "-5", "--gonality", "3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: requires g >= 2 (got g=-5)\n"
+
+    def test_negative_kmax_names_the_kmax(self):
+        proc = run_cli("report", "--genus", "9", "--gonality", "3", "--kmax", "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: requires k_max >= 0 (got k_max=-1)\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("n", [3, 7])
     def test_out_of_memory_exits_2(self, n, fmt):

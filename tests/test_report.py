@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from gonal import cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
-from gonal.chow import ChowClass, DivisorClass
+from gonal.chow import ChowClass
 from gonal.errors import ConsistencyError, DomainError, in_scroll_range
 from gonal.report import (
     ConsistencyFlags,
@@ -955,8 +955,7 @@ class TestRatherFreeRoute:
         canonical = scroll.canonical_class
 
         def shifted(spec):
-            k = canonical(spec)
-            return DivisorClass(spec.ambient, k.d, k.f + 1)
+            return canonical(spec) + spec.ambient.fiber()
 
         patch_everywhere(monkeypatch, "canonical_class", shifted)
         failing = self.failing()
