@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from math import gcd
+from typing import NoReturn
 
 from .errors import DomainError, UnsupportedError
 
@@ -215,5 +216,19 @@ def main(argv=None) -> int:
         return 141
 
 
+def run() -> NoReturn:
+    """The process entry point: main(), the flushes, then os._exit with
+    main's code, past the interpreter's teardown.  Atexit handlers do not
+    run.  A usage error or an uncaught exception leaves main by the
+    normal path."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 141
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -411,6 +411,119 @@ class TestTwistCommand:
         )
 
 
+# cli.run is the process entry point: main, the flushes, then os._exit.
+# Each command line below, as a process, prints and exits as main does.
+PROCESS_CASES = {
+    "report-json": ["report", "--genus", "200", "--gonality", "3", "--format", "json"],
+    "report-text": ["report", "--genus", "200", "--gonality", "5"],
+    "verify": ["verify", "--genus-min", "5", "--genus-max", "9",
+               "--gonality-min", "3", "--gonality-max", "4", "--format", "json"],
+    "twist": ["twist", "--coeffs", "-5,1,0,0,0,0,1", "--a", "-3/2", "--x0", "-1/2"],
+    "domain-error": ["report", "--genus", "4", "--gonality", "3"],
+}
+
+# Runs `python -m gonal` as runpy does, with an atexit handler registered.
+ATEXIT_PROBE = """\
+import atexit, runpy, sys
+atexit.register(lambda: print("atexit ran", file=sys.stderr, flush=True))
+{patch}
+sys.argv = ["gonal", *{args!r}]
+runpy.run_module("gonal", run_name="__main__")
+"""
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("args", PROCESS_CASES.values(), ids=PROCESS_CASES)
+    def test_process_prints_and_exits_as_main(self, args, capsys):
+        from gonal import cli
+
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        proc = run_cli(*args)
+        assert (proc.stdout, proc.stderr, proc.returncode) == (out, err, code)
+
+    def test_closed_pipe_exits_as_main(self, monkeypatch, capsys):
+        from gonal import cli
+
+        # the output fits in the stream's buffer: only the flush meets the pipe
+        args = ["report", "--genus", "12", "--gonality", "3", "--format", "json"]
+        read, write = os.pipe()
+        os.close(read)
+        stdout = open(write, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(args)
+        monkeypatch.undo()
+        stdout.close()
+        err = capsys.readouterr().err
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gonal", *args],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.stderr, proc.returncode) == (err, code) == ("", 141)
+
+    @pytest.mark.parametrize("error, code", [(None, 3), (BrokenPipeError, 141)])
+    def test_run_flushes_both_streams_then_exits(self, monkeypatch, error, code):
+        from gonal import cli
+
+        events = []
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def flush(self):
+                events.append(self.name)
+                if error is not None and self.name == "stdout":
+                    raise error
+
+        class Exited(Exception):
+            pass
+
+        def exit_(status):
+            events.append(status)
+            raise Exited
+
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        monkeypatch.setattr(os, "_exit", exit_)
+        monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+        monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+        with pytest.raises(Exited):
+            cli.run()
+        monkeypatch.undo()
+        flushed = ["stdout"] if error else ["stdout", "stderr"]
+        assert events == [*flushed, code]
+
+    @staticmethod
+    def probe(args, patch=""):
+        code = ATEXIT_PROBE.format(args=list(args), patch=patch)
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+
+    def test_fast_exit_skips_atexit_handlers(self):
+        proc = self.probe(PROCESS_CASES["twist"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli(*PROCESS_CASES["twist"]).stdout
+
+    def test_uncaught_exception_exits_the_normal_way(self):
+        patch = "import gonal.report\ngonal.report.generate_report = lambda *args: 1 // 0"
+        proc = self.probe(["report", "--genus", "5", "--gonality", "3"], patch)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("Traceback")
+        assert proc.stderr.endswith("ZeroDivisionError: integer division or modulo by zero\natexit ran\n")
+
+    def test_usage_error_exits_the_normal_way(self):
+        proc = self.probe(["report", "--genus", "5"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: gonal report")
+        assert proc.stderr.endswith("atexit ran\n")
+
+
 def loaded_modules(code):
     """The modules a fresh interpreter holds after running code."""
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"

@@ -441,6 +441,54 @@ class TestRenderText:
         assert "dim-P(L) n/a" in text
 
 
+class TestBlockEdges:
+    """The writers fill each block of 1,024 rows from the pieces in it, so a
+    piece may end or start at a block edge or run across it."""
+
+    @staticmethod
+    def naive_table(r):
+        """The table lines of render_text, one % per row."""
+        if r.oracle_checks is None:
+            return ["  %-3d %d" % row for row in r.section_counts]
+        return [
+            "  %-3d %-4d %-7d %s" % (k, h0, row.oracle_value, "yes" if row.agree else "NO")
+            for (k, h0), row in zip(r.section_counts, r.oracle_checks, strict=True)
+        ]
+
+    def assert_written_row_by_row(self, r):
+        assert emit_json(r) == json.dumps(r.to_dict(), indent=2) + "\n"
+        lines = render_text(r).splitlines()
+        start = lines.index("section counts h^0(k g^1_n):") + 2
+        end = start + len(r.section_counts)
+        assert lines[start:end] == self.naive_table(r)
+        assert lines[end].startswith("modular degree")
+
+    @pytest.mark.parametrize("k_max", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_k_max_at_a_block_edge(self, n, k_max):
+        self.assert_written_row_by_row(generate_report(9, n, k_max))
+
+    def test_a_one_row_piece_ends_the_first_block(self):
+        r = generate_report(2049, 3, 4098)
+        # rows 0..1022, row 1023 alone, then a piece from row 1024 on
+        assert r.section_counts.columns[1] == [(1023, 2, 1), (1, 1025, 2), (3074, 1027, 3)]
+        self.assert_written_row_by_row(r)
+
+    def test_an_unsafe_piece_across_a_block_edge(self):
+        safe = (1 << 53) - 1
+        ks = range(1, 1101)
+        r = replace(
+            generate_report(9, 3, 6),
+            # h0 leaves the safe range at row 1000, and stays out past row 1024
+            section_counts=[(k, k if k <= 1000 else safe + k) for k in ks],
+            # the oracle value crosses -safe at row 1019, inside one piece
+            oracle_checks=[OracleRow(k, k, 1020 - safe - k, k > 1024) for k in ks],
+        )
+        assert len(r.section_counts.columns[1]) == 2
+        assert len(r.oracle_checks.columns[2]) == 1
+        self.assert_written_row_by_row(r)
+
+
 class TestOracleColumn:
     """The printed oracle column is the surface oracle at its switch
     points, affine between them."""
