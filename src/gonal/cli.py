@@ -27,6 +27,12 @@ from .errors import DomainError, UnsupportedError
 # Fraction("1e100000000") alone would build 10^(10^8).  A lower limit of
 # the interpreter on int-to-text conversion lowers it.
 TWIST_LITERAL_DIGITS = 4000
+# The largest d^2 (b + 8) of a `twist` form of degree d whose coefficients,
+# scaled to integers, have at most b bits, read before its discriminant is
+# decided.  Euclid's time tracks the square of d^2 (b + 8), within a factor
+# of 3.3 over genus 2 to 250 and 1 to 100,000 bits; random forms on the
+# bound, genus 2 to 190, decide in 3.2 to 9.3 s (CPython 3.11, one Xeon core).
+TWIST_DISCRIMINANT_COST = 14 * 10**5
 
 
 def _cmd_report(args) -> int:
@@ -63,21 +69,20 @@ def _literal_digits(text: str) -> int:
     return len(text)
 
 
-def _value_too_long(coeffs: list, x0, digits: int) -> bool:
+def _value_too_long(coeffs: list, scaled: list[int], x0, digits: int) -> bool:
     """Whether f(x0), x0 = p/q in lowest terms, surely has a numerator or a
     denominator of more than `digits` digits, read from sizes before f(x0) is
-    computed.  Write c'_i = L*c_i, L the lcm of the c_i's denominators, and
-    c'_m for the top nonzero one.
+    computed.  Here scaled holds c'_i = L*c_i, L the lcm of the c_i's
+    denominators, and c'_m is the top nonzero one.
 
     f(x0) = N / (L*q^m) with N = c'_m p^m (mod q), so if c'_m is prime to q
     the reduced denominator is >= q^m.  If |p| >= q and |c'_m p| >=
     2q (|c'_0| + ... + |c'_{m-1}|), the lower terms are at most half the top
     one, so the reduced numerator is >= |f(x0)| >= |c_m| |x0|^m / 2.
     """
-    from .hyperelliptic import _integer_scaled
-
-    scaled = _integer_scaled(coeffs)
-    m = max(i for i, c in enumerate(scaled) if c)
+    m = max((i for i, c in enumerate(scaled) if c), default=None)
+    if m is None:
+        return False  # f = 0, refused as singular
     p, q = abs(x0.numerator), x0.denominator
     # a >= 2^(bits(a) - 1) and b < 2^bits(b), and 2^3.33 > 10
     if 100 * (q.bit_length() - 1) * m >= 333 * digits and gcd(scaled[m], q) == 1:
@@ -96,7 +101,7 @@ def _value_too_long(coeffs: list, x0, digits: int) -> bool:
 def _cmd_twist(args) -> int:
     from fractions import Fraction
 
-    from .hyperelliptic import BinaryForm, HyperellipticModel, twist_with_point
+    from .hyperelliptic import BinaryForm, HyperellipticModel, _integer_scaled, twist_with_point
 
     # the interpreter's int-to-text limit; 0, or none before Python 3.10.7, is no limit
     limit = getattr(sys, "get_int_max_str_digits", int)()
@@ -113,13 +118,21 @@ def _cmd_twist(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"could not parse rational input: {exc}") from exc
     form = BinaryForm(len(coeffs) - 1, tuple(coeffs))
-    model = HyperellipticModel(a, form)
+    # both refusals are read from sizes, before the discriminant is decided
+    scaled = _integer_scaled(coeffs)
+    d, b = form.degree, max(abs(c).bit_length() for c in scaled)
+    if d * d * (b + 8) > TWIST_DISCRIMINANT_COST:
+        raise DomainError(
+            f"requires d^2 * (b + 8) <= {TWIST_DISCRIMINANT_COST} for a form of degree d "
+            f"with coefficients of at most b bits, scaled to integers (got d = {d}, b = {b})"
+        )
     too_long = DomainError(
         f"requires a twisted value a' = f(x0) of at most {limit} digits "
         "in numerator and denominator"
     )
-    if limit and _value_too_long(coeffs, x0, limit):
+    if limit and _value_too_long(coeffs, scaled, x0, limit):
         raise too_long
+    model = HyperellipticModel(a, form)
     twisted, point = twist_with_point(model, x0)
     # a part of at most 3 * limit bits is below 10^limit: build the power only past that
     parts = (abs(twisted.a.numerator), twisted.a.denominator)
@@ -212,7 +225,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader is gone: point stdout at the null device, so that the
         # flush at exit drops what is left instead of raising again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
 
 

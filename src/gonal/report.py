@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache, partial
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat, starmap
 from math import gcd
 from operator import eq, index, itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
@@ -128,12 +128,30 @@ class ConsistencyFlags(NamedTuple):
 _Piece = tuple[int, int, int]
 
 
+def _ints(rows: int, v: int, slope: int) -> Iterable:
+    """The cells of a piece: a range, or v repeated for slope 0, so that a
+    bool stays a bool."""
+    return range(v, v + slope * rows, slope) if slope else repeat(v, rows)
+
+
+def _cut(stack: list[_Piece], rows: int) -> list[_Piece]:
+    """The pieces of the next rows rows, popped off a column kept reversed
+    as a stack.  A piece that runs on past them is split, its rest pushed
+    back; a bool value stays a bool."""
+    out = []
+    while rows:
+        n, v, slope = stack.pop()
+        if n > rows:
+            stack.append((n - rows, v + slope * rows if slope else v, slope))
+            n = rows
+        out.append((n, v, slope))
+        rows -= n
+    return out
+
+
 def _cells(pieces: Iterable[_Piece]) -> Iterator:
     """The cells of a column, top to bottom, made as they are read."""
-    return chain.from_iterable(
-        range(v, v + slope * rows, slope) if slope else repeat(v, rows)
-        for rows, v, slope in pieces
-    )
+    return chain.from_iterable(starmap(_ints, pieces))
 
 
 def _runs(cells: Sequence, tp: type) -> list[_Piece]:
@@ -143,7 +161,7 @@ def _runs(cells: Sequence, tp: type) -> list[_Piece]:
     while start < len(cells):
         v = cells[start]
         slope = cells[start + 1] - v if tp is int and start + 1 < len(cells) else 0
-        line = range(v, v + slope * (len(cells) - start), slope) if slope else repeat(v)
+        line = _ints(len(cells) - start, v, slope)
         # the piece ends at the first cell off its line
         rows = next(
             compress(count(), map(ne, islice(cells, start, None), line)), len(cells) - start
@@ -192,12 +210,9 @@ class _Table(Sequence):
         i = range(self._rows)[index(i)]
         cells = []
         for pieces in self.columns:
-            at = i
-            for rows, v, slope in pieces:
-                if at < rows:
-                    cells.append(v + slope * at if slope else v)
-                    break
-                at -= rows
+            stack = pieces[::-1]
+            _cut(stack, i)
+            cells.append(stack[-1][1])
         return tuple.__new__(self.row, cells)
 
     def __eq__(self, other) -> bool:
@@ -279,37 +294,28 @@ def _column(h0: Callable[[int], int], switches: list[int], k_max: int) -> list[_
         slope, rem = divmod(vq - vp, q - p)
         if rem:
             raise ConsistencyError(f"no integer slope from ({p}, {vp}) to ({q}, {vq})")
-        # rows start at k = 1, so the piece from 0 to 1 gives only its slope
-        # when another piece follows
-        start, end = max(p, 1), q if q < last else k_max + 1
-        if start < end:
-            pieces.append((end - start, vp + slope * (start - p), slope))
-    return pieces
+        pieces.append(((q if q < last else k_max + 1) - p, vp, slope))
+    # the pieces run from k = 0, and the rows from k = 1
+    pieces.reverse()
+    _cut(pieces, 1)
+    return pieces[::-1]
 
 
-def _minus(a: list[_Piece], b: list[_Piece]) -> list[_Piece]:
-    """The int column a - b of two columns of the same rows, one piece
-    between each two edges of either."""
-    gaps, a, b = [], a[::-1], b[::-1]
-    while a:
-        (ra, va, sa), (rb, vb, sb) = a.pop(), b.pop()
-        rows = min(ra, rb)
-        gaps.append((rows, va - vb, sa - sb))
-        if ra > rows:
-            a.append((ra - rows, va + sa * rows, sa))
-        if rb > rows:
-            b.append((rb - rows, vb + sb * rows, sb))
-    return gaps
-
-
-def _zero_runs(rows: int, v: int, slope: int) -> list[_Piece]:
-    """The bool column v + slope * i == 0 for i < rows, as pieces."""
-    if not slope:
-        return [(rows, v == 0, 0)]
-    i, rem = divmod(-v, slope)
-    if rem or not 0 <= i < rows:
-        return [(rows, False, 0)]
-    return [piece for piece in ((i, False, 0), (1, True, 0), (rows - i - 1, False, 0)) if piece[0]]
+def _agree(a: list[_Piece], b: list[_Piece]) -> list[_Piece]:
+    """The bool column a == b of two int columns of the same rows, as runs
+    cut at the edges of both.  Where a - b = gap + step * i is not
+    constant, it is zero in at most one row, i = -gap / step."""
+    runs, b = [], b[::-1]
+    for rows, v, slope in a:
+        for n, w, s in _cut(b, rows):
+            gap, step = v - w, slope - s
+            v += slope * n
+            i, rem = divmod(-gap, step) if step else (n, 0)
+            if rem or not 0 <= i < n:
+                runs.append((n, not step and gap == 0, 0))
+            else:
+                runs += [r for r in ((i, False, 0), (1, True, 0), (n - i - 1, False, 0)) if r[0]]
+    return runs
 
 
 def generate_report(g: int, n: int, k_max: int) -> GonalReport:
@@ -352,7 +358,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
         oracle_switches = hirzebruch.trigonal_h0_switches(g)
         # the oracle at its own switch points, affine between them
         oracle = _column(partial(hirzebruch.trigonal_h0_oracle, g), oracle_switches, k_max)
-        agree = [run for gap in _minus(formula, oracle) for run in _zero_runs(*gap)]
+        agree = _agree(formula, oracle)
         oracle_checks: _Table | None = _Table(OracleRow, [ks, formula, oracle, agree])
         # the printed rows, and every k >= 0 whatever k_max is
         decisive = _decisive_ks(oracle_switches, ballico_switches)
@@ -535,31 +541,22 @@ def _row_blocks(template: str, sep: str, columns: list[tuple], rows: int) -> Ite
         size = min(rows - start, _BLOCK_ROWS)
         args = [None] * (size * width)
         for j, ((_, cells), stack) in enumerate(zip(columns, stacks)):
-            at = 0
-            while at < size:
-                n, v, slope = stack.pop()
-                if at + n > size:  # the piece runs on into the next block
-                    stack.append((at + n - size, v + slope * (size - at), slope))
-                    n = size - at
-                args[at * width + j : (at + n) * width : width] = cells(n, v, slope)
-                at += n
+            for n, v, slope in _cut(stack, size):
+                args[j : j + n * width : width] = cells(n, v, slope)
+                j += n * width
         yield (lead + sep.join([template] * size)) % tuple(args)
         lead = sep
 
 
-def _ints(rows: int, v: int, slope: int) -> Sequence:
-    """The cells of an int piece."""
-    return range(v, v + slope * rows, slope) if slope else [v] * rows
-
-
-def _json_ints(rows: int, v: int, slope: int) -> Sequence:
+def _json_ints(rows: int, v: int, slope: int) -> Iterable:
     """The cells of an int piece as %s writes their json.dumps texts after
     _encode_ints.  A piece is monotone, so its ends bound it: inside the
     safe range its ints are written as is, else each cell as its text."""
     cells = _ints(rows, v, slope)
-    if -_SAFE_INT_MAX <= min(v, cells[-1]) and max(v, cells[-1]) <= _SAFE_INT_MAX:
+    last = v + slope * (rows - 1)
+    if -_SAFE_INT_MAX <= min(v, last) and max(v, last) <= _SAFE_INT_MAX:
         return cells
-    return [str(c) if -_SAFE_INT_MAX <= c <= _SAFE_INT_MAX else f'"{c}"' for c in cells]
+    return [json.dumps(_encode_ints(c)) for c in cells]
 
 
 def _literals(texts: tuple[str, str]) -> Callable[[int, bool, int], list[str]]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -290,9 +291,11 @@ class TestTwistCommand:
         assert "f(x0) = 0" in proc.stderr
 
     def test_singular_form_rejected(self):
-        proc = run_cli("twist", "--coeffs", "0,0,1,0,0,0,1", "--a", "1", "--x0", "1")
-        assert proc.returncode == 2
-        assert "discriminant" in proc.stderr
+        # the zero form too, which has no top coefficient to size f(x0) by
+        for coeffs in ("0,0,1,0,0,0,1", "0,0,0,0,0,0,0"):
+            proc = run_cli("twist", "--coeffs", coeffs, "--a", "1", "--x0", "1")
+            assert proc.returncode == 2
+            assert "discriminant" in proc.stderr
 
     def test_one_discriminant_per_twist(self, monkeypatch, capsys):
         from gonal import cli, hyperelliptic
@@ -342,6 +345,37 @@ class TestTwistCommand:
     )
     def test_huge_values_exit_2(self, coeffs, a, x0, message):
         assert_refused(["twist", f"--coeffs={coeffs}", f"--a={a}", f"--x0={x0}"], message)
+
+    def test_costly_discriminant_exits_2(self):
+        # genus 10 at 4,000 digits a coefficient ran for over a minute
+        from gonal.cli import TWIST_DISCRIMINANT_COST
+
+        coeffs = ",".join(["9" * 4000] * 23)
+        assert_refused(
+            ["twist", f"--coeffs={coeffs}", "--a=1", "--x0=1"],
+            f"requires d^2 * (b + 8) <= {TWIST_DISCRIMINANT_COST} for a form of degree d "
+            "with coefficients of at most b bits, scaled to integers (got d = 22, b = 13288)",
+        )
+
+    def test_discriminant_bound_is_sharp(self):
+        # c + x^12, c of b bits, decides at once: d^2 (b + 8) at the bound
+        # is accepted, one bit more refused
+        from gonal.cli import TWIST_DISCRIMINANT_COST
+
+        b = TWIST_DISCRIMINANT_COST // 144 - 8
+        for bits, code in ((b, 0), (b + 1, 2)):
+            coeffs = f"{1 << (bits - 1)}" + ",0" * 11 + ",1"
+            proc = run_cli("twist", f"--coeffs={coeffs}", "--a=1", "--x0=1")
+            assert proc.returncode == code, proc.stderr
+            assert ("d^2 * (b + 8)" in proc.stderr) == bool(code)
+
+    def test_genus_40_with_one_digit_rationals(self):
+        # a form of genus 40 with one-digit rational coefficients is accepted
+        rng = random.Random(40)
+        coeffs = ",".join(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" for _ in range(82)) + ",1"
+        proc = run_cli("twist", f"--coeffs={coeffs}", "--a=1", "--x0=1/2", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["genus"] == 40
 
     def test_largest_literals_print(self):
         # at the literal bound, and f(x0) within the printed digits
@@ -465,6 +499,23 @@ class TestProcessExit:
         finally:
             os.close(write)
         assert (proc.stderr, proc.returncode) == (err, code) == ("", 141)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_closed_pipe_keeps_no_descriptor(self, monkeypatch, capsys):
+        from gonal import cli
+
+        def closed_pipe_main():
+            read, write = os.pipe()
+            os.close(read)
+            with open(write, "w") as stdout, monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stdout)
+                assert cli.main(["report", "--genus", "12", "--gonality", "3"]) == 141
+
+        closed_pipe_main()  # lazy imports first
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            closed_pipe_main()
+        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize("error, code", [(None, 3), (BrokenPipeError, 141)])
     def test_run_flushes_both_streams_then_exits(self, monkeypatch, error, code):

@@ -27,15 +27,15 @@ from gonal.report import (
     SweepSummary,
     _curve_h1,
     _decisive_ks,
+    _agree,
     _encode_ints,
     _cells,
     _column,
+    _cut,
     _global_checks,
-    _minus,
     _pieri_degrees,
     _point_checks,
     _runs,
-    _zero_runs,
     emit_json,
     generate_report,
     parse_json,
@@ -341,15 +341,6 @@ class TestTables:
         # a column affine in k is one piece, whatever its length
         assert _runs(range(7, 7 + 3 * 10**6, 3), int) == [(10**6, 7, 3)]
 
-    def test_zero_runs(self):
-        for rows in range(1, 7):
-            for v in range(-6, 7):
-                for slope in range(-3, 4):
-                    runs = _zero_runs(rows, v, slope)
-                    assert all(size > 0 for size, _, _ in runs)
-                    expected = [v + slope * i == 0 for i in range(rows)]
-                    assert list(_cells(runs)) == expected, (rows, v, slope)
-
     def test_column(self):
         # each column against its h0 at every printed k, h0 read only at the
         # decisive ks up to k_max and the one after
@@ -373,28 +364,73 @@ class TestTables:
                 read = [k for k in ks if k <= k_max] + after if k_max else []
                 assert calls == read, (switches, k_max)
 
-    def test_minus(self):
-        rng = random.Random(19)
-
-        def column(rows):
-            pieces = []
-            while rows:
-                size = min(rows, rng.choice([1, 1, 2, 3, 5]))
+    @staticmethod
+    def _random_column(rng, rows, tp=int):
+        pieces = []
+        while rows:
+            size = min(rows, rng.choice([1, 1, 2, 3, 5]))
+            if tp is bool:
+                pieces.append((size, rng.random() < 0.5, 0))
+            else:
                 pieces.append((size, rng.randrange(-5, 6), rng.randrange(-3, 4)))
-                rows -= size
-            return pieces
+            rows -= size
+        return pieces
 
-        def edges(pieces):
-            return set(accumulate(rows for rows, _, _ in pieces))
+    @staticmethod
+    def _edges(pieces):
+        return set(accumulate(rows for rows, _, _ in pieces))
 
+    def test_indexing_keeps_cell_types(self):
+        reports = [generate_report(*p) for p in ((9, 3, 6), (11, 3, 30), (20, 4, 40), (5, 3, 1))]
+        tables = [t for r in reports for t in (r.section_counts, r.oracle_checks) if t is not None]
+        base = reports[0]
+        replaced = [OracleRow(k, k, k // 2, k % 3 == 0) for k in range(1, 9)]
+        tables.append(replace(base, section_counts=((1, 5), (2, 7), (9, 7))).section_counts)
+        tables.append(replace(base, oracle_checks=replaced).oracle_checks)
+        for table in tables:
+            rows = list(table)
+            for i in range(-len(rows), len(rows)):
+                assert table[i] == rows[i], (table, i)
+                assert type(table[i]) is type(rows[i]), (table, i)
+                assert list(map(type, table[i])) == list(map(type, rows[i])), (table, i)
+        # a bool cell read from inside a run, not the int 1
+        assert type(base.oracle_checks[3].agree) is bool
+
+    def test_cut(self):
+        rng = random.Random(29)
+        for _ in range(500):
+            tp = rng.choice([int, bool])
+            rows = rng.randrange(0, 16)
+            pieces = self._random_column(rng, rows, tp)
+            size = rng.randrange(0, rows + 1)
+            stack = pieces[::-1]
+            head = _cut(stack, size)
+            assert sum(n for n, _, _ in head) == size, (pieces, size)
+            assert all(n > 0 for n, _, _ in head + stack), (pieces, size)
+            cells = list(_cells(head)) + list(_cells(stack[::-1]))
+            assert cells == list(_cells(pieces)), (pieces, size)
+            assert all(type(v) is tp for _, v, _ in head + stack), (pieces, size)
+            assert all(type(c) is tp for c in cells), (pieces, size)
+
+    def test_agree(self):
+        rng = random.Random(19)
         for _ in range(500):
             rows = rng.randrange(0, 16)
-            a, b = column(rows), column(rows)
-            gaps = _minus(a, b)
-            expected = [x - y for x, y in zip(_cells(a), _cells(b), strict=True)]
-            assert list(_cells(gaps)) == expected, (a, b)
-            # one piece between each two edges of either column
-            assert edges(gaps) == edges(a) | edges(b) and len(gaps) == len(edges(gaps)), (a, b)
+            a, b = self._random_column(rng, rows), self._random_column(rng, rows)
+            runs = _agree(a, b)
+            expected = [x == y for x, y in zip(_cells(a), _cells(b), strict=True)]
+            cells = list(_cells(runs))
+            assert cells == expected and all(type(c) is bool for c in cells), (a, b)
+            assert all(n > 0 and slope == 0 for n, _, slope in runs), (a, b)
+            # runs are cut at every edge of either column
+            assert self._edges(a) | self._edges(b) <= self._edges(runs), (a, b)
+        for rows in range(1, 7):
+            for v in range(-6, 7):
+                for slope in range(-3, 4):
+                    runs = _agree([(rows, v, slope)], [(rows, 0, 0)])
+                    assert all(size > 0 for size, _, _ in runs)
+                    expected = [v + slope * i == 0 for i in range(rows)]
+                    assert list(_cells(runs)) == expected, (rows, v, slope)
 
 
 class TestFlatMemory:
