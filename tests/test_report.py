@@ -412,7 +412,8 @@ class TestTables:
             assert all(type(v) is tp for _, v, _ in head + stack), (pieces, size)
             assert all(type(c) is tp for c in cells), (pieces, size)
 
-    def test_agree(self):
+    def test_minus(self):
+        # a == b is read off the difference a - b of two random columns
         rng = random.Random(19)
         for _ in range(500):
             rows = rng.randrange(0, 16)
@@ -424,6 +425,10 @@ class TestTables:
             assert all(n > 0 and slope == 0 for n, _, slope in runs), (a, b)
             # runs are cut at every edge of either column
             assert self._edges(a) | self._edges(b) <= self._edges(runs), (a, b)
+
+    def test_zero_runs(self):
+        # one affine piece against a zero column: its zero rows, at every
+        # size, value and slope
         for rows in range(1, 7):
             for v in range(-6, 7):
                 for slope in range(-3, 4):
