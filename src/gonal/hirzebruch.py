@@ -102,11 +102,13 @@ def _h0_switches(e: int, a: int) -> list[int]:
 
 
 def _h0(bundle: FeBundle) -> int:
-    # h^0(P^1, Sym^a(O + O(-e)) (x) O(b)) summed over the splitting
-    if bundle.a < 0:
+    # h^0(P^1, Sym^a(O + O(-e)) (x) O(b)) summed over the splitting: b - t
+    # at each switch t = i*e - 1 below b, i = 0..m, summed in closed form
+    a, b, e = bundle.a, bundle.b, bundle.e
+    if a < 0 or b < 0:
         return 0
-    b = bundle.b
-    return sum(b - t for t in _h0_switches(bundle.e, bundle.a) if t < b)
+    m = min(a, b // e) if e else a
+    return (m + 1) * (b + 1) - e * m * (m + 1) // 2
 
 
 def bundle_cohomology(bundle: FeBundle) -> Cohomology:

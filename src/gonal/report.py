@@ -11,7 +11,8 @@ doubles; ``parse_json`` undoes this, and parse(emit(r)) == r.
 (g, n) and reports counts instead of aborting: a verification harness
 must surface all findings, an error raised while checks run included.
 Aggregation order is canonical (globals first, then grid points sorted
-by (g, n)).
+by (g, n)).  The check families live in ``gonal.checks``, which only a
+sweep loads.
 """
 
 import json
@@ -24,21 +25,14 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import chain, compress, count, islice, repeat, starmap
-from math import gcd
 from operator import eq, index, itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
-from . import chow, hirzebruch, invariants, picard
+from . import hirzebruch, invariants, picard
 from .chow import AmbientScroll, ChowClass, intersect_number
-from .errors import ConsistencyError, DomainError, in_scroll_range, require_at_least, require_at_most
-from .picard import DivisibilityVerdict, VerdictStatus
-from .scroll import (
-    aut_group_numerics,
-    canonical_class,
-    curve_class,
-    generic_scroll,
-    validate_scroll,
-)
+from .errors import ConsistencyError, DomainError, require_at_least, require_at_most
+from .picard import DivisibilityVerdict
+from .scroll import aut_group_numerics, canonical_class, curve_class, generic_scroll
 
 # The largest k_max a report covers, so that every report ends in bounded
 # time: 10^7 rows of JSON stream in 8.4 to 8.7 s (CPython 3.11, one Xeon core).
@@ -58,9 +52,6 @@ SWEEP_POINT_LIMIT = 10**5
 # about 0.4 ms + 7 us * n, so 10^5 points at n near 20 with this sum take 47 s,
 # and 2 x 10^3 points at n up to 2 x 10^3 take 12 s (CPython 3.11, one Xeon core).
 SWEEP_GONALITY_LIMIT = 2 * 10**6
-# global/pencil-count compares its two routes at the grid's gonalities up
-# to this bound; the Pieri table costs O(n^2) additions of O(n)-bit integers.
-_PENCIL_COUNT_MAX_N = 200
 
 
 def _genus_bound() -> int:
@@ -694,23 +685,8 @@ def write_report(report: GonalReport, fmt: str, file) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verification sweep
+# verification sweep; its check families live in gonal.checks
 # ---------------------------------------------------------------------------
-# A family of checks is a generator of rows (name, ok) or (name, ok, detail):
-# ok True passes, False fails, and None skips, with detail as its reason.
-# _run makes the rows into CheckResults.  An exception raised while a family
-# runs ends it with one failing RAISED result, detail repr(exc) and a global
-# family's name, so the sweep names it and goes on to the next family.
-RAISED = "sweep/raised"
-
-
-class CheckResult(NamedTuple):
-    g: int
-    n: int
-    name: str
-    outcome: str  # "pass" | "fail" | "skip"
-    detail: str
-
 
 class SweepSummary(NamedTuple):
     checked: int
@@ -729,342 +705,6 @@ class SweepSummary(NamedTuple):
         return _encode_ints(self)
 
 
-def _run(g: int, n: int, rows: Iterable[tuple], family: str = "") -> list[CheckResult]:
-    """The results of one family's rows at (g, n), or at (0, 0) under its
-    name for a global family: the one place check rows become CheckResults.
-    A skip gives its reason: ok None without one is a failure."""
-    out = []
-    try:
-        for row in rows:
-            ok, detail = row[1], row[2] if len(row) == 3 else ""
-            outcome = "pass" if ok else "skip" if ok is None and detail else "fail"
-            out.append(tuple.__new__(CheckResult, (g, n, row[0], outcome, detail)))
-    except Exception as exc:
-        detail = f"{exc!r} (family: {family})" if family else repr(exc)
-        out.append(CheckResult(g, n, RAISED, "fail", detail))
-    return out
-
-
-def _stepwise_reduce(ambient: AmbientScroll, a: int, b: int, c: int, order: str) -> dict:
-    """Rewrite c * D^a f^b one relation at a time, with a chosen rule
-    priority, to confirm the two relations are confluent.
-
-    chow/confluent-reduction runs it on a <= n+1, b <= 2.  There every
-    rule is reached within three steps, in both orders: the substitution
-    of D^(n-1), the f^2 kill, and the kill above codimension n-1, which
-    the substitution turns into an f^2 kill.  A larger a only repeats
-    these rules while c grows as deg^(a-n+1).
-    """
-    while True:
-        f_redex = b >= 2
-        d_redex = a >= ambient.n - 1
-        if not f_redex and not d_redex:
-            return {(a, b): c} if c else {}
-        if f_redex and (order == "f_first" or not d_redex):
-            return {}
-        # apply D^{n-1} -> deg(X) D^{n-2} f once
-        c *= ambient.degree
-        a -= 1
-        b += 1
-
-
-def _rand_class(rng: "random.Random", ambient: AmbientScroll) -> ChowClass:
-    coeffs = {}
-    for _ in range(3):
-        a = rng.randrange(0, ambient.n)
-        b = rng.randrange(0, 2)
-        coeffs[(a, b)] = coeffs.get((a, b), 0) + rng.randint(-4, 4)
-    return ChowClass(ambient, coeffs)
-
-
-def _curve_h1(curve: hirzebruch.FeBundle, k: int) -> int:
-    """h^1(O_C(kf)) = h^2(kf - C) - h^2(kf), by the restriction sequence."""
-    kf = hirzebruch.FeBundle._on(curve.e, 0, k)
-    return hirzebruch.bundle_cohomology(kf - curve).h2 - hirzebruch.bundle_cohomology(kf).h2
-
-
-def _point_rows(g: int, n: int) -> Iterator[tuple]:
-    """The rows of every per-(g, n) property.
-
-    The values the dossier holds are read from generate_report(g, n, 0);
-    the flag-backed checks record its consistency flags, whose predicates
-    live there.  The independent routes (Chow-ring algebra and pairings,
-    maroni-ballico, the degree lattice, rather-free and Riemann-Roch on
-    the curve) are computed here.
-    """
-    if not in_scroll_range(g, n):
-        yield "hypothesis", None, "requires n >= 3 and 2n-2 < g"
-        return
-    import random
-
-    rep = generate_report(g, n, 0)
-    s, inv, flags = rep.scroll, rep.invariants, rep.consistency_flags
-    amb = AmbientScroll(g, n)
-    hyper = amb.hyperplane()
-    fiber = amb.fiber()
-    curve = ChowClass(amb, {(a, b): c for a, b, c in rep.curve_class})
-
-    # intersection ring normalization
-    yield "chow/point-degree", (
-        amb.point_class().degree() == 1 and (amb.monomial(n - 2, 0) * fiber).degree() == 1
-    )
-    top = amb.monomial(n - 2, 0) * hyper
-    yield "chow/top-power", top.degree() == g - n + 1, f"deg(D^(n-1)) = {top.degree()}"
-    rng = random.Random(7919 * g + n)
-    ff = fiber * fiber
-    yield "chow/fiber-squared", all(
-        (ff * x).is_zero() for x in (amb.unit(), curve, _rand_class(rng, amb))
-    )
-    x, y, z = (_rand_class(rng, amb) for _ in range(3))
-    xy, xz = x * y, x * z
-    yield "chow/commutative", xy == y * x
-    yield "chow/associative", xy * z == x * (y * z)
-    # a subtraction that adds leaves x * (y + z) - x * z at x * y + 2 x * z
-    xyz = x * (y + z)
-    yield "chow/distributive", xyz == xy + xz and xyz - xz == xy
-    confluent = True
-    for a in range(0, n + 2):
-        for b in range(0, 3):
-            closed = chow._normal_form(amb, (((a, b), 1),))
-            confluent &= _stepwise_reduce(amb, a, b, 1, "f_first") == closed
-            confluent &= _stepwise_reduce(amb, a, b, 1, "d_first") == closed
-    yield "chow/confluent-reduction", confluent
-
-    # scroll classification
-    yield "scroll/generic-valid", validate_scroll(s.splitting, g, n)
-    yield "scroll/shift-nonnegative", (
-        s.shift >= 0 and (n - 1) * s.shift + s.big_n == top.degree()
-    ), f"shift = {s.shift}"
-    fc = intersect_number([fiber], curve)
-    dc = intersect_number([hyper], curve)
-    yield "scroll/fiber-pairing", fc == n, f"f.C = {fc}"
-    yield "scroll/hyperplane-pairing", dc == 2 * g - 2, f"D.C = {dc}"
-    chi_t_chow = inv.chi_restricted_tangent_chow
-    yield "scroll/euler-pairing", chi_t_chow == n * n + 1 - g, (
-        f"-K.C = {chi_t_chow - (n - 1) * (1 - g)}"
-    )
-    yield "scroll/aut-numerics", (
-        s.aut_total_dim == n * n - 2 * n + 3
-        and s.aut_total_dim == s.aut_vertical_dim + 3
-        and s.aut_components == (2 if (n == 3 and g % 2 == 0) else 1)
-    )
-
-    # curve invariants
-    yield "invariants/euler-chain", flags.euler_chain, (
-        f"chi(T|C) = {inv.chi_restricted_tangent}, chi(N) = {inv.chi_normal_bundle}"
-    )
-    # Riemann-Roch: h^1 = h^0 - chi
-    yield "invariants/h1-double-pencil", (
-        inv.h1_double_pencil == invariants.ballico_h0(g, n, 2) - (2 * n + 1 - g)
-    )
-    # Riemann-Hurwitz: a simply branched n-sheeted cover of P^1 has
-    # (2g-2) + 2n branch points, moved by PGL(2) of dimension 3
-    yield "invariants/moduli-dimension", inv.moduli_dimension == (2 * g - 2) + 2 * n - 3, (
-        "on this grid 2n-2 < g, so the gonal branch is the minimum"
-    )
-    ballico_switches = invariants.ballico_switches(g, n)
-    yield "invariants/maroni-ballico", all(
-        invariants.maroni_h0(g, n, k) == invariants.ballico_h0(g, n, k)
-        for k in _decisive_ks(invariants.maroni_branch_boundaries(g, n), ballico_switches)
-    )
-    yield "invariants/branch-continuity", flags.branch_continuity
-    yield "invariants/ballico-riemann-roch-bound", all(
-        h0 == chi if k * (n - 1) >= g else h0 > chi
-        for k in _decisive_ks(ballico_switches)
-        for h0, chi in [(invariants.ballico_h0(g, n, k), n * k + 1 - g)]
-    )
-
-    # degree lattice
-    d = picard.degree_subgroup(g, n)
-    yield "picard/divides-generators", d == gcd(dc, fc)
-    witness = picard.solve_degree(g, n, d)
-    omega_witness = picard.solve_degree(g, n, 2 * g - 2)
-    yield "picard/solve-reevaluates", (
-        witness is not None
-        and witness[0] * (2 * g - 2) + witness[1] * n == d
-        and omega_witness is not None
-        and omega_witness[0] * (2 * g - 2) + omega_witness[1] * n == 2 * g - 2
-        and (d == 1 or picard.solve_degree(g, n, d + 1) is None)
-    )
-    verdict = rep.divisibility
-    expected_status = VerdictStatus.PROVEN_FOR_TRIGONAL if n == 3 else VerdictStatus.CONJECTURE
-    yield "picard/constraint", (
-        verdict.divisor == d and verdict.status == expected_status and verdict.sharp
-    )
-    # the witness for d, evaluated on the Chow-ring pairings
-    yield "picard/sharpness-witness", (
-        verdict.sharp and witness is not None and witness[0] * dc + witness[1] * fc == d
-    )
-
-    if n == 3:
-        yield "picard/trigonal-mod-3", verdict.divisor == (3 if g % 3 == 1 else 1)
-        yield "oracle/ballico-agreement", flags.oracle_agreement
-        yield "oracle/dim-P(L)", flags.dim_p_l
-        pairing, free = hirzebruch.rather_free_check(g)
-        yield "oracle/rather-free", pairing == -g - 8 and free, f"(K_S.L) = {pairing}"
-        curve_fe = hirzebruch.trigonal_curve_bundle(g)
-        yield "oracle/riemann-roch-on-curve", all(
-            0 <= _curve_h1(curve_fe, k) == hirzebruch.trigonal_h0_oracle(g, k) - (3 * k + 1 - g)
-            for k in _decisive_ks(hirzebruch.trigonal_h0_switches(g))
-        )
-
-
-def _point_checks(g: int, n: int) -> list[CheckResult]:
-    """All per-(g, n) properties; one CheckResult per named property."""
-    return _run(g, n, _point_rows(g, n))
-
-
-def _gf_polymul(u: list[int], v: list[int], p: int) -> list[int]:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            out[i + j] = (out[i + j] + a * b) % p
-    return out
-
-
-def _pieri_degrees(m_max: int) -> list[int]:
-    """deg sigma_1^(2m) on the Grassmannian G(2, m+2), for m = 0..m_max.
-
-    Pieri's rule sigma_(a,b) * sigma_1 = sigma_(a+1,b) + sigma_(a,b+1)
-    (terms with b > a dropped) makes the degree the number of ways to
-    grow the partition (m, m) one box at a time: ballot paths from (0, 0)
-    to (m, m) that keep a >= b.  Rows stop at m on their own, so one
-    table of additions holds every m.
-    """
-    paths = [1] * (m_max + 1)  # paths to (a, 0)
-    degrees = [1]
-    for b in range(1, m_max + 1):
-        # paths[b] keeps its count: (b, b) is reached only from (b, b - 1)
-        for a in range(b + 1, m_max + 1):
-            paths[a] += paths[a - 1]
-        degrees.append(paths[b])
-    return degrees
-
-
-def _fe_rows() -> Iterator[tuple]:
-    """The surface oracle on its own: Serre duality flips the cohomology
-    triple, and h^1 >= 0 (bundle_cohomology raises on a violation)."""
-    serre_ok = True
-    for e in (0, 1):
-        k = hirzebruch.canonical_bundle(e)
-        for a in range(-6, 13):
-            for b in range(-40, 41):
-                bundle = hirzebruch.FeBundle._on(e, a, b)  # e checked by canonical_bundle
-                h = hirzebruch.bundle_cohomology(bundle)
-                dual = hirzebruch.bundle_cohomology(k - bundle)
-                serre_ok &= (h.h0, h.h1, h.h2) == (dual.h2, dual.h1, dual.h0)
-    yield "global/fe-cohomology", serre_ok
-    yield "global/fe-structure-sheaf", all(
-        hirzebruch.bundle_cohomology(hirzebruch.FeBundle(e, 0, 0)) == (1, 0, 0)
-        for e in range(0, 4)
-    )
-
-
-def _hyperelliptic_rows() -> Iterator[tuple]:
-    """The discriminant's two routes, and the twist."""
-    import random
-    from fractions import Fraction
-
-    from . import hyperelliptic
-
-    # discriminant: Euclid route vs Sylvester-resultant route
-    p = 10007
-    rng = random.Random(20240)
-    agree = verdicts_ok = True
-    for trial in range(200):
-        genus = rng.choice((2, 3, 4))
-        d = 2 * genus + 2
-        kind = trial % 4
-        if kind == 0:
-            cs = [rng.randrange(p) for _ in range(d + 1)]
-        elif kind == 1:  # planted affine double root
-            r = rng.randrange(p)
-            h = [rng.randrange(p) for _ in range(d - 2)] + [rng.randrange(1, p)]
-            cs = _gf_polymul([r * r % p, (-2 * r) % p, 1], h, p)
-        elif kind == 2:  # planted double root at infinity
-            cs = [rng.randrange(p) for _ in range(d - 1)] + [0, 0]
-        else:  # simple root at infinity
-            cs = [rng.randrange(p) for _ in range(d - 1)] + [rng.randrange(1, p), 0]
-        form = hyperelliptic.BinaryForm(d, tuple(cs), p=p)
-        by_gcd = hyperelliptic.discriminant_nonzero(form, method="gcd")
-        by_res = hyperelliptic.discriminant_nonzero(form, method="resultant")
-        agree &= by_gcd == by_res
-        verdicts_ok &= not (kind in (1, 2) and by_gcd)
-    yield "global/discriminant-dual-route", agree and verdicts_ok
-
-    # the twist keeps the form, sets a' = f(x0), summed here over Fractions
-    # rather than by BinaryForm.evaluate, and lands on the curve
-    twist_ok = True
-    for genus in (2, 3):
-        d = 2 * genus + 2
-        cs = [1] + [0] * (d - 1) + [1]  # x^d + 1: squarefree in char 0
-        form = hyperelliptic.BinaryForm(d, tuple(cs))
-        model = hyperelliptic.HyperellipticModel(2, form)
-        for x0 in (0, 1, -2, 5, Fraction(-3, 2)):
-            twisted, point = hyperelliptic.twist_with_point(model, x0)
-            twist_ok &= (
-                twisted.form == model.form
-                and twisted.a == sum(c * Fraction(x0) ** i for i, c in enumerate(cs))
-                and twisted.residual(*point) == 0
-            )
-    yield "global/twist-invariance", twist_ok
-
-
-def _case_rows(g_values: list[int], n_values: list[int]) -> Iterator[tuple]:
-    """The counts over the grid's genera and gonalities, and the Brill-Noether boundary."""
-    from . import hyperelliptic
-
-    # all() over no case would pass vacuously, so a check with none is a skip
-    hyper_genera = [g for g in g_values if g >= 2]
-    pencil_gonalities = [n for n in n_values if n >= 2]
-    pencil_cases = [n for n in pencil_gonalities if n <= _PENCIL_COUNT_MAX_N]
-    # Castelnuovo: a general curve of genus 2n-2 has deg G(2, n+1) pencils g^1_n
-    castelnuovo = _pieri_degrees(max(pencil_cases + [4]) - 1)
-    cases = {"genus": hyper_genera, "gonality": pencil_gonalities}
-    for name, what, ok in (
-        ("global/hyperelliptic-dimension", "genus", all(
-            hyperelliptic.hg_dimension(g) == invariants.moduli_dimension(g, 2)
-            for g in hyper_genera
-        )),
-        ("global/hyperelliptic-constraint", "genus", all(
-            picard.modular_degree_constraint(g, 2)
-            == DivisibilityVerdict(picard.degree_subgroup(g, 2), VerdictStatus.THEOREM, True)
-            for g in hyper_genera
-        )),
-        # pencil count at the boundary genus, by two routes
-        ("global/pencil-count", "gonality", all(
-            invariants.gonal_pencil_count(n) == castelnuovo[n - 1] for n in pencil_cases
-        ) and invariants.gonal_pencil_count(3) == castelnuovo[2] == 2
-        and invariants.gonal_pencil_count(4) == castelnuovo[3] == 5),
-    ):
-        yield (name, ok) if cases[what] else (name, None, f"no {what} >= 2 in the grid")
-    # Brill-Noether: the general curve of genus g has gonality (g+3)//2,
-    # so the n-gonal locus is all of moduli exactly from there on
-    yield "global/moduli-boundary", all(
-        (invariants.moduli_dimension(g, n) == 3 * g - 3) == (n >= (g + 3) // 2)
-        for n in range(2, 13)
-        for g in range(2, 2 * n + 3)
-    )
-
-
-def _report_rows() -> Iterator[tuple]:
-    """Report determinism and JSON round trip at representative points."""
-    for rg, rn, rk in ((5, 3, 6), (8, 4, 4)):
-        rep = generate_report(rg, rn, rk)
-        again = generate_report(rg, rn, rk)
-        text = emit_json(rep)
-        yield f"global/report-deterministic-{rg}-{rn}", rep == again and text == emit_json(again)
-        yield f"global/report-roundtrip-{rg}-{rn}", parse_json(text) == rep
-
-
-def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult]:
-    """Properties that are not tied to a single grid point, family by
-    family, so that an error in one family does not stop the others."""
-    names = ("F_e oracle", "hyperelliptic routes", "case counts", "report round trip")
-    families = (_fe_rows(), _hyperelliptic_rows(), _case_rows(g_values, n_values), _report_rows())
-    return [r for name, rows in zip(names, families) for r in _run(0, 0, rows, name)]
-
-
 def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary:
     """Run every module property over the (g, n) grid and summarize.
 
@@ -1074,10 +714,11 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
     beyond GONALITY_LIMIT, GENUS_LIMIT, SWEEP_POINT_LIMIT or
     SWEEP_GONALITY_LIMIT is refused before any check runs.
     """
-    # an increasing range is sorted and distinct, and gives its ends and
-    # size unbuilt (len overflows past sys.maxsize)
+    # a range, read increasing, is sorted and distinct, and gives its ends
+    # and size unbuilt (len overflows past sys.maxsize)
     g_values, n_values = (
-        r if isinstance(r, range) and r.step > 0 else sorted(set(r)) for r in (g_range, n_range)
+        (r if r.step > 0 else r[::-1]) if isinstance(r, range) else sorted(set(r))
+        for r in (g_range, n_range)
     )
     if not g_values or not n_values:
         raise DomainError("sweep ranges must be non-empty")
@@ -1101,11 +742,12 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
             f"requires a sum of n over the points in range of at most "
             f"{SWEEP_GONALITY_LIMIT} (got {gonality})"
         )
+    from . import checks
 
     # results are counted as they arrive, never kept
     tally, skip_reasons, failures = Counter(), Counter(), []
-    grid = (r for g in g_values for n in n_values for r in _point_checks(g, n))
-    for r in chain(_global_checks(g_values, n_values), grid):
+    grid = (r for g in g_values for n in n_values for r in checks._point_checks(g, n))
+    for r in chain(checks._global_checks(g_values, n_values), grid):
         tally[r.outcome] += 1
         if r.outcome == "skip":
             skip_reasons[r.detail] += 1

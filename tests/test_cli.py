@@ -623,4 +623,5 @@ class TestLoadOnDemand:
             "assert gonal.cli.main(['verify', '--genus-min', '5', '--genus-max', '5',"
             " '--gonality-min', '3', '--gonality-max', '3']) == 0"
         )
-        assert "gonal.hyperelliptic" in loaded_gonal_modules(code)
+        modules = loaded_gonal_modules(code)
+        assert "gonal.hyperelliptic" in modules and "gonal.checks" in modules

@@ -3,11 +3,13 @@
 import ast
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
+from gonal import hirzebruch
 from gonal.errors import ConsistencyError, DomainError
 from gonal.hirzebruch import (
     FeBundle,
@@ -257,12 +259,36 @@ class TestLeanCohomology:
         assert len(checked) <= 2
 
     def test_serre_loop_builds_no_checked_bundle(self, checked):
-        from gonal.report import _fe_rows
+        from gonal.checks import _fe_rows
 
         assert [ok for _, ok in _fe_rows()] == [True, True]
         # 3,078 bundles in the Serre loop; only the four structure sheaves
         # O on F_0 .. F_3 and at most one K per surface are checked
         assert len(checked) <= 8
+
+    def test_h0_in_closed_form(self):
+        # the sum over the switch points, term by term
+        for e in range(6):
+            for a in range(-4, 20):
+                for b in range(-30, 60):
+                    want = sum(b - t for t in hirzebruch._h0_switches(e, a) if t < b)
+                    assert hirzebruch._h0(FeBundle(e, a, b)) == want, (e, a, b)
+
+    def test_h0_in_constant_time(self):
+        # h^0(a C_0 + b f) on F_0 is (a + 1)(b + 1) for a, b >= 0: no list
+        # of a + 1 switches is built
+        a = 10**12
+        assert bundle_cohomology(FeBundle(0, a, 3)) == (4 * (a + 1), 0, 0)
+        assert bundle_cohomology(FeBundle(0, -a, -3)) == (0, 0, 2 * (a - 1))
+        # on F_1 only the i <= b switches count: 6 + 5 + ... + 1
+        assert bundle_cohomology(FeBundle(1, a, 5)).h0 == 21
+        tracemalloc.start()
+        try:
+            bundle_cohomology(FeBundle(0, 10**6, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_arithmetic_results_equal_checked_bundles(self):
         x, y = FeBundle(2, 1, -3), FeBundle(2, -4, 5)

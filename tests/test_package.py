@@ -46,7 +46,7 @@ def test_star_import_and_dir():
     public = {name for name in dir(gonal) if not name.startswith("_")}
     assert public - set(EXPORTS) <= {
         "chow", "errors", "hirzebruch", "hyperelliptic", "invariants", "picard",
-        "report", "scroll", "cli",
+        "report", "scroll", "cli", "checks",
     }
 
 

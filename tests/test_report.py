@@ -2,6 +2,7 @@
 
 import builtins
 import json
+import math
 import os
 import random
 import re
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from gonal import cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
+from gonal import checks, cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
 from gonal.chow import ChowClass
 from gonal.errors import ConsistencyError, DomainError, in_scroll_range
 from gonal.report import (
@@ -25,16 +26,12 @@ from gonal.report import (
     OracleRow,
     ScrollSummary,
     SweepSummary,
-    _curve_h1,
     _decisive_ks,
     _agree,
     _encode_ints,
     _cells,
     _column,
     _cut,
-    _global_checks,
-    _pieri_degrees,
-    _point_checks,
     _runs,
     emit_json,
     generate_report,
@@ -43,6 +40,7 @@ from gonal.report import (
     sweep_verify,
     write_report,
 )
+from gonal.checks import _curve_h1, _global_checks, _pieri_degrees, _point_checks
 
 
 class TestGenerateReport:
@@ -102,7 +100,7 @@ class TestGenerateReport:
         with pytest.raises(DomainError, match=r"^requires at most 6 grid points \(got 8\)$"):
             sweep_verify(range(5, 9), [3, 4, 4])
         # refused before a check runs, however wide the range
-        monkeypatch.setattr(report, "_global_checks", None)
+        monkeypatch.setattr(checks, "_global_checks", None)
         with pytest.raises(DomainError, match=r"\(got 10000000000000000000000\)$"):
             sweep_verify(range(10**22), range(3, 4))
 
@@ -137,7 +135,7 @@ class TestGenerateReport:
         assert sweep_verify(g_values, n_values).ok
         monkeypatch.setattr(report, "SWEEP_GONALITY_LIMIT", total - 1)
         # refused before a check runs
-        monkeypatch.setattr(report, "_global_checks", None)
+        monkeypatch.setattr(checks, "_global_checks", None)
         message = rf"^requires a sum of n over the points in range of at most {total - 1} \(got {total}\)$"
         with pytest.raises(DomainError, match=message):
             sweep_verify(g_values, n_values)
@@ -701,7 +699,9 @@ def patch_everywhere(monkeypatch, name, replacement):
 
 
 # Mutants the sweep on g 5..30 x n 3..6 must fail on: (owner, attribute,
-# the mutant made from the attribute).
+# the mutant made from the attribute).  ScrollSpec's sortedness check is not
+# one: the sweep builds no unsorted splitting, and
+# test_spec_constructor_rejects_invalid kills that mutant.
 MUTANTS = {
     # chi = 1 + L.(K-L)/2: bundle_cohomology's chi is the one reader of the pairing
     "chi-sign": (hirzebruch.FeBundle, "intersect", lambda f: lambda s, o: -f(s, o)),
@@ -712,6 +712,32 @@ MUTANTS = {
         invariants,
         "_maroni_data",
         lambda f: lambda *key: (f(*key)[0], (0, *f(*key)[1][:-1])),
+    ),
+    "maroni-plus-one-at-2": (
+        invariants, "maroni_h0", lambda f: lambda g, n, k, *s: f(g, n, k, *s) + (k == 2)
+    ),
+    "hg-dimension-plus-one": (hyperelliptic, "hg_dimension", lambda f: lambda g: f(g) + 1),
+    "moduli-dimension-plus-one": (
+        invariants, "moduli_dimension", lambda f: lambda g, n: f(g, n) + 1
+    ),
+    # gcd(2g, n) in place of gcd(2g - 2, n)
+    "degree-subgroup-2g": (picard, "degree_subgroup", lambda f: lambda g, n: math.gcd(2 * g, n)),
+    "solve-degree-beta-plus-one": (
+        picard, "solve_degree", lambda f: lambda *a: (w := f(*a)) and (w[0], w[1] + 1)
+    ),
+    "fe-sub-adds-b": (
+        hirzebruch.FeBundle,
+        "__sub__",
+        lambda f: lambda s, o: hirzebruch.FeBundle._on(s.e, s.a - o.a, s.b + o.b),
+    ),
+    "ballico-plus-one-at-switch": (
+        invariants,
+        "ballico_h0",
+        lambda f: lambda g, n, k: f(g, n, k) + (k == invariants.ballico_switches(g, n)[0]),
+    ),
+    # C_0^2 = -e - 1
+    "fe-intersect-c0-squared": (
+        hirzebruch.FeBundle, "intersect", lambda f: lambda s, o: f(s, o) - s.a * o.a
     ),
 }
 
@@ -734,6 +760,23 @@ class TestSweep:
     def test_empty_ranges_rejected(self):
         with pytest.raises(DomainError):
             sweep_verify(range(5, 5), range(3, 4))
+
+    def test_decreasing_ranges(self, monkeypatch):
+        # a range is read increasing, so a decreasing one is capped from its
+        # ends as well, before any of it is built
+        assert sweep_verify(range(12, 4, -1), range(4, 2, -1)) == sweep_verify(
+            range(5, 13), range(3, 5)
+        )
+        monkeypatch.setattr(checks, "_global_checks", None)
+        message = r"^requires at most 100000 grid points \(got 999998\)$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=message):
+                sweep_verify(range(5, 6), range(10**6, 2, -1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_no_hyperelliptic_genus_skips(self):
         # below genus 2 the hyperelliptic checks have no case to evaluate,
@@ -763,7 +806,7 @@ class TestSweep:
             invariants, "gonal_pencil_count", lambda n: counts.append(n) or count(n)
         )
         monkeypatch.setattr(
-            report, "_pieri_degrees", lambda m: tables.append(m) or _pieri_degrees(m)
+            checks, "_pieri_degrees", lambda m: tables.append(m) or _pieri_degrees(m)
         )
         results = _global_checks([5], list(range(3, 4001)))
         pencil = [r for r in results if r.name == "global/pencil-count"]
@@ -783,7 +826,7 @@ class TestSweep:
             table[6] += 1  # n = 7
             return table
 
-        monkeypatch.setattr(report, "_pieri_degrees", off_by_one)
+        monkeypatch.setattr(checks, "_pieri_degrees", off_by_one)
         outcome = {r.name: r.outcome for r in _global_checks([5], [7])}
         assert outcome["global/pencil-count"] == "fail"
         # n = 7 outside the grid: the wrong entry is never compared
@@ -821,7 +864,7 @@ class TestSweep:
 
     def test_confluence_steps_grow_linearly_in_n(self, monkeypatch):
         iterations = []
-        reduce = report._stepwise_reduce
+        reduce = checks._stepwise_reduce
 
         class Counted:
             """The ambient scroll, counting the loop's reads of n."""
@@ -835,7 +878,7 @@ class TestSweep:
                 return self.ambient.n
 
         monkeypatch.setattr(
-            report, "_stepwise_reduce", lambda amb, *args: reduce(Counted(amb), *args)
+            checks, "_stepwise_reduce", lambda amb, *args: reduce(Counted(amb), *args)
         )
 
         def steps(n):
@@ -847,21 +890,21 @@ class TestSweep:
 
     def test_every_check_is_in_the_readme_table(self, monkeypatch):
         names = set()
-        run = report._run
+        run = checks._run
 
         def recorded(*args):
             results = run(*args)
             names.update(r.name for r in results)
             return results
 
-        monkeypatch.setattr(report, "_run", recorded)
+        monkeypatch.setattr(checks, "_run", recorded)
         sweep_verify(range(5, 31), range(3, 7))
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         table = set(re.findall(r"^\| `([^`]+)` \|", readme, re.MULTILINE))
         assert names and names <= table, sorted(names - table)
         # and no stale row: each row is a check the sweep ran, or the
         # failure the runner records for a raised error
-        assert table == names | {report.RAISED}, sorted(table ^ (names | {report.RAISED}))
+        assert table == names | {checks.RAISED}, sorted(table ^ (names | {checks.RAISED}))
 
     def test_run_records_rows_and_a_raised_error(self):
         def family():
@@ -871,14 +914,14 @@ class TestSweep:
             yield "d", None  # a skip with no reason
             raise ConsistencyError("broken")
 
-        results = report._run(5, 3, family())
+        results = checks._run(5, 3, family())
         assert [(r.g, r.n) for r in results] == [(5, 3)] * 5
         assert [(r.name, r.outcome, r.detail) for r in results] == [
             ("a", "pass", ""),
             ("b", "fail", "detail"),
             ("c", "skip", "no case"),
             ("d", "fail", ""),
-            (report.RAISED, "fail", "ConsistencyError('broken')"),
+            (checks.RAISED, "fail", "ConsistencyError('broken')"),
         ]
 
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
@@ -889,12 +932,12 @@ class TestSweep:
         assert summary.failed > 0
         if mutant == "chi-sign":
             # the oracle's ConsistencyError is a failing check, not a traceback
-            assert summary.first_failure.startswith(f"{report.RAISED}: ConsistencyError(")
+            assert summary.first_failure.startswith(f"{checks.RAISED}: ConsistencyError(")
             results = _global_checks([5], [3])
             outcome = {r.name: r.outcome for r in results}
-            assert outcome[report.RAISED] == "fail"
+            assert outcome[checks.RAISED] == "fail"
             # the two families that raise are told apart by name
-            raised = [r.detail for r in results if r.name == report.RAISED]
+            raised = [r.detail for r in results if r.name == checks.RAISED]
             assert [d[d.rindex(" (family: "):] for d in raised] == [
                 " (family: F_e oracle)",
                 " (family: report round trip)",
@@ -907,7 +950,7 @@ class TestSweep:
                     "--gonality-min", "3", "--gonality-max", "6"]
             assert cli.main(argv) == 1
             out, err = capsys.readouterr()
-            assert f"{report.RAISED}: ConsistencyError(" in out
+            assert f"{checks.RAISED}: ConsistencyError(" in out
             assert "Traceback" not in err
 
 
@@ -1000,7 +1043,7 @@ class TestPerPointWork:
     def test_memory_of_a_few_points_is_that_of_one(self, monkeypatch):
         # each memo holds O(1) entries, so a sweep keeps no point's O(n)
         # data once it has moved on
-        monkeypatch.setattr(report, "_global_checks", lambda *ranges: [])
+        monkeypatch.setattr(checks, "_global_checks", lambda *ranges: [])
 
         def peak(g_values):
             tracemalloc.start()
