@@ -45,12 +45,14 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# every submodule, reachable as gonal.<name> whether or not it is loaded
+_MODULES = {*_EXPORTS, "checks", "cli"}
 
 __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
+    if name in _MODULES:
         return _import_module("." + name, __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -58,4 +60,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(globals().keys() | _HOME.keys())
+    return sorted(globals().keys() | _HOME.keys() | _MODULES)

@@ -6,12 +6,23 @@ _run makes the rows into CheckResults.  An exception raised while a family
 runs ends it with one failing RAISED result, detail repr(exc) and a global
 family's name, so the sweep names it and goes on to the next family.
 report.sweep_verify loads this module when it runs, so a report loads none of it.
+
+The sweep runs its grid in slices of about equal estimated cost: the first
+in this process, after the global checks, and each further one in a forked
+worker that sends its tally back over a pipe, merged in slice order, so the
+summary is the one a single process counts.
 """
 
+import json
+import os
 import random
+import signal
+import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import chow, hirzebruch, hyperelliptic, invariants, picard, report
 from .chow import AmbientScroll, ChowClass, intersect_number
@@ -360,3 +371,168 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult
     names = ("F_e oracle", "hyperelliptic routes", "case counts", "report round trip")
     families = (_fe_rows(), _hyperelliptic_rows(), _case_rows(g_values, n_values), _report_rows())
     return [r for name, rows in zip(names, families) for r in _run(0, 0, rows, name)]
+
+
+# ---------------------------------------------------------------------------
+# the grid, in slices run by forked workers
+# ---------------------------------------------------------------------------
+
+# Estimated costs in microseconds (CPython 3.11, one Xeon core): the global
+# checks, which the parent runs, a point in range, 400 + 7 n, and a skip, 3.
+# The global checks took 48 to 87 ms in a fresh process, 0.16 to 0.22 of
+# the points of g 5..120 x n 3..10, which the estimate puts at 388 ms.
+_GLOBAL_US = 60_000
+# The least estimated work a slice is cut for: about 25 times the 1 to 2 ms
+# of a worker's fork, pipe and reaping.
+_SLICE_US = 50_000
+
+
+def _point_us(g: int, n: int) -> int:
+    return 400 + 7 * n if in_scroll_range(g, n) else 3
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it must not fork:
+    without os.fork, or with another thread alive, since forking a
+    threaded process can deadlock (and Python 3.12+ warns)."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slices(g_values: Sequence[int], n_values: Sequence[int]) -> list[range]:
+    """The indices of the grid's points in sweep order (point i is
+    g_values[i // len(n_values)], n_values[i % len(n_values)]), cut into
+    contiguous slices of about equal estimated cost, the global checks
+    counted in the first: one slice per usable CPU, at most one per
+    _SLICE_US of work."""
+    points = len(g_values) * len(n_values)
+    cpus = _usable_cpus()
+    if cpus == 1:
+        return [range(points)]
+    costs = [_point_us(g, n) for g in g_values for n in n_values]
+    work = _GLOBAL_US + sum(costs)
+    count = max(1, min(cpus, work // _SLICE_US))
+    cuts, done = [0], _GLOBAL_US
+    for i, cost in enumerate(costs):
+        # cut before the point whose middle passes the next multiple of the
+        # share work / count
+        if i and len(cuts) < count and count * (2 * done + cost) > 2 * len(cuts) * work:
+            cuts.append(i)
+        done += cost
+    return [range(a, b) for a, b in zip(cuts, [*cuts[1:], points])]
+
+
+class _Tally:
+    """Results counted as they arrive, never kept: outcomes, skip reasons
+    in first-seen order, and the first KEPT failure lines."""
+
+    KEPT = 20
+
+    def __init__(self) -> None:
+        self.outcomes, self.skip_reasons, self.failures = Counter(), Counter(), []
+
+    def count(self, results: Iterable[CheckResult]) -> None:
+        for r in results:
+            self.outcomes[r.outcome] += 1
+            if r.outcome == "skip":
+                self.skip_reasons[r.detail] += 1
+            elif r.outcome == "fail" and len(self.failures) < self.KEPT:
+                where = f"g={r.g} n={r.n} " if (r.g, r.n) != (0, 0) else ""
+                self.failures.append(where + r.name + (f": {r.detail}" if r.detail else ""))
+
+    def dumps(self) -> bytes:
+        return json.dumps([self.outcomes, list(self.skip_reasons.items()), self.failures]).encode()
+
+    def merge(self, data: bytes) -> None:
+        """Count a later tally's dumps() after this one's results, as if
+        they had been counted here; ValueError where data does not parse."""
+        outcomes, skip_reasons, failures = json.loads(data)
+        self.outcomes.update(outcomes)
+        for reason, times in skip_reasons:
+            self.skip_reasons[reason] += times
+        self.failures += failures[: self.KEPT - len(self.failures)]
+
+
+def _fork(results: Iterator[CheckResult]) -> tuple[int, BinaryIO]:
+    """A worker that counts results and writes its tally's dump to a pipe:
+    its pid and the pipe's read end."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        # the worker ends only through os._exit, so it flushes none of the
+        # parent's buffered output and runs no exit handler; it exits 0 only
+        # after its whole dump is written
+        code = 1
+        try:
+            os.close(read_end)
+            tally = _Tally()
+            tally.count(results)
+            with open(write_end, "wb") as pipe:
+                pipe.write(tally.dumps())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _sweep(g_values: Sequence[int], n_values: Sequence[int]) -> _Tally:
+    """The tally of the global checks, then of every grid point in (g, n)
+    order.  The slices after the first run in forked workers, started
+    before any check runs; where a fork fails, the slices left run here
+    after the workers' tallies.  A worker that dies, exits nonzero or sends
+    an unreadable tally counts as one failing RAISED result naming its
+    genera."""
+    m = len(n_values)
+
+    def results(part: range) -> Iterator[CheckResult]:
+        return (r for i in part for r in _point_checks(g_values[i // m], n_values[i % m]))
+
+    first, *rest = _slices(g_values, n_values)
+    tally, workers = _Tally(), []  # workers: (slice, pid, read end), in slice order
+    try:
+        try:
+            for part in rest:
+                workers.append((part, *_fork(results(part))))
+        except OSError:
+            pass  # no more processes: the slices left run here, last
+        local = rest[len(workers):]
+        tally.count(chain(_global_checks(g_values, n_values), results(first)))
+        while workers:
+            part, pid, pipe = workers[0]
+            data = pipe.read()
+            pipe.close()
+            del workers[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if not code:
+                try:
+                    tally.merge(data)
+                    continue
+                except ValueError:
+                    pass
+            lo, hi = (g_values[i // m] for i in (part[0], part[-1]))
+            how = (
+                f"was killed by signal {-code}" if code < 0
+                else f"exited with status {code}" if code
+                else "sent an unreadable tally"
+            )
+            detail = f"the worker for g={lo}..{hi} {how}"
+            tally.count([CheckResult(0, 0, RAISED, "fail", detail)])
+        for part in local:
+            tally.count(results(part))
+    finally:
+        # an interrupted sweep leaves no worker running, nor a zombie
+        for _, pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return tally

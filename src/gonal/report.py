@@ -49,8 +49,9 @@ GENUS_LIMIT = 10**4000
 # to 0.8 ms and a skip 3 us (CPython 3.11, one Xeon core), about a minute in all.
 SWEEP_POINT_LIMIT = 10**5
 # The largest sum of n over the points in range a sweep takes: a point costs
-# about 0.4 ms + 7 us * n, so 10^5 points at n near 20 with this sum take 47 s,
-# and 2 x 10^3 points at n up to 2 x 10^3 take 12 s (CPython 3.11, one Xeon core).
+# about 0.4 ms + 7 us * n, so 10^5 points at n near 20 with this sum take 45 to
+# 53 s, and 2 x 10^3 points at n up to 2 x 10^3 take 11 to 14 s (CPython 3.11,
+# one Xeon core; 23 to 29 s and 7 to 8 s split between two).
 SWEEP_GONALITY_LIMIT = 2 * 10**6
 
 
@@ -705,6 +706,17 @@ class SweepSummary(NamedTuple):
         return _encode_ints(self)
 
 
+def _distinct(values: Iterable[int]) -> list[int]:
+    """The sorted distinct values, read only until there are more than
+    SWEEP_POINT_LIMIT of them, which the point cap refuses."""
+    seen = set()
+    for v in values:
+        seen.add(v)
+        if len(seen) > SWEEP_POINT_LIMIT:
+            break
+    return sorted(seen)
+
+
 def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary:
     """Run every module property over the (g, n) grid and summarize.
 
@@ -712,25 +724,32 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
     reason; failures, and errors raised while checks run, are collected,
     never raised.  Identities in k are decided for every k >= 0.  A grid
     beyond GONALITY_LIMIT, GENUS_LIMIT, SWEEP_POINT_LIMIT or
-    SWEEP_GONALITY_LIMIT is refused before any check runs.
+    SWEEP_GONALITY_LIMIT is refused before any check runs.  The grid is
+    split among forked workers, up to one per usable CPU, and their
+    tallies are merged in order, so the summary is the one-process one.
     """
     # a range, read increasing, is sorted and distinct, and gives its ends
     # and size unbuilt (len overflows past sys.maxsize)
     g_values, n_values = (
-        (r if r.step > 0 else r[::-1]) if isinstance(r, range) else sorted(set(r))
+        (r if r.step > 0 else r[::-1]) if isinstance(r, range) else _distinct(r)
         for r in (g_range, n_range)
     )
     if not g_values or not n_values:
         raise DomainError("sweep ranges must be non-empty")
     require_at_most("n", n_values[-1], GONALITY_LIMIT)
     _require_genus_limit(g_values[-1])
-    points = 1
-    for v in (g_values, n_values):
+    points, axes = 1, (g_values, n_values)
+    for v in axes:
         points *= len(v) if isinstance(v, list) else (v[-1] - v[0]) // v.step + 1
     if points > SWEEP_POINT_LIMIT:
-        # ranges with ends of thousands of digits make a count too long to print
+        # ranges with ends of thousands of digits make a count too long to
+        # print, and a list read in part gives a lower bound
         bound = _genus_bound()
-        got = points if points < bound else f"10^{len(str(bound)) - 1} or more"
+        partial = any(isinstance(v, list) and len(v) > SWEEP_POINT_LIMIT for v in axes)
+        got = (
+            f"10^{len(str(bound)) - 1} or more" if points >= bound
+            else f"{points} or more" if partial else points
+        )
         raise DomainError(f"requires at most {SWEEP_POINT_LIMIT} grid points (got {got})")
     # each range now has at most SWEEP_POINT_LIMIT values; the points in
     # range at n are the g > 2n-2, and n >= 3 makes g >= 2
@@ -744,24 +763,16 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
         )
     from . import checks
 
-    # results are counted as they arrive, never kept
-    tally, skip_reasons, failures = Counter(), Counter(), []
-    grid = (r for g in g_values for n in n_values for r in checks._point_checks(g, n))
-    for r in chain(checks._global_checks(g_values, n_values), grid):
-        tally[r.outcome] += 1
-        if r.outcome == "skip":
-            skip_reasons[r.detail] += 1
-        elif r.outcome == "fail" and len(failures) < 20:
-            where = f"g={r.g} n={r.n} " if (r.g, r.n) != (0, 0) else ""
-            failures.append(where + r.name + (f": {r.detail}" if r.detail else ""))
+    tally = checks._sweep(g_values, n_values)
+    failures = tally.failures
     return SweepSummary(
-        checked=tally["pass"] + tally["fail"],
-        passed=tally["pass"],
-        failed=tally["fail"],
-        skipped=tally["skip"],
+        checked=tally.outcomes["pass"] + tally.outcomes["fail"],
+        passed=tally.outcomes["pass"],
+        failed=tally.outcomes["fail"],
+        skipped=tally.outcomes["skip"],
         first_failure=failures[0] if failures else None,
         failures=failures,
-        skip_reasons=skip_reasons,
+        skip_reasons=tally.skip_reasons,
     )
 
 

@@ -7,10 +7,11 @@ be intended, documented, and re-pinned here.
 """
 
 import hashlib
+import os
 
 import pytest
 
-from gonal import cli
+from gonal import checks, cli
 from gonal.report import emit_json, generate_report, parse_json, render_text
 
 # (g, n, k_max): (emit_json digest, render_text digest)
@@ -128,7 +129,11 @@ def test_report_grid_bytes():
     assert digest.hexdigest() == REPORT_GRID
 
 
-def test_verify_grid_bytes(capsys):
+def test_verify_grid_bytes(capsys, monkeypatch):
+    # through two slices, the second in a forked worker, whatever the CPUs
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
     digest = hashlib.sha256()
     for fmt in ("text", "json"):
         code = cli.main(
@@ -140,3 +145,4 @@ def test_verify_grid_bytes(capsys):
         digest.update(out.encode())
     assert '"checked": 6402' in out and '"skipped": 263' in out
     assert digest.hexdigest() == VERIFY_GRID
+    assert len(forks) == 2 and all(forks)

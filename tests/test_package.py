@@ -1,7 +1,10 @@
 """The package surface: what `import gonal` exports, read on first use."""
 
 import importlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,11 @@ EXPORTS = [
     "rather_free_check", "render_text", "solve_degree", "sweep_verify",
     "trigonal_curve_bundle", "trigonal_h0_oracle", "twist_with_point",
     "validate_scroll",
+]
+
+SUBMODULES = [
+    "checks", "chow", "cli", "errors", "hirzebruch", "hyperelliptic", "invariants",
+    "picard", "report", "scroll",
 ]
 
 
@@ -44,10 +52,26 @@ def test_star_import_and_dir():
     assert set(EXPORTS) <= set(dir(gonal))
     assert "__version__" in dir(gonal)
     public = {name for name in dir(gonal) if not name.startswith("_")}
-    assert public - set(EXPORTS) <= {
-        "chow", "errors", "hirzebruch", "hyperelliptic", "invariants", "picard",
-        "report", "scroll", "cli", "checks",
-    }
+    assert public - set(EXPORTS) == set(SUBMODULES)
+
+
+def test_every_submodule_by_attribute_in_a_fresh_interpreter():
+    # dir(gonal) lists every submodule before any is loaded, and loading
+    # them changes nothing in it
+    code = (
+        "import sys, gonal\n"
+        "before = dir(gonal)\n"
+        "assert not any(m.startswith('gonal.') for m in sys.modules), sorted(sys.modules)\n"
+        f"for name in {SUBMODULES!r}:\n"
+        "    assert getattr(gonal, name) is sys.modules['gonal.' + name]\n"
+        "assert dir(gonal) == before\n"
+    )
+    home = str(Path(gonal.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": home},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_name():

@@ -1,12 +1,15 @@
 """Tests for report generation, serialization, and the sweep harness."""
 
 import builtins
+import itertools
 import json
 import math
 import os
 import random
 import re
 import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -698,6 +701,30 @@ def patch_everywhere(monkeypatch, name, replacement):
             monkeypatch.setattr(module, name, replacement)
 
 
+def one_process(monkeypatch):
+    """Run every sweep in this process, as one slice: for tests that watch
+    the sweep's calls or memory from inside the process."""
+    monkeypatch.setattr(checks, "_slices", lambda g, n: [range(len(g) * len(n))])
+
+
+def cut_into(count):
+    """A stand-in for checks._slices that cuts the grid's points into count
+    runs of about equal length, whatever the CPUs."""
+
+    def slices(g_values, n_values):
+        points = len(g_values) * len(n_values)
+        cuts = [points * j // count for j in range(count + 1)]
+        return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+    return slices
+
+
+def assert_no_child():
+    """No child process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # Mutants the sweep on g 5..30 x n 3..6 must fail on: (owner, attribute,
 # the mutant made from the attribute).  ScrollSpec's sortedness check is not
 # one: the sweep builds no unsorted splitting, and
@@ -777,6 +804,27 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_an_iterable_is_read_only_to_the_point_cap(self, monkeypatch):
+        # at most SWEEP_POINT_LIMIT + 1 distinct values are read: it built
+        # the whole set first, a 70 MiB peak for this call
+        monkeypatch.setattr(checks, "_global_checks", None)
+        message = r"^requires at most 100000 grid points \(got 100001 or more\)$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as refused:
+                sweep_verify(iter(range(10**6, 2, -1)), [5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert re.match(message, str(refused.value))
+        # an endless iterator is refused too
+        with pytest.raises(DomainError, match=message):
+            sweep_verify([5], itertools.count(3))
+        monkeypatch.undo()
+        # repeats are read through: two distinct values
+        assert sweep_verify(iter([6, 5] * 10**5), [3]) == sweep_verify(range(5, 7), [3])
 
     def test_no_hyperelliptic_genus_skips(self):
         # below genus 2 the hyperelliptic checks have no case to evaluate,
@@ -954,6 +1002,222 @@ class TestSweep:
             assert "Traceback" not in err
 
 
+class TestSplitSweep:
+    """The grid in slices, each after the first in a forked worker: the same
+    summary as one process, and no worker left behind."""
+
+    GRID = range(0, 60), range(0, 9)
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        assert_no_child()
+
+    def test_slices_cover_the_grid_in_order(self, monkeypatch):
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: 64)
+        for g_values, n_values in (self.GRID, (range(5, 121), range(3, 11)), ([5], range(3, 100001))):
+            parts = checks._slices(g_values, n_values)
+            assert len(parts) > 1
+            assert [i for part in parts for i in part] == list(range(len(g_values) * len(n_values)))
+            assert all(parts)
+
+    def test_slices_are_balanced(self, monkeypatch):
+        # the estimated work of each slice, the global checks in the first,
+        # is the share to within one point
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: 4)
+        g_values, n_values = range(5, 121), range(3, 11)
+        parts = checks._slices(g_values, n_values)
+        m = len(n_values)
+        cost = [checks._point_us(g_values[i // m], n_values[i % m]) for i in range(len(g_values) * m)]
+        work = [sum(cost[i] for i in part) for part in parts]
+        work[0] += checks._GLOBAL_US
+        share = sum(work) / len(parts)
+        assert len(parts) == 4
+        assert all(abs(w - share) <= max(cost) for w in work), (work, share)
+
+    def test_slice_count(self, monkeypatch):
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: 64)
+        # the tier-1 grid is too little work for a second process
+        assert len(checks._slices(range(5, 31), range(3, 7))) == 1
+        assert len(checks._slices([5], [3])) == 1
+        # the benchmark grid: one slice per _SLICE_US of estimated work
+        assert len(checks._slices(range(5, 121), range(3, 11))) == 8
+        # never more slices than CPUs
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
+        assert len(checks._slices(range(5, 121), range(3, 11))) == 2
+
+    def test_no_fork_with_another_thread_alive(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+        def forbidden():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert checks._usable_cpus() == 1
+            assert sweep_verify(*self.GRID).ok
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        # the thread was the reason: alone, this process forks
+        assert checks._usable_cpus() == 4
+        with pytest.raises(AssertionError, match="forked"):
+            sweep_verify(*self.GRID)
+        # and without os.fork it cannot
+        monkeypatch.delattr(os, "fork")
+        assert checks._usable_cpus() == 1
+        assert sweep_verify(*self.GRID).ok
+
+    def test_the_clean_grid_split(self, monkeypatch):
+        one_process(monkeypatch)
+        one = sweep_verify(*self.GRID)
+        for slices in (cut_into(2), cut_into(5)):
+            monkeypatch.setattr(checks, "_slices", slices)
+            assert sweep_verify(*self.GRID) == one
+        monkeypatch.undo()
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: 3)
+        assert len(checks._slices(*self.GRID)) == 3
+        assert sweep_verify(*self.GRID) == one
+        assert one.skipped > 0 and one.ok
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_a_mutant_split(self, monkeypatch, mutant):
+        owner, attr, mutate = MUTANTS[mutant]
+        monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
+        one_process(monkeypatch)
+        one = sweep_verify(*self.GRID)
+        monkeypatch.setattr(checks, "_slices", cut_into(2))
+        split = sweep_verify(*self.GRID)
+        # equal first_failure and failures, and skip reasons in the same order
+        assert split == one
+        assert list(split.skip_reasons.items()) == list(one.skip_reasons.items())
+        assert one.failed > 0
+
+    def test_failures_and_skips_of_every_slice_in_order(self, monkeypatch):
+        # failures and skips in each slice, fewer than 20 failures in all,
+        # and a skip reason first seen in the second slice
+        point_checks = checks._point_checks
+
+        def planted(g, n):
+            results = point_checks(g, n)
+            if (g, n) in ((10, 3), (50, 4), (55, 5)):
+                results.append(checks.CheckResult(g, n, "planted", "fail", f"at g={g}"))
+            if g in (20, 40):
+                results.append(checks.CheckResult(g, n, "planted", "skip", f"skip {g >= 30}"))
+            return results
+
+        monkeypatch.setattr(checks, "_point_checks", planted)
+        one_process(monkeypatch)
+        one = sweep_verify(*self.GRID)
+        monkeypatch.setattr(checks, "_slices", cut_into(2))
+        split = sweep_verify(*self.GRID)
+        assert one.failures == [
+            "g=10 n=3 planted: at g=10", "g=50 n=4 planted: at g=50", "g=55 n=5 planted: at g=55"
+        ]
+        assert split == one
+        assert list(split.skip_reasons.items()) == list(one.skip_reasons.items())
+        assert list(one.skip_reasons)[-1] == "skip True"
+
+    def test_the_first_twenty_failures_across_slices(self, monkeypatch):
+        # each slice fails at every point: the first 20 lines are the
+        # parent's, and the counts add
+        monkeypatch.setattr(
+            checks, "_point_checks", lambda g, n: [checks.CheckResult(g, n, "x", "fail", "")]
+        )
+        one_process(monkeypatch)
+        one = sweep_verify(range(5, 9), range(3, 13))
+        for count in (2, 3, 40):
+            monkeypatch.setattr(checks, "_slices", cut_into(count))
+            assert sweep_verify(range(5, 9), range(3, 13)) == one
+        assert one.failed == 40 and len(one.failures) == 20
+
+    @pytest.mark.parametrize(
+        "how, message",
+        [
+            ("exit", "exited with status 3"),
+            ("kill", "was killed by signal 9"),
+            ("garbage", "sent an unreadable tally"),
+            # its whole tally written, then a nonzero exit
+            ("exit-after-write", "exited with status 5"),
+        ],
+    )
+    def test_a_dead_worker_fails_the_sweep(self, monkeypatch, capsys, how, message):
+        parent, point_checks, dumps = os.getpid(), checks._point_checks, checks._Tally.dumps
+
+        def dying(g, n):
+            if os.getpid() != parent:
+                if how == "exit":
+                    os._exit(3)
+                if how == "kill":
+                    os.kill(os.getpid(), 9)
+            return point_checks(g, n)
+
+        monkeypatch.setattr(checks, "_point_checks", dying)
+        if how == "garbage":
+            monkeypatch.setattr(checks._Tally, "dumps", lambda self: dumps(self)[:-1])
+        if how == "exit-after-write":
+            exit_now = os._exit
+            monkeypatch.setattr(os, "_exit", lambda code: exit_now(5))
+        monkeypatch.setattr(checks, "_slices", cut_into(2))
+        summary = sweep_verify(range(5, 13), range(3, 5))
+        line = f"{checks.RAISED}: the worker for g=9..12 {message}"
+        assert summary.failed == 1 and not summary.ok
+        assert summary.failures == [line]
+        # the parent's slice still counts: g 5..8
+        monkeypatch.setattr(checks, "_slices", cut_into(1))
+        whole = sweep_verify(range(5, 13), range(3, 5)).checked
+        assert 0 < summary.checked - 1 < whole
+        monkeypatch.setattr(checks, "_slices", cut_into(2))
+        argv = ["verify", "--genus-min", "5", "--genus-max", "12",
+                "--gonality-min", "3", "--gonality-max", "4"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert f"  {line}\n" in out and out.endswith("FAILED\n")
+        assert "Traceback" not in err
+
+    def test_an_interrupted_parent_kills_its_workers(self, monkeypatch):
+        parent, point_checks = os.getpid(), checks._point_checks
+
+        def slow(g, n):
+            # a worker that would run for 20 s
+            if os.getpid() != parent:
+                time.sleep(20)
+                os._exit(0)
+            return point_checks(g, n)
+
+        def interrupted(*ranges):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(checks, "_point_checks", slow)
+        monkeypatch.setattr(checks, "_global_checks", interrupted)
+        monkeypatch.setattr(checks, "_slices", cut_into(3))
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            sweep_verify(range(5, 13), range(3, 5))
+        assert time.perf_counter() - start < 10
+
+    def test_a_failed_fork_runs_the_slice_here(self, monkeypatch):
+        one_process(monkeypatch)
+        one = sweep_verify(*self.GRID)
+        fork, forks = os.fork, []
+
+        def second_fails():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        monkeypatch.setattr(checks, "_slices", cut_into(4))
+        assert sweep_verify(*self.GRID) == one
+        assert forks == [1]
+
+
 class TestBranchContinuity:
     """The flag compares maroni_h0 with the h^0 on the scroll
     S(e_1, ..., e_{n-1}), e_i = shift + r_i: k + 1 + sum of max(0, k - 1 - e_i)."""
@@ -1044,6 +1308,7 @@ class TestPerPointWork:
         # each memo holds O(1) entries, so a sweep keeps no point's O(n)
         # data once it has moved on
         monkeypatch.setattr(checks, "_global_checks", lambda *ranges: [])
+        one_process(monkeypatch)
 
         def peak(g_values):
             tracemalloc.start()
@@ -1063,6 +1328,7 @@ class TestPerPointWork:
         patch_everywhere(
             monkeypatch, "generic_scroll", lambda g, n: built.append((g, n)) or generic(g, n)
         )
+        one_process(monkeypatch)
         g_range, n_range = range(5, 121), range(3, 11)
         assert sweep_verify(g_range, n_range).ok
         points = [(g, n) for g in g_range for n in n_range if in_scroll_range(g, n)]
