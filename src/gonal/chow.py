@@ -220,9 +220,6 @@ def intersect_number(divisors: Sequence[ChowClass], tail: ChowClass) -> int:
     """
     ambient = tail.ambient
     for dv in divisors:
-        # identity first, as ChowClass._coerce compares
-        if dv.ambient is not ambient and dv.ambient != ambient:
-            raise DomainError("classes live on different scrolls")
         if dv.codimensions() - {1}:
             raise DomainError(f"divisor {dv!r} is not of codimension 1")
     codims = tail.codimensions()

@@ -134,14 +134,14 @@ def _cmd_twist(args) -> int:
         raise too_long
     model = HyperellipticModel(a, form)
     twisted, point = twist_with_point(model, x0)
-    # a part of at most 3 * limit bits is below 10^limit: build the power only past that
-    parts = (abs(twisted.a.numerator), twisted.a.denominator)
-    if limit and any(v.bit_length() > 3 * limit and v >= 10**limit for v in parts):
-        raise too_long
+    try:
+        twisted_a = str(twisted.a)
+    except ValueError:  # a part past the int-to-text limit
+        raise too_long from None
     payload = {
         "genus": form.genus,
         "original_a": str(model.a),
-        "twisted_a": str(twisted.a),
+        "twisted_a": twisted_a,
         "point": [str(point[0]), str(point[1])],
         "form_unchanged": twisted.form == model.form,
         "residual_at_point": str(twisted.residual(*point)),

@@ -70,11 +70,6 @@ class FeBundle:
     def __neg__(self) -> "FeBundle":
         return self._on(self.e, -self.a, -self.b)
 
-    def __rmul__(self, k) -> "FeBundle":
-        if isinstance(k, int):
-            return self._on(self.e, k * self.a, k * self.b)
-        return NotImplemented
-
     def __str__(self) -> str:
         sign = "-" if self.b < 0 else "+"
         return f"{self.a}*C0 {sign} {abs(self.b)}*f on F_{self.e}"

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, ge
 
 from . import hirzebruch, invariants, picard
 from .chow import AmbientScroll, ChowClass, intersect_number
-from .errors import ConsistencyError, DomainError, require_at_least, require_at_most
+from .errors import ConsistencyError, DomainError, in_scroll_range, require_at_least, require_at_most
 from .picard import DivisibilityVerdict
 from .scroll import aut_group_numerics, canonical_class, curve_class, generic_scroll
 
@@ -418,7 +418,8 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     )
 
 
-_SAFE_INT_MAX = (1 << 53) - 1
+# the integers JSON carries exactly: within 53 bits
+_SAFE_INTS = range(-(1 << 53) + 1, 1 << 53)
 
 
 @cache
@@ -472,7 +473,7 @@ def _encode_ints(obj):
     range a decimal string.
     """
     if type(obj) is int:
-        return obj if -_SAFE_INT_MAX <= obj <= _SAFE_INT_MAX else str(obj)
+        return obj if obj in _SAFE_INTS else str(obj)
     if _is_record(type(obj)):
         return _encode_ints(_grouped(obj))
     if isinstance(obj, (list, tuple, _Table)):
@@ -546,7 +547,7 @@ def _json_ints(rows: int, v: int, slope: int) -> Iterable:
     safe range its ints are written as is, else each cell as its text."""
     cells = _ints(rows, v, slope)
     last = v + slope * (rows - 1)
-    if -_SAFE_INT_MAX <= min(v, last) and max(v, last) <= _SAFE_INT_MAX:
+    if v in _SAFE_INTS and last in _SAFE_INTS:
         return cells
     return [json.dumps(_encode_ints(c)) for c in cells]
 
@@ -751,11 +752,8 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
             else f"{points} or more" if partial else points
         )
         raise DomainError(f"requires at most {SWEEP_POINT_LIMIT} grid points (got {got})")
-    # each range now has at most SWEEP_POINT_LIMIT values; the points in
-    # range at n are the g > 2n-2, and n >= 3 makes g >= 2
-    gonality = sum(
-        n * (len(g_values) - bisect_right(g_values, 2 * n - 2)) for n in n_values if n >= 3
-    )
+    # the grid now has at most SWEEP_POINT_LIMIT points
+    gonality = sum(n for g in g_values for n in n_values if in_scroll_range(g, n))
     if gonality > SWEEP_GONALITY_LIMIT:
         raise DomainError(
             f"requires a sum of n over the points in range of at most "

@@ -193,6 +193,17 @@ class TestIntersectNumber:
             with pytest.raises(DomainError, match="not of codimension 1"):
                 intersect_number([divisor], tail)
 
+    def test_divisor_from_another_scroll_rejected(self):
+        amb = AmbientScroll(9, 4)
+        # each total is n-1 = 3 on amb: only the scroll is wrong
+        for other in (AmbientScroll(10, 4), AmbientScroll(9, 3)):
+            for divisors, tail in [
+                ([other.hyperplane()], amb.monomial(2, 0)),
+                ([amb.fiber(), other.fiber()], amb.monomial(1, 0)),
+            ]:
+                with pytest.raises(DomainError, match="different scrolls"):
+                    intersect_number(divisors, tail)
+
     def test_zero_divisor_gives_zero(self):
         amb = AmbientScroll(9, 4)
         assert intersect_number([ChowClass(amb)], amb.monomial(2, 0)) == 0

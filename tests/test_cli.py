@@ -405,6 +405,32 @@ class TestTwistCommand:
             env=limit,
         )
 
+    @pytest.mark.parametrize(
+        "coeffs,x0,printed",
+        [
+            # a' = 10^639 + 1 has 640 digits, 10^640 + 1 has 641
+            ("1,0,0,0,0,0,1000", "1e106", f"1{'0' * 638}1"),
+            ("1,0,0,0,0,0,10000", "1e106", None),
+            # a' = (2^2124 + 1) / 2^2124, each part of 640 digits; 2^2130 has 642
+            ("1,0,0,0,0,0,1", f"1/{2**354}", f"{2**2124 + 1}/{2**2124}"),
+            ("1,0,0,0,0,0,1", f"1/{2**355}", None),
+        ],
+    )
+    def test_twisted_value_at_the_lowered_limit(self, coeffs, x0, printed):
+        # the size pre-check passes each of these: printing a' decides
+        limit = {"PYTHONINTMAXSTRDIGITS": "640"}
+        args = ["twist", f"--coeffs={coeffs}", "--a=1", f"--x0={x0}"]
+        if printed is None:
+            assert_refused(
+                args,
+                "requires a twisted value a' = f(x0) of at most 640 digits in numerator and denominator",
+                env=limit,
+            )
+        else:
+            proc = run_cli(*args, env=limit)
+            assert proc.returncode == 0, proc.stderr
+            assert f"a' = {printed}\n" in proc.stdout
+
     def test_lowered_digit_limit_lowers_the_genus_bound(self):
         # every value a report prints is below 10^14 * g: 640 digits allow g < 10^626
         limit = {"PYTHONINTMAXSTRDIGITS": "640"}

@@ -6,14 +6,16 @@ comb, gcd, factorial and isqrt, and any true division ``/`` that has no
 ``Fraction(...)`` operand.  A second guard keeps the discriminant
 elimination in ``hyperelliptic`` on integers: the two routes and every
 module helper they call never name ``Fraction``.  A third pins the calls
-of the single-bound range helpers outside ``errors``, so that each
-standing hypothesis keeps its one home there.  A fourth bounds every
+of the single-bound range helpers and every boundary genus ``2 * n - 2``
+outside ``errors``, so that each standing hypothesis keeps its one home
+there.  A fourth bounds every
 ``functools`` memo, and keeps every public callable a plain function.
 """
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -110,7 +112,9 @@ def test_guard_allows(snippet):
 # gonal_pencil_count's n, h1_double_pencil's pair, and the caps of the
 # report and the sweep.  The pencil and scroll hypotheses are checked
 # through require_pencil_range and require_scroll_range, so a
-# hand-assembled one changes this list.
+# hand-assembled one changes this list.  So does a boundary genus 2n-2
+# spelled out, as a re-derived scroll range spells it; the one left is a
+# binomial coefficient, not a bound.
 RANGE_HELPERS = {"require_at_least", "require_at_most", "require_gonal_range", "in_gonal_range"}
 RANGE_CALLS = [
     ("hirzebruch.FeBundle.__post_init__", "require_at_least('e', self.e, 0)"),
@@ -119,6 +123,7 @@ RANGE_CALLS = [
     ("invariants.h1_double_pencil", "require_at_least('n', n, 2)"),
     ("invariants.h1_double_pencil", "require_gonal_range(g, n)"),
     ("invariants.gonal_pencil_count", "require_at_least('n', n, 2)"),
+    ("invariants.gonal_pencil_count", "2 * n - 2"),
     ("invariants.ballico_h0", "require_at_least('k', k, 0)"),
     ("invariants.maroni_h0", "require_at_least('k', k, 0)"),
     ("report.generate_report", "require_at_least('k_max', k_max, 0)"),
@@ -128,9 +133,18 @@ RANGE_CALLS = [
 ]
 
 
+# the boundary genus 2n-2, of any n or x.n, as ast.unparse writes it
+BOUNDARY_GENUS = re.compile(r"(2 \* (\w+\.)?n|(\w+\.)?n \* 2) - 2")
+
+
+def _is_boundary_genus(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and BOUNDARY_GENUS.fullmatch(ast.unparse(node)) is not None
+
+
 def _range_calls(node: ast.AST, scope: str) -> list[tuple[str, str]]:
-    """(enclosing function, call source) of each call of a RANGE_HELPERS
-    name under node, the function named by its dotted path from scope."""
+    """(enclosing function, source) of each call of a RANGE_HELPERS name
+    and each boundary genus 2 * n - 2 under node, the function named by
+    its dotted path from scope."""
     found = []
     for child in ast.iter_child_nodes(node):
         inner = scope
@@ -140,7 +154,7 @@ def _range_calls(node: ast.AST, scope: str) -> list[tuple[str, str]]:
             isinstance(child, ast.Call)
             and isinstance(child.func, ast.Name)
             and child.func.id in RANGE_HELPERS
-        ):
+        ) or _is_boundary_genus(child):
             found.append((scope, ast.unparse(child)))
         found += _range_calls(child, inner)
     return found
@@ -165,11 +179,17 @@ def test_range_call_guard_finds_hand_assembled_checks():
         "def point(g, n):\n"
         "    if n < 3 or not in_gonal_range(g, n):\n"
         "        return require_scroll_range(g, n)\n"
+        "def in_range(gs, n):\n"
+        "    return len(gs) - bisect_right(gs, 2 * n - 2) if n >= 3 else 0\n"
+        "def above(g, x):\n"
+        "    return g > x.n * 2 - 2\n"
     )
     assert _range_calls(tree, "m") == [
         ("m.Scroll.__post_init__", "require_at_least('n', self.n, 3)"),
         ("m.Scroll.__post_init__", "require_gonal_range(self.g, self.n)"),
         ("m.point", "in_gonal_range(g, n)"),
+        ("m.in_range", "2 * n - 2"),
+        ("m.above", "x.n * 2 - 2"),
     ]
 
 

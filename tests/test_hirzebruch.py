@@ -40,7 +40,10 @@ class TestFeBundle:
             FeBundle(0, 1, 1).intersect(FeBundle(1, 1, 1))
 
     def test_arithmetic(self):
-        assert 3 * FeBundle(1, 1, 2) - FeBundle(1, 0, 1) == FeBundle(1, 3, 5)
+        assert FeBundle(1, 3, 6) - FeBundle(1, 0, 1) == FeBundle(1, 3, 5)
+        # no integer multiples: a multiple is built as its own bundle
+        with pytest.raises(TypeError):
+            3 * FeBundle(1, 1, 2)
 
 
 class TestCanonicalBundle:
@@ -296,7 +299,7 @@ class TestLeanCohomology:
             (x + y, FeBundle(2, -3, 2)),
             (x - y, FeBundle(2, 5, -8)),
             (-x, FeBundle(2, -1, 3)),
-            (3 * x, FeBundle(2, 3, -9)),
+            (x + x + x, FeBundle(2, 3, -9)),
         ):
             assert got == want and hash(got) == hash(want)
             assert repr(got) == repr(want) and str(got) == str(want)

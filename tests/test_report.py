@@ -291,8 +291,10 @@ class TestSerialization:
 
     def test_big_integers_become_strings(self):
         safe = (1 << 53) - 1
-        encoded = _encode_ints({"a": safe, "b": safe + 1, "c": [-safe - 2, True]})
-        assert encoded == {"a": safe, "b": str(safe + 1), "c": [str(-safe - 2), True]}
+        encoded = _encode_ints({"a": safe, "b": safe + 1, "c": [-safe - 2, True, -safe, -safe - 1]})
+        assert encoded == {
+            "a": safe, "b": str(safe + 1), "c": [str(-safe - 2), True, -safe, str(-safe - 1)]
+        }
 
     def test_from_dict_coerces_string_integers(self):
         report = generate_report(5, 3, 2)
