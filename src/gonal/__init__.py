@@ -16,6 +16,7 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "checks": ("SweepSummary", "sweep_verify"),
     "chow": ("AmbientScroll", "ChowClass", "intersect_number"),
     "errors": ("ConsistencyError", "DomainError", "UnsupportedError"),
     "hirzebruch": (
@@ -35,10 +36,7 @@ _EXPORTS = {
         "DivisibilityVerdict", "VerdictStatus", "degree_subgroup",
         "modular_degree_constraint", "solve_degree",
     ),
-    "report": (
-        "GonalReport", "SweepSummary", "emit_json", "generate_report", "parse_json",
-        "render_text", "sweep_verify",
-    ),
+    "report": ("GonalReport", "emit_json", "generate_report", "parse_json", "render_text"),
     "scroll": (
         "AutNumerics", "ScrollSpec", "aut_group_numerics", "canonical_class",
         "curve_class", "generic_scroll", "validate_scroll",
@@ -46,7 +44,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 # every submodule, reachable as gonal.<name> whether or not it is loaded
-_MODULES = {*_EXPORTS, "checks", "cli"}
+_MODULES = {*_EXPORTS, "cli"}
 
 __all__ = sorted(_HOME)
 

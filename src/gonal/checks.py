@@ -1,15 +1,20 @@
-"""The check families of the verification sweep.
+"""The verification sweep over a (g, n) grid and its check families.
+
+``sweep_verify`` re-runs every cross-module identity over the grid and
+reports counts instead of aborting: a verification harness must surface
+all findings, an error raised while checks run included.  Only `verify`
+loads this module, so a report loads none of it.
 
 A family of checks is a generator of rows (name, ok) or (name, ok, detail):
 ok True passes, False fails, and None skips, with detail as its reason.
 _run makes the rows into CheckResults.  An exception raised while a family
 runs ends it with one failing RAISED result, detail repr(exc) and a global
 family's name, so the sweep names it and goes on to the next family.
-report.sweep_verify loads this module when it runs, so a report loads none of it.
 
-The sweep runs its grid in slices of about equal estimated cost: the first
-in this process, after the global checks, and each further one in a forked
-worker that sends its tally back over a pipe, merged in slice order, so the
+The global checks count first, then the grid points in (g, n) order.  The
+grid runs in slices of about equal estimated cost: the first in this
+process, after the global checks, and each further one in a forked worker
+that sends its tally back over a pipe, merged in slice order, so the
 summary is the one a single process counts.
 """
 
@@ -26,13 +31,21 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import chow, hirzebruch, hyperelliptic, invariants, picard, report
 from .chow import AmbientScroll, ChowClass, intersect_number
-from .errors import in_scroll_range
+from .errors import DomainError, in_scroll_range, require_at_most
 from .picard import DivisibilityVerdict, VerdictStatus
 from .scroll import validate_scroll
 
 # global/pencil-count compares its two routes at the grid's gonalities up
 # to this bound; the Pieri table costs O(n^2) additions of O(n)-bit integers.
 _PENCIL_COUNT_MAX_N = 200
+# The most (g, n) points a sweep takes: about a minute at n <= 10, each
+# point costing what _point_us estimates.
+SWEEP_POINT_LIMIT = 10**5
+# The largest sum of n over the points in range a sweep takes, since a
+# point's cost grows with n (_point_us): 10^5 points at n near 20 with this
+# sum take 45 to 53 s, and 2 x 10^3 points at n up to 2 x 10^3 take 11 to
+# 14 s (CPython 3.11, one Xeon core; 23 to 29 s and 7 to 8 s split between two).
+SWEEP_GONALITY_LIMIT = 2 * 10**6
 
 RAISED = "sweep/raised"
 
@@ -43,6 +56,23 @@ class CheckResult(NamedTuple):
     name: str
     outcome: str  # "pass" | "fail" | "skip"
     detail: str
+
+
+class SweepSummary(NamedTuple):
+    checked: int
+    passed: int
+    failed: int
+    skipped: int
+    first_failure: str | None
+    failures: list[str]
+    skip_reasons: dict[str, int]
+
+    @property
+    def ok(self) -> bool:
+        return self.failed == 0
+
+    def to_dict(self) -> dict:
+        return report._encode_ints(self)
 
 
 def _run(g: int, n: int, rows: Iterable[tuple], family: str = "") -> list[CheckResult]:
@@ -378,9 +408,9 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult
 # ---------------------------------------------------------------------------
 
 # Estimated costs in microseconds (CPython 3.11, one Xeon core): the global
-# checks, which the parent runs, a point in range, 400 + 7 n, and a skip, 3.
-# The global checks took 48 to 87 ms in a fresh process, 0.16 to 0.22 of
-# the points of g 5..120 x n 3..10, which the estimate puts at 388 ms.
+# checks, which the parent runs, and a point, _point_us.  The global checks
+# took 48 to 87 ms in a fresh process, 0.16 to 0.22 of the points of
+# g 5..120 x n 3..10, which _point_us puts at 388 ms.
 _GLOBAL_US = 60_000
 # The least estimated work a slice is cut for: about 25 times the 1 to 2 ms
 # of a worker's fork, pipe and reaping.
@@ -455,6 +485,14 @@ class _Tally:
         for reason, times in skip_reasons:
             self.skip_reasons[reason] += times
         self.failures += failures[: self.KEPT - len(self.failures)]
+
+    def summary(self) -> SweepSummary:
+        passed, failed = self.outcomes["pass"], self.outcomes["fail"]
+        first = self.failures[0] if self.failures else None
+        return SweepSummary(
+            passed + failed, passed, failed, self.outcomes["skip"], first, self.failures,
+            dict(self.skip_reasons),
+        )
 
 
 def _fork(results: Iterator[CheckResult]) -> tuple[int, BinaryIO]:
@@ -536,3 +574,71 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int]) -> _Tally:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return tally
+
+
+def _distinct(values: Iterable[int]) -> list[int]:
+    """The sorted distinct values, read only until there are more than
+    SWEEP_POINT_LIMIT of them, which the point cap refuses."""
+    seen = set()
+    for v in values:
+        seen.add(v)
+        if len(seen) > SWEEP_POINT_LIMIT:
+            break
+    return sorted(seen)
+
+
+def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary:
+    """Run every module property over the (g, n) grid and summarize.
+
+    Grid points whose hypotheses fail are counted as skips with a
+    reason; failures, and errors raised while checks run, are collected,
+    never raised.  Identities in k are decided for every k >= 0.  A grid
+    beyond report.GONALITY_LIMIT, report.GENUS_LIMIT, SWEEP_POINT_LIMIT
+    or SWEEP_GONALITY_LIMIT is refused before any check runs.  The
+    summary is the one-process one, however many workers share the grid.
+    """
+    # a range, read increasing, is sorted and distinct, and gives its ends
+    # and size unbuilt (len overflows past sys.maxsize)
+    g_values, n_values = (
+        (r if r.step > 0 else r[::-1]) if isinstance(r, range) else _distinct(r)
+        for r in (g_range, n_range)
+    )
+    if not g_values or not n_values:
+        raise DomainError("sweep ranges must be non-empty")
+    require_at_most("n", n_values[-1], report.GONALITY_LIMIT)
+    report._require_genus_limit(g_values[-1])
+    points, axes = 1, (g_values, n_values)
+    for v in axes:
+        points *= len(v) if isinstance(v, list) else (v[-1] - v[0]) // v.step + 1
+    if points > SWEEP_POINT_LIMIT:
+        # ranges with ends of thousands of digits make a count too long to
+        # print, and a list read in part gives a lower bound
+        bound = report._genus_bound()
+        partial = any(isinstance(v, list) and len(v) > SWEEP_POINT_LIMIT for v in axes)
+        got = (
+            f"10^{len(str(bound)) - 1} or more" if points >= bound
+            else f"{points} or more" if partial else points
+        )
+        raise DomainError(f"requires at most {SWEEP_POINT_LIMIT} grid points (got {got})")
+    # the grid now has at most SWEEP_POINT_LIMIT points
+    gonality = sum(n for g in g_values for n in n_values if in_scroll_range(g, n))
+    if gonality > SWEEP_GONALITY_LIMIT:
+        raise DomainError(
+            f"requires a sum of n over the points in range of at most "
+            f"{SWEEP_GONALITY_LIMIT} (got {gonality})"
+        )
+    return _sweep(g_values, n_values).summary()
+
+
+def render_sweep_text(summary: SweepSummary) -> str:
+    lines = [
+        f"checked {summary.checked}  passed {summary.passed}  "
+        f"failed {summary.failed}  skipped {summary.skipped}"
+    ]
+    if summary.skip_reasons:
+        lines.append("skip reasons:")
+        lines += [f"  {count} x {reason}" for reason, count in sorted(summary.skip_reasons.items())]
+    if summary.failures:
+        lines += ["failures:", *(f"  {f}" for f in summary.failures)]
+    lines.append("ok" if summary.ok else "FAILED")
+    return "\n".join(lines) + "\n"

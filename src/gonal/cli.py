@@ -17,7 +17,7 @@ import sys
 from math import gcd
 from typing import NoReturn
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, UnsupportedError, int_text_limit
 
 # Each command imports the layers it runs, so `twist` never loads the
 # Chow ring, the scrolls or the report.
@@ -44,7 +44,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .report import render_sweep_text, sweep_verify
+    from .checks import render_sweep_text, sweep_verify
 
     summary = sweep_verify(
         range(args.genus_min, args.genus_max + 1),
@@ -103,8 +103,7 @@ def _cmd_twist(args) -> int:
 
     from .hyperelliptic import BinaryForm, HyperellipticModel, _integer_scaled, twist_with_point
 
-    # the interpreter's int-to-text limit; 0, or none before Python 3.10.7, is no limit
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    limit = int_text_limit()
     literal_digits = min(TWIST_LITERAL_DIGITS, limit) if limit else TWIST_LITERAL_DIGITS
     literals = [*args.coeffs.split(","), args.a, args.x0]
     for digits in map(_literal_digits, literals):

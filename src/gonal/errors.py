@@ -1,5 +1,8 @@
 """Exception types and the range hypotheses shared across the package:
-the pencil range, the scroll range, and 2n-2 < g on its own."""
+the pencil range, the scroll range, and 2n-2 < g on its own; and the
+interpreter's int-to-text limit, which every command reads."""
+
+import sys
 
 
 class DomainError(ValueError):
@@ -12,6 +15,12 @@ class UnsupportedError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, never bad user input."""
+
+
+def int_text_limit() -> int:
+    """The most digits the interpreter converts between int and text, or 0
+    for no limit, as before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def require_at_least(name: str, value: int, bound: int) -> None:

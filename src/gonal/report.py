@@ -1,4 +1,4 @@
-"""Invariant dossiers for (g, n) and the grid verification sweep.
+"""Invariant dossiers for (g, n).
 
 ``generate_report`` aggregates every module's output for one (g, n)
 into a deterministic record with text and JSON renderings.  The JSON is
@@ -6,19 +6,11 @@ derived from the record fields: snake_case field names, enums as
 their values, and integers beyond the 53-bit safe range as decimal
 strings, so output survives consumers that parse JSON numbers as
 doubles; ``parse_json`` undoes this, and parse(emit(r)) == r.
-
-``sweep_verify`` re-runs every cross-module identity over a grid of
-(g, n) and reports counts instead of aborting: a verification harness
-must surface all findings, an error raised while checks run included.
-Aggregation order is canonical (globals first, then grid points sorted
-by (g, n)).  The check families live in ``gonal.checks``, which only a
-sweep loads.
 """
 
 import json
-import sys
 import types
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -30,7 +22,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, ge
 
 from . import hirzebruch, invariants, picard
 from .chow import AmbientScroll, ChowClass, intersect_number
-from .errors import ConsistencyError, DomainError, in_scroll_range, require_at_least, require_at_most
+from .errors import ConsistencyError, DomainError, int_text_limit, require_at_least, require_at_most
 from .picard import DivisibilityVerdict
 from .scroll import aut_group_numerics, canonical_class, curve_class, generic_scroll
 
@@ -45,25 +37,16 @@ GONALITY_LIMIT = 10**6
 # so it keeps within the 4,300 digits the interpreter writes by default; a
 # lower int-to-text limit of L digits lowers it to 10^(L - 14).
 GENUS_LIMIT = 10**4000
-# The most (g, n) points a sweep takes: at n <= 10 a point in range costs 0.4
-# to 0.8 ms and a skip 3 us (CPython 3.11, one Xeon core), about a minute in all.
-SWEEP_POINT_LIMIT = 10**5
-# The largest sum of n over the points in range a sweep takes: a point costs
-# about 0.4 ms + 7 us * n, so 10^5 points at n near 20 with this sum take 45 to
-# 53 s, and 2 x 10^3 points at n up to 2 x 10^3 take 11 to 14 s (CPython 3.11,
-# one Xeon core; 23 to 29 s and 7 to 8 s split between two).
-SWEEP_GONALITY_LIMIT = 2 * 10**6
 
 
 def _genus_bound() -> int:
     """GENUS_LIMIT, lowered by the interpreter's int-to-text limit."""
-    # 0, or none before Python 3.10.7, is no limit
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    limit = int_text_limit()
     return min(GENUS_LIMIT, 10 ** (limit - 14)) if limit else GENUS_LIMIT
 
 
 def _require_genus_limit(g: int) -> None:
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+    limit = int_text_limit()
     # a g of at most 3 * (limit - 14) bits is below 10^(limit - 14): build
     # the bound only past that
     if g < GENUS_LIMIT and not (limit and g.bit_length() > 3 * (limit - 14)):
@@ -146,6 +129,19 @@ def _cells(pieces: Iterable[_Piece]) -> Iterator:
     return chain.from_iterable(starmap(_ints, pieces))
 
 
+def _at(pieces: Iterable[_Piece], picked: range) -> Iterator:
+    """The cells of a column at the increasing row indices picked, made as
+    they are read: the picked rows of a piece are one _ints."""
+    cells, top = [], 0
+    for rows, v, slope in pieces:
+        lo, hi = bisect_left(picked, top), bisect_left(picked, top + rows)
+        if lo < hi:
+            first = v + slope * (picked[lo] - top) if slope else v
+            cells.append(_ints(hi - lo, first, slope * picked.step))
+        top += rows
+    return chain.from_iterable(cells)
+
+
 def _runs(cells: Sequence, tp: type) -> list[_Piece]:
     """A column of cells of type tp as pieces, each as long as it can be
     from the top: affine runs for int, constant runs for bool."""
@@ -198,14 +194,20 @@ class _Table(Sequence):
         rows = zip(*map(_cells, self.columns))
         return rows if self.row is tuple else map(partial(tuple.__new__, self.row), rows)
 
+    def _picked(self, picked: range) -> Iterator:
+        """The rows at the increasing indices picked, made as they are read."""
+        rows = zip(*(_at(pieces, picked) for pieces in self.columns))
+        return rows if self.row is tuple else map(partial(tuple.__new__, self.row), rows)
+
     def __getitem__(self, i):
-        i = range(self._rows)[index(i)]
-        cells = []
-        for pieces in self.columns:
-            stack = pieces[::-1]
-            _cut(stack, i)
-            cells.append(stack[-1][1])
-        return tuple.__new__(self.row, cells)
+        """A row, or the tuple of the rows a slice selects."""
+        if not isinstance(i, slice):
+            i = range(self._rows)[index(i)]
+            return next(self._picked(range(i, i + 1)))
+        picked = range(self._rows)[i]
+        if picked.step > 0:
+            return tuple(self._picked(picked))
+        return tuple(self._picked(picked[::-1]))[::-1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (_Table, tuple, list)):
@@ -362,10 +364,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
         dim_p_l: bool | None = hirzebruch.bundle_cohomology(curve_fe).h0 - 1 == chi_n
         surface = f"F{curve_fe.e}"
     else:
-        oracle_checks = None
-        oracle_agreement = None
-        dim_p_l = None
-        surface = None
+        oracle_checks = oracle_agreement = dim_p_l = surface = None
 
     # h^0(O_C(kR)) = k + 1 + sum of max(0, k - 1 - e_i) on the scroll
     # S(e_1, ..., e_{n-1}), e_i = shift + r_i, bends only at 1 + e_i; with
@@ -388,9 +387,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
         oracle_agreement=oracle_agreement,
     )
 
-    curve_coeffs = tuple(
-        (a, b, c) for (a, b), c in sorted(curve.coefficients.items(), reverse=True)
-    )
+    curve_coeffs = tuple((a, b, c) for (a, b), c in sorted(curve.coefficients.items(), reverse=True))
     return GonalReport(
         g=g,
         n=n,
@@ -599,10 +596,9 @@ def parse_json(text: str) -> GonalReport:
     return GonalReport.from_dict(json.loads(text))
 
 
-def _flag_str(value: bool | None) -> str:
-    if value is None:
-        return "n/a"
-    return "ok" if value else "FAIL"
+# the text of each consistency flag, in field order, and of its values
+_FLAG_NAMES = ("euler-chain", "branch-continuity", "dim-P(L)", "oracle")
+_FLAG_TEXT = {None: "n/a", True: "ok", False: "FAIL"}
 
 
 def _text_chunks(report: GonalReport) -> Iterator[str]:
@@ -660,13 +656,8 @@ def _text_chunks(report: GonalReport) -> Iterator[str]:
         f"[{div.status.value}{', sharp' if div.sharp else ''}]",
         "consistency: "
         + ", ".join(
-            f"{name} {_flag_str(value)}"
-            for name, value in (
-                ("euler-chain", report.consistency_flags.euler_chain),
-                ("branch-continuity", report.consistency_flags.branch_continuity),
-                ("dim-P(L)", report.consistency_flags.dim_p_l),
-                ("oracle", report.consistency_flags.oracle_agreement),
-            )
+            f"{name} {_FLAG_TEXT[value]}"
+            for name, value in zip(_FLAG_NAMES, report.consistency_flags, strict=True)
         ),
     ]
     yield "\n".join(lines) + "\n"
@@ -676,113 +667,8 @@ def render_text(report: GonalReport) -> str:
     return "".join(_text_chunks(report))
 
 
-_WRITERS = {"json": _json_chunks, "text": _text_chunks}
-
-
 def write_report(report: GonalReport, fmt: str, file) -> None:
     """Write the report as emit_json ("json") or render_text ("text")
     would return it, a block of table rows at a time, so memory stays
     flat in k_max."""
-    file.writelines(_WRITERS[fmt](report))
-
-
-# ---------------------------------------------------------------------------
-# verification sweep; its check families live in gonal.checks
-# ---------------------------------------------------------------------------
-
-class SweepSummary(NamedTuple):
-    checked: int
-    passed: int
-    failed: int
-    skipped: int
-    first_failure: str | None
-    failures: list[str]
-    skip_reasons: dict[str, int]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-    def to_dict(self) -> dict:
-        return _encode_ints(self)
-
-
-def _distinct(values: Iterable[int]) -> list[int]:
-    """The sorted distinct values, read only until there are more than
-    SWEEP_POINT_LIMIT of them, which the point cap refuses."""
-    seen = set()
-    for v in values:
-        seen.add(v)
-        if len(seen) > SWEEP_POINT_LIMIT:
-            break
-    return sorted(seen)
-
-
-def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary:
-    """Run every module property over the (g, n) grid and summarize.
-
-    Grid points whose hypotheses fail are counted as skips with a
-    reason; failures, and errors raised while checks run, are collected,
-    never raised.  Identities in k are decided for every k >= 0.  A grid
-    beyond GONALITY_LIMIT, GENUS_LIMIT, SWEEP_POINT_LIMIT or
-    SWEEP_GONALITY_LIMIT is refused before any check runs.  The grid is
-    split among forked workers, up to one per usable CPU, and their
-    tallies are merged in order, so the summary is the one-process one.
-    """
-    # a range, read increasing, is sorted and distinct, and gives its ends
-    # and size unbuilt (len overflows past sys.maxsize)
-    g_values, n_values = (
-        (r if r.step > 0 else r[::-1]) if isinstance(r, range) else _distinct(r)
-        for r in (g_range, n_range)
-    )
-    if not g_values or not n_values:
-        raise DomainError("sweep ranges must be non-empty")
-    require_at_most("n", n_values[-1], GONALITY_LIMIT)
-    _require_genus_limit(g_values[-1])
-    points, axes = 1, (g_values, n_values)
-    for v in axes:
-        points *= len(v) if isinstance(v, list) else (v[-1] - v[0]) // v.step + 1
-    if points > SWEEP_POINT_LIMIT:
-        # ranges with ends of thousands of digits make a count too long to
-        # print, and a list read in part gives a lower bound
-        bound = _genus_bound()
-        partial = any(isinstance(v, list) and len(v) > SWEEP_POINT_LIMIT for v in axes)
-        got = (
-            f"10^{len(str(bound)) - 1} or more" if points >= bound
-            else f"{points} or more" if partial else points
-        )
-        raise DomainError(f"requires at most {SWEEP_POINT_LIMIT} grid points (got {got})")
-    # the grid now has at most SWEEP_POINT_LIMIT points
-    gonality = sum(n for g in g_values for n in n_values if in_scroll_range(g, n))
-    if gonality > SWEEP_GONALITY_LIMIT:
-        raise DomainError(
-            f"requires a sum of n over the points in range of at most "
-            f"{SWEEP_GONALITY_LIMIT} (got {gonality})"
-        )
-    from . import checks
-
-    tally = checks._sweep(g_values, n_values)
-    failures = tally.failures
-    return SweepSummary(
-        checked=tally.outcomes["pass"] + tally.outcomes["fail"],
-        passed=tally.outcomes["pass"],
-        failed=tally.outcomes["fail"],
-        skipped=tally.outcomes["skip"],
-        first_failure=failures[0] if failures else None,
-        failures=failures,
-        skip_reasons=tally.skip_reasons,
-    )
-
-
-def render_sweep_text(summary: SweepSummary) -> str:
-    lines = [
-        f"checked {summary.checked}  passed {summary.passed}  "
-        f"failed {summary.failed}  skipped {summary.skipped}"
-    ]
-    if summary.skip_reasons:
-        lines.append("skip reasons:")
-        lines += [f"  {count} x {reason}" for reason, count in sorted(summary.skip_reasons.items())]
-    if summary.failures:
-        lines += ["failures:", *(f"  {f}" for f in summary.failures)]
-    lines.append("ok" if summary.ok else "FAILED")
-    return "\n".join(lines) + "\n"
+    file.writelines({"json": _json_chunks, "text": _text_chunks}[fmt](report))

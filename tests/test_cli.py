@@ -241,8 +241,8 @@ class TestVerifyCommand:
         assert err == b""
 
     def test_failure_exits_1(self, monkeypatch, capsys):
-        from gonal import cli, report
-        from gonal.report import SweepSummary
+        from gonal import checks, cli
+        from gonal.checks import SweepSummary
 
         broken = SweepSummary(
             checked=1,
@@ -253,8 +253,8 @@ class TestVerifyCommand:
             failures=["g=5 n=3 example-check"],
             skip_reasons={},
         )
-        # `verify` looks `sweep_verify` up in `report` when it runs
-        monkeypatch.setattr(report, "sweep_verify", lambda *a, **k: broken)
+        # `verify` looks `sweep_verify` up in `checks` when it runs
+        monkeypatch.setattr(checks, "sweep_verify", lambda *a, **k: broken)
         code = cli.main(
             ["verify", "--genus-min", "5", "--genus-max", "5",
              "--gonality-min", "3", "--gonality-max", "3"]

@@ -117,6 +117,7 @@ def test_guard_allows(snippet):
 # binomial coefficient, not a bound.
 RANGE_HELPERS = {"require_at_least", "require_at_most", "require_gonal_range", "in_gonal_range"}
 RANGE_CALLS = [
+    ("checks.sweep_verify", "require_at_most('n', n_values[-1], report.GONALITY_LIMIT)"),
     ("hirzebruch.FeBundle.__post_init__", "require_at_least('e', self.e, 0)"),
     ("hirzebruch.trigonal_h0_oracle", "require_at_least('k', k, 0)"),
     ("hyperelliptic.hg_dimension", "require_at_least('g', g, 2)"),
@@ -129,7 +130,6 @@ RANGE_CALLS = [
     ("report.generate_report", "require_at_least('k_max', k_max, 0)"),
     ("report.generate_report", "require_at_most('k_max', k_max, K_MAX_LIMIT)"),
     ("report.generate_report", "require_at_most('n', n, GONALITY_LIMIT)"),
-    ("report.sweep_verify", "require_at_most('n', n_values[-1], GONALITY_LIMIT)"),
 ]
 
 

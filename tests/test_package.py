@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,7 +84,7 @@ def test_unknown_name():
 
 def test_submodule_by_attribute():
     assert gonal.report is sys.modules["gonal.report"]
-    assert gonal.report.sweep_verify is gonal.sweep_verify
+    assert gonal.checks.sweep_verify is gonal.sweep_verify
 
 
 def test_patched_attribute_shows_through(monkeypatch):
@@ -94,3 +95,22 @@ def test_patched_attribute_shows_through(monkeypatch):
     assert gonal.generate_report is stand_in
     monkeypatch.undo()
     assert gonal.generate_report is not stand_in
+
+
+def _readme_names() -> list[str]:
+    """Each gonal.<module>.<name> that README spells in a code span, fenced
+    blocks left out."""
+    text = re.sub(r"```.*?```", "", (Path(__file__).parents[1] / "README.md").read_text(), flags=re.S)
+    return sorted({m for span in re.findall(r"`([^`]+)`", text) for m in re.findall(r"\bgonal(?:\.\w+){2,}", span)})
+
+
+def test_readme_names_resolve():
+    names = _readme_names()
+    # the caps of every command, and the entry points, are among them
+    assert {"gonal.cli.run", "gonal.report.K_MAX_LIMIT", "gonal.checks.SWEEP_POINT_LIMIT"} <= set(names)
+    for name in names:
+        _, module, *path = name.split(".")
+        value = importlib.import_module(f"gonal.{module}")
+        for attr in path:
+            assert hasattr(value, attr), name
+            value = getattr(value, attr)

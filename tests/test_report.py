@@ -28,7 +28,6 @@ from gonal.report import (
     InvariantSummary,
     OracleRow,
     ScrollSummary,
-    SweepSummary,
     _decisive_ks,
     _agree,
     _encode_ints,
@@ -40,10 +39,16 @@ from gonal.report import (
     generate_report,
     parse_json,
     render_text,
-    sweep_verify,
     write_report,
 )
-from gonal.checks import _curve_h1, _global_checks, _pieri_degrees, _point_checks
+from gonal.checks import (
+    SweepSummary,
+    _curve_h1,
+    _global_checks,
+    _pieri_degrees,
+    _point_checks,
+    sweep_verify,
+)
 
 
 class TestGenerateReport:
@@ -97,7 +102,7 @@ class TestGenerateReport:
             sweep_verify([21], range(3, 12))
 
     def test_sweep_points_capped(self, monkeypatch):
-        monkeypatch.setattr(report, "SWEEP_POINT_LIMIT", 6)
+        monkeypatch.setattr(checks, "SWEEP_POINT_LIMIT", 6)
         # a list counts its distinct values, a range its length
         assert sweep_verify([5, 6, 6, 7], range(3, 5)).ok
         with pytest.raises(DomainError, match=r"^requires at most 6 grid points \(got 8\)$"):
@@ -134,9 +139,9 @@ class TestGenerateReport:
     def test_summed_gonality_capped(self, monkeypatch, g_values, n_values):
         # the sum of n over the points in range, skips not counted
         total = sum(n for g in set(g_values) for n in set(n_values) if n >= 3 and 2 * n - 2 < g)
-        monkeypatch.setattr(report, "SWEEP_GONALITY_LIMIT", total)
+        monkeypatch.setattr(checks, "SWEEP_GONALITY_LIMIT", total)
         assert sweep_verify(g_values, n_values).ok
-        monkeypatch.setattr(report, "SWEEP_GONALITY_LIMIT", total - 1)
+        monkeypatch.setattr(checks, "SWEEP_GONALITY_LIMIT", total - 1)
         # refused before a check runs
         monkeypatch.setattr(checks, "_global_checks", None)
         message = rf"^requires a sum of n over the points in range of at most {total - 1} \(got {total}\)$"
@@ -323,6 +328,29 @@ class TestTables:
             assert hash(table) == hash(tuple(rows))
         assert r.section_counts[0] == (1, 2)
         assert r.oracle_checks[4] == OracleRow(5, 6, 6, True)
+
+    def test_slices(self, monkeypatch):
+        r = generate_report(11, 3, 10)
+        # bounds inside, at and past both ends of the 10 rows
+        bounds = (None, -20, -3, 0, 2, 9, 10, 20)
+        for table in (r.section_counts, r.oracle_checks):
+            rows = tuple(table)
+            for a, b, c in itertools.product(bounds, bounds, (1, 2, -1)):
+                picked = table[a:b:c]
+                assert type(picked) is tuple and picked == rows[a:b:c], (a, b, c)
+                assert [type(row) for row in picked] == [type(row) for row in rows[a:b:c]]
+                assert [type(cell) for row in picked for cell in row] == [
+                    type(cell) for row in rows[a:b:c] for cell in row
+                ]
+        # a slice makes the cells of its own rows only, at any length
+        big = generate_report(2000, 3, report.K_MAX_LIMIT).oracle_checks
+        made, ints = [], report._ints
+        monkeypatch.setattr(report, "_ints", lambda *piece: made.append(piece[0]) or ints(*piece))
+        assert big[-3:] == tuple(big[i] for i in range(-3, 0))
+        assert big[5 : 10**7 : 2 * 10**6] == tuple(big[i] for i in range(5, 10**7, 2 * 10**6))
+        assert big[::-4 * 10**6] == (big[-1], big[-1 - 4 * 10**6], big[-1 - 8 * 10**6])
+        # 11 rows picked by slices and 11 one by one, in each of 4 columns
+        assert sum(made) == 4 * 2 * 11
 
     def test_replaced_rows_are_read_into_pieces(self):
         base = generate_report(9, 3, 6)
@@ -785,6 +813,13 @@ class TestSweep:
         assert summary.skipped == 4
         assert summary.failed == 0
         assert summary.skip_reasons == {"requires n >= 3 and 2n-2 < g": 4}
+
+    def test_skip_reasons_are_a_dict(self):
+        # a Counter, repr'd as Counter({...}), before a JSON round trip and a dict after
+        summary = sweep_verify(range(5, 9), range(3, 5))
+        assert type(summary.skip_reasons) is dict and summary.skip_reasons
+        again = SweepSummary(**json.loads(json.dumps(summary.to_dict())))
+        assert repr(again) == repr(summary)
 
     def test_empty_ranges_rejected(self):
         with pytest.raises(DomainError):
