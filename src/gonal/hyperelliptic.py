@@ -18,13 +18,15 @@ pseudo-remainders, each reduced to its primitive part (Collins, J. ACM
 divides exactly by the previous pivot (Math. Comp. 22, 1968).  Over
 GF(p) the same steps are reduced mod p instead.  No coefficient
 becomes a fraction, so the default Euclid route stays practical for
-large-genus forms.
+large-genus forms.  BinaryForm and HyperellipticModel are NamedTuples
+that validate in __new__, so `gonal twist` loads no dataclasses.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
+from numbers import Rational
+from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedError, require_at_least
 
@@ -67,7 +69,9 @@ def _is_prime(p: int) -> bool:
 
 def _normalize_scalar(c, p: int | None) -> Scalar:
     if p is None:
-        return Fraction(c)
+        if isinstance(c, Rational):
+            return Fraction(c)
+        raise DomainError(f"Q scalars must be int or Fraction (got {type(c).__name__})")
     if not isinstance(c, int):
         raise DomainError(f"GF({p}) scalars must be integers (got {c!r})")
     return c % p
@@ -139,47 +143,52 @@ def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class _Validated:
+    """_make, and with it _replace, builds through the class's own __new__."""
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class _FormFields(NamedTuple):
+    degree: int
+    coefficients: tuple
+    p: int | None = None
+
+
+class BinaryForm(_Validated, _FormFields):
     """A binary form of degree 2g+2: coefficients[i] multiplies x^i y^(d-i).
 
     Coefficients are normalized on construction into the chosen domain
     (Fraction for p=None, residues for an odd prime p).
     """
 
-    degree: int
-    coefficients: tuple
-    p: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.degree < 6 or self.degree % 2 != 0:
+    def __new__(cls, degree: int, coefficients: tuple, p: int | None = None):
+        if degree < 6 or degree % 2 != 0:
+            raise DomainError(f"degree must be 2g+2 with g >= 2 (got degree={degree})")
+        if len(coefficients) != degree + 1:
             raise DomainError(
-                f"degree must be 2g+2 with g >= 2 (got degree={self.degree})"
+                f"need {degree + 1} coefficients (got {len(coefficients)})"
             )
-        if len(self.coefficients) != self.degree + 1:
-            raise DomainError(
-                f"need {self.degree + 1} coefficients (got {len(self.coefficients)})"
-            )
-        if self.p is not None:
-            if self.p == 2:
-                raise UnsupportedError("characteristic 2 is not supported")
-            if not _is_prime(self.p):
-                raise DomainError(f"p = {self.p} is not prime")
-        object.__setattr__(
-            self,
-            "coefficients",
-            tuple(_normalize_scalar(c, self.p) for c in self.coefficients),
-        )
+        if p == 2:
+            raise UnsupportedError("characteristic 2 is not supported")
+        if p is not None and not _is_prime(p):
+            raise DomainError(f"p = {p} is not prime")
+        coefficients = tuple(_normalize_scalar(c, p) for c in coefficients)
+        return super().__new__(cls, degree, coefficients, p)
 
     @property
     def genus(self) -> int:
         return (self.degree - 2) // 2
 
-    @cached_property
+    @property
     def smooth(self) -> bool:
         """discriminant_nonzero(self), decided once per form: every model
         on the form, the twisted one too, reads this verdict."""
-        return discriminant_nonzero(self)
+        if "smooth" not in self.__dict__:  # by hand: a cached_property could be set
+            self.__dict__["smooth"] = discriminant_nonzero(self)
+        return self.__dict__["smooth"]
 
     def evaluate(self, x) -> Scalar:
         """The dehomogenized value f(x, 1)."""
@@ -210,35 +219,35 @@ def discriminant_nonzero(form: BinaryForm, method: str = "gcd") -> bool:
     Sylvester matrix.  The two routes agree everywhere.  Both see f
     scaled to integer coefficients.
     """
-    cs = list(form.coefficients)
-    d = form.degree
+    d, cs, p = form
     if cs[d] == 0 and cs[d - 1] == 0:
         return False  # root at infinity with multiplicity >= 2, or f = 0
     f = _integer_scaled(cs)  # keeps every root
-    fp = _reduce([i * c for i, c in enumerate(f)][1:], form.p)
+    fp = _reduce([i * c for i, c in enumerate(f)][1:], p)
     if not fp:
         return False  # f' = 0 in characteristic p: f is a p-th power
     if method == "gcd":
-        return _gcd_degree(f, fp, form.p) == 0
+        return _gcd_degree(f, fp, p) == 0
     if method == "resultant":
-        return _resultant_nonzero(f, fp, form.p)
+        return _resultant_nonzero(f, fp, p)
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class HyperellipticModel:
-    """A smooth affine model a*y^2 = f(x) with a != 0."""
-
+class _ModelFields(NamedTuple):
     a: Scalar
     form: BinaryForm
 
-    def __post_init__(self) -> None:
-        a = _normalize_scalar(self.a, self.form.p)
+
+class HyperellipticModel(_Validated, _ModelFields):
+    """A smooth affine model a*y^2 = f(x) with a != 0."""
+
+    def __new__(cls, a: Scalar, form: BinaryForm):
+        a = _normalize_scalar(a, form.p)
         if a == 0:
             raise DomainError("requires a != 0")
-        object.__setattr__(self, "a", a)
-        if not self.form.smooth:
+        if not form.smooth:
             raise DomainError("the form has vanishing discriminant")
+        return super().__new__(cls, a, form)
 
     def residual(self, x, y) -> Scalar:
         """a*y^2 - f(x); zero exactly when (x, y) lies on the curve."""

@@ -602,10 +602,18 @@ class TestProcessExit:
 
 
 def loaded_modules(code):
-    """The modules a fresh interpreter holds after running code."""
+    """The modules a fresh interpreter holds after running code.
+
+    The probe runs under -S, with only the directory that holds gonal on
+    PYTHONPATH: a .pth file in site-packages may preload modules, such as
+    random, re or pathlib, and so hide a module that a command loads."""
+    import gonal
+
     probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gonal.__file__))}
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, check=True, env=env,
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -617,17 +625,24 @@ def loaded_gonal_modules(code):
 
 class TestLoadOnDemand:
     ENTRY = ["gonal", "gonal.cli", "gonal.errors"]
+    TWIST = (
+        "import gonal.cli\n"
+        "assert gonal.cli.main(['twist', '--coeffs', '5,1,0,0,0,0,1',"
+        " '--a', '2', '--x0', '0']) == 0"
+    )
 
     def test_import_cli_loads_no_layer(self):
         assert loaded_gonal_modules("import gonal.cli") == self.ENTRY
 
     def test_twist_loads_only_hyperelliptic(self):
-        code = (
-            "import gonal.cli\n"
-            "assert gonal.cli.main(['twist', '--coeffs', '5,1,0,0,0,0,1',"
-            " '--a', '2', '--x0', '0']) == 0"
-        )
-        assert loaded_gonal_modules(code) == self.ENTRY + ["gonal.hyperelliptic"]
+        assert loaded_gonal_modules(self.TWIST) == self.ENTRY + ["gonal.hyperelliptic"]
+
+    # dataclasses imports inspect, which with its own imports is most of
+    # the start-up a twist would add
+    @pytest.mark.parametrize("code", ["import gonal.cli", TWIST], ids=["cli", "twist"])
+    def test_no_dataclasses(self, code):
+        modules = loaded_modules(code)
+        assert "dataclasses" not in modules and "inspect" not in modules
 
     @pytest.mark.parametrize("n", ["3", "5"])
     def test_report_loads_only_the_dossier(self, n):

@@ -1,5 +1,7 @@
 """Tests for binary forms, discriminants, and the model twist."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 from math import isqrt
@@ -71,6 +73,83 @@ class TestBinaryForm:
         assert form.evaluate(Fraction(1, 2)) == Fraction(-945, 64)
         gf = BinaryForm(6, from_roots([0, 1, 2, 3, 4, 5], 6), p=101)
         assert gf.evaluate(6) == 720 % 101
+
+
+class TestRecords:
+    """BinaryForm and HyperellipticModel are NamedTuples that validate."""
+
+    def test_tuple_of_fields(self):
+        form = BinaryForm(6, [-1, 0, 0, 0, 0, 0, 1], p=7)
+        assert form == (6, (6, 0, 0, 0, 0, 0, 1), 7)
+        assert hash(form) == hash((6, (6, 0, 0, 0, 0, 0, 1), 7))
+        model = HyperellipticModel(3, form)
+        degree, coefficients, p = form
+        assert (degree, p, tuple(model)) == (6, 7, (3, form))
+        assert HyperellipticModel._fields == ("a", "form")
+        with pytest.raises(TypeError):
+            dataclasses.fields(form)
+
+    def test_replace_and_make_validate(self):
+        gf7 = BinaryForm(6, (-1, 0, 0, 0, 0, 0, 1), 7)
+        assert gf7._replace(p=5).coefficients == (1, 0, 0, 0, 0, 0, 1)  # 6 mod 5
+        form = BinaryForm(6, (-1, 0, 0, 0, 0, 0, 1))
+        assert {type(c) for c in form._replace(coefficients=[2] * 7).coefficients} == {Fraction}
+        with pytest.raises(DomainError, match="need 9 coefficients"):
+            form._replace(degree=8)
+        with pytest.raises(DomainError, match="need 7 coefficients"):
+            BinaryForm._make((6, (1,) * 6, None))
+        model = HyperellipticModel(3, form)
+        with pytest.raises(DomainError, match="requires a != 0"):
+            model._replace(a=0)
+        with pytest.raises(DomainError, match="vanishing discriminant"):
+            model._replace(form=BinaryForm(6, (0, 0, 1, 0, 0, 0, 1)))
+
+    def test_fields_and_verdict_are_fixed(self, monkeypatch):
+        import gonal.hyperelliptic as hyperelliptic
+
+        calls = []
+        decide = hyperelliptic.discriminant_nonzero
+        monkeypatch.setattr(
+            hyperelliptic, "discriminant_nonzero", lambda f: calls.append(f) or decide(f)
+        )
+        form = BinaryForm(6, (-1, 0, 0, 0, 0, 0, 1))
+        model = HyperellipticModel(3, form)
+        assert form.smooth and form.smooth and len(calls) == 1
+        for obj, name in ((form, "degree"), (form, "smooth"), (model, "a")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert form.smooth and len(calls) == 1
+
+
+# inexact or unparsed values the rationals refuse, as GF(p) refuses non-integers
+INEXACT = [0.1, math.nan, math.inf, 1 + 2j, "1/2"]
+SQUAREFREE = (-1, 0, 0, 0, 0, 0, 1)
+ENTRY_POINTS = {
+    "BinaryForm": lambda v: BinaryForm(6, (v,) + SQUAREFREE[1:]),
+    "HyperellipticModel": lambda v: HyperellipticModel(v, BinaryForm(6, SQUAREFREE)),
+    "evaluate": lambda v: BinaryForm(6, SQUAREFREE).evaluate(v),
+    "residual": lambda v: HyperellipticModel(1, BinaryForm(6, SQUAREFREE)).residual(1, v),
+    "twist_with_point": lambda v: twist_with_point(
+        HyperellipticModel(1, BinaryForm(6, SQUAREFREE)), v
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("value", INEXACT, ids=repr)
+def test_rationals_take_exact_scalars_only(entry, value):
+    with pytest.raises(DomainError) as refused:
+        ENTRY_POINTS[entry](value)
+    name = type(value).__name__
+    assert str(refused.value) == f"Q scalars must be int or Fraction (got {name})"
+
+
+def test_exact_scalars_accepted():
+    form = BinaryForm(6, (True, 0, 0, 0, 0, 0, Fraction(1)))
+    assert form.coefficients[0] == 1 and isinstance(form.coefficients[0], Fraction)
+    assert HyperellipticModel(Fraction(1, 2), form).residual(True, 2) == 0
 
 
 class TestIsPrime:

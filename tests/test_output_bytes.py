@@ -1,9 +1,10 @@
-"""Byte-identity of the report and sweep outputs.
+"""Byte-identity of the report, sweep and twist outputs.
 
 The SHA-256 digests below pin the exact bytes of ``emit_json`` and
-``render_text``, of ``gonal report``, which streams the same bytes, and of
-``gonal verify`` in text and JSON.  A change to any of these outputs must
-be intended, documented, and re-pinned here.
+``render_text``, of ``gonal report``, which streams the same bytes, of
+``gonal verify`` in text and JSON, and of ``gonal twist``'s stdout and
+stderr.  A change to any of these outputs must be intended, documented,
+and re-pinned here.
 """
 
 import hashlib
@@ -67,6 +68,29 @@ REPORTS = {
 VERIFY_JSON = "4f927c93774cda3e712ebc53f27a8804d86bf3bf046e8ce6f79887dadbddffaa"
 VERIFY_TEXT = "fef68fcf21dfe9ce321a1bf04f903be862be1eb783de66ab6c023fa89b5e6027"
 
+# twist arguments: (exit code, stdout digest, stderr digest)
+INTEGER_FORM = ["--coeffs", "-7,3,0,-2,0,0,1,0,5", "--a", "3", "--x0", "2"]
+RATIONAL_FORM = ["--coeffs", "-5/3,1/2,0,0,0,0,7/4", "--a", "-3/2", "--x0", "-1/2"]
+EMPTY = hashlib.sha256(b"").hexdigest()  # nothing written
+TWISTS = {
+    (*INTEGER_FORM, "--format", "json"): (
+        0, "dd7039969d55d5b8515375e7785e30769aedc2e3ebadea50f85db44a8f90aa1b", EMPTY
+    ),
+    tuple(INTEGER_FORM): (
+        0, "763c4169a00356331a1a420f5a157d0dc2e5fe55c43c459f633d6cb9a1cb4f9f", EMPTY
+    ),
+    (*RATIONAL_FORM, "--format", "json"): (
+        0, "b5fff3787c1fbdcf3a7c22e04a723c1b4f75796d5106504986345d75c31bc7fb", EMPTY
+    ),
+    tuple(RATIONAL_FORM): (
+        0, "2a68033dc312f8e9170a6d2a0b0b121b33049264f99819774a286a51a919ceac", EMPTY
+    ),
+    # a double root at x = 0: the one-line refusal on stderr
+    ("--coeffs", "0,0,1,0,0,0,1", "--a", "1", "--x0", "1"): (
+        2, EMPTY, "d08fbb1798e7a03370a2c80001dbeb5599ae07f69e3e2fbe3e545a1ebee3ae37"
+    ),
+}
+
 # One digest over many outputs, fed in a fixed order: emit_json then
 # render_text of every report on the grid, and verify text then JSON.
 REPORT_GRID = "dfe23421cc4f67c2014d7ea815206db130bd6b00d5e99f763456d70caf9c083d"
@@ -95,6 +119,13 @@ def test_streamed_report_bytes(capsys, case, fmt):
     )
     assert code == 0
     assert sha256(capsys.readouterr().out) == REPORTS[case][fmt == "text"]
+
+
+@pytest.mark.parametrize("args", sorted(TWISTS))
+def test_twist_bytes(capsys, args):
+    code = cli.main(["twist", *args])
+    out, err = capsys.readouterr()
+    assert (code, sha256(out), sha256(err)) == TWISTS[args]
 
 
 def test_verify_json_bytes(capsys):
