@@ -31,7 +31,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import chow, hirzebruch, hyperelliptic, invariants, picard, report
 from .chow import AmbientScroll, ChowClass, intersect_number
-from .errors import DomainError, in_scroll_range, require_at_most
+from .errors import DomainError, as_int, in_scroll_range, require_at_most
 from .picard import DivisibilityVerdict, VerdictStatus
 from .scroll import validate_scroll
 
@@ -576,12 +576,13 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int]) -> _Tally:
     return tally
 
 
-def _distinct(values: Iterable[int]) -> list[int]:
-    """The sorted distinct values, read only until there are more than
-    SWEEP_POINT_LIMIT of them, which the point cap refuses."""
+def _distinct(name: str, values: Iterable[int]) -> list[int]:
+    """The sorted distinct values of the grid axis name, each an int, read
+    only until there are more than SWEEP_POINT_LIMIT of them, which the
+    point cap refuses."""
     seen = set()
     for v in values:
-        seen.add(v)
+        seen.add(as_int(name, v))
         if len(seen) > SWEEP_POINT_LIMIT:
             break
     return sorted(seen)
@@ -600,8 +601,8 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
     # a range, read increasing, is sorted and distinct, and gives its ends
     # and size unbuilt (len overflows past sys.maxsize)
     g_values, n_values = (
-        (r if r.step > 0 else r[::-1]) if isinstance(r, range) else _distinct(r)
-        for r in (g_range, n_range)
+        (r if r.step > 0 else r[::-1]) if isinstance(r, range) else _distinct(name, r)
+        for name, r in (("g", g_range), ("n", n_range))
     )
     if not g_values or not n_values:
         raise DomainError("sweep ranges must be non-empty")

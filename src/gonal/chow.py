@@ -18,28 +18,29 @@ construction and all operations are pure, so everything is safe for
 unrestricted concurrent use.
 """
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DomainError, require_scroll_range
+from .errors import DomainError, _Validated, require_scroll_range
 
 # (a, b): exponents of D and f
 Monomial = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class AmbientScroll:
+class _AmbientFields(NamedTuple):
+    g: int
+    n: int
+
+
+class AmbientScroll(_Validated, _AmbientFields):
     """The scroll attached to a genus-g curve with a degree-n pencil.
 
     It has dimension n-1 and degree g-n+1 inside P^{g-1}.  The standing
     range assumption is n >= 3 and 2n-2 < g.
     """
 
-    g: int
-    n: int
-
-    def __post_init__(self) -> None:
-        require_scroll_range(self.g, self.n)
+    def __new__(cls, g: int, n: int):
+        require_scroll_range(g, n)
+        return tuple.__new__(cls, (g, n))
 
     @property
     def dimension(self) -> int:

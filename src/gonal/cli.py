@@ -20,7 +20,7 @@ from typing import NoReturn
 from .errors import DomainError, UnsupportedError, int_text_limit
 
 # Each command imports the layers it runs, so `twist` never loads the
-# Chow ring, the scrolls or the report, nor dataclasses.
+# Chow ring, the scrolls or the report; no command loads dataclasses.
 
 # The most digits a rational literal of `twist` spells, a decimal exponent
 # counted as the digits it adds, so that each parses at once and prints:

@@ -1,6 +1,6 @@
-"""Exception types and the range hypotheses shared across the package:
-the pencil range, the scroll range, and 2n-2 < g on its own; and the
-interpreter's int-to-text limit, which every command reads."""
+"""Exception types, the record base and the range hypotheses shared across
+the package: the pencil range, the scroll range, and 2n-2 < g on its own;
+and the interpreter's int-to-text limit, which every command reads."""
 
 import sys
 
@@ -17,10 +17,34 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, never bad user input."""
 
 
+class _Validated:
+    """The base of a record: a NamedTuple of its fields, subclassed by a
+    class that checks and normalizes them in __new__.  _make, and with it
+    _replace, builds through that __new__; no attribute can be set or
+    deleted, so neither can a cached value."""
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def int_text_limit() -> int:
     """The most digits the interpreter converts between int and text, or 0
     for no limit, as before Python 3.10.7."""
     return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def as_int(name: str, value) -> int:
+    """value as a plain int, or DomainError unless it is an int: a bool
+    counts, as in arithmetic, and reads as 0 or 1."""
+    if not isinstance(value, int):
+        raise DomainError(f"requires an integer {name} (got {type(value).__name__})")
+    return int(value)
 
 
 def require_at_least(name: str, value: int, bound: int) -> None:

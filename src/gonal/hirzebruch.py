@@ -16,37 +16,34 @@ trick does not extend to n >= 4, where the curve has codimension n-2
 in the scroll and is no longer a divisor.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConsistencyError, DomainError, require_at_least, require_scroll_range
+from .errors import ConsistencyError, DomainError, _Validated, require_at_least, require_scroll_range
 
 
-@dataclass(frozen=True)
-class FeBundle:
+class _BundleFields(NamedTuple):
+    e: int
+    a: int
+    b: int
+
+
+class FeBundle(_Validated, _BundleFields):
     """A line bundle a*C_0 + b*f on the Hirzebruch surface F_e.
 
     Intersection rules: C_0^2 = -e, C_0.f = 1, f^2 = 0.
     """
 
-    e: int
-    a: int
-    b: int
+    # no repeats and no multiples: a multiple is built as its own bundle
+    __mul__ = __rmul__ = lambda self, other: NotImplemented
 
-    def __post_init__(self) -> None:
-        require_at_least("e", self.e, 0)
+    def __new__(cls, e: int, a: int, b: int):
+        require_at_least("e", e, 0)
+        return tuple.__new__(cls, (e, a, b))
 
     @classmethod
     def _on(cls, e: int, a: int, b: int) -> "FeBundle":
-        """The bundle a*C_0 + b*f on an F_e already validated: no checks.
-
-        Writing the instance dict skips the frozen __setattr__ and the
-        constructor's validation of e.
-        """
-        x = object.__new__(cls)
-        d = x.__dict__
-        d["e"], d["a"], d["b"] = e, a, b
-        return x
+        """The bundle a*C_0 + b*f on an F_e already validated: no check of e."""
+        return tuple.__new__(cls, (e, a, b))
 
     def _coerce(self, other) -> "FeBundle":
         if not isinstance(other, FeBundle):

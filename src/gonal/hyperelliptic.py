@@ -18,17 +18,17 @@ pseudo-remainders, each reduced to its primitive part (Collins, J. ACM
 divides exactly by the previous pivot (Math. Comp. 22, 1968).  Over
 GF(p) the same steps are reduced mod p instead.  No coefficient
 becomes a fraction, so the default Euclid route stays practical for
-large-genus forms.  BinaryForm and HyperellipticModel are NamedTuples
-that validate in __new__, so `gonal twist` loads no dataclasses.
+large-genus forms.  BinaryForm and HyperellipticModel are read-only
+NamedTuples that validate in __new__, as every record of the package is.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from numbers import Rational
 from typing import NamedTuple
 
-from .errors import DomainError, UnsupportedError, require_at_least
+from .errors import DomainError, UnsupportedError, _Validated, require_at_least
 
 Scalar = Fraction | int
 
@@ -143,14 +143,6 @@ def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
     return True
 
 
-class _Validated:
-    """_make, and with it _replace, builds through the class's own __new__."""
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-
 class _FormFields(NamedTuple):
     degree: int
     coefficients: tuple
@@ -182,13 +174,11 @@ class BinaryForm(_Validated, _FormFields):
     def genus(self) -> int:
         return (self.degree - 2) // 2
 
-    @property
+    @cached_property
     def smooth(self) -> bool:
         """discriminant_nonzero(self), decided once per form: every model
         on the form, the twisted one too, reads this verdict."""
-        if "smooth" not in self.__dict__:  # by hand: a cached_property could be set
-            self.__dict__["smooth"] = discriminant_nonzero(self)
-        return self.__dict__["smooth"]
+        return discriminant_nonzero(self)
 
     def evaluate(self, x) -> Scalar:
         """The dehomogenized value f(x, 1)."""

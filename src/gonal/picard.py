@@ -7,11 +7,11 @@ The divisibility verdicts below keep track of their epistemic status:
 proved in general for n = 2, proved for n = 3, conjectural for n >= 4.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import NamedTuple
 
-from .errors import DomainError, require_pencil_range, require_scroll_range
+from .errors import DomainError, _Validated, require_pencil_range, require_scroll_range
 
 
 class VerdictStatus(str, Enum):
@@ -20,18 +20,20 @@ class VerdictStatus(str, Enum):
     PROVEN_FOR_TRIGONAL = "provenForTrigonal"
 
 
-@dataclass(frozen=True)
-class DivisibilityVerdict:
-    """Modular degrees of families with a rational section are multiples
-    of ``divisor``; ``status`` records how firmly that is known."""
-
+class _VerdictFields(NamedTuple):
     divisor: int
     status: VerdictStatus
     sharp: bool
 
-    def __post_init__(self) -> None:
-        if self.divisor <= 0:
-            raise DomainError(f"divisor must be positive (got {self.divisor})")
+
+class DivisibilityVerdict(_Validated, _VerdictFields):
+    """Modular degrees of families with a rational section are multiples
+    of ``divisor``; ``status`` records how firmly that is known."""
+
+    def __new__(cls, divisor: int, status: VerdictStatus, sharp: bool):
+        if divisor <= 0:
+            raise DomainError(f"divisor must be positive (got {divisor})")
+        return tuple.__new__(cls, (divisor, status, sharp))
 
 
 def degree_subgroup(g: int, n: int) -> int:

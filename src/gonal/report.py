@@ -12,17 +12,18 @@ import json
 import types
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, is_dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import suppress
 from enum import Enum
 from functools import cache, partial
 from itertools import chain, compress, count, islice, repeat, starmap
 from operator import eq, index, itemgetter, ne
-from typing import Callable, Iterable, Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 from . import hirzebruch, invariants, picard
 from .chow import AmbientScroll, ChowClass, intersect_number
-from .errors import ConsistencyError, DomainError, int_text_limit, require_at_least, require_at_most
+from .errors import ConsistencyError, DomainError, _Validated, int_text_limit
+from .errors import as_int, require_at_least, require_at_most
 from .picard import DivisibilityVerdict
 from .scroll import aut_group_numerics, canonical_class, curve_class, generic_scroll
 
@@ -176,16 +177,16 @@ class _Table(Sequence):
         self._rows = sum(rows for rows, _, _ in self.columns[0])
 
     @classmethod
-    def from_cells(cls, row: type, columns: Iterable[Sequence]) -> "_Table":
-        """The table of the given cell columns, each cell converted to its
-        column's type as _decoder converts a JSON value."""
-        return cls(
-            row,
-            [
-                _runs(cells if set(map(type, cells)) <= {tp} else list(map(tp, cells)), tp)
-                for (_, _, tp), cells in zip(_plan(row), columns, strict=True)
-            ],
-        )
+    def from_cells(cls, row: type, columns: Iterable[Sequence], name: str) -> "_Table":
+        """The table of the field name from the given cell columns.  A column
+        whose cells all have its type is taken as it is; else each cell is
+        read as _decoder reads a JSON value of that type."""
+        pieces = []
+        for (key, _, tp), cells in zip(_plan(row), columns, strict=True):
+            if not set(map(type, cells)) <= {tp}:
+                cells = list(map(_decoder(tp, f"{name}.{key}"), cells))
+            pieces.append(_runs(cells, tp))
+        return cls(row, pieces)
 
     def __len__(self) -> int:
         return self._rows
@@ -221,39 +222,38 @@ class _Table(Sequence):
         return repr(tuple(self))
 
 
-# JSON groups fields of the flat record under these keys, in field order.
-_INPUT = {"json_group": "input"}
-_CLASSES = {"json_group": "classes"}
-
-
-@dataclass(frozen=True)
-class GonalReport:
-    g: int = field(metadata=_INPUT)
-    n: int = field(metadata=_INPUT)
-    k_max: int = field(metadata=_INPUT)
+# JSON groups fields under the key their Annotated hint names, in field order.
+class _ReportFields(NamedTuple):
+    g: Annotated[int, "input"]
+    n: Annotated[int, "input"]
+    k_max: Annotated[int, "input"]
     scroll: ScrollSummary
-    canonical_class: tuple[int, int] = field(metadata=_CLASSES)
-    curve_class: tuple[tuple[int, int, int], ...] = field(metadata=_CLASSES)
+    canonical_class: Annotated[tuple[int, int], "classes"]
+    curve_class: Annotated[tuple[tuple[int, int, int], ...], "classes"]
     invariants: InvariantSummary
     section_counts: _Table[tuple[int, int]]
     oracle_checks: _Table[OracleRow] | None
     divisibility: DivisibilityVerdict
     consistency_flags: ConsistencyFlags
 
-    def __post_init__(self) -> None:
-        # a table given as rows, as by dataclasses.replace, is read into pieces
-        for name, row in _tables(GonalReport).items():
-            rows = getattr(self, name)
+
+class GonalReport(_Validated, _ReportFields):
+    def __new__(cls, *fields, **named):
+        report = super().__new__(cls, *fields, **named)
+        # a table given as rows, as to _replace, is read into pieces
+        for name, row in _tables(cls).items():
+            rows = getattr(report, name)
             if rows is not None and not isinstance(rows, _Table):
                 columns = list(zip(*rows)) or [()] * len(_plan(row))
-                object.__setattr__(self, name, _Table.from_cells(row, columns))
+                report = report._replace(**{name: _Table.from_cells(row, columns, name)})
+        return report
 
     def to_dict(self) -> dict:
         return _encode_ints(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GonalReport":
-        return _decoder(cls)(d)
+        return _decoder(cls, cls.__name__)(d)
 
 
 def _decisive_ks(*switches: Iterable[int]) -> list[int]:
@@ -321,6 +321,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     Each table holds O(n) affine pieces, whatever k_max is.
     Deterministic: identical inputs give identical reports.
     """
+    g, n, k_max = (as_int(name, v) for name, v in (("g", g), ("n", n), ("k_max", k_max)))
     _require_genus_limit(g)
     require_at_least("k_max", k_max, 0)
     require_at_most("k_max", k_max, K_MAX_LIMIT)
@@ -421,9 +422,8 @@ _SAFE_INTS = range(-(1 << 53) + 1, 1 << 53)
 
 @cache
 def _is_record(tp: type) -> bool:
-    """A dataclass or a NamedTuple; an alias such as tuple[int, int] is neither."""
-    named_tuple = isinstance(tp, type) and issubclass(tp, tuple) and hasattr(tp, "_fields")
-    return is_dataclass(tp) or named_tuple
+    """A NamedTuple; an alias such as tuple[int, int] is not one."""
+    return isinstance(tp, type) and issubclass(tp, tuple) and hasattr(tp, "_fields")
 
 
 @cache
@@ -431,22 +431,27 @@ def _plan(tp: type) -> tuple[tuple[str | int, str | None, type], ...]:
     """The field plan of tp, the one reader of its type hints: (JSON key,
     JSON group or None, type) of each field of a record type, in field
     order, or of each cell of a tuple row type such as tuple[int, int],
-    keyed by position.  A type X | None is read as X."""
+    keyed by position.  Annotated[X, group] is X in group."""
     if not _is_record(tp):
         return tuple((i, None, t) for i, t in enumerate(get_args(tp)))
-    groups = {f.name: f.metadata.get("json_group") for f in fields(tp)} if is_dataclass(tp) else {}
     plan = []
-    for name, t in get_type_hints(tp).items():
-        if get_origin(t) in (Union, types.UnionType):
-            (t,) = [a for a in get_args(t) if a is not type(None)]
-        plan.append((name, groups.get(name), t))
+    for name, t in get_type_hints(tp, include_extras=True).items():
+        t, group = get_args(t) if get_origin(t) is Annotated else (t, None)
+        plan.append((name, group, t))
     return tuple(plan)
+
+
+def _bare(t):
+    """X of a type X | None, else t itself."""
+    if get_origin(t) in (Union, types.UnionType):
+        (t,) = [a for a in get_args(t) if a is not type(None)]
+    return t
 
 
 @cache
 def _tables(cls: type) -> dict[str, type]:
     """The row type of each field typed _Table[Row], or that | None."""
-    return {name: get_args(t)[0] for name, _, t in _plan(cls) if get_origin(t) is _Table}
+    return {name: get_args(_bare(t))[0] for name, _, t in _plan(cls) if get_origin(_bare(t)) is _Table}
 
 
 def _grouped(obj) -> dict:
@@ -482,32 +487,78 @@ def _encode_ints(obj):
     return obj
 
 
-@cache
-def _decoder(tp):
-    """A function rebuilding a value of type tp from its JSON value.
+def _refused(name: str, what: str, v) -> DomainError:
+    """The error for a JSON value v of the field name that is not what it takes."""
+    got = {list: "an array", dict: "an object"}.get(type(v)) or json.dumps(v)[:40]
+    return DomainError(f"cannot read {name!r} from JSON: expected {what}, got {got}")
 
-    Integers may arrive as decimal strings; tuples are homogeneous.  A
-    table is read column by column, and null is None in any record field.
+
+_SCALARS = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _scalar(tp: type, name: str, v):
+    """The value of type tp, in the field name, that JSON writes as v: an int
+    as an integer or a decimal string, a bool as true or false, a string as
+    a string and an enum as its value."""
+    if type(v) is tp:  # not isinstance: a bool is no int
+        return v
+    if tp is int and type(v) is str and v.isascii() and v.removeprefix("-").isdecimal():
+        with suppress(ValueError):  # more digits than the interpreter reads
+            return int(v)
+    if issubclass(tp, Enum) and type(v) is str and any(v == m.value for m in tp):
+        return tp(v)
+    raise _refused(name, _SCALARS.get(tp) or f"a {tp.__name__} value", v)
+
+
+@cache
+def _decoder(tp, name: str):
+    """A function rebuilding a value of type tp, in the field name, from its
+    JSON value as emit_json writes it; any other value raises DomainError.
+
+    Null is None only in a field typed X | None, and tuples are
+    homogeneous.  A table is read column by column.
     """
     origin = get_origin(tp)
+    if origin in (Union, types.UnionType):
+        decode = _decoder(_bare(tp), name)
+        return lambda v: None if v is None else decode(v)
     if origin is tuple:
         (item,) = set(get_args(tp)) - {Ellipsis}
-        decode_item = _decoder(item)
-        return lambda v: tuple(map(decode_item, v))
+        decode_item = _decoder(item, name)
+        size = None if Ellipsis in get_args(tp) else len(get_args(tp))
+
+        def decode_tuple(v):
+            if type(v) is not list or size not in (None, len(v)):
+                raise _refused(name, f"an array of {size}" if size else "an array", v)
+            return tuple(v) if set(map(type, v)) <= {item} else tuple(map(decode_item, v))
+
+        return decode_tuple
     if origin is _Table:
         (row,) = get_args(tp)
+        shape = dict if _is_record(row) else list
         getters = [itemgetter(key) for key, _, _ in _plan(row)]
-        return lambda rows: _Table.from_cells(row, [list(map(get, rows)) for get in getters])
+
+        def decode_table(rows):
+            shaped = type(rows) is list and set(map(type, rows)) <= {shape}
+            if shaped and set(map(len, rows)) <= {len(getters)}:
+                with suppress(KeyError):  # a row object that names another field
+                    return _Table.from_cells(row, [list(map(get, rows)) for get in getters], name)
+            raise _refused(name, f"an array of {len(getters)}-cell rows", rows)
+
+        return decode_table
     if _is_record(tp):
-        plan = [(name, group, _decoder(t)) for name, group, t in _plan(tp)]
+        plan = [(key, group, _decoder(t, key)) for key, group, t in _plan(tp)]
 
         def decode(d: dict):
-            values = [d[name] if group is None else d[group][name] for name, group, _ in plan]
-            return tp(*[None if v is None else dec(v) for v, (_, _, dec) in zip(values, plan)])
+            try:
+                values = [d[key] if group is None else d[group][key] for key, group, _ in plan]
+            except (KeyError, TypeError):  # a missing field, or a group that is no object
+                raise _refused(name, f"an object with every {tp.__name__} field", d) from None
+            return tp(*[dec(v) for v, (_, _, dec) in zip(values, plan)])
 
         return decode
-    if tp in (int, bool, str) or issubclass(tp, Enum):
-        return tp  # each converts its own JSON value; int also parses strings
+    if tp in _SCALARS or issubclass(tp, Enum):
+        return partial(_scalar, tp, name)
     raise TypeError(f"no JSON decoder for {tp!r}")
 
 

@@ -14,12 +14,11 @@ ones, with r = g mod (n-1) ones.  For n = 3 that surface is P^1 x P^1
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .chow import AmbientScroll, ChowClass
-from .errors import DomainError
+from .errors import DomainError, _Validated
 
 
 def validate_scroll(splitting: Sequence[int], g: int, n: int) -> bool:
@@ -32,17 +31,17 @@ def validate_scroll(splitting: Sequence[int], g: int, n: int) -> bool:
     return big_n < g - n + 1 and (g - big_n) % (n - 1) == 0
 
 
-@dataclass(frozen=True)
-class ScrollSpec:
-    """A scroll over P^1 with its splitting type, validated for (g, n)."""
-
+class _SpecFields(NamedTuple):
     ambient: AmbientScroll
     splitting: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "splitting", tuple(self.splitting))
-        g, n = self.ambient.g, self.ambient.n
-        r = self.splitting
+
+class ScrollSpec(_Validated, _SpecFields):
+    """A scroll over P^1 with its splitting type, validated for (g, n)."""
+
+    def __new__(cls, ambient: AmbientScroll, splitting: Sequence[int]):
+        r = tuple(splitting)
+        g, n = ambient.g, ambient.n
         if len(r) != n - 1:
             raise DomainError(f"splitting needs n-1 = {n - 1} entries (got {len(r)})")
         if r[0] != 0:
@@ -55,6 +54,7 @@ class ScrollSpec:
                 f"splitting {r} does not embed for (g, n) = ({g}, {n}): "
                 f"needs N < g-n+1 and N = g (mod n-1)"
             )
+        return tuple.__new__(cls, (ambient, r))
 
     @property
     def g(self) -> int:

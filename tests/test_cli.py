@@ -630,6 +630,16 @@ class TestLoadOnDemand:
         "assert gonal.cli.main(['twist', '--coeffs', '5,1,0,0,0,0,1',"
         " '--a', '2', '--x0', '0']) == 0"
     )
+    REPORT = (
+        "import gonal.cli\n"
+        "assert gonal.cli.main(['report', '--genus', '12', '--gonality', '3',"
+        " '--format', 'json']) == 0"
+    )
+    VERIFY = (
+        "import gonal.cli\n"
+        "assert gonal.cli.main(['verify', '--genus-min', '5', '--genus-max', '5',"
+        " '--gonality-min', '3', '--gonality-max', '3']) == 0"
+    )
 
     def test_import_cli_loads_no_layer(self):
         assert loaded_gonal_modules("import gonal.cli") == self.ENTRY
@@ -638,8 +648,10 @@ class TestLoadOnDemand:
         assert loaded_gonal_modules(self.TWIST) == self.ENTRY + ["gonal.hyperelliptic"]
 
     # dataclasses imports inspect, which with its own imports is most of
-    # the start-up a twist would add
-    @pytest.mark.parametrize("code", ["import gonal.cli", TWIST], ids=["cli", "twist"])
+    # the start-up it would add to a command
+    @pytest.mark.parametrize(
+        "code", ["import gonal.cli", TWIST, REPORT, VERIFY], ids=["cli", "twist", "report", "verify"]
+    )
     def test_no_dataclasses(self, code):
         modules = loaded_modules(code)
         assert "dataclasses" not in modules and "inspect" not in modules
@@ -659,10 +671,5 @@ class TestLoadOnDemand:
         assert "fractions" not in modules
 
     def test_verify_loads_hyperelliptic(self):
-        code = (
-            "import gonal.cli\n"
-            "assert gonal.cli.main(['verify', '--genus-min', '5', '--genus-max', '5',"
-            " '--gonality-min', '3', '--gonality-max', '3']) == 0"
-        )
-        modules = loaded_gonal_modules(code)
+        modules = loaded_gonal_modules(self.VERIFY)
         assert "gonal.hyperelliptic" in modules and "gonal.checks" in modules

@@ -118,7 +118,7 @@ def test_guard_allows(snippet):
 RANGE_HELPERS = {"require_at_least", "require_at_most", "require_gonal_range", "in_gonal_range"}
 RANGE_CALLS = [
     ("checks.sweep_verify", "require_at_most('n', n_values[-1], report.GONALITY_LIMIT)"),
-    ("hirzebruch.FeBundle.__post_init__", "require_at_least('e', self.e, 0)"),
+    ("hirzebruch.FeBundle.__new__", "require_at_least('e', e, 0)"),
     ("hirzebruch.trigonal_h0_oracle", "require_at_least('k', k, 0)"),
     ("hyperelliptic.hg_dimension", "require_at_least('g', g, 2)"),
     ("invariants.h1_double_pencil", "require_at_least('n', n, 2)"),
@@ -239,7 +239,8 @@ def test_route_guard_follows_calls():
 
 # Memos: every functools memo in the package names a finite maxsize, so no
 # cache grows with the integers a user passes.  The report codec's caches
-# are keyed by record type, one entry per type, and are exempt by name.
+# are keyed by record type, or by a type and a field name, so they hold
+# one entry per type or field, and are exempt by name.
 TYPE_KEYED_CACHES = {
     ("report", "_is_record"),
     ("report", "_plan"),

@@ -4,7 +4,6 @@ import ast
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -222,13 +221,13 @@ class TestLeanCohomology:
 
     def test_one_checked_bundle_per_cohomology(self, monkeypatch):
         built = []
-        init = FeBundle.__init__
+        new = FeBundle.__new__
 
-        def counted(self, *args):
+        def counted(cls, *args):
             built.append(args)
-            init(self, *args)
+            return new(cls, *args)
 
-        monkeypatch.setattr(FeBundle, "__init__", counted)
+        monkeypatch.setattr(FeBundle, "__new__", counted)
         bundle = FeBundle(1, 2, 3)
         built.clear()
         bundle_cohomology(bundle)
@@ -238,13 +237,13 @@ class TestLeanCohomology:
     def checked(self, monkeypatch):
         """The checked FeBundles built, by their arguments."""
         built = []
-        init = FeBundle.__init__
+        new = FeBundle.__new__
 
-        def counted(self, *args):
+        def counted(cls, *args):
             built.append(args)
-            init(self, *args)
+            return new(cls, *args)
 
-        monkeypatch.setattr(FeBundle, "__init__", counted)
+        monkeypatch.setattr(FeBundle, "__new__", counted)
         return built
 
     def test_no_checked_bundle_once_e_is_known(self, checked):
@@ -303,7 +302,7 @@ class TestLeanCohomology:
         ):
             assert got == want and hash(got) == hash(want)
             assert repr(got) == repr(want) and str(got) == str(want)
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 got.a = 0
         with pytest.raises(DomainError, match="different surfaces"):
             x + FeBundle(1, 0, 0)

@@ -75,6 +75,15 @@ def test_every_submodule_by_attribute_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_version_has_one_home():
+    # pyproject.toml reads the version from gonal.__version__ and spells none
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'dynamic = ["version"]' in text
+    assert 'version = {attr = "gonal.__version__"}' in text
+    assert re.search(r'^version\s*=\s*"', text, re.M) is None
+    assert re.fullmatch(r"\d+\.\d+\.\d+", gonal.__version__)
+
+
 def test_unknown_name():
     with pytest.raises(AttributeError, match="nope"):
         gonal.nope

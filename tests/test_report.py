@@ -12,7 +12,6 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from functools import partial
 from itertools import accumulate, combinations_with_replacement
 from pathlib import Path
@@ -129,6 +128,28 @@ class TestGenerateReport:
                 call()
 
     @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: generate_report(7.0, 3, 2), "an integer g (got float)"),
+            (lambda: generate_report(7, 3.0, 2), "an integer n (got float)"),
+            (lambda: generate_report(7, 3, "2"), "an integer k_max (got str)"),
+            (lambda: sweep_verify([5.5, 6.0], [3]), "an integer g (got float)"),
+            (lambda: sweep_verify(["7"], [3]), "an integer g (got str)"),
+            (lambda: sweep_verify(range(5, 8), [3, None]), "an integer n (got NoneType)"),
+        ],
+        ids=["report-g", "report-n", "report-k_max", "sweep-g-float", "sweep-g-str", "sweep-n-none"],
+    )
+    def test_integer_inputs_only(self, call, message):
+        with pytest.raises(DomainError, match=rf"^requires {re.escape(message)}$"):
+            call()
+
+    def test_a_bool_counts_as_an_int(self):
+        report = generate_report(7, 3, True)
+        assert type(report.k_max) is int and report == generate_report(7, 3, 1)
+        assert parse_json(emit_json(report)) == report
+        assert sweep_verify([True * 7], [3]) == sweep_verify([7], [3])
+
+    @pytest.mark.parametrize(
         "g_values, n_values",
         [
             (range(5, 9), range(0, 5)),
@@ -202,14 +223,12 @@ class TestSerialization:
         base = generate_report(9, 3, 6)
         reports += [
             big,
-            replace(
-                big,
+            big._replace(
                 section_counts=((1, safe), (2, safe + 1)),
                 oracle_checks=(OracleRow(1, -safe - 1, safe, False),),
             ),
             # one unsafe cell in the middle of a column
-            replace(
-                base,
+            base._replace(
                 section_counts=((1, 2), (2, -safe - 5), (3, 4)),
                 oracle_checks=(
                     OracleRow(1, 2, 2, True),
@@ -218,22 +237,19 @@ class TestSerialization:
                 ),
             ),
             # unsafe values only in the k column
-            replace(
-                base,
+            base._replace(
                 section_counts=((1, 2), (safe + 1, 3)),
                 oracle_checks=(OracleRow(-safe - 1, 2, 2, True), OracleRow(2, 3, 3, True)),
             ),
             # the edges of the safe range, inside and just outside
-            replace(
-                base,
+            base._replace(
                 section_counts=((safe, -safe), (-safe, safe), (safe + 1, -safe - 1)),
                 oracle_checks=(
                     OracleRow(safe, -safe, safe, True),
                     OracleRow(-safe - 1, safe + 1, -safe, False),
                 ),
             ),
-            replace(
-                base,
+            base._replace(
                 section_counts=((safe, -safe), (-safe, safe)),
                 oracle_checks=(OracleRow(-safe, safe, -safe, False),),
             ),
@@ -311,6 +327,100 @@ class TestSerialization:
         assert GonalReport.from_dict(doc) == report
 
 
+def _set(*path):
+    """An edit of a report's JSON document: the value at path, replaced."""
+
+    def edit(doc, value):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+class TestStrictParse:
+    """parse_json and from_dict read only what emit_json writes."""
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("consistency_flags", "euler_chain"), "false", "euler_chain"),
+            (("oracle_checks", 0, "agree"), "false", "oracle_checks.agree"),
+            (("input", "g"), 5.9, "g"),
+            (("section_counts", 1, 1), 2.5, "section_counts.1"),
+            (("scroll", "splitting", 1), 1.9, "splitting"),  # [0, 1.9]
+            (("input", "g"), True, "g"),
+            (("input", "g"), None, "g"),
+        ],
+        ids=["bool-string", "row-bool-string", "float-int", "float-cell", "float-item", "bool-int", "null-int"],
+    )
+    def test_refused(self, path, value, field):
+        doc = json.loads(emit_json(generate_report(9, 3, 4)))
+        _set(*path)(doc, value)
+        message = rf"^cannot read '{re.escape(field)}' from JSON: expected [^\n]*, got {re.escape(json.dumps(value))}$"
+        with pytest.raises(DomainError, match=message):
+            GonalReport.from_dict(doc)
+        with pytest.raises(DomainError, match=message):
+            parse_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, value",
+        [
+            (_set("divisibility", "status"), "Theorem"),
+            (_set("divisibility", "status"), 1),
+            (_set("classes", "canonical_class"), [-2, 4, 0]),
+            (_set("scroll", "splitting"), "01"),
+            (_set("section_counts"), ["12", "23", "34", "45"]),
+            (_set("section_counts", 0), [1, 2, 3]),
+            (_set("oracle_checks", 0), {"k": 1, "formula_value": 2, "oracle_value": 2, "agreed": True}),
+            (_set("scroll"), [2]),
+            (_set("input"), None),
+            (_set("divisibility", "sharp"), 1),
+            (_set("scroll", "aut_components"), "+1"),
+            (_set("scroll", "aut_components"), "١"),
+        ],
+        ids=[
+            "enum-case", "enum-int", "triple-for-pair", "string-for-array", "string-rows",
+            "long-row", "renamed-cell", "array-for-object", "null-group", "int-for-bool",
+            "signed-string", "arabic-digit",
+        ],
+    )
+    def test_refused_shapes(self, edit, value):
+        doc = json.loads(emit_json(generate_report(9, 3, 4)))
+        edit(doc, value)
+        with pytest.raises(DomainError, match=r"^cannot read '\S+' from JSON: expected [^\n]*$"):
+            GonalReport.from_dict(doc)
+
+    def test_digits_past_the_int_limit(self):
+        limit = report.int_text_limit()
+        if not limit:
+            pytest.skip("this interpreter reads any number of digits")
+        doc = generate_report(9, 3, 4).to_dict()
+        doc["input"]["g"] = "9" * (limit + 1)
+        with pytest.raises(DomainError, match=r"^cannot read 'g' from JSON: expected an integer, got \"9+$"):
+            GonalReport.from_dict(doc)
+
+    def test_null_only_where_the_hint_allows_it(self):
+        report = generate_report(13, 4, 3)
+        doc = report.to_dict()
+        assert [doc["scroll"]["surface"], doc["oracle_checks"]] == [None, None]
+        assert GonalReport.from_dict(doc) == report
+        for path in (("scroll", "degree"), ("consistency_flags", "euler_chain"), ("section_counts",)):
+            doc = report.to_dict()
+            _set(*path)(doc, None)
+            with pytest.raises(DomainError, match=r"got null$"):
+                GonalReport.from_dict(doc)
+
+    def test_decimal_strings_in_cells_and_items(self):
+        report = generate_report(9, 3, 4)
+        doc = report.to_dict()
+        doc["section_counts"][2][1] = str(doc["section_counts"][2][1])
+        doc["scroll"]["splitting"] = [str(x) for x in doc["scroll"]["splitting"]]
+        assert GonalReport.from_dict(doc) == report
+        assert type(GonalReport.from_dict(doc).section_counts[2][1]) is int
+
+
 class TestTables:
     """The k-tables are read-only sequences of rows over affine pieces."""
 
@@ -355,10 +465,10 @@ class TestTables:
     def test_replaced_rows_are_read_into_pieces(self):
         base = generate_report(9, 3, 6)
         rows = ((1, 5), (2, 7), (9, 7))
-        r = replace(base, section_counts=rows, oracle_checks=None)
+        r = base._replace(section_counts=rows, oracle_checks=None)
         assert type(r.section_counts) is type(base.section_counts)
         assert r.section_counts == rows and list(r.section_counts) == list(rows)
-        assert replace(base, section_counts=()).section_counts == ()
+        assert base._replace(section_counts=()).section_counts == ()
 
     def test_runs_round_trip(self):
         rng = random.Random(3)
@@ -416,8 +526,8 @@ class TestTables:
         tables = [t for r in reports for t in (r.section_counts, r.oracle_checks) if t is not None]
         base = reports[0]
         replaced = [OracleRow(k, k, k // 2, k % 3 == 0) for k in range(1, 9)]
-        tables.append(replace(base, section_counts=((1, 5), (2, 7), (9, 7))).section_counts)
-        tables.append(replace(base, oracle_checks=replaced).oracle_checks)
+        tables.append(base._replace(section_counts=((1, 5), (2, 7), (9, 7))).section_counts)
+        tables.append(base._replace(oracle_checks=replaced).oracle_checks)
         for table in tables:
             rows = list(table)
             for i in range(-len(rows), len(rows)):
@@ -549,8 +659,7 @@ class TestBlockEdges:
     def test_an_unsafe_piece_across_a_block_edge(self):
         safe = (1 << 53) - 1
         ks = range(1, 1101)
-        r = replace(
-            generate_report(9, 3, 6),
+        r = generate_report(9, 3, 6)._replace(
             # h0 leaves the safe range at row 1000, and stays out past row 1024
             section_counts=[(k, k if k <= 1000 else safe + k) for k in ks],
             # the oracle value crosses -safe at row 1019, inside one piece
@@ -626,13 +735,13 @@ class TestOracleColumn:
     @pytest.mark.parametrize("g, n", [(5, 3), (6, 3), (20, 7), (41, 7)])
     def test_one_scroll_per_report(self, monkeypatch, g, n):
         specs = []
-        post_init = scroll.ScrollSpec.__post_init__
+        new = scroll.ScrollSpec.__new__
 
-        def counted(self):
-            specs.append(self)
-            post_init(self)
+        def counted(cls, *args):
+            specs.append(args)
+            return new(cls, *args)
 
-        monkeypatch.setattr(scroll.ScrollSpec, "__post_init__", counted)
+        monkeypatch.setattr(scroll.ScrollSpec, "__new__", counted)
         generate_report(g, n, 2 * g)
         assert len(specs) == 1
 

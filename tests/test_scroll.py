@@ -2,7 +2,6 @@
 
 import pytest
 
-from dataclasses import fields
 
 from gonal import scroll
 from gonal.chow import AmbientScroll, intersect_number
@@ -86,7 +85,7 @@ class TestShift:
         )
         assert (spec.big_n, spec.shift, spec.big_n, spec.shift) == (5, 5, 5, 5)
         assert len(sums) == 1
-        assert [f.name for f in fields(spec)] == ["ambient", "splitting"]
+        assert spec._fields == ("ambient", "splitting")
         assert repr(spec) == text and spec == generic_scroll(41, 7)
 
 
