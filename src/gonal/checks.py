@@ -7,9 +7,10 @@ loads this module, so a report loads none of it.
 
 A family of checks is a generator of rows (name, ok) or (name, ok, detail):
 ok True passes, False fails, and None skips, with detail as its reason.
-_run makes the rows into CheckResults.  An exception raised while a family
-runs ends it with one failing RAISED result, detail repr(exc) and a global
-family's name, so the sweep names it and goes on to the next family.
+_Tally.count counts each row as it is yielded, and keeps none.  An
+exception raised while a family runs ends it with one failing RAISED row,
+detail repr(exc) and a global family's name, so the sweep names it and
+goes on to the next family.
 
 The global checks count first, then the grid points in (g, n) order.  The
 grid runs in slices of about equal estimated cost: the first in this
@@ -25,9 +26,8 @@ import signal
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from math import gcd
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import chow, hirzebruch, hyperelliptic, invariants, picard, report
 from .chow import AmbientScroll, ChowClass, intersect_number
@@ -50,14 +50,6 @@ SWEEP_GONALITY_LIMIT = 2 * 10**6
 RAISED = "sweep/raised"
 
 
-class CheckResult(NamedTuple):
-    g: int
-    n: int
-    name: str
-    outcome: str  # "pass" | "fail" | "skip"
-    detail: str
-
-
 class SweepSummary(NamedTuple):
     checked: int
     passed: int
@@ -72,23 +64,7 @@ class SweepSummary(NamedTuple):
         return self.failed == 0
 
     def to_dict(self) -> dict:
-        return report._encode_ints(self)
-
-
-def _run(g: int, n: int, rows: Iterable[tuple], family: str = "") -> list[CheckResult]:
-    """The results of one family's rows at (g, n), or at (0, 0) under its
-    name for a global family: the one place check rows become CheckResults.
-    A skip gives its reason: ok None without one is a failure."""
-    out = []
-    try:
-        for row in rows:
-            ok, detail = row[1], row[2] if len(row) == 3 else ""
-            outcome = "pass" if ok else "skip" if ok is None and detail else "fail"
-            out.append(tuple.__new__(CheckResult, (g, n, row[0], outcome, detail)))
-    except Exception as exc:
-        detail = f"{exc!r} (family: {family})" if family else repr(exc)
-        out.append(CheckResult(g, n, RAISED, "fail", detail))
-    return out
+        return self._asdict()
 
 
 def _stepwise_reduce(ambient: AmbientScroll, a: int, b: int, c: int, order: str) -> dict:
@@ -253,11 +229,6 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
         )
 
 
-def _point_checks(g: int, n: int) -> list[CheckResult]:
-    """All per-(g, n) properties; one CheckResult per named property."""
-    return _run(g, n, _point_rows(g, n))
-
-
 def _gf_polymul(u: list[int], v: list[int], p: int) -> list[int]:
     out = [0] * (len(u) + len(v) - 1)
     for i, a in enumerate(u):
@@ -395,12 +366,13 @@ def _report_rows() -> Iterator[tuple]:
         yield f"global/report-roundtrip-{rg}-{rn}", report.parse_json(text) == rep
 
 
-def _global_checks(g_values: list[int], n_values: list[int]) -> list[CheckResult]:
-    """Properties that are not tied to a single grid point, family by
-    family, so that an error in one family does not stop the others."""
-    names = ("F_e oracle", "hyperelliptic routes", "case counts", "report round trip")
-    families = (_fe_rows(), _hyperelliptic_rows(), _case_rows(g_values, n_values), _report_rows())
-    return [r for name, rows in zip(names, families) for r in _run(0, 0, rows, name)]
+def _global_checks(tally: "_Tally", g_values: list[int], n_values: list[int]) -> None:
+    """Count the properties that are not tied to a single grid point,
+    family by family, so that an error in one family does not stop the others."""
+    tally.count(0, 0, _fe_rows(), "F_e oracle")
+    tally.count(0, 0, _hyperelliptic_rows(), "hyperelliptic routes")
+    tally.count(0, 0, _case_rows(g_values, n_values), "case counts")
+    tally.count(0, 0, _report_rows(), "report round trip")
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +429,7 @@ def _slices(g_values: Sequence[int], n_values: Sequence[int]) -> list[range]:
 
 
 class _Tally:
-    """Results counted as they arrive, never kept: outcomes, skip reasons
+    """Check rows counted as they arrive, never kept: outcomes, skip reasons
     in first-seen order, and the first KEPT failure lines."""
 
     KEPT = 20
@@ -465,20 +437,34 @@ class _Tally:
     def __init__(self) -> None:
         self.outcomes, self.skip_reasons, self.failures = Counter(), Counter(), []
 
-    def count(self, results: Iterable[CheckResult]) -> None:
-        for r in results:
-            self.outcomes[r.outcome] += 1
-            if r.outcome == "skip":
-                self.skip_reasons[r.detail] += 1
-            elif r.outcome == "fail" and len(self.failures) < self.KEPT:
-                where = f"g={r.g} n={r.n} " if (r.g, r.n) != (0, 0) else ""
-                self.failures.append(where + r.name + (f": {r.detail}" if r.detail else ""))
+    def count(self, g: int, n: int, rows: Iterable[tuple], family: str = "") -> None:
+        """Count one family's rows at (g, n), or at (0, 0) under its name
+        for a global family, each as it is yielded: the one place a row
+        becomes a pass, a fail or a skip.  A skip gives its reason: ok None
+        without one is a failure.  An exception raised while the rows run
+        counts as one failing RAISED row, detail repr(exc)."""
+
+        def guarded() -> Iterator[tuple]:
+            try:
+                yield from rows
+            except Exception as exc:
+                yield RAISED, False, f"{exc!r} (family: {family})" if family else repr(exc)
+
+        where = f"g={g} n={n} " if (g, n) != (0, 0) else ""
+        for row in guarded():
+            ok, detail = row[1], row[2] if len(row) == 3 else ""
+            outcome = "pass" if ok else "skip" if ok is None and detail else "fail"
+            self.outcomes[outcome] += 1
+            if outcome == "skip":
+                self.skip_reasons[detail] += 1
+            elif outcome == "fail" and len(self.failures) < self.KEPT:
+                self.failures.append(where + row[0] + (f": {detail}" if detail else ""))
 
     def dumps(self) -> bytes:
         return json.dumps([self.outcomes, list(self.skip_reasons.items()), self.failures]).encode()
 
     def merge(self, data: bytes) -> None:
-        """Count a later tally's dumps() after this one's results, as if
+        """Count a later tally's dumps() after this one's rows, as if
         they had been counted here; ValueError where data does not parse."""
         outcomes, skip_reasons, failures = json.loads(data)
         self.outcomes.update(outcomes)
@@ -495,9 +481,9 @@ class _Tally:
         )
 
 
-def _fork(results: Iterator[CheckResult]) -> tuple[int, BinaryIO]:
-    """A worker that counts results and writes its tally's dump to a pipe:
-    its pid and the pipe's read end."""
+def _fork(count: Callable[[_Tally, range], None], part: range) -> tuple[int, BinaryIO]:
+    """A worker that counts the points of part into a new tally and writes
+    the tally's dump to a pipe: its pid and the pipe's read end."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -513,7 +499,7 @@ def _fork(results: Iterator[CheckResult]) -> tuple[int, BinaryIO]:
         try:
             os.close(read_end)
             tally = _Tally()
-            tally.count(results)
+            count(tally, part)
             with open(write_end, "wb") as pipe:
                 pipe.write(tally.dumps())
             code = 0
@@ -528,23 +514,26 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int]) -> _Tally:
     order.  The slices after the first run in forked workers, started
     before any check runs; where a fork fails, the slices left run here
     after the workers' tallies.  A worker that dies, exits nonzero or sends
-    an unreadable tally counts as one failing RAISED result naming its
+    an unreadable tally counts as one failing RAISED row naming its
     genera."""
     m = len(n_values)
 
-    def results(part: range) -> Iterator[CheckResult]:
-        return (r for i in part for r in _point_checks(g_values[i // m], n_values[i % m]))
+    def count(tally: _Tally, part: range) -> None:
+        for i in part:
+            g, n = g_values[i // m], n_values[i % m]
+            tally.count(g, n, _point_rows(g, n))
 
     first, *rest = _slices(g_values, n_values)
     tally, workers = _Tally(), []  # workers: (slice, pid, read end), in slice order
     try:
         try:
             for part in rest:
-                workers.append((part, *_fork(results(part))))
+                workers.append((part, *_fork(count, part)))
         except OSError:
             pass  # no more processes: the slices left run here, last
         local = rest[len(workers):]
-        tally.count(chain(_global_checks(g_values, n_values), results(first)))
+        _global_checks(tally, g_values, n_values)
+        count(tally, first)
         while workers:
             part, pid, pipe = workers[0]
             data = pipe.read()
@@ -564,9 +553,9 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int]) -> _Tally:
                 else "sent an unreadable tally"
             )
             detail = f"the worker for g={lo}..{hi} {how}"
-            tally.count([CheckResult(0, 0, RAISED, "fail", detail)])
+            tally.count(0, 0, [(RAISED, False, detail)])
         for part in local:
-            tally.count(results(part))
+            count(tally, part)
     finally:
         # an interrupted sweep leaves no worker running, nor a zombie
         for _, pid, pipe in workers:

@@ -548,12 +548,19 @@ def _decoder(tp, name: str):
         return decode_table
     if _is_record(tp):
         plan = [(key, group, _decoder(t, key)) for key, group, t in _plan(tp)]
+        # the keys emit_json writes in each group, and at the top (None)
+        keys = {group: {key for key, grp, _ in plan if grp == group} for _, group, _ in plan}
+        keys[None] = {group or key for key, group, _ in plan}
 
         def decode(d: dict):
             try:
                 values = [d[key] if group is None else d[group][key] for key, group, _ in plan]
             except (KeyError, TypeError):  # a missing field, or a group that is no object
                 raise _refused(name, f"an object with every {tp.__name__} field", d) from None
+            for group, known in keys.items():
+                unknown = [key for key in (d if group is None else d[group]) if key not in known]
+                if unknown:
+                    raise _refused(group or name, f"only {tp.__name__} fields", unknown[0])
             return tp(*[dec(v) for v, (_, _, dec) in zip(values, plan)])
 
         return decode

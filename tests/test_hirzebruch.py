@@ -211,6 +211,49 @@ def _reference_cohomology(e, a, b):
     return h0(a, b), h0(a, b) + h2 - chi, h2
 
 
+def _summed_cohomology(e, a, b):
+    """(h^0, h^1, h^2) of aC_0 + bf on F_e from the pushforward
+    Sym^a(O + O(-e)) (x) O(b) = sum of O(b - ie), i = 0..a: h^0 counts
+    lattice points and h^1 is the Leray sum, with no Euler characteristic.
+    Nothing pushes forward at a = -1, and Serre duality with
+    K = -2C_0 - (e+2)f gives a <= -2."""
+    if a <= -2:
+        h0, h1, h2 = _summed_cohomology(e, -2 - a, -(e + 2) - b)
+        return h2, h1, h0
+    h0 = sum(max(0, b - i * e + 1) for i in range(a + 1))
+    h1 = sum(max(0, i * e - b - 1) for i in range(a + 1))
+    return h0, h1, 0
+
+
+class TestSummedCohomology:
+    """bundle_cohomology against a second route, on a grid wide enough that
+    a wrong h^0 cannot hide behind Serre duality."""
+
+    @staticmethod
+    def mismatches():
+        return [
+            (e, a, b)
+            for e in range(5)
+            for a in range(-8, 13)
+            for b in range(-40, 41)
+            if bundle_cohomology(FeBundle(e, a, b)) != _summed_cohomology(e, a, b)
+        ]
+
+    def test_both_routes_agree(self):
+        assert self.mismatches() == []
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda h0: h0 + 1, lambda h0: h0 + 5, lambda h0: 2 * h0],
+        ids=["plus-one", "plus-five", "doubled"],
+    )
+    def test_a_wrong_h0_disagrees(self, monkeypatch, mutate):
+        # each mutant keeps Serre duality, so global/fe-cohomology passes it
+        h0 = hirzebruch._h0
+        monkeypatch.setattr(hirzebruch, "_h0", lambda bundle: mutate(h0(bundle)))
+        assert self.mismatches()
+
+
 class TestLeanCohomology:
     def test_matches_the_formulas_on_the_serre_grid(self):
         # the grid of global/fe-cohomology

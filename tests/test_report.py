@@ -42,12 +42,25 @@ from gonal.report import (
 )
 from gonal.checks import (
     SweepSummary,
+    _case_rows,
     _curve_h1,
     _global_checks,
     _pieri_degrees,
-    _point_checks,
+    _point_rows,
     sweep_verify,
 )
+
+
+def outcomes(rows) -> list[tuple[str, str]]:
+    """(name, "pass" | "fail" | "skip") of each check row, in order, as
+    the sweep's tally counts it."""
+    out = []
+    for row in rows:
+        tally = checks._Tally()
+        tally.count(0, 0, [row])
+        (outcome,) = tally.outcomes
+        out.append((row[0], outcome))
+    return out
 
 
 class TestGenerateReport:
@@ -379,11 +392,20 @@ class TestStrictParse:
             (_set("divisibility", "sharp"), 1),
             (_set("scroll", "aut_components"), "+1"),
             (_set("scroll", "aut_components"), "١"),
+            # a key emit_json never writes, at each level below the top
+            (_set("input", "note"), 1),
+            (_set("classes", "note"), 1),
+            (_set("scroll", "note"), 1),
+            (_set("invariants", "note"), 1),
+            (_set("divisibility", "note"), 1),
+            (_set("consistency_flags", "note"), 1),
+            (_set("oracle_checks", 0, "note"), 1),
         ],
         ids=[
             "enum-case", "enum-int", "triple-for-pair", "string-for-array", "string-rows",
             "long-row", "renamed-cell", "array-for-object", "null-group", "int-for-bool",
-            "signed-string", "arabic-digit",
+            "signed-string", "arabic-digit", "input-key", "classes-key", "scroll-key",
+            "invariants-key", "divisibility-key", "flags-key", "row-key",
         ],
     )
     def test_refused_shapes(self, edit, value):
@@ -391,6 +413,16 @@ class TestStrictParse:
         edit(doc, value)
         with pytest.raises(DomainError, match=r"^cannot read '\S+' from JSON: expected [^\n]*$"):
             GonalReport.from_dict(doc)
+
+    def test_an_unknown_top_level_key(self):
+        # a copy of classes.curve_class at the top, which emit_json never writes
+        doc = json.loads(emit_json(generate_report(9, 3, 4)))
+        doc["curve_class"] = doc["classes"]["curve_class"]
+        message = r"^cannot read 'GonalReport' from JSON: expected only GonalReport fields, got \"curve_class\"$"
+        with pytest.raises(DomainError, match=message):
+            GonalReport.from_dict(doc)
+        with pytest.raises(DomainError, match=message):
+            parse_json(json.dumps(doc))
 
     def test_digits_past_the_int_limit(self):
         limit = report.int_text_limit()
@@ -1002,17 +1034,16 @@ class TestSweep:
         monkeypatch.setattr(
             checks, "_pieri_degrees", lambda m: tables.append(m) or _pieri_degrees(m)
         )
-        results = _global_checks([5], list(range(3, 4001)))
-        pencil = [r for r in results if r.name == "global/pencil-count"]
-        assert [r.outcome for r in pencil] == ["pass"]
+        results = outcomes(_case_rows([5], list(range(3, 4001))))
+        assert [o for name, o in results if name == "global/pencil-count"] == ["pass"]
         # both routes at 3..200, and the fixed values at n = 3, 4
         assert sorted(counts) == sorted([*range(3, 201), 3, 4])
         assert tables == [199]
 
     def test_pencil_count_above_the_case_bound(self):
         # only the fixed values at n = 3, 4 are compared: still a pass
-        results = _global_checks([5], [500, 501])
-        assert [r.outcome for r in results if r.name == "global/pencil-count"] == ["pass"]
+        results = outcomes(_case_rows([5], [500, 501]))
+        assert [o for name, o in results if name == "global/pencil-count"] == ["pass"]
 
     def test_pencil_count_routes_can_disagree(self, monkeypatch):
         def off_by_one(m_max):
@@ -1021,10 +1052,10 @@ class TestSweep:
             return table
 
         monkeypatch.setattr(checks, "_pieri_degrees", off_by_one)
-        outcome = {r.name: r.outcome for r in _global_checks([5], [7])}
+        outcome = dict(outcomes(_case_rows([5], [7])))
         assert outcome["global/pencil-count"] == "fail"
         # n = 7 outside the grid: the wrong entry is never compared
-        outcome = {r.name: r.outcome for r in _global_checks([5], [8])}
+        outcome = dict(outcomes(_case_rows([5], [8])))
         assert outcome["global/pencil-count"] == "pass"
 
     def test_pieri_degrees(self):
@@ -1077,30 +1108,28 @@ class TestSweep:
 
         def steps(n):
             iterations.clear()
-            _point_checks(2 * n + 1, n)
+            list(_point_rows(2 * n + 1, n))
             return len(iterations)
 
         assert steps(80) <= 16 * steps(5)
 
     def test_every_check_is_in_the_readme_table(self, monkeypatch):
         names = set()
-        run = checks._run
+        count = checks._Tally.count
 
-        def recorded(*args):
-            results = run(*args)
-            names.update(r.name for r in results)
-            return results
+        def recorded(self, g, n, rows, family=""):
+            count(self, g, n, (names.add(row[0]) or row for row in rows), family)
 
-        monkeypatch.setattr(checks, "_run", recorded)
+        monkeypatch.setattr(checks._Tally, "count", recorded)
         sweep_verify(range(5, 31), range(3, 7))
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         table = set(re.findall(r"^\| `([^`]+)` \|", readme, re.MULTILINE))
         assert names and names <= table, sorted(names - table)
         # and no stale row: each row is a check the sweep ran, or the
-        # failure the runner records for a raised error
+        # failure the tally records for a raised error
         assert table == names | {checks.RAISED}, sorted(table ^ (names | {checks.RAISED}))
 
-    def test_run_records_rows_and_a_raised_error(self):
+    def test_the_tally_counts_rows_and_a_raised_error(self):
         def family():
             yield "a", True
             yield "b", False, "detail"
@@ -1108,14 +1137,21 @@ class TestSweep:
             yield "d", None  # a skip with no reason
             raise ConsistencyError("broken")
 
-        results = checks._run(5, 3, family())
-        assert [(r.g, r.n) for r in results] == [(5, 3)] * 5
-        assert [(r.name, r.outcome, r.detail) for r in results] == [
-            ("a", "pass", ""),
-            ("b", "fail", "detail"),
-            ("c", "skip", "no case"),
-            ("d", "fail", ""),
-            (checks.RAISED, "fail", "ConsistencyError('broken')"),
+        tally = checks._Tally()
+        tally.count(5, 3, family())
+        assert tally.outcomes == {"pass": 1, "fail": 3, "skip": 1}
+        assert tally.skip_reasons == {"no case": 1}
+        # each failure line names the point, the row and its detail
+        assert tally.failures == [
+            "g=5 n=3 b: detail",
+            "g=5 n=3 d",
+            f"g=5 n=3 {checks.RAISED}: ConsistencyError('broken')",
+        ]
+        # a global family's lines name no point, and its error names the family
+        tally = checks._Tally()
+        tally.count(0, 0, family(), "F_e oracle")
+        assert tally.failures == [
+            "b: detail", "d", f"{checks.RAISED}: ConsistencyError('broken') (family: F_e oracle)"
         ]
 
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
@@ -1127,19 +1163,23 @@ class TestSweep:
         if mutant == "chi-sign":
             # the oracle's ConsistencyError is a failing check, not a traceback
             assert summary.first_failure.startswith(f"{checks.RAISED}: ConsistencyError(")
-            results = _global_checks([5], [3])
-            outcome = {r.name: r.outcome for r in results}
-            assert outcome[checks.RAISED] == "fail"
-            # the two families that raise are told apart by name
-            raised = [r.detail for r in results if r.name == checks.RAISED]
+            tally = checks._Tally()
+            _global_checks(tally, [5], [3])
+            # the two families that raise are told apart by name, and
+            # nothing else fails
+            prefix = f"{checks.RAISED}: "
+            raised = [line.removeprefix(prefix) for line in tally.failures]
+            assert all(line.startswith(prefix) for line in tally.failures)
             assert [d[d.rindex(" (family: "):] for d in raised] == [
                 " (family: F_e oracle)",
                 " (family: report round trip)",
             ]
             assert all(d.startswith("ConsistencyError(") for d in raised)
-            # the families after the one that raised still run
-            assert outcome["global/twist-invariance"] == "pass"
-            assert outcome["global/moduli-boundary"] == "pass"
+            # the families after the one that raised still run, and each
+            # of their rows passes
+            rest = dict(outcomes(checks._hyperelliptic_rows()) + outcomes(_case_rows([5], [3])))
+            assert rest["global/twist-invariance"] == rest["global/moduli-boundary"] == "pass"
+            assert tally.outcomes == {"pass": len(rest), "fail": 2}
             argv = ["verify", "--genus-min", "5", "--genus-max", "30",
                     "--gonality-min", "3", "--gonality-max", "6"]
             assert cli.main(argv) == 1
@@ -1247,17 +1287,16 @@ class TestSplitSweep:
     def test_failures_and_skips_of_every_slice_in_order(self, monkeypatch):
         # failures and skips in each slice, fewer than 20 failures in all,
         # and a skip reason first seen in the second slice
-        point_checks = checks._point_checks
+        point_rows = checks._point_rows
 
         def planted(g, n):
-            results = point_checks(g, n)
+            yield from point_rows(g, n)
             if (g, n) in ((10, 3), (50, 4), (55, 5)):
-                results.append(checks.CheckResult(g, n, "planted", "fail", f"at g={g}"))
+                yield "planted", False, f"at g={g}"
             if g in (20, 40):
-                results.append(checks.CheckResult(g, n, "planted", "skip", f"skip {g >= 30}"))
-            return results
+                yield "planted", None, f"skip {g >= 30}"
 
-        monkeypatch.setattr(checks, "_point_checks", planted)
+        monkeypatch.setattr(checks, "_point_rows", planted)
         one_process(monkeypatch)
         one = sweep_verify(*self.GRID)
         monkeypatch.setattr(checks, "_slices", cut_into(2))
@@ -1272,9 +1311,7 @@ class TestSplitSweep:
     def test_the_first_twenty_failures_across_slices(self, monkeypatch):
         # each slice fails at every point: the first 20 lines are the
         # parent's, and the counts add
-        monkeypatch.setattr(
-            checks, "_point_checks", lambda g, n: [checks.CheckResult(g, n, "x", "fail", "")]
-        )
+        monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("x", False)])
         one_process(monkeypatch)
         one = sweep_verify(range(5, 9), range(3, 13))
         for count in (2, 3, 40):
@@ -1293,7 +1330,7 @@ class TestSplitSweep:
         ],
     )
     def test_a_dead_worker_fails_the_sweep(self, monkeypatch, capsys, how, message):
-        parent, point_checks, dumps = os.getpid(), checks._point_checks, checks._Tally.dumps
+        parent, point_rows, dumps = os.getpid(), checks._point_rows, checks._Tally.dumps
 
         def dying(g, n):
             if os.getpid() != parent:
@@ -1301,9 +1338,9 @@ class TestSplitSweep:
                     os._exit(3)
                 if how == "kill":
                     os.kill(os.getpid(), 9)
-            return point_checks(g, n)
+            return point_rows(g, n)
 
-        monkeypatch.setattr(checks, "_point_checks", dying)
+        monkeypatch.setattr(checks, "_point_rows", dying)
         if how == "garbage":
             monkeypatch.setattr(checks._Tally, "dumps", lambda self: dumps(self)[:-1])
         if how == "exit-after-write":
@@ -1327,19 +1364,19 @@ class TestSplitSweep:
         assert "Traceback" not in err
 
     def test_an_interrupted_parent_kills_its_workers(self, monkeypatch):
-        parent, point_checks = os.getpid(), checks._point_checks
+        parent, point_rows = os.getpid(), checks._point_rows
 
         def slow(g, n):
             # a worker that would run for 20 s
             if os.getpid() != parent:
                 time.sleep(20)
                 os._exit(0)
-            return point_checks(g, n)
+            return point_rows(g, n)
 
         def interrupted(*ranges):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(checks, "_point_checks", slow)
+        monkeypatch.setattr(checks, "_point_rows", slow)
         monkeypatch.setattr(checks, "_global_checks", interrupted)
         monkeypatch.setattr(checks, "_slices", cut_into(3))
         start = time.perf_counter()
@@ -1420,8 +1457,8 @@ class TestPerPointWork:
         invariants._maroni_data.cache_clear()
         for g, n in ((41, 7), (43, 7), (41, 6), (12, 3)):
             calls.clear()
-            results = _point_checks(g, n)
-            assert all(r.outcome == "pass" for r in results)
+            results = outcomes(_point_rows(g, n))
+            assert all(outcome == "pass" for _, outcome in results)
             # across generate_report and the point's own rows
             assert calls == [(g, n)]
 
@@ -1444,7 +1481,7 @@ class TestPerPointWork:
 
         def classes(n):
             built.clear()
-            _point_checks(2 * n + 1, n)
+            list(_point_rows(2 * n + 1, n))
             return len(built)
 
         # the check reads 3(n+2) closed forms from chow._normal_form
@@ -1453,7 +1490,7 @@ class TestPerPointWork:
     def test_memory_of_a_few_points_is_that_of_one(self, monkeypatch):
         # each memo holds O(1) entries, so a sweep keeps no point's O(n)
         # data once it has moved on
-        monkeypatch.setattr(checks, "_global_checks", lambda *ranges: [])
+        monkeypatch.setattr(checks, "_global_checks", lambda *args: None)
         one_process(monkeypatch)
 
         def peak(g_values):
@@ -1492,7 +1529,10 @@ class TestRatherFreeRoute:
     @staticmethod
     def failing() -> Counter:
         return Counter(
-            r.name for g in range(5, 31) for r in _point_checks(g, 3) if r.outcome == "fail"
+            name
+            for g in range(5, 31)
+            for name, outcome in outcomes(_point_rows(g, 3))
+            if outcome == "fail"
         )
 
     def test_a_scroll_fault_leaves_the_surface_route(self, monkeypatch):
@@ -1529,8 +1569,8 @@ class TestPointChecksReadTheDossier:
             lambda g, k: oracle(g, k) + (k == switch),
         )
         assert generate_report(5, 3, 0).consistency_flags.oracle_agreement is False
-        outcomes = {r.name: r.outcome for r in _point_checks(5, 3)}
-        assert outcomes["oracle/ballico-agreement"] == "fail"
+        outcome = dict(outcomes(_point_rows(5, 3)))
+        assert outcome["oracle/ballico-agreement"] == "fail"
 
     @pytest.mark.parametrize("g, n", [(5, 3), (6, 3), (9, 4), (12, 5)])
     def test_dossier_values_are_not_recomputed(self, monkeypatch, g, n):
@@ -1557,8 +1597,8 @@ class TestPointChecksReadTheDossier:
             return cohomology(bundle)
 
         monkeypatch.setattr(hirzebruch, "bundle_cohomology", guarded)
-        results = _point_checks(g, n)
-        assert results and all(r.outcome == "pass" for r in results)
+        results = outcomes(_point_rows(g, n))
+        assert results and all(outcome == "pass" for _, outcome in results)
 
 
 def _affine_between(values, ks):
