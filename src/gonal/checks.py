@@ -31,7 +31,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import chow, hirzebruch, hyperelliptic, invariants, picard, report
 from .chow import AmbientScroll, ChowClass, intersect_number
-from .errors import DomainError, as_int, in_scroll_range, require_at_most
+from .errors import DomainError, as_int, in_scroll_range, require_at_most, require_digits
 from .picard import DivisibilityVerdict, VerdictStatus
 from .scroll import validate_scroll
 
@@ -185,12 +185,14 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
     ballico_switches = invariants.ballico_switches(g, n)
     yield "invariants/maroni-ballico", all(
         invariants.maroni_h0(g, n, k) == invariants.ballico_h0(g, n, k)
-        for k in report._decisive_ks(invariants.maroni_branch_boundaries(g, n), ballico_switches)
+        for k in invariants.decisive_ks(invariants.maroni_branch_boundaries(g, n), ballico_switches)
     )
     yield "invariants/branch-continuity", flags.branch_continuity
+    # h^0 - chi is positive below the switch and zero from it on, affine
+    # between decisive points: positive on a gap iff at both ends
     yield "invariants/ballico-riemann-roch-bound", all(
         h0 == chi if k * (n - 1) >= g else h0 > chi
-        for k in report._decisive_ks(ballico_switches)
+        for k in invariants.decisive_ks(ballico_switches)
         for h0, chi in [(invariants.ballico_h0(g, n, k), n * k + 1 - g)]
     )
 
@@ -223,9 +225,10 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
         pairing, free = hirzebruch.rather_free_check(g)
         yield "oracle/rather-free", pairing == -g - 8 and free, f"(K_S.L) = {pairing}"
         curve_fe = hirzebruch.trigonal_curve_bundle(g)
+        # h^1 is the oracle's h^0 - chi, its sign decided as in ballico-riemann-roch-bound
         yield "oracle/riemann-roch-on-curve", all(
             0 <= _curve_h1(curve_fe, k) == hirzebruch.trigonal_h0_oracle(g, k) - (3 * k + 1 - g)
-            for k in report._decisive_ks(hirzebruch.trigonal_h0_switches(g))
+            for k in invariants.decisive_ks(hirzebruch.trigonal_h0_switches(g))
         )
 
 
@@ -596,17 +599,17 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
     if not g_values or not n_values:
         raise DomainError("sweep ranges must be non-empty")
     require_at_most("n", n_values[-1], report.GONALITY_LIMIT)
-    report._require_genus_limit(g_values[-1])
+    digits = report.genus_digits()
+    require_digits("g", "genus", g_values[-1], digits)
     points, axes = 1, (g_values, n_values)
     for v in axes:
         points *= len(v) if isinstance(v, list) else (v[-1] - v[0]) // v.step + 1
     if points > SWEEP_POINT_LIMIT:
         # ranges with ends of thousands of digits make a count too long to
         # print, and a list read in part gives a lower bound
-        bound = report._genus_bound()
         partial = any(isinstance(v, list) and len(v) > SWEEP_POINT_LIMIT for v in axes)
         got = (
-            f"10^{len(str(bound)) - 1} or more" if points >= bound
+            f"10^{digits} or more" if points >= 10**digits
             else f"{points} or more" if partial else points
         )
         raise DomainError(f"requires at most {SWEEP_POINT_LIMIT} grid points (got {got})")

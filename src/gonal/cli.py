@@ -17,7 +17,7 @@ import sys
 from math import gcd
 from typing import NoReturn
 
-from .errors import DomainError, UnsupportedError, int_text_limit
+from .errors import DomainError, UnsupportedError, digit_cap, int_text_limit
 
 # Each command imports the layers it runs, so `twist` never loads the
 # Chow ring, the scrolls or the report; no command loads dataclasses.
@@ -104,7 +104,7 @@ def _cmd_twist(args) -> int:
     from .hyperelliptic import BinaryForm, HyperellipticModel, _integer_scaled, twist_with_point
 
     limit = int_text_limit()
-    literal_digits = min(TWIST_LITERAL_DIGITS, limit) if limit else TWIST_LITERAL_DIGITS
+    literal_digits = digit_cap(TWIST_LITERAL_DIGITS)
     literals = [*args.coeffs.split(","), args.a, args.x0]
     for digits in map(_literal_digits, literals):
         if digits > literal_digits:

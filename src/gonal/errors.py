@@ -1,6 +1,6 @@
 """Exception types, the record base and the range hypotheses shared across
 the package: the pencil range, the scroll range, and 2n-2 < g on its own;
-and the interpreter's int-to-text limit, which every command reads."""
+and the interpreter's int-to-text limit, which every digit cap reads."""
 
 import sys
 
@@ -37,6 +37,20 @@ def int_text_limit() -> int:
     """The most digits the interpreter converts between int and text, or 0
     for no limit, as before Python 3.10.7."""
     return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def digit_cap(cap: int, margin: int = 0) -> int:
+    """cap digits, lowered to the int-to-text limit less margin, so that a
+    value of margin more digits still prints."""
+    limit = int_text_limit()
+    return min(cap, limit - margin) if limit else cap
+
+
+def require_digits(name: str, noun: str, value: int, digits: int) -> None:
+    """Raise DomainError unless value < 10^digits, read from its bits where they
+    decide (2^(3D) < 10^D); value, which may be too long to print, is not."""
+    if value.bit_length() > 3 * digits and value >= 10**digits:
+        raise DomainError(f"requires {name} < 10^{digits} (got a {noun} of more than {digits} digits)")
 
 
 def as_int(name: str, value) -> int:

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .chow import AmbientScroll
 from .errors import require_at_least, require_gonal_range, require_pencil_range, require_scroll_range
@@ -114,6 +114,15 @@ def maroni_branch_boundaries(
     """
     require_scroll_range(g, n)
     return list(_maroni_data(g, n, None if splitting is None else tuple(splitting))[0])
+
+
+def decisive_ks(*switches: Iterable[int]) -> list[int]:
+    """The k >= 0 among 0, 1 and t-1, t, t+1 for each switch t, a k where a
+    section count changes formula.  Both sides of a k-identity are affine
+    between consecutive points and from the next-to-last point on, so
+    agreement at the points decides every k >= 0."""
+    near = {k for ts in switches for t in ts for k in (t - 1, t, t + 1)}
+    return sorted(k for k in near | {0, 1} if k >= 0)
 
 
 # The sweep visits one (g, n) at a time, and an entry holds O(n) integers,

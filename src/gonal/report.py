@@ -22,8 +22,8 @@ from typing import Annotated, NamedTuple, Union, get_args, get_origin, get_type_
 
 from . import hirzebruch, invariants, picard
 from .chow import AmbientScroll, ChowClass, intersect_number
-from .errors import ConsistencyError, DomainError, _Validated, int_text_limit
-from .errors import as_int, require_at_least, require_at_most
+from .errors import ConsistencyError, DomainError, _Validated, as_int, digit_cap
+from .errors import require_at_least, require_at_most, require_digits
 from .picard import DivisibilityVerdict
 from .scroll import aut_group_numerics, canonical_class, curve_class, generic_scroll
 
@@ -35,28 +35,15 @@ K_MAX_LIMIT = 10**7
 GONALITY_LIMIT = 10**6
 # The least genus a report or a sweep refuses.  Every value they print is
 # below 10^14 * g (the curve class's (n-2)(n-g+1), a section count nk-g+1),
-# so it keeps within the 4,300 digits the interpreter writes by default; a
-# lower int-to-text limit of L digits lowers it to 10^(L - 14).
+# so it keeps within the 4,300 digits the interpreter writes by default.
 GENUS_LIMIT = 10**4000
 
 
-def _genus_bound() -> int:
-    """GENUS_LIMIT, lowered by the interpreter's int-to-text limit."""
-    limit = int_text_limit()
-    return min(GENUS_LIMIT, 10 ** (limit - 14)) if limit else GENUS_LIMIT
-
-
-def _require_genus_limit(g: int) -> None:
-    limit = int_text_limit()
-    # a g of at most 3 * (limit - 14) bits is below 10^(limit - 14): build
-    # the bound only past that
-    if g < GENUS_LIMIT and not (limit and g.bit_length() > 3 * (limit - 14)):
-        return
-    bound = _genus_bound()
-    if g >= bound:
-        # g itself may have too many digits to print
-        digits = len(str(bound)) - 1
-        raise DomainError(f"requires g < 10^{digits} (got a genus of more than {digits} digits)")
+def genus_digits() -> int:
+    """The D of the cap g < 10^D of generate_report and sweep_verify: GENUS_LIMIT
+    = 10^D, lowered to the int-to-text limit less 14.  D is read from its bits b,
+    as D log2(10) < b <= D log2(10) + 1, exactly for D < 4 * 10^7."""
+    return digit_cap(GENUS_LIMIT.bit_length() * 30103 // 10**5, 14)
 
 
 class ScrollSummary(NamedTuple):
@@ -256,19 +243,6 @@ class GonalReport(_Validated, _ReportFields):
         return _decoder(cls, cls.__name__)(d)
 
 
-def _decisive_ks(*switches: Iterable[int]) -> list[int]:
-    """The k >= 0 among 0, 1 and t-1, t, t+1 for each switch t, a k where a
-    section count changes formula.  Both sides of a k-identity are affine
-    between consecutive points and from the next-to-last point on, so
-    agreement at the points decides every k >= 0.  So do the predicates
-    of ballico-riemann-roch-bound: h^0 - chi is positive below its switch
-    and zero from it on, on a gap iff at both ends.  The h^1 of
-    riemann-roch-on-curve is that h^0 - chi.
-    """
-    near = {k for ts in switches for t in ts for k in (t - 1, t, t + 1)}
-    return sorted(k for k in near | {0, 1} if k >= 0)
-
-
 def _column(h0: Callable[[int], int], switches: list[int], k_max: int) -> list[_Piece]:
     """h0 over k = 1 .. k_max as pieces: read at the decisive ks of its
     switch list, joined by exact integer slopes, the last piece continued.
@@ -280,7 +254,7 @@ def _column(h0: Callable[[int], int], switches: list[int], k_max: int) -> list[_
     """
     if k_max == 0:
         return []
-    ks = _decisive_ks(switches)
+    ks = invariants.decisive_ks(switches)
     points = [(k, h0(k)) for k in ks[: bisect_right(ks, k_max) + 1]]
     last = points[-1][0]
     pieces = []
@@ -322,7 +296,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     Deterministic: identical inputs give identical reports.
     """
     g, n, k_max = (as_int(name, v) for name, v in (("g", g), ("n", n), ("k_max", k_max)))
-    _require_genus_limit(g)
+    require_digits("g", "genus", g, genus_digits())
     require_at_least("k_max", k_max, 0)
     require_at_most("k_max", k_max, K_MAX_LIMIT)
     require_at_most("n", n, GONALITY_LIMIT)
@@ -356,7 +330,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
         agree = _agree(formula, oracle)
         oracle_checks: _Table | None = _Table(OracleRow, [ks, formula, oracle, agree])
         # the printed rows, and every k >= 0 whatever k_max is
-        decisive = _decisive_ks(oracle_switches, ballico_switches)
+        decisive = invariants.decisive_ks(oracle_switches, ballico_switches)
         oracle_agreement: bool | None = all(v for _, v, _ in agree) and all(
             hirzebruch.trigonal_h0_oracle(g, k) == invariants.ballico_h0(g, 3, k)
             for k in decisive
@@ -377,7 +351,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     branch_continuity = all(
         invariants.maroni_h0(g, n, k)
         == k + 1 + sum(m * max(0, k - 1 - shift - r) for r, m in mult)
-        for k in _decisive_ks(
+        for k in invariants.decisive_ks(
             invariants.maroni_branch_boundaries(g, n), [1 + shift + r for r, _ in mult]
         )
     )

@@ -1,5 +1,6 @@
 """The package surface: what `import gonal` exports, read on first use."""
 
+import ast
 import importlib
 import os
 import re
@@ -123,3 +124,88 @@ def test_readme_names_resolve():
         for attr in path:
             assert hasattr(value, attr), name
             value = getattr(value, attr)
+
+
+# Every read of a private name of one gonal module from another: a name
+# imported from it, or an attribute path through it, up to the first
+# private part.  A module keeps its helpers to itself; these few are lent
+# on purpose, and a new one changes this list.
+PRIVATE_READS = [
+    ("checks", "chow._normal_form"),
+    ("checks", "hirzebruch.FeBundle._on"),
+    ("cli", "hyperelliptic._integer_scaled"),
+    ("hirzebruch", "errors._Validated"),
+    ("hyperelliptic", "errors._Validated"),
+    ("invariants", "scroll._generic_splitting"),
+    ("picard", "errors._Validated"),
+    ("report", "errors._Validated"),
+    ("scroll", "errors._Validated"),
+    ("chow", "errors._Validated"),
+]
+
+
+# a record's own API, public under its underscore
+NAMEDTUPLE_API = {"_asdict", "_field_defaults", "_fields", "_make", "_replace"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__") and name not in NAMEDTUPLE_API
+
+
+def _private_reads(tree, module: str) -> set[tuple[str, str]]:
+    """(module, path) of each cross-module read of a private name under
+    tree: `from .m import _x` as m._x, and m._x, m.C._x or C._x, where m
+    is an imported sibling module and C a name imported from one."""
+    homes = {}  # local name -> dotted path in its home module
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                path = f"{node.module}.{alias.name}" if node.module else alias.name
+                homes[alias.asname or alias.name] = path
+                if _private(alias.name):
+                    found.add((module, path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        parts, root = [], node
+        while isinstance(root, ast.Attribute):
+            parts.insert(0, root.attr)
+            root = root.value
+        if not isinstance(root, ast.Name) or root.id not in homes:
+            continue
+        path = homes[root.id]
+        for part in parts:
+            path += "." + part
+            if _private(part):
+                found.add((module, path))
+                break
+    return found
+
+
+def test_private_names_stay_home():
+    source = Path(gonal.__file__).parent
+    reads = set()
+    for path in sorted(source.glob("*.py")):
+        reads |= _private_reads(ast.parse(path.read_text()), path.stem)
+    assert sorted(reads) == sorted(PRIVATE_READS)
+
+
+def test_private_read_guard_reads_each_form():
+    tree = ast.parse(
+        "from . import report, errors as e\n"
+        "from .chow import ChowClass, _normal_form\n"
+        "report._decisive_ks([1])\n"
+        "e.DomainError\n"
+        "ChowClass._on(1).x\n"
+        "report.GonalReport._replace\n"
+        "report.GonalReport._plan\n"
+        "local._hidden\n"
+        "report.__name__\n"
+    )
+    assert sorted(_private_reads(tree, "m")) == [
+        ("m", "chow.ChowClass._on"),
+        ("m", "chow._normal_form"),
+        ("m", "report.GonalReport._plan"),
+        ("m", "report._decisive_ks"),
+    ]

@@ -20,14 +20,14 @@ import pytest
 
 from gonal import checks, cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
 from gonal.chow import ChowClass
-from gonal.errors import ConsistencyError, DomainError, in_scroll_range
+from gonal.errors import ConsistencyError, DomainError, in_scroll_range, int_text_limit
+from gonal.invariants import decisive_ks
 from gonal.report import (
     ConsistencyFlags,
     GonalReport,
     InvariantSummary,
     OracleRow,
     ScrollSummary,
-    _decisive_ks,
     _agree,
     _encode_ints,
     _cells,
@@ -425,7 +425,7 @@ class TestStrictParse:
             parse_json(json.dumps(doc))
 
     def test_digits_past_the_int_limit(self):
-        limit = report.int_text_limit()
+        limit = int_text_limit()
         if not limit:
             pytest.skip("this interpreter reads any number of digits")
         doc = generate_report(9, 3, 4).to_dict()
@@ -527,7 +527,7 @@ class TestTables:
         ]
         for h0, switches, g in columns:
             values = [h0(k) for k in range(1, 3 * g + 1)]
-            ks = _decisive_ks(switches)
+            ks = decisive_ks(switches)
             for k_max in range(3 * g + 1):
                 calls = []
                 pieces = _column(lambda k: calls.append(k) or h0(k), switches, k_max)
@@ -844,7 +844,7 @@ class TestFormulaColumn:
         generate_report(g, n, 0)
         # only the oracle_agreement predicate evaluates, at its decisive ks
         decisive = (
-            _decisive_ks(hirzebruch.trigonal_h0_switches(g), invariants.ballico_switches(g, 3))
+            decisive_ks(hirzebruch.trigonal_h0_switches(g), invariants.ballico_switches(g, 3))
             if n == 3
             else []
         )
@@ -1622,27 +1622,27 @@ def _splittings(g, n):
 
 class TestDecisiveKs:
     """The switch lists are complete: each section count is affine between
-    the points _decisive_ks picks from them, checked by brute force up to
+    the points decisive_ks picks from them, checked by brute force up to
     k = 4g.  A branch added without its switch fails here."""
 
     def test_points(self):
-        assert _decisive_ks() == [0, 1]
-        assert _decisive_ks([-1], [5, 5]) == [0, 1, 4, 5, 6]
-        assert _decisive_ks([0, 9]) == [0, 1, 8, 9, 10]
+        assert decisive_ks() == [0, 1]
+        assert decisive_ks([-1], [5, 5]) == [0, 1, 4, 5, 6]
+        assert decisive_ks([0, 9]) == [0, 1, 8, 9, 10]
 
     def test_ballico(self):
         for n in range(3, 9):
             for g in range(2 * n - 1, 61):
                 values = [invariants.ballico_h0(g, n, k) for k in range(4 * g + 1)]
                 assert _affine_between(
-                    values, _decisive_ks(invariants.ballico_switches(g, n))
+                    values, decisive_ks(invariants.ballico_switches(g, n))
                 ), (g, n)
 
     def test_maroni_generic(self):
         for n in range(3, 7):
             for g in range(2 * n - 1, 41):
                 values = [invariants.maroni_h0(g, n, k) for k in range(4 * g + 1)]
-                ks = _decisive_ks(invariants.maroni_branch_boundaries(g, n))
+                ks = decisive_ks(invariants.maroni_branch_boundaries(g, n))
                 assert _affine_between(values, ks), (g, n)
 
     def test_maroni_every_splitting(self):
@@ -1652,12 +1652,12 @@ class TestDecisiveKs:
                     values = [
                         invariants.maroni_h0(g, n, k, rs) for k in range(4 * g + 1)
                     ]
-                    ks = _decisive_ks(invariants.maroni_branch_boundaries(g, n, rs))
+                    ks = decisive_ks(invariants.maroni_branch_boundaries(g, n, rs))
                     assert _affine_between(values, ks), (g, n, rs)
 
     def test_trigonal_oracle_and_curve_h1(self):
         for g in range(5, 81):
-            ks = _decisive_ks(hirzebruch.trigonal_h0_switches(g))
+            ks = decisive_ks(hirzebruch.trigonal_h0_switches(g))
             values = [hirzebruch.trigonal_h0_oracle(g, k) for k in range(4 * g + 1)]
             assert _affine_between(values, ks), g
             curve = hirzebruch.trigonal_curve_bundle(g)
