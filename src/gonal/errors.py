@@ -1,6 +1,7 @@
 """Exception types, the record base and the range hypotheses shared across
 the package: the pencil range, the scroll range, and 2n-2 < g on its own;
-and the interpreter's int-to-text limit, which every digit cap reads."""
+and the interpreter's int-to-text limit, which every digit cap and every
+refusal that shows a number reads."""
 
 import sys
 
@@ -53,6 +54,25 @@ def require_digits(name: str, noun: str, value: int, digits: int) -> None:
         raise DomainError(f"requires {name} < 10^{digits} (got a {noun} of more than {digits} digits)")
 
 
+def decimal_digits(value: int) -> int:
+    """The decimal digits of |value|, counted without writing it out."""
+    v = abs(value)
+    # 2^(b-1) <= v and 10^0.30102999 < 2: a count never above the true one
+    d = max(1, (v.bit_length() - 1) * 30102999 // 10**8 + 1)
+    while v >= 10**d:
+        d += 1
+    return d
+
+
+def _shown(value: int) -> str:
+    """value in decimal or, past the int-to-text limit, its sign and its
+    digit count, as -<5001 digits>."""
+    limit = int_text_limit()
+    if limit and value.bit_length() > 3 * limit and (digits := decimal_digits(value)) > limit:
+        return f"{'-' if value < 0 else ''}<{digits} digits>"
+    return str(value)
+
+
 def as_int(name: str, value) -> int:
     """value as a plain int, or DomainError unless it is an int: a bool
     counts, as in arithmetic, and reads as 0 or 1."""
@@ -64,13 +84,13 @@ def as_int(name: str, value) -> int:
 def require_at_least(name: str, value: int, bound: int) -> None:
     """Raise DomainError unless value >= bound; name is the variable's name."""
     if value < bound:
-        raise DomainError(f"requires {name} >= {bound} (got {name}={value})")
+        raise DomainError(f"requires {name} >= {bound} (got {name}={_shown(value)})")
 
 
 def require_at_most(name: str, value: int, bound: int) -> None:
     """Raise DomainError unless value <= bound; name is the variable's name."""
     if value > bound:
-        raise DomainError(f"requires {name} <= {bound} (got {name}={value})")
+        raise DomainError(f"requires {name} <= {bound} (got {name}={_shown(value)})")
 
 
 def in_gonal_range(g: int, n: int) -> bool:
@@ -81,7 +101,7 @@ def in_gonal_range(g: int, n: int) -> bool:
 def require_gonal_range(g: int, n: int) -> None:
     """Raise DomainError unless 2n-2 < g; each caller checks its own bound on n."""
     if not in_gonal_range(g, n):
-        raise DomainError(f"requires 2n-2 < g (got 2n-2={2 * n - 2}, g={g})")
+        raise DomainError(f"requires 2n-2 < g (got 2n-2={_shown(2 * n - 2)}, g={_shown(g)})")
 
 
 def require_pencil_range(g: int, n: int) -> None:

@@ -132,16 +132,17 @@ def _at(pieces: Iterable[_Piece], picked: range) -> Iterator:
 
 def _runs(cells: Sequence, tp: type) -> list[_Piece]:
     """A column of cells of type tp as pieces, each as long as it can be
-    from the top: affine runs for int, constant runs for bool."""
-    pieces, start = [], 0
-    while start < len(cells):
+    from the top: affine runs for int, constant runs for bool.  The cells
+    are read in one pass, each compared once with the line of its piece."""
+    pieces, start, size = [], 0, len(cells)
+    rest = islice(cells, 1, None)  # the cells after a piece's first
+    while start < size:
         v = cells[start]
-        slope = cells[start + 1] - v if tp is int and start + 1 < len(cells) else 0
-        line = _ints(len(cells) - start, v, slope)
-        # the piece ends at the first cell off its line
-        rows = next(
-            compress(count(), map(ne, islice(cells, start, None), line)), len(cells) - start
-        )
+        slope = cells[start + 1] - v if tp is int and start + 1 < size else 0
+        line = _ints(size - start - 1, v + slope, slope)
+        # the piece ends at the first cell off its line, which map has read:
+        # it starts the next piece, and rest goes on after it
+        rows = 1 + next(compress(count(), map(ne, rest, line)), size - start - 1)
         pieces.append((rows, v, slope))
         start += rows
     return pieces
@@ -226,14 +227,14 @@ class _ReportFields(NamedTuple):
 
 class GonalReport(_Validated, _ReportFields):
     def __new__(cls, *fields, **named):
-        report = super().__new__(cls, *fields, **named)
-        # a table given as rows, as to _replace, is read into pieces
-        for name, row in _tables(cls).items():
-            rows = getattr(report, name)
-            if rows is not None and not isinstance(rows, _Table):
-                columns = list(zip(*rows)) or [()] * len(_plan(row))
-                report = report._replace(**{name: _Table.from_cells(row, columns, name)})
-        return report
+        report = _ReportFields(*fields, **named)
+        # a table given as rows, as to _replace, is read into pieces first
+        tables = {
+            name: _Table.from_cells(row, list(zip(*rows)) or [()] * len(_plan(row)), name)
+            for name, row in _tables(cls).items()
+            if (rows := getattr(report, name)) is not None and not isinstance(rows, _Table)
+        }
+        return tuple.__new__(cls, report._replace(**tables))
 
     def to_dict(self) -> dict:
         return _encode_ints(self)
@@ -625,7 +626,11 @@ def emit_json(report: GonalReport) -> str:
 
 
 def parse_json(text: str) -> GonalReport:
-    return GonalReport.from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # no JSON, or a number past the int-to-text limit
+        raise DomainError(f"cannot read JSON: {exc}") from None
+    return GonalReport.from_dict(doc)
 
 
 # the text of each consistency flag, in field order, and of its values

@@ -79,3 +79,37 @@ def test_scroll_range_passes_without_another_guard(monkeypatch):
         monkeypatch.setattr(errors, name, forbidden)
     for g, n in ((5, 3), (9, 4), (2 * 10**6 + 1, 10**6), (10**40, 3)):
         assert errors.require_scroll_range(g, n) is None
+
+
+def test_decimal_digits_counts_without_writing():
+    from gonal.errors import decimal_digits
+
+    for k in range(0, 4200, 7):
+        for v in (10**k - 1, 10**k, 10**k + 1, -(10**k)):
+            assert decimal_digits(v) == len(str(abs(v))), v
+    assert decimal_digits(10**5000) == 5001
+    assert decimal_digits(-(10**5000) + 1) == 5000
+
+
+def test_a_value_past_the_int_limit_is_shown_by_its_digits():
+    from gonal import errors
+
+    limit = errors.int_text_limit()
+    if not limit:
+        pytest.skip("this interpreter prints any number of digits")
+    longest = 10**limit - 1  # the most digits that print
+    with pytest.raises(DomainError) as info:
+        errors.require_at_most("k", longest, 0)
+    assert str(info.value) == f"requires k <= 0 (got k={longest})"
+    cases = [
+        (lambda: errors.require_at_most("k", longest + 1, 0), f"requires k <= 0 (got k=<{limit + 1} digits>)"),
+        (lambda: errors.require_at_least("k", -(10**limit), 0), f"requires k >= 0 (got k=-<{limit + 1} digits>)"),
+        (
+            lambda: errors.require_gonal_range(5, 10**limit),
+            f"requires 2n-2 < g (got 2n-2=<{limit + 1} digits>, g=5)",
+        ),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message

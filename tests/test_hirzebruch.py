@@ -248,10 +248,25 @@ class TestSummedCohomology:
         ids=["plus-one", "plus-five", "doubled"],
     )
     def test_a_wrong_h0_disagrees(self, monkeypatch, mutate):
-        # each mutant keeps Serre duality, so global/fe-cohomology passes it
+        # each mutant keeps Serre duality, so a comparison with the dual
+        # alone would pass it
         h0 = hirzebruch._h0
         monkeypatch.setattr(hirzebruch, "_h0", lambda bundle: mutate(h0(bundle)))
         assert self.mismatches()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda h0: h0 + 1, lambda h0: h0 + 5, lambda h0: 2 * h0],
+        ids=["plus-one", "plus-five", "doubled"],
+    )
+    def test_the_sweep_check_fails_a_wrong_h0(self, monkeypatch, mutate):
+        # global/fe-cohomology sums the same two routes on its own grid
+        from gonal.checks import _fe_rows
+
+        assert dict(_fe_rows())["global/fe-cohomology"] is True
+        h0 = hirzebruch._h0
+        monkeypatch.setattr(hirzebruch, "_h0", lambda bundle: mutate(h0(bundle)))
+        assert dict(_fe_rows())["global/fe-cohomology"] is False
 
 
 class TestLeanCohomology:
@@ -307,7 +322,7 @@ class TestLeanCohomology:
         from gonal.checks import _fe_rows
 
         assert [ok for _, ok in _fe_rows()] == [True, True]
-        # 3,078 bundles in the Serre loop; only the four structure sheaves
+        # 3,078 bundles in the summed loop; only the four structure sheaves
         # O on F_0 .. F_3 and at most one K per surface are checked
         assert len(checked) <= 8
 

@@ -156,6 +156,38 @@ class TestGenerateReport:
         with pytest.raises(DomainError, match=rf"^requires {re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: generate_report(-(10**5000), 3, 0), "requires g >= 2 (got g={})"),
+            (lambda: generate_report(12, -(10**5000), 0), "requires n >= 3 (got n={})"),
+            (lambda: generate_report(12, 3, -(10**5000)), "requires k_max >= 0 (got k_max={})"),
+        ],
+        ids=["g", "n", "k_max"],
+    )
+    def test_a_refused_value_too_long_to_print(self, call, message):
+        # written by its digit count, where the interpreter would not print it
+        limit = int_text_limit()
+        shown = "-<5001 digits>" if 0 < limit < 5001 else str(-(10**5000))
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message.format(shown)
+
+    @pytest.mark.parametrize(
+        "g_values, n_values, printable",
+        [
+            ([-(10**5000), 7], [3], ([1, 7], [3])),
+            ([7], [-(10**5000)], ([7], [0])),
+            (range(7, 8), range(-(10**5000), -(10**5000) + 2), (range(7, 8), range(-1, 1))),
+        ],
+        ids=["g", "n", "n-range"],
+    )
+    def test_a_skipped_point_too_long_to_print(self, g_values, n_values, printable):
+        # the point is skipped, as a point of the same outcomes that prints
+        summary = sweep_verify(g_values, n_values)
+        assert summary == sweep_verify(*printable)
+        assert summary.ok and summary.skip_reasons["requires n >= 3 and 2n-2 < g"] >= 1
+
     def test_a_bool_counts_as_an_int(self):
         report = generate_report(7, 3, True)
         assert type(report.k_max) is int and report == generate_report(7, 3, 1)
@@ -433,6 +465,19 @@ class TestStrictParse:
         with pytest.raises(DomainError, match=r"^cannot read 'g' from JSON: expected an integer, got \"9+$"):
             GonalReport.from_dict(doc)
 
+    def test_a_number_past_the_int_limit(self):
+        limit = int_text_limit()
+        if not limit:
+            pytest.skip("this interpreter reads any number of digits")
+        text = emit_json(generate_report(9, 3, 4)).replace('"g": 9,', f'"g": {"9" * (limit + 701)},')
+        with pytest.raises(DomainError) as info:
+            parse_json(text)
+        assert str(info.value).startswith("cannot read JSON: ") and "\n" not in str(info.value)
+
+    def test_text_that_is_no_json(self):
+        with pytest.raises(DomainError, match=r"^cannot read JSON: Expecting value: line 1 column 1 \(char 0\)$"):
+            parse_json("")
+
     def test_null_only_where_the_hint_allows_it(self):
         report = generate_report(13, 4, 3)
         doc = report.to_dict()
@@ -501,6 +546,22 @@ class TestTables:
         assert type(r.section_counts) is type(base.section_counts)
         assert r.section_counts == rows and list(r.section_counts) == list(rows)
         assert base._replace(section_counts=()).section_counts == ()
+
+    def test_many_pieces_are_read_in_one_pass(self):
+        # 2 x 10^5 rows of alternating h^0, a piece every two rows: a read
+        # that restarts at the top for every piece takes minutes
+        rows = [(k, k % 2) for k in range(1, 200001)]
+        base = generate_report(12, 4, 0)
+        start = time.perf_counter()
+        replaced = base._replace(k_max=len(rows), section_counts=rows)
+        assert time.perf_counter() - start < 2
+        assert list(replaced.section_counts) == rows
+        assert len(replaced.section_counts.columns[1]) == len(rows) // 2
+        text = emit_json(replaced)
+        start = time.perf_counter()
+        parsed = parse_json(text)
+        assert time.perf_counter() - start < 2
+        assert parsed == replaced and emit_json(parsed) == text
 
     def test_runs_round_trip(self):
         rng = random.Random(3)
@@ -937,6 +998,10 @@ MUTANTS = {
     "fe-intersect-c0-squared": (
         hirzebruch.FeBundle, "intersect", lambda f: lambda s, o: f(s, o) - s.a * o.a
     ),
+    # a wrong h^0 that keeps Serre duality
+    "fe-h0-plus-one": (hirzebruch, "_h0", lambda f: lambda bundle: f(bundle) + 1),
+    "fe-h0-plus-five": (hirzebruch, "_h0", lambda f: lambda bundle: f(bundle) + 5),
+    "fe-h0-doubled": (hirzebruch, "_h0", lambda f: lambda bundle: 2 * f(bundle)),
 }
 
 
