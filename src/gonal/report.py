@@ -168,11 +168,11 @@ class _Table(Sequence):
     def from_cells(cls, row: type, columns: Iterable[Sequence], name: str) -> "_Table":
         """The table of the field name from the given cell columns.  A column
         whose cells all have its type is taken as it is; else each cell is
-        read as _decoder reads a JSON value of that type."""
+        read as _decode reads a JSON value of that type."""
         pieces = []
         for (key, _, tp), cells in zip(_plan(row), columns, strict=True):
             if not set(map(type, cells)) <= {tp}:
-                cells = list(map(_decoder(tp, f"{name}.{key}"), cells))
+                cells = list(map(partial(_scalar, tp, f"{name}.{key}"), cells))
             pieces.append(_runs(cells, tp))
         return cls(row, pieces)
 
@@ -241,7 +241,7 @@ class GonalReport(_Validated, _ReportFields):
 
     @classmethod
     def from_dict(cls, d: dict) -> "GonalReport":
-        return _decoder(cls, cls.__name__)(d)
+        return _decode(cls, cls.__name__, d)
 
 
 def _column(h0: Callable[[int], int], switches: list[int], k_max: int) -> list[_Piece]:
@@ -485,62 +485,45 @@ def _scalar(tp: type, name: str, v):
     raise _refused(name, _SCALARS.get(tp) or f"a {tp.__name__} value", v)
 
 
-@cache
-def _decoder(tp, name: str):
-    """A function rebuilding a value of type tp, in the field name, from its
-    JSON value as emit_json writes it; any other value raises DomainError.
+def _decode(tp, name: str, v):
+    """The value of type tp, in the field name, that emit_json writes as the
+    JSON value v; any other value raises DomainError.
 
     Null is None only in a field typed X | None, and tuples are
     homogeneous.  A table is read column by column.
     """
     origin = get_origin(tp)
     if origin in (Union, types.UnionType):
-        decode = _decoder(_bare(tp), name)
-        return lambda v: None if v is None else decode(v)
+        return None if v is None else _decode(_bare(tp), name, v)
     if origin is tuple:
         (item,) = set(get_args(tp)) - {Ellipsis}
-        decode_item = _decoder(item, name)
         size = None if Ellipsis in get_args(tp) else len(get_args(tp))
-
-        def decode_tuple(v):
-            if type(v) is not list or size not in (None, len(v)):
-                raise _refused(name, f"an array of {size}" if size else "an array", v)
-            return tuple(v) if set(map(type, v)) <= {item} else tuple(map(decode_item, v))
-
-        return decode_tuple
+        if type(v) is not list or size not in (None, len(v)):
+            raise _refused(name, f"an array of {size}" if size else "an array", v)
+        return tuple(v) if set(map(type, v)) <= {item} else tuple(_decode(item, name, x) for x in v)
     if origin is _Table:
         (row,) = get_args(tp)
+        keys = [key for key, _, _ in _plan(row)]
         shape = dict if _is_record(row) else list
-        getters = [itemgetter(key) for key, _, _ in _plan(row)]
-
-        def decode_table(rows):
-            shaped = type(rows) is list and set(map(type, rows)) <= {shape}
-            if shaped and set(map(len, rows)) <= {len(getters)}:
-                with suppress(KeyError):  # a row object that names another field
-                    return _Table.from_cells(row, [list(map(get, rows)) for get in getters], name)
-            raise _refused(name, f"an array of {len(getters)}-cell rows", rows)
-
-        return decode_table
+        if type(v) is list and set(map(type, v)) <= {shape} and set(map(len, v)) <= {len(keys)}:
+            with suppress(KeyError):  # a row object that names another field
+                return _Table.from_cells(row, [list(map(itemgetter(key), v)) for key in keys], name)
+        raise _refused(name, f"an array of {len(keys)}-cell rows", v)
     if _is_record(tp):
-        plan = [(key, group, _decoder(t, key)) for key, group, t in _plan(tp)]
+        plan = _plan(tp)
+        try:
+            values = [v[key] if group is None else v[group][key] for key, group, _ in plan]
+        except (KeyError, TypeError):  # a missing field, or a group that is no object
+            raise _refused(name, f"an object with every {tp.__name__} field", v) from None
         # the keys emit_json writes in each group, and at the top (None)
-        keys = {group: {key for key, grp, _ in plan if grp == group} for _, group, _ in plan}
-        keys[None] = {group or key for key, group, _ in plan}
-
-        def decode(d: dict):
-            try:
-                values = [d[key] if group is None else d[group][key] for key, group, _ in plan]
-            except (KeyError, TypeError):  # a missing field, or a group that is no object
-                raise _refused(name, f"an object with every {tp.__name__} field", d) from None
-            for group, known in keys.items():
-                unknown = [key for key in (d if group is None else d[group]) if key not in known]
-                if unknown:
-                    raise _refused(group or name, f"only {tp.__name__} fields", unknown[0])
-            return tp(*[dec(v) for v, (_, _, dec) in zip(values, plan)])
-
-        return decode
+        for group in dict.fromkeys([*(group for _, group, _ in plan), None]):
+            known = {key if group else grp or key for key, grp, _ in plan if group in (None, grp)}
+            unknown = [key for key in (v if group is None else v[group]) if key not in known]
+            if unknown:
+                raise _refused(group or name, f"only {tp.__name__} fields", unknown[0])
+        return tp(*[_decode(t, key, x) for x, (key, _, t) in zip(values, plan)])
     if tp in _SCALARS or issubclass(tp, Enum):
-        return partial(_scalar, tp, name)
+        return _scalar(tp, name, v)
     raise TypeError(f"no JSON decoder for {tp!r}")
 
 

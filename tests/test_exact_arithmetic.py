@@ -239,13 +239,12 @@ def test_route_guard_follows_calls():
 
 # Memos: every functools memo in the package names a finite maxsize, so no
 # cache grows with the integers a user passes.  The report codec's caches
-# are keyed by record type, or by a type and a field name, so they hold
-# one entry per type or field, and are exempt by name.
+# are keyed by record type, so they hold one entry per type, and are
+# exempt by name.
 TYPE_KEYED_CACHES = {
     ("report", "_is_record"),
     ("report", "_plan"),
     ("report", "_tables"),
-    ("report", "_decoder"),
     ("report", "_row_template"),
 }
 

@@ -233,7 +233,7 @@ class TestSerialization:
                 raise TypeError("issubclass() arg 1 must be a class")
             return builtins.issubclass(cls, classinfo)
 
-        caches = (report._is_record, report._plan, report._tables, report._decoder, report._row_template)
+        caches = (report._is_record, report._plan, report._tables, report._row_template)
         for cache in caches:
             cache.cache_clear()
         monkeypatch.setattr(report, "issubclass", strict, raising=False)
