@@ -22,7 +22,7 @@ from typing import Annotated, NamedTuple, Union, get_args, get_origin, get_type_
 
 from . import hirzebruch, invariants, picard
 from .chow import AmbientScroll, ChowClass, intersect_number
-from .errors import ConsistencyError, DomainError, _Validated, as_int, digit_cap
+from .errors import ConsistencyError, DomainError, _shown, _Validated, as_int, digit_cap
 from .errors import require_at_least, require_at_most, require_digits
 from .picard import DivisibilityVerdict
 from .scroll import aut_group_numerics, canonical_class, curve_class, generic_scroll
@@ -463,8 +463,15 @@ def _encode_ints(obj):
 
 
 def _refused(name: str, what: str, v) -> DomainError:
-    """The error for a JSON value v of the field name that is not what it takes."""
-    got = {list: "an array", dict: "an object"}.get(type(v)) or json.dumps(v)[:40]
+    """The error for a value v of the field name that is not what it takes:
+    v by its first 40 characters of JSON, an int past the int-to-text limit by
+    its digit count, and a value JSON cannot write by its type."""
+    got = {list: "an array", dict: "an object"}.get(type(v))
+    if got is None:
+        try:
+            got = (_shown(v) if type(v) is int else json.dumps(v))[:40]
+        except (TypeError, ValueError):  # no JSON value, or one holding an int too long to write
+            got = f"a value of type {type(v).__name__}"
     return DomainError(f"cannot read {name!r} from JSON: expected {what}, got {got}")
 
 
@@ -611,7 +618,7 @@ def emit_json(report: GonalReport) -> str:
 def parse_json(text: str) -> GonalReport:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # no JSON, or a number past the int-to-text limit
+    except (ValueError, RecursionError) as exc:  # no JSON, an int past the limit, or too deep
         raise DomainError(f"cannot read JSON: {exc}") from None
     return GonalReport.from_dict(doc)
 

@@ -138,6 +138,9 @@ class TestRingAxioms:
         amb = AmbientScroll(7, 3)
         x = ChowClass(amb, {(1, 0): 4})
         assert 3 * x == x * 3 == ChowClass(amb, {(1, 0): 12})
+        # only an int scales a class, from either side
+        with pytest.raises(TypeError):
+            2.5 * x
 
     def test_mismatched_ambient_rejected(self):
         x = ChowClass(AmbientScroll(5, 3), {(1, 0): 1})
@@ -150,6 +153,8 @@ class TestRingAxioms:
         x = ChowClass(amb, {(1, 0): 1, (0, 1): 2})
         y = ChowClass(amb, {(0, 1): 2, (1, 0): 1})
         assert x == y and hash(x) == hash(y)
+        # a class equals no other kind of value
+        assert (x == "D") is False and x != "D"
 
 
 class TestIntersectNumber:

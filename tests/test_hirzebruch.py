@@ -43,6 +43,8 @@ class TestFeBundle:
         # no integer multiples: a multiple is built as its own bundle
         with pytest.raises(TypeError):
             3 * FeBundle(1, 1, 2)
+        with pytest.raises(TypeError, match="cannot combine FeBundle with int"):
+            FeBundle(0, 1, 0) + 3
 
 
 class TestCanonicalBundle:

@@ -67,6 +67,10 @@ class TestBinaryForm:
         form = BinaryForm(6, (-1, 12, 0, 0, 0, 0, 7), p=7)
         assert form.coefficients == (6, 5, 0, 0, 0, 0, 0)
 
+    def test_prime_field_takes_integers_only(self):
+        with pytest.raises(DomainError, match=r"^GF\(7\) scalars must be integers \(got Fraction\(1, 2\)\)$"):
+            BinaryForm(6, (Fraction(1, 2), 0, 0, 0, 0, 0, 1), p=7)
+
     def test_evaluate(self):
         form = BinaryForm(6, from_roots([0, 1, 2, 3, 4, 5], 6))
         assert form.evaluate(6) == 720
@@ -203,6 +207,18 @@ class TestDiscriminant:
 
     def test_zero_form(self):
         assert not discriminant_nonzero(BinaryForm(6, (0,) * 7))
+
+    def test_derivative_zero_mod_p(self):
+        # x^6 + 1 = (x^2 + 1)^3 over GF(3), and f' = 6x^5 vanishes there
+        form = BinaryForm(6, (1, 0, 0, 0, 0, 0, 1), p=3)
+        assert not discriminant_nonzero(form)
+        assert not discriminant_nonzero(form, method="resultant")
+
+    def test_constant_derivative_mod_p(self):
+        # x^5 + x + 1 over GF(5), with a simple root at infinity: f' = 5x^4 + 1 = 1
+        form = BinaryForm(6, (1, 1, 0, 0, 0, 1, 0), p=5)
+        assert discriminant_nonzero(form)
+        assert discriminant_nonzero(form, method="resultant")
 
     def test_gcd_vs_resultant_random(self):
         p = 10007

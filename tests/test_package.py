@@ -139,6 +139,7 @@ PRIVATE_READS = [
     ("invariants", "scroll._generic_splitting"),
     ("picard", "errors._Validated"),
     ("report", "errors._Validated"),
+    ("report", "errors._shown"),
     ("scroll", "errors._Validated"),
     ("chow", "errors._Validated"),
 ]

@@ -12,6 +12,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations_with_replacement
 from pathlib import Path
@@ -478,6 +479,30 @@ class TestStrictParse:
         with pytest.raises(DomainError, match=r"^cannot read JSON: Expecting value: line 1 column 1 \(char 0\)$"):
             parse_json("")
 
+    @pytest.mark.parametrize("text", ["[" * 100000, '{"input": ' * 100000], ids=["arrays", "objects"])
+    def test_text_nested_too_deep(self, text):
+        with pytest.raises(DomainError, match=r"^cannot read JSON: [^\n]+$"):
+            parse_json(text)
+
+    @pytest.mark.parametrize(
+        "path, value, got",
+        [
+            (("input", "g"), Fraction(7), "a value of type Fraction"),
+            (("input", "g"), {1, 2}, "a value of type set"),
+            (("input", "g"), b"7", "a value of type bytes"),
+            (("input", "g"), object(), "a value of type object"),
+            (("scroll", "surface"), 10**5000, "<5001 digits>" if 0 < int_text_limit() < 5001 else "1" + "0" * 39),
+        ],
+        ids=["fraction", "set", "bytes", "object", "int-past-the-limit"],
+    )
+    def test_a_value_json_cannot_write(self, path, value, got):
+        doc = generate_report(9, 3, 4).to_dict()
+        _set(*path)(doc, value)
+        field = path[-1]
+        message = rf"^cannot read '{field}' from JSON: expected [^\n]*, got {re.escape(got)}$"
+        with pytest.raises(DomainError, match=message):
+            GonalReport.from_dict(doc)
+
     def test_null_only_where_the_hint_allows_it(self):
         report = generate_report(13, 4, 3)
         doc = report.to_dict()
@@ -513,6 +538,8 @@ class TestTables:
             assert table == rows and table == tuple(rows) and tuple(rows) == table
             assert table != rows[:-1] and table != rows[:-1] + [rows[0]]
             assert hash(table) == hash(tuple(rows))
+            assert (table == 5) is False and table != 5
+            assert repr(table) == repr(tuple(rows))
         assert r.section_counts[0] == (1, 2)
         assert r.oracle_checks[4] == OracleRow(5, 6, 6, True)
 
@@ -714,6 +741,11 @@ class TestRenderText:
         text = render_text(generate_report(8, 4, 2))
         assert "not applicable" in text
         assert "dim-P(L) n/a" in text
+
+    def test_tables_of_different_lengths(self):
+        r = generate_report(5, 3, 4)
+        with pytest.raises(ValueError, match="^the section and oracle tables differ in length$"):
+            render_text(r._replace(oracle_checks=r.oracle_checks[:-1]))
 
 
 class TestBlockEdges:
@@ -1296,6 +1328,14 @@ class TestSplitSweep:
         # never more slices than CPUs
         monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
         assert len(checks._slices(range(5, 121), range(3, 11))) == 2
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        # where os.sched_getaffinity is missing, as on macOS, os.cpu_count stands in
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert checks._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert checks._usable_cpus() == 1
 
     def test_no_fork_with_another_thread_alive(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
