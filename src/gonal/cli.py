@@ -75,27 +75,24 @@ def _value_too_long(coeffs: list, scaled: list[int], x0, digits: int) -> bool:
     computed.  Here scaled holds c'_i = L*c_i, L the lcm of the c_i's
     denominators, and c'_m is the top nonzero one.
 
-    f(x0) = N / (L*q^m) with N = c'_m p^m (mod q), so if c'_m is prime to q
-    the reduced denominator is >= q^m.  If |p| >= q and |c'_m p| >=
+    f(x0) = N / (L*q^m) with N = c'_m p^m (mod q), so for each prime l of q
+    the l-part of gcd(N, q^m) divides that of h^m, h = gcd(c'_m, q), and the
+    reduced denominator is >= (q/h)^m.  If |p| >= q and |c'_m p| >=
     2q (|c'_0| + ... + |c'_{m-1}|), the lower terms are at most half the top
     one, so the reduced numerator is >= |f(x0)| >= |c_m| |x0|^m / 2.
     """
-    m = max((i for i, c in enumerate(scaled) if c), default=None)
-    if m is None:
-        return False  # f = 0, refused as singular
+    m = max((i for i, c in enumerate(scaled) if c), default=0)  # f = 0 is refused as singular
     p, q = abs(x0.numerator), x0.denominator
-    # a >= 2^(bits(a) - 1) and b < 2^bits(b), and 2^3.33 > 10
-    if 100 * (q.bit_length() - 1) * m >= 333 * digits and gcd(scaled[m], q) == 1:
-        return True
-    if p < q or abs(scaled[m]) * p < 2 * q * sum(map(abs, scaled[:m])):
-        return False
-    c = coeffs[m]
-    # |c_m| |x0|^m / 2 >= 2^bits
-    bits = (
-        abs(c.numerator).bit_length() - 1 - c.denominator.bit_length()
-        + m * (p.bit_length() - 1 - q.bit_length()) - 1
-    )
-    return 100 * bits >= 333 * digits
+    # a part of f(x0) is >= 2^bits, as a >= 2^(bits(a) - 1) and b < 2^bits(b)
+    bits = m * ((q // gcd(scaled[m], q)).bit_length() - 1)
+    if p >= q and abs(scaled[m]) * p >= 2 * q * sum(map(abs, scaled[:m])):
+        c = coeffs[m]  # |c_m| |x0|^m / 2 >= 2^bits
+        bits = max(
+            bits,
+            abs(c.numerator).bit_length() - 1 - c.denominator.bit_length()
+            + m * (p.bit_length() - 1 - q.bit_length()) - 1,
+        )
+    return 100 * bits >= 333 * digits  # 2^3.33 > 10
 
 
 def _cmd_twist(args) -> int:

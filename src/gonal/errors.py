@@ -64,11 +64,19 @@ def decimal_digits(value: int) -> int:
     return d
 
 
+def digits_past_limit(value: int) -> int:
+    """The decimal digits of value if they are more than the int-to-text limit
+    lets the interpreter write, else 0."""
+    limit = int_text_limit()
+    if limit and value.bit_length() > 3 * limit and (digits := decimal_digits(value)) > limit:
+        return digits
+    return 0
+
+
 def _shown(value: int) -> str:
     """value in decimal or, past the int-to-text limit, its sign and its
     digit count, as -<5001 digits>."""
-    limit = int_text_limit()
-    if limit and value.bit_length() > 3 * limit and (digits := decimal_digits(value)) > limit:
+    if digits := digits_past_limit(value):
         return f"{'-' if value < 0 else ''}<{digits} digits>"
     return str(value)
 

@@ -134,8 +134,6 @@ def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
         top = mat[col]
         for row in mat[col + 1 :]:
             lead = row[col]
-            if lead == 0 and p is not None:
-                continue  # mod p rows need not stay minors: leave a zero lead alone
             for c in range(col + 1, size):
                 x = top[col] * row[c] - lead * top[c]
                 row[c] = x % p if p is not None else x // prev

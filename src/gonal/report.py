@@ -23,6 +23,7 @@ from typing import Annotated, NamedTuple, Union, get_args, get_origin, get_type_
 from . import hirzebruch, invariants, picard
 from .chow import AmbientScroll, ChowClass, intersect_number
 from .errors import ConsistencyError, DomainError, _shown, _Validated, as_int, digit_cap
+from .errors import digits_past_limit, int_text_limit
 from .errors import require_at_least, require_at_most, require_digits
 from .picard import DivisibilityVerdict
 from .scroll import aut_group_numerics, canonical_class, curve_class, generic_scroll
@@ -167,11 +168,14 @@ class _Table(Sequence):
     @classmethod
     def from_cells(cls, row: type, columns: Iterable[Sequence], name: str) -> "_Table":
         """The table of the field name from the given cell columns.  A column
-        whose cells all have its type is taken as it is; else each cell is
-        read as _decode reads a JSON value of that type."""
+        whose cells all have its type is taken as it is, once _writable has
+        read its extremes; else each cell is read as _decode reads a JSON
+        value of that type."""
         pieces = []
         for (key, _, tp), cells in zip(_plan(row), columns, strict=True):
-            if not set(map(type, cells)) <= {tp}:
+            if set(map(type, cells)) <= {tp}:
+                _writable(tp, f"{name}.{key}", cells)
+            else:
                 cells = list(map(partial(_scalar, tp, f"{name}.{key}"), cells))
             pieces.append(_runs(cells, tp))
         return cls(row, pieces)
@@ -478,12 +482,23 @@ def _refused(name: str, what: str, v) -> DomainError:
 _SCALARS = {int: "an integer", bool: "true or false", str: "a string"}
 
 
+def _writable(tp: type, name: str, values: Sequence) -> Sequence:
+    """values, each of type tp, in the field name, unless an int among them
+    has more digits than the interpreter writes, which raises DomainError.
+    Only the least and the greatest are read."""
+    if tp is int and values:
+        for v in (min(values), max(values)):
+            if digits_past_limit(v):
+                raise _refused(name, f"an integer of at most {int_text_limit()} digits", v)
+    return values
+
+
 def _scalar(tp: type, name: str, v):
     """The value of type tp, in the field name, that JSON writes as v: an int
     as an integer or a decimal string, a bool as true or false, a string as
     a string and an enum as its value."""
     if type(v) is tp:  # not isinstance: a bool is no int
-        return v
+        return _writable(tp, name, (v,))[0]
     if tp is int and type(v) is str and v.isascii() and v.removeprefix("-").isdecimal():
         with suppress(ValueError):  # more digits than the interpreter reads
             return int(v)
@@ -507,7 +522,9 @@ def _decode(tp, name: str, v):
         size = None if Ellipsis in get_args(tp) else len(get_args(tp))
         if type(v) is not list or size not in (None, len(v)):
             raise _refused(name, f"an array of {size}" if size else "an array", v)
-        return tuple(v) if set(map(type, v)) <= {item} else tuple(_decode(item, name, x) for x in v)
+        if set(map(type, v)) <= {item}:
+            return tuple(_writable(item, name, v))
+        return tuple(_decode(item, name, x) for x in v)
     if origin is _Table:
         (row,) = get_args(tp)
         keys = [key for key, _, _ in _plan(row)]

@@ -346,6 +346,52 @@ class TestTwistCommand:
     def test_huge_values_exit_2(self, coeffs, a, x0, message):
         assert_refused(["twist", f"--coeffs={coeffs}", f"--a={a}", f"--x0={x0}"], message)
 
+    def test_value_bound_is_sound(self):
+        # whenever f(x0) is refused from sizes, one of its exact parts has
+        # more than `digits` digits; top coefficients share primes with q
+        from fractions import Fraction
+        from math import gcd, prod
+
+        from gonal.cli import _value_too_long
+        from gonal.hyperelliptic import _integer_scaled
+
+        rng = random.Random(34)
+        primes = (2, 3, 5, 7)
+        fired = shared = 0
+        for _ in range(3000):
+            q = prod(rng.choice(primes) ** rng.randint(0, 8) for _ in range(2))
+            x0 = Fraction(rng.randint(-(2**40), 2**40) >> rng.randint(0, 40), q)
+            coeffs = [
+                Fraction(rng.randint(-30, 30), rng.choice(primes) ** rng.randint(0, 3))
+                for _ in range(rng.randint(6, 12) + 1)
+            ]
+            top = prod(rng.choice(primes) ** rng.randint(0, 6) for _ in range(2))
+            coeffs[-1] = Fraction(rng.choice((top, -top, 0)), rng.randint(1, 3))
+            digits = rng.randint(1, 40)
+            scaled = _integer_scaled(coeffs)
+            if _value_too_long(coeffs, scaled, x0, digits):
+                value = sum(c * x0**i for i, c in enumerate(coeffs))
+                assert max(len(str(abs(value.numerator))), len(str(value.denominator))) > digits
+                fired += 1
+                m = max(i for i, c in enumerate(scaled) if c)
+                shared += gcd(scaled[m], q) > 1
+        assert fired > 1000 and shared > 500
+
+    def test_shared_prime_is_refused_unevaluated(self, monkeypatch, capsys):
+        # the top coefficient 3 shares its prime with q = 3^300, yet the
+        # denominator of f(x0) is at least (q/3)^40, too long to print
+        from gonal import cli, hyperelliptic
+
+        def evaluate(self, x):
+            raise AssertionError("f(x0) was evaluated")
+
+        monkeypatch.setattr(hyperelliptic.BinaryForm, "evaluate", evaluate)
+        coeffs = "1,1," + "0," * 38 + "3"
+        assert cli.main(["twist", f"--coeffs={coeffs}", "--a=1", f"--x0=1/{3**300}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: requires a twisted value a' = f(x0) of at most 4300 digits in numerator and denominator\n"
+        )
+
     def test_costly_discriminant_exits_2(self):
         # genus 10 at 4,000 digits a coefficient ran for over a minute
         from gonal.cli import TWIST_DISCRIMINANT_COST

@@ -503,6 +503,34 @@ class TestStrictParse:
         with pytest.raises(DomainError, match=message):
             GonalReport.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "path, field, sign",
+        [
+            (("input", "g"), "g", 1),
+            (("scroll", "degree"), "degree", 1),
+            # a negative item is the least of its array
+            (("scroll", "splitting", 0), "splitting", -1),
+            (("classes", "curve_class", 1, 2), "curve_class", 1),
+            (("section_counts", 2, 1), "section_counts.1", 1),
+            (("oracle_checks", 3, "oracle_value"), "oracle_checks.oracle_value", 1),
+        ],
+        ids=["g", "degree", "splitting-item", "curve-class-cell", "section-counts-cell", "oracle-checks-cell"],
+    )
+    def test_an_int_too_long_to_write(self, path, field, sign):
+        # an int, not a decimal string, past the int-to-text limit: read
+        # back, emit_json and render_text could not write it
+        limit = int_text_limit()
+        if not 0 < limit < 5000:
+            pytest.skip("this interpreter writes 10^5000")
+        doc = generate_report(9, 3, 4).to_dict()
+        _set(*path)(doc, sign * 10**5000)
+        message = (
+            f"cannot read '{field}' from JSON: expected an integer of at most {limit} digits, "
+            f"got {'-' if sign < 0 else ''}<5001 digits>"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            GonalReport.from_dict(doc)
+
     def test_null_only_where_the_hint_allows_it(self):
         report = generate_report(13, 4, 3)
         doc = report.to_dict()
