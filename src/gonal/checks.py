@@ -13,10 +13,11 @@ detail repr(exc) and a global family's name, so the sweep names it and
 goes on to the next family.
 
 The global checks count first, then the grid points in (g, n) order.  The
-grid runs in slices of about equal estimated cost: the first in this
-process, after the global checks, and each further one in a forked worker
-that sends its tally back over a pipe, merged in slice order, so the
-summary is the one a single process counts.
+work is one list of units, the global families and then runs of
+consecutive points, dealt round-robin to this process and to forked
+workers; each unit counts into a tally of its own, a worker's sent back
+over a pipe, and the tallies merge in unit order, so the summary is the
+one a single process counts.
 """
 
 import json
@@ -38,11 +39,11 @@ from .scroll import validate_scroll
 # global/pencil-count compares its two routes at the grid's gonalities up
 # to this bound; the Pieri table costs O(n^2) additions of O(n)-bit integers.
 _PENCIL_COUNT_MAX_N = 200
-# The most (g, n) points a sweep takes: about a minute at n <= 10, each
-# point costing what _point_us estimates.
+# The most (g, n) points a sweep takes: about a minute at n <= 10, where a
+# point in range takes about 0.4 ms.
 SWEEP_POINT_LIMIT = 10**5
 # The largest sum of n over the points in range a sweep takes, since a
-# point's cost grows with n (_point_us): 10^5 points at n near 20 with this
+# point's cost grows with n: 10^5 points at n near 20 with this
 # sum take 45 to 53 s, and 2 x 10^3 points at n up to 2 x 10^3 take 11 to
 # 14 s (CPython 3.11, one Xeon core; 23 to 29 s and 7 to 8 s split between two).
 SWEEP_GONALITY_LIMIT = 2 * 10**6
@@ -376,31 +377,29 @@ def _report_rows() -> Iterator[tuple]:
         yield f"global/report-roundtrip-{rg}-{rn}", report.parse_json(text) == rep
 
 
-def _global_checks(tally: "_Tally", g_values: list[int], n_values: list[int]) -> None:
-    """Count the properties that are not tied to a single grid point,
-    family by family, so that an error in one family does not stop the others."""
-    tally.count(0, 0, _fe_rows(), "F_e oracle")
-    tally.count(0, 0, _hyperelliptic_rows(), "hyperelliptic routes")
-    tally.count(0, 0, _case_rows(g_values, n_values), "case counts")
-    tally.count(0, 0, _report_rows(), "report round trip")
+def _global_checks(g_values: list[int], n_values: list[int]) -> list[tuple[str, Iterator[tuple]]]:
+    """The properties that are not tied to a single grid point, as
+    (family, rows), each counted on its own so that an error in one family
+    does not stop the others."""
+    return [
+        ("F_e oracle", _fe_rows()),
+        ("hyperelliptic routes", _hyperelliptic_rows()),
+        ("case counts", _case_rows(g_values, n_values)),
+        ("report round trip", _report_rows()),
+    ]
 
 
 # ---------------------------------------------------------------------------
-# the grid, in slices run by forked workers
+# the work, dealt round-robin to forked workers
 # ---------------------------------------------------------------------------
 
-# Estimated costs in microseconds (CPython 3.11, one Xeon core): the global
-# checks, which the parent runs, and a point, _point_us.  The global checks
-# took 48 to 87 ms in a fresh process, 0.16 to 0.22 of the points of
-# g 5..120 x n 3..10, which _point_us puts at 388 ms.
-_GLOBAL_US = 60_000
-# The least estimated work a slice is cut for: about 25 times the 1 to 2 ms
-# of a worker's fork, pipe and reaping.
-_SLICE_US = 50_000
-
-
-def _point_us(g: int, n: int) -> int:
-    return 400 + 7 * n if in_scroll_range(g, n) else 3
+# The points in range worth a process: about 50 ms of checks, 25 times the
+# 1 to 2 ms of a worker's fork, pipe and reaping.
+_POINTS_PER_PROCESS = 128
+# The runs of consecutive points dealt to each process: dealt round-robin,
+# they give each process a share of every part of the grid, cheap skips and
+# dear points alike.
+_RUNS_PER_PROCESS = 8
 
 
 def _usable_cpus() -> int:
@@ -413,29 +412,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _slices(g_values: Sequence[int], n_values: Sequence[int]) -> list[range]:
-    """The indices of the grid's points in sweep order (point i is
-    g_values[i // len(n_values)], n_values[i % len(n_values)]), cut into
-    contiguous slices of about equal estimated cost, the global checks
-    counted in the first: one slice per usable CPU, at most one per
-    _SLICE_US of work."""
-    points = len(g_values) * len(n_values)
-    cpus = _usable_cpus()
-    if cpus == 1:
-        return [range(points)]
-    costs = [_point_us(g, n) for g in g_values for n in n_values]
-    work = _GLOBAL_US + sum(costs)
-    count = max(1, min(cpus, work // _SLICE_US))
-    cuts, done = [0], _GLOBAL_US
-    for i, cost in enumerate(costs):
-        # cut before the point whose middle passes the next multiple of the
-        # share work / count
-        if i and len(cuts) < count and count * (2 * done + cost) > 2 * len(cuts) * work:
-            cuts.append(i)
-        done += cost
-    return [range(a, b) for a, b in zip(cuts, [*cuts[1:], points])]
 
 
 class _Tally:
@@ -474,14 +450,21 @@ class _Tally:
     def dumps(self) -> bytes:
         return json.dumps([self.outcomes, list(self.skip_reasons.items()), self.failures]).encode()
 
-    def merge(self, data: bytes) -> None:
-        """Count a later tally's dumps() after this one's rows, as if
-        they had been counted here; ValueError where data does not parse."""
-        outcomes, skip_reasons, failures = json.loads(data)
-        self.outcomes.update(outcomes)
-        for reason, times in skip_reasons:
-            self.skip_reasons[reason] += times
-        self.failures += failures[: self.KEPT - len(self.failures)]
+    @classmethod
+    def loads(cls, data: bytes) -> "_Tally":
+        """The tally whose dumps() is data; ValueError where data does not parse."""
+        tally = cls()
+        outcomes, skip_reasons, tally.failures = json.loads(data)
+        tally.outcomes.update(outcomes)
+        tally.skip_reasons.update(dict(skip_reasons))
+        return tally
+
+    def merge(self, later: "_Tally") -> None:
+        """Count a later tally's rows after this one's, as if they had been
+        counted here."""
+        self.outcomes.update(later.outcomes)
+        self.skip_reasons.update(later.skip_reasons)
+        self.failures += later.failures[: self.KEPT - len(self.failures)]
 
     def summary(self) -> SweepSummary:
         passed, failed = self.outcomes["pass"], self.outcomes["fail"]
@@ -492,9 +475,9 @@ class _Tally:
         )
 
 
-def _fork(count: Callable[[_Tally, range], None], part: range) -> tuple[int, BinaryIO]:
-    """A worker that counts the points of part into a new tally and writes
-    the tally's dump to a pipe: its pid and the pipe's read end."""
+def _fork(count: Callable[[object], _Tally], units: list) -> tuple[int, BinaryIO]:
+    """A worker that counts each of units into a new tally and writes their
+    dumps to a pipe, one a line: its pid and the pipe's read end."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -509,10 +492,8 @@ def _fork(count: Callable[[_Tally, range], None], part: range) -> tuple[int, Bin
         code = 1
         try:
             os.close(read_end)
-            tally = _Tally()
-            count(tally, part)
             with open(write_end, "wb") as pipe:
-                pipe.write(tally.dumps())
+                pipe.write(b"\n".join(count(unit).dumps() for unit in units))
             code = 0
         finally:
             os._exit(code)
@@ -520,60 +501,76 @@ def _fork(count: Callable[[_Tally, range], None], part: range) -> tuple[int, Bin
     return pid, open(read_end, "rb")
 
 
-def _sweep(g_values: Sequence[int], n_values: Sequence[int]) -> _Tally:
+def _sweep(g_values: Sequence[int], n_values: Sequence[int], in_range: int) -> _Tally:
     """The tally of the global checks, then of every grid point in (g, n)
-    order.  The slices after the first run in forked workers, started
-    before any check runs; where a fork fails, the slices left run here
-    after the workers' tallies.  A worker that dies, exits nonzero or sends
-    an unreadable tally counts as one failing RAISED row naming its
-    genera."""
-    m = len(n_values)
+    order.  The work is one list of units, the global families and then
+    runs of consecutive points, dealt round-robin: process k of w, this one
+    being 0, counts units k, k + w, ..., each into a tally of its own, and
+    the tallies merge in unit order.  The workers are forked before any
+    check runs; where a fork fails, this process counts the units of every
+    process not started.  A worker that dies, exits nonzero or sends an
+    unreadable dump counts as one failing RAISED row at its first unit,
+    naming its runs, and its other units count nothing."""
+    m, points = len(n_values), len(g_values) * len(n_values)
 
-    def count(tally: _Tally, part: range) -> None:
-        for i in part:
-            g, n = g_values[i // m], n_values[i % m]
-            tally.count(g, n, _point_rows(g, n))
+    def count(unit) -> _Tally:
+        tally = _Tally()
+        if isinstance(unit, range):
+            for i in unit:
+                g, n = g_values[i // m], n_values[i % m]
+                tally.count(g, n, _point_rows(g, n))
+        else:
+            family, rows = unit
+            tally.count(0, 0, rows, family)
+        return tally
 
-    first, *rest = _slices(g_values, n_values)
-    tally, workers = _Tally(), []  # workers: (slice, pid, read end), in slice order
+    # no more processes than runs, so that each has one
+    w = min(_usable_cpus(), 1 + in_range // _POINTS_PER_PROCESS, points)
+    runs = min(points, _RUNS_PER_PROCESS * w)
+    cuts = [points * j // runs for j in range(runs + 1)]
+    units = [*_global_checks(g_values, n_values), *map(range, cuts, cuts[1:])]
+    tallies = [_Tally() for _ in units]
+    workers = []  # (k, pid, read end), in process order
     try:
         try:
-            for part in rest:
-                workers.append((part, *_fork(count, part)))
+            for k in range(1, w):
+                workers.append((k, *_fork(count, units[k::w])))
         except OSError:
-            pass  # no more processes: the slices left run here, last
-        local = rest[len(workers):]
-        _global_checks(tally, g_values, n_values)
-        count(tally, first)
+            pass  # no more processes: this one counts the units left
+        for k in (0, *range(len(workers) + 1, w)):
+            tallies[k::w] = [count(unit) for unit in units[k::w]]
         while workers:
-            part, pid, pipe = workers[0]
+            k, pid, pipe = workers[0]
             data = pipe.read()
             pipe.close()
             del workers[0]
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if not code:
                 try:
-                    tally.merge(data)
+                    # a dump of another length fails the assignment with ValueError
+                    tallies[k::w] = [_Tally.loads(line) for line in data.split(b"\n")]
                     continue
                 except ValueError:
                     pass
-            lo, hi = (g_values[i // m] for i in (part[0], part[-1]))
+            mine = [unit for unit in units[k::w] if isinstance(unit, range)]
+            lo, hi = g_values[mine[0][0] // m], g_values[mine[-1][-1] // m]
             how = (
                 f"was killed by signal {-code}" if code < 0
                 else f"exited with status {code}" if code
                 else "sent an unreadable tally"
             )
-            detail = f"the worker for g={lo}..{hi} {how}"
-            tally.count(0, 0, [(RAISED, False, detail)])
-        for part in local:
-            count(tally, part)
+            detail = f"the worker for one run in {w} of g={lo}..{hi} {how}"
+            tallies[k].count(0, 0, [(RAISED, False, detail)])
     finally:
         # an interrupted sweep leaves no worker running, nor a zombie
         for _, pid, pipe in workers:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return tally
+    total, *later = tallies
+    for tally in later:
+        total.merge(tally)
+    return total
 
 
 def _distinct(name: str, values: Iterable[int]) -> list[int]:
@@ -622,13 +619,14 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
         )
         raise DomainError(f"requires at most {SWEEP_POINT_LIMIT} grid points (got {got})")
     # the grid now has at most SWEEP_POINT_LIMIT points
-    gonality = sum(n for g in g_values for n in n_values if in_scroll_range(g, n))
+    in_range = [n for g in g_values for n in n_values if in_scroll_range(g, n)]
+    gonality = sum(in_range)
     if gonality > SWEEP_GONALITY_LIMIT:
         raise DomainError(
             f"requires a sum of n over the points in range of at most "
             f"{SWEEP_GONALITY_LIMIT} (got {gonality})"
         )
-    return _sweep(g_values, n_values).summary()
+    return _sweep(g_values, n_values, len(in_range)).summary()
 
 
 def render_sweep_text(summary: SweepSummary) -> str:

@@ -161,19 +161,21 @@ def test_report_grid_bytes():
 
 
 def test_verify_grid_bytes(capsys, monkeypatch):
-    # through two slices, the second in a forked worker, whatever the CPUs
-    monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
+    # dealt to two and to three processes, all but one forked workers,
+    # whatever the CPUs: the grid's 270 points in range allow three
     fork, forks = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
-    digest = hashlib.sha256()
-    for fmt in ("text", "json"):
-        code = cli.main(
-            ["verify", "--genus-min", "0", "--genus-max", "40",
-             "--gonality-min", "0", "--gonality-max", "12", "--format", fmt]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        digest.update(out.encode())
-    assert '"checked": 6402' in out and '"skipped": 263' in out
-    assert digest.hexdigest() == VERIFY_GRID
-    assert len(forks) == 2 and all(forks)
+    for cpus in (2, 3):
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
+        digest = hashlib.sha256()
+        for fmt in ("text", "json"):
+            code = cli.main(
+                ["verify", "--genus-min", "0", "--genus-max", "40",
+                 "--gonality-min", "0", "--gonality-max", "12", "--format", fmt]
+            )
+            out = capsys.readouterr().out
+            assert code == 0
+            digest.update(out.encode())
+        assert '"checked": 6402' in out and '"skipped": 263' in out
+        assert digest.hexdigest() == VERIFY_GRID
+    assert len(forks) == 2 * 1 + 2 * 2 and all(forks)

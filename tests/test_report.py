@@ -127,13 +127,15 @@ class TestGenerateReport:
 
     def test_genus_capped(self, monkeypatch):
         # every value a report or a sweep prints stays within the digits
-        # the interpreter converts to text
-        message = r"^requires g < 10\^4000 \(got a genus of more than 4000 digits\)$"
+        # the interpreter converts to text: 4000 by default, fewer under a
+        # lowered int-to-text limit
+        digits = report.genus_digits()
+        message = rf"^requires g < 10\^{digits} \(got a genus of more than {digits} digits\)$"
         with pytest.raises(DomainError, match=message):
             generate_report(report.GENUS_LIMIT, 3, 0)
         with pytest.raises(DomainError, match=message):
             sweep_verify(range(5, report.GENUS_LIMIT + 1), [3])
-        assert generate_report(report.GENUS_LIMIT - 1, 3, 0).g == 10**4000 - 1
+        assert generate_report(10**digits - 1, 3, 0).g == 10**digits - 1
         # read from its one home
         monkeypatch.setattr(report, "GENUS_LIMIT", 100)
         assert sweep_verify(range(97, 100), [3, 4]).ok
@@ -994,21 +996,17 @@ def patch_everywhere(monkeypatch, name, replacement):
 
 
 def one_process(monkeypatch):
-    """Run every sweep in this process, as one slice: for tests that watch
-    the sweep's calls or memory from inside the process."""
-    monkeypatch.setattr(checks, "_slices", lambda g, n: [range(len(g) * len(n))])
+    """Run every sweep in this process: for tests that watch the sweep's
+    calls or memory from inside the process."""
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
 
 
-def cut_into(count):
-    """A stand-in for checks._slices that cuts the grid's points into count
-    runs of about equal length, whatever the CPUs."""
-
-    def slices(g_values, n_values):
-        points = len(g_values) * len(n_values)
-        cuts = [points * j // count for j in range(count + 1)]
-        return [range(a, b) for a, b in zip(cuts, cuts[1:])]
-
-    return slices
+def cut_into(monkeypatch, count, runs=checks._RUNS_PER_PROCESS):
+    """Deal every sweep's work to count processes, each given runs runs of
+    points, whatever the CPUs and however few the points in range."""
+    monkeypatch.setattr(checks, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(checks, "_POINTS_PER_PROCESS", 1)
+    monkeypatch.setattr(checks, "_RUNS_PER_PROCESS", runs)
 
 
 def assert_no_child():
@@ -1289,7 +1287,8 @@ class TestSweep:
             # the oracle's ConsistencyError is a failing check, not a traceback
             assert summary.first_failure.startswith(f"{checks.RAISED}: ConsistencyError(")
             tally = checks._Tally()
-            _global_checks(tally, [5], [3])
+            for family, rows in _global_checks([5], [3]):
+                tally.count(0, 0, rows, family)
             # the two families that raise are told apart by name, and
             # nothing else fails
             prefix = f"{checks.RAISED}: "
@@ -1314,8 +1313,9 @@ class TestSweep:
 
 
 class TestSplitSweep:
-    """The grid in slices, each after the first in a forked worker: the same
-    summary as one process, and no worker left behind."""
+    """The sweep's work dealt round-robin, the units of every process but
+    this one counted in forked workers: the same summary as one process,
+    and no worker left behind."""
 
     GRID = range(0, 60), range(0, 9)
 
@@ -1324,38 +1324,57 @@ class TestSplitSweep:
         yield
         assert_no_child()
 
-    def test_slices_cover_the_grid_in_order(self, monkeypatch):
-        monkeypatch.setattr(checks, "_usable_cpus", lambda: 64)
-        for g_values, n_values in (self.GRID, (range(5, 121), range(3, 11)), ([5], range(3, 100001))):
-            parts = checks._slices(g_values, n_values)
-            assert len(parts) > 1
-            assert [i for part in parts for i in part] == list(range(len(g_values) * len(n_values)))
-            assert all(parts)
+    @staticmethod
+    def counted_forks(monkeypatch) -> list[int]:
+        """The pids os.fork returns from here on, in this process."""
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
+        return forks
 
-    def test_slices_are_balanced(self, monkeypatch):
-        # the estimated work of each slice, the global checks in the first,
-        # is the share to within one point
-        monkeypatch.setattr(checks, "_usable_cpus", lambda: 4)
-        g_values, n_values = range(5, 121), range(3, 11)
-        parts = checks._slices(g_values, n_values)
-        m = len(n_values)
-        cost = [checks._point_us(g_values[i // m], n_values[i % m]) for i in range(len(g_values) * m)]
-        work = [sum(cost[i] for i in part) for part in parts]
-        work[0] += checks._GLOBAL_US
-        share = sum(work) / len(parts)
-        assert len(parts) == 4
-        assert all(abs(w - share) <= max(cost) for w in work), (work, share)
+    def test_the_units_cover_the_grid_in_order(self, monkeypatch):
+        # each unit skips once under its own reason, so the merged skip
+        # reasons list the units as counted: the global families, then
+        # every point once, in (g, n) order
+        monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [
+            (family, iter([("planted", None, family)])) for family in ("a", "b", "c", "d")
+        ])
+        monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("planted", None, f"{g} {n}")])
+        forks = self.counted_forks(monkeypatch)
+        # a single genus splits too
+        for g_values, n_values in (self.GRID, ([1001], range(3, 500)), ([5], [3])):
+            points = len(g_values) * len(n_values)
+            expected = ["a", "b", "c", "d", *(f"{g} {n}" for g in g_values for n in n_values)]
+            for count, runs in itertools.product((1, 2, 3, 5), (1, 8)):
+                cut_into(monkeypatch, count, runs)
+                forks.clear()
+                summary = sweep_verify(g_values, n_values)
+                assert list(summary.skip_reasons.items()) == [(reason, 1) for reason in expected]
+                # never more processes than points
+                assert len(forks) == min(count, points) - 1 and all(forks)
 
-    def test_slice_count(self, monkeypatch):
-        monkeypatch.setattr(checks, "_usable_cpus", lambda: 64)
-        # the tier-1 grid is too little work for a second process
-        assert len(checks._slices(range(5, 31), range(3, 7))) == 1
-        assert len(checks._slices([5], [3])) == 1
-        # the benchmark grid: one slice per _SLICE_US of estimated work
-        assert len(checks._slices(range(5, 121), range(3, 11))) == 8
-        # never more slices than CPUs
-        monkeypatch.setattr(checks, "_usable_cpus", lambda: 2)
-        assert len(checks._slices(range(5, 121), range(3, 11))) == 2
+    def test_the_process_count(self, monkeypatch):
+        # one process per 128 points in range, at most one per usable CPU
+        monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [])
+        monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("planted", True)])
+        forks = self.counted_forks(monkeypatch)
+        for cpus, g_values, n_values, processes in (
+            # the tier-1 grid: 92 points in range, too few for a second process
+            (64, range(5, 31), range(3, 7), 1),
+            (64, [5], [3], 1),
+            # 10^4 points, 9 of them in range
+            (64, range(0, 10), range(0, 1000), 1),
+            # the ROADMAP grid: 872 points in range
+            (64, range(5, 121), range(3, 11), 7),
+            (2, range(5, 121), range(3, 11), 2),
+            # 127, 128 and 497 points in range at one genus
+            (64, [300], range(3, 130), 1),
+            (64, [300], range(3, 131), 2),
+            (64, [1001], range(3, 500), 4),
+        ):
+            monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            assert sweep_verify(g_values, n_values).ok
+            assert len(forks) == processes - 1
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         # where os.sched_getaffinity is missing, as on macOS, os.cpu_count stands in
@@ -1395,13 +1414,15 @@ class TestSplitSweep:
     def test_the_clean_grid_split(self, monkeypatch):
         one_process(monkeypatch)
         one = sweep_verify(*self.GRID)
-        for slices in (cut_into(2), cut_into(5)):
-            monkeypatch.setattr(checks, "_slices", slices)
+        for count in (2, 5):
+            cut_into(monkeypatch, count)
             assert sweep_verify(*self.GRID) == one
         monkeypatch.undo()
+        # on three CPUs the grid's 300 points in range take three processes
         monkeypatch.setattr(checks, "_usable_cpus", lambda: 3)
-        assert len(checks._slices(*self.GRID)) == 3
+        forks = self.counted_forks(monkeypatch)
         assert sweep_verify(*self.GRID) == one
+        assert len(forks) == 2
         assert one.skipped > 0 and one.ok
 
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
@@ -1410,16 +1431,43 @@ class TestSplitSweep:
         monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
         one_process(monkeypatch)
         one = sweep_verify(*self.GRID)
-        monkeypatch.setattr(checks, "_slices", cut_into(2))
+        cut_into(monkeypatch, 2)
         split = sweep_verify(*self.GRID)
         # equal first_failure and failures, and skip reasons in the same order
         assert split == one
         assert list(split.skip_reasons.items()) == list(one.skip_reasons.items())
         assert one.failed > 0
 
+    def test_every_deal_gives_the_one_process_summary(self, monkeypatch):
+        # skip reasons first seen all over the grid, more than 20 failures
+        # from every process, and a global family that raises, dealt to a
+        # worker at w = 2 and 5
+        def planted(g, n):
+            if g % 7 == n % 3:
+                yield "planted", False, f"at g={g}"
+            yield "planted", None, f"skip {g % 5} {n}"
+
+        def raising():
+            yield "global/planted", True
+            raise ConsistencyError("planted")
+
+        monkeypatch.setattr(checks, "_point_rows", planted)
+        monkeypatch.setattr(checks, "_report_rows", raising)
+        one_process(monkeypatch)
+        one = sweep_verify(*self.GRID)
+        for count in (1, 2, 3, 5):
+            cut_into(monkeypatch, count)
+            split = sweep_verify(*self.GRID)
+            assert split == one
+            assert list(split.skip_reasons.items()) == list(one.skip_reasons.items())
+        assert one.failed > 20 and len(one.failures) == 20
+        assert one.first_failure == (
+            f"{checks.RAISED}: ConsistencyError('planted') (family: report round trip)"
+        )
+
     def test_failures_and_skips_of_every_slice_in_order(self, monkeypatch):
-        # failures and skips in each slice, fewer than 20 failures in all,
-        # and a skip reason first seen in the second slice
+        # failures and skips dealt to both processes, fewer than 20
+        # failures in all, and a skip reason first seen late in the grid
         point_rows = checks._point_rows
 
         def planted(g, n):
@@ -1432,7 +1480,7 @@ class TestSplitSweep:
         monkeypatch.setattr(checks, "_point_rows", planted)
         one_process(monkeypatch)
         one = sweep_verify(*self.GRID)
-        monkeypatch.setattr(checks, "_slices", cut_into(2))
+        cut_into(monkeypatch, 2)
         split = sweep_verify(*self.GRID)
         assert one.failures == [
             "g=10 n=3 planted: at g=10", "g=50 n=4 planted: at g=50", "g=55 n=5 planted: at g=55"
@@ -1442,13 +1490,13 @@ class TestSplitSweep:
         assert list(one.skip_reasons)[-1] == "skip True"
 
     def test_the_first_twenty_failures_across_slices(self, monkeypatch):
-        # each slice fails at every point: the first 20 lines are the
-        # parent's, and the counts add
+        # every point fails: the first 20 lines are those of the first 20
+        # points, whichever processes count them, and the counts add
         monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("x", False)])
         one_process(monkeypatch)
         one = sweep_verify(range(5, 9), range(3, 13))
         for count in (2, 3, 40):
-            monkeypatch.setattr(checks, "_slices", cut_into(count))
+            cut_into(monkeypatch, count)
             assert sweep_verify(range(5, 9), range(3, 13)) == one
         assert one.failed == 40 and len(one.failures) == 20
 
@@ -1458,7 +1506,7 @@ class TestSplitSweep:
             ("exit", "exited with status 3"),
             ("kill", "was killed by signal 9"),
             ("garbage", "sent an unreadable tally"),
-            # its whole tally written, then a nonzero exit
+            # its whole dump written, then a nonzero exit
             ("exit-after-write", "exited with status 5"),
         ],
     )
@@ -1479,22 +1527,47 @@ class TestSplitSweep:
         if how == "exit-after-write":
             exit_now = os._exit
             monkeypatch.setattr(os, "_exit", lambda code: exit_now(5))
-        monkeypatch.setattr(checks, "_slices", cut_into(2))
+        # 16 runs of one point each: the worker's are n = 4 at g 5..12
+        cut_into(monkeypatch, 2)
         summary = sweep_verify(range(5, 13), range(3, 5))
-        line = f"{checks.RAISED}: the worker for g=9..12 {message}"
+        line = f"{checks.RAISED}: the worker for one run in 2 of g=5..12 {message}"
         assert summary.failed == 1 and not summary.ok
         assert summary.failures == [line]
-        # the parent's slice still counts: g 5..8
-        monkeypatch.setattr(checks, "_slices", cut_into(1))
+        # this process's units still count: two global families and n = 3
+        one_process(monkeypatch)
         whole = sweep_verify(range(5, 13), range(3, 5)).checked
         assert 0 < summary.checked - 1 < whole
-        monkeypatch.setattr(checks, "_slices", cut_into(2))
+        cut_into(monkeypatch, 2)
         argv = ["verify", "--genus-min", "5", "--genus-max", "12",
                 "--gonality-min", "3", "--gonality-max", "4"]
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert f"  {line}\n" in out and out.endswith("FAILED\n")
         assert "Traceback" not in err
+
+    def test_a_dead_worker_counts_at_its_first_unit(self, monkeypatch):
+        # every unit fails once; the worker's first unit is the second
+        # family, and its other units, the fourth family and g = 6, count nothing
+        parent = os.getpid()
+
+        def family(name):
+            if name == "b" and os.getpid() != parent:
+                os._exit(3)
+            yield "planted", False, name
+
+        monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [
+            (name, family(name)) for name in ("a", "b", "c", "d")
+        ])
+        monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("planted", False, f"{g} {n}")])
+        cut_into(monkeypatch, 2, runs=1)
+        summary = sweep_verify(range(5, 7), [3])
+        assert summary.failures == [
+            "planted: a",
+            f"{checks.RAISED}: the worker for one run in 2 of g=6..6 exited with status 3",
+            "planted: c",
+            "g=5 n=3 planted: 5 3",
+        ]
+        assert summary.checked == summary.failed == 4
 
     def test_an_interrupted_parent_kills_its_workers(self, monkeypatch):
         parent, point_rows = os.getpid(), checks._point_rows
@@ -1506,12 +1579,14 @@ class TestSplitSweep:
                 os._exit(0)
             return point_rows(g, n)
 
-        def interrupted(*ranges):
+        def interrupted():
             raise KeyboardInterrupt
+            yield  # a family, interrupted as it starts
 
         monkeypatch.setattr(checks, "_point_rows", slow)
-        monkeypatch.setattr(checks, "_global_checks", interrupted)
-        monkeypatch.setattr(checks, "_slices", cut_into(3))
+        # the first unit, this process's, after both workers are forked
+        monkeypatch.setattr(checks, "_fe_rows", interrupted)
+        cut_into(monkeypatch, 3)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             sweep_verify(range(5, 13), range(3, 5))
@@ -1529,7 +1604,8 @@ class TestSplitSweep:
             return fork()
 
         monkeypatch.setattr(os, "fork", second_fails)
-        monkeypatch.setattr(checks, "_slices", cut_into(4))
+        # the units of processes 2 and 3 are counted here
+        cut_into(monkeypatch, 4)
         assert sweep_verify(*self.GRID) == one
         assert forks == [1]
 
@@ -1623,7 +1699,7 @@ class TestPerPointWork:
     def test_memory_of_a_few_points_is_that_of_one(self, monkeypatch):
         # each memo holds O(1) entries, so a sweep keeps no point's O(n)
         # data once it has moved on
-        monkeypatch.setattr(checks, "_global_checks", lambda *args: None)
+        monkeypatch.setattr(checks, "_global_checks", lambda *args: [])
         one_process(monkeypatch)
 
         def peak(g_values):
