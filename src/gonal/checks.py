@@ -393,12 +393,16 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[tuple[str, 
 # the work, dealt round-robin to forked workers
 # ---------------------------------------------------------------------------
 
-# The points in range worth a process: about 50 ms of checks, 25 times the
-# 1 to 2 ms of a worker's fork, pipe and reaping.
+# A process for every 128 points' worth of checks, a point in range at
+# small n taking about 0.34 ms: 44 ms, 25 times the 1 to 2 ms of a worker's
+# fork, pipe and reaping.  A point in range at gonality n is worth 1 + n/64
+# of them (11 ms at n near 2000), and a skipped point 1/128 (2.5 us).
 _POINTS_PER_PROCESS = 128
 # The runs of consecutive points dealt to each process: dealt round-robin,
 # they give each process a share of every part of the grid, cheap skips and
-# dear points alike.
+# dear points alike.  On two CPUs, 8 runs each rather than 1 take
+# g 5..80 x n 3..40, whose dear points lie at high g, from 0.56 to 0.42 s,
+# and leave g 5..120 x n 3..10 at 0.26 s.
 _RUNS_PER_PROCESS = 8
 
 
@@ -501,10 +505,11 @@ def _fork(count: Callable[[object], _Tally], units: list) -> tuple[int, BinaryIO
     return pid, open(read_end, "rb")
 
 
-def _sweep(g_values: Sequence[int], n_values: Sequence[int], in_range: int) -> _Tally:
+def _sweep(g_values: Sequence[int], n_values: Sequence[int], work: int) -> _Tally:
     """The tally of the global checks, then of every grid point in (g, n)
-    order.  The work is one list of units, the global families and then
-    runs of consecutive points, dealt round-robin: process k of w, this one
+    order, the points being worth work points at small n (see
+    _POINTS_PER_PROCESS).  The work is one list of units, the global families and then runs of
+    consecutive points, dealt round-robin: process k of w, this one
     being 0, counts units k, k + w, ..., each into a tally of its own, and
     the tallies merge in unit order.  The workers are forked before any
     check runs; where a fork fails, this process counts the units of every
@@ -525,7 +530,7 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int], in_range: int) -> _
         return tally
 
     # no more processes than runs, so that each has one
-    w = min(_usable_cpus(), 1 + in_range // _POINTS_PER_PROCESS, points)
+    w = min(_usable_cpus(), 1 + work // _POINTS_PER_PROCESS, points)
     runs = min(points, _RUNS_PER_PROCESS * w)
     cuts = [points * j // runs for j in range(runs + 1)]
     units = [*_global_checks(g_values, n_values), *map(range, cuts, cuts[1:])]
@@ -626,7 +631,8 @@ def sweep_verify(g_range: Iterable[int], n_range: Iterable[int]) -> SweepSummary
             f"requires a sum of n over the points in range of at most "
             f"{SWEEP_GONALITY_LIMIT} (got {gonality})"
         )
-    return _sweep(g_values, n_values, len(in_range)).summary()
+    skipped = points - len(in_range)
+    return _sweep(g_values, n_values, len(in_range) + gonality // 64 + skipped // 128).summary()
 
 
 def render_sweep_text(summary: SweepSummary) -> str:

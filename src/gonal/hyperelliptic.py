@@ -116,8 +116,7 @@ def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
 
     Over Z each step divides exactly by the previous pivot, so entries
     stay minors of the matrix; over GF(p) the same step is reduced mod p
-    instead, and a row with a zero lead is left alone, since the step
-    would only scale it by the nonzero pivot.
+    instead, which only scales rows by the nonzero pivot.
     """
     f, h = _reduce(f, p), _reduce(h, p)
     m, t = len(f) - 1, len(h) - 1
@@ -135,8 +134,6 @@ def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
         top = mat[col]
         for row in mat[col + 1 :]:
             lead = row[col]
-            if p is not None and not lead:
-                continue
             for c in range(col + 1, size):
                 x = top[col] * row[c] - lead * top[c]
                 row[c] = x % p if p is not None else x // prev

@@ -162,7 +162,7 @@ def test_report_grid_bytes():
 
 def test_verify_grid_bytes(capsys, monkeypatch):
     # dealt to two and to three processes, all but one forked workers,
-    # whatever the CPUs: the grid's 270 points in range allow three
+    # whatever the CPUs: the grid's 301 points' worth of checks allow three
     fork, forks = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: forks.append(fork()) or forks[-1])
     for cpus in (2, 3):

@@ -1003,7 +1003,9 @@ def one_process(monkeypatch):
 
 def cut_into(monkeypatch, count, runs=checks._RUNS_PER_PROCESS):
     """Deal every sweep's work to count processes, each given runs runs of
-    points, whatever the CPUs and however few the points in range."""
+    points, whatever the CPUs, where the grid has a point's worth of checks
+    for each process but the first (a point in range is worth at least one)
+    and a point for each."""
     monkeypatch.setattr(checks, "_usable_cpus", lambda: count)
     monkeypatch.setattr(checks, "_POINTS_PER_PROCESS", 1)
     monkeypatch.setattr(checks, "_RUNS_PER_PROCESS", runs)
@@ -1353,23 +1355,28 @@ class TestSplitSweep:
                 assert len(forks) == min(count, points) - 1 and all(forks)
 
     def test_the_process_count(self, monkeypatch):
-        # one process per 128 points in range, at most one per usable CPU
+        # one process per 128 points' worth of checks, a point in range
+        # worth 1 + n/64 and a skipped point 1/128, at most one per usable CPU
         monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [])
         monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("planted", True)])
         forks = self.counted_forks(monkeypatch)
         for cpus, g_values, n_values, processes in (
-            # the tier-1 grid: 92 points in range, too few for a second process
+            # the tier-1 grid: 92 points in range worth 98, too few for a
+            # second process
             (64, range(5, 31), range(3, 7), 1),
             (64, [5], [3], 1),
-            # 10^4 points, 9 of them in range
+            # 10^4 points, 9 of them in range: worth 87
             (64, range(0, 10), range(0, 1000), 1),
-            # the ROADMAP grid: 872 points in range
-            (64, range(5, 121), range(3, 11), 7),
+            # the ROADMAP grid: 872 points in range worth 959
+            (64, range(5, 121), range(3, 11), 8),
             (2, range(5, 121), range(3, 11), 2),
-            # 127, 128 and 497 points in range at one genus
-            (64, [300], range(3, 130), 1),
-            (64, [300], range(3, 131), 2),
-            (64, [1001], range(3, 500), 4),
+            # 77 and 78 points in range at one genus, worth 126 and 128
+            (64, [300], range(3, 80), 1),
+            (64, [300], range(3, 81), 2),
+            # 127 points in range near n = 2000, worth 3970
+            (4, [4001], range(1874, 2001), 4),
+            # one point in range and 99,997 skipped: worth 782
+            (64, [5], range(3, 100001), 7),
         ):
             monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
             forks.clear()
@@ -1418,7 +1425,7 @@ class TestSplitSweep:
             cut_into(monkeypatch, count)
             assert sweep_verify(*self.GRID) == one
         monkeypatch.undo()
-        # on three CPUs the grid's 300 points in range take three processes
+        # on three CPUs the grid's 326 points' worth take three processes
         monkeypatch.setattr(checks, "_usable_cpus", lambda: 3)
         forks = self.counted_forks(monkeypatch)
         assert sweep_verify(*self.GRID) == one
@@ -1495,9 +1502,13 @@ class TestSplitSweep:
         monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("x", False)])
         one_process(monkeypatch)
         one = sweep_verify(range(5, 9), range(3, 13))
-        for count in (2, 3, 40):
+        forks = self.counted_forks(monkeypatch)
+        # the grid's 6 points in range allow 7 processes, not 40
+        for count, processes in ((2, 2), (3, 3), (7, 7), (40, 7)):
             cut_into(monkeypatch, count)
+            forks.clear()
             assert sweep_verify(range(5, 9), range(3, 13)) == one
+            assert len(forks) == processes - 1 and all(forks)
         assert one.failed == 40 and len(one.failures) == 20
 
     @pytest.mark.parametrize(
