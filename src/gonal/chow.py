@@ -68,7 +68,8 @@ class AmbientScroll(_Validated, _AmbientFields):
 
 
 def _normal_form(ambient: AmbientScroll, terms: Iterable[tuple[Monomial, int]]) -> dict:
-    """Sum the terms c * D^a f^b, given as ((a, b), c), in normal form.
+    """Sum the terms c * D^a f^b, given as ((a, b), c) with a, b >= 0, in
+    normal form.
 
     The one home of the rewriting rules: f^2 = 0, monomials above
     codimension n-1 vanish, and D^{n-1} = deg(X) D^{n-2} f.  Zero
@@ -78,8 +79,6 @@ def _normal_form(ambient: AmbientScroll, terms: Iterable[tuple[Monomial, int]]) 
     acc: dict[Monomial, int] = {}
     for m, c in terms:
         a, b = m
-        if a < 0 or b < 0:
-            raise DomainError(f"negative exponent in monomial D^{a} f^{b}")
         if c and b < 2 and a + b <= top:  # else killed by f^2 = 0 or codim > dim X
             if a == top:
                 # here b = 0: substitute D^{n-1} = deg(X) D^{n-2} f
@@ -122,6 +121,11 @@ class ChowClass:
         coeffs: Mapping[Monomial, int] | None = None,
     ) -> None:
         self.ambient = ambient
+        # products of classes keep their exponents non-negative: only here
+        # can a negative one come in
+        if coeffs and min(map(min, coeffs)) < 0:
+            a, b = next(m for m in coeffs if min(m) < 0)
+            raise DomainError(f"negative exponent in monomial D^{a} f^{b}")
         self._coeffs = _normal_form(ambient, coeffs.items()) if coeffs else {}
 
     @property
@@ -133,7 +137,7 @@ class ChowClass:
 
     def codimensions(self) -> set[int]:
         """Codimensions a+b present in this class (empty for the zero class)."""
-        return {a + b for a, b in self._coeffs}
+        return set(map(sum, self._coeffs))
 
     def degree(self) -> int:
         """Coefficient of the point class D^{n-2} f; 0 if there is no top part."""
@@ -165,11 +169,11 @@ class ChowClass:
             coeffs = {m: other * c for m, c in self._coeffs.items()} if other else {}
             return _class(self.ambient, coeffs)
         y = self._coerce(other)._coeffs
-        return _class(self.ambient, _normal_form(self.ambient, (
+        return _class(self.ambient, _normal_form(self.ambient, [
             ((a1 + a2, b1 + b2), c1 * c2)
             for (a1, b1), c1 in self._coeffs.items()
             for (a2, b2), c2 in y.items()
-        )))
+        ]))
 
     def __rmul__(self, other) -> "ChowClass":
         if isinstance(other, int):

@@ -16,7 +16,7 @@ coefficients, which keeps every root.  Euclid then runs on
 pseudo-remainders, each reduced to its primitive part (Collins, J. ACM
 14, 1967), and the resultant is decided by Bareiss elimination, which
 divides exactly by the previous pivot (Math. Comp. 22, 1968).  Over
-GF(p) the same steps are reduced mod p instead.  No coefficient
+GF(p) the steps are reduced mod p instead.  No coefficient
 becomes a fraction, so the default Euclid route stays practical for
 large-genus forms.  BinaryForm and HyperellipticModel are read-only
 NamedTuples that validate in __new__, as every record of the package is.
@@ -115,8 +115,10 @@ def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
     matrix of the two nonzero integer polynomials.
 
     Over Z each step divides exactly by the previous pivot, so entries
-    stay minors of the matrix; over GF(p) the same step is reduced mod p
-    instead, which only scales rows by the nonzero pivot.
+    stay minors of the matrix.  Over GF(p) the step is reduced mod p
+    instead, and a row whose lead is already zero is left as it is: the
+    step would only scale it by the pivot, a unit mod p, which keeps
+    whether the determinant vanishes.
     """
     f, h = _reduce(f, p), _reduce(h, p)
     m, t = len(f) - 1, len(h) - 1
@@ -131,13 +133,14 @@ def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
         if pivot is None:
             return False
         mat[col], mat[pivot] = mat[pivot], mat[col]
-        top = mat[col]
+        pv, tail = mat[col][col], mat[col][col + 1 :]
         for row in mat[col + 1 :]:
             lead = row[col]
-            for c in range(col + 1, size):
-                x = top[col] * row[c] - lead * top[c]
-                row[c] = x % p if p is not None else x // prev
-        prev = top[col]
+            if p is None:
+                row[col + 1 :] = [(pv * x - lead * y) // prev for x, y in zip(row[col + 1 :], tail)]
+            elif lead:
+                row[col + 1 :] = [(pv * x - lead * y) % p for x, y in zip(row[col + 1 :], tail)]
+        prev = pv
     return True
 
 

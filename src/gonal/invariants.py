@@ -9,7 +9,7 @@ Everything is an exact integer; branch thresholds are decided by integer
 comparisons, never floats.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
@@ -98,9 +98,8 @@ def maroni_h0(
     (j = 1..n-2), and nk + 1 - g once k >= eta + r_{n-1}.  The default
     splitting is the generic one, where this agrees with ballico_h0.
     """
-    require_scroll_range(g, n)
-    require_at_least("k", k, 0)
     boundaries, prefix_sums = _maroni_data(g, n, None if splitting is None else tuple(splitting))
+    require_at_least("k", k, 0)
     return _maroni_branch(prefix_sums, bisect_right(boundaries, k), k)
 
 
@@ -112,7 +111,6 @@ def maroni_branch_boundaries(
     A given splitting is validated by ScrollSpec; the default is the
     generic one.
     """
-    require_scroll_range(g, n)
     return list(_maroni_data(g, n, None if splitting is None else tuple(splitting))[0])
 
 
@@ -121,8 +119,9 @@ def decisive_ks(*switches: Iterable[int]) -> list[int]:
     section count changes formula.  Both sides of a k-identity are affine
     between consecutive points and from the next-to-last point on, so
     agreement at the points decides every k >= 0."""
-    near = {k for ts in switches for t in ts for k in (t - 1, t, t + 1)}
-    return sorted(k for k in near | {0, 1} if k >= 0)
+    ts = set().union(*switches)
+    ks = sorted(ts.union([t - 1 for t in ts], [t + 1 for t in ts], (0, 1)))
+    return ks[bisect_left(ks, 0) :]
 
 
 # The sweep visits one (g, n) at a time, and an entry holds O(n) integers,
@@ -131,8 +130,10 @@ def decisive_ks(*switches: Iterable[int]) -> list[int]:
 def _maroni_data(
     g: int, n: int, splitting: tuple[int, ...] | None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The boundaries of maroni_branch_boundaries once (g, n) is in range,
-    and their prefix sums: derived once per (g, n, splitting)."""
+    """The boundaries of maroni_branch_boundaries and their prefix sums,
+    derived once per (g, n, splitting), where (g, n) is checked to be in
+    range: a refusal raises on every call, since no entry is kept for it."""
+    require_scroll_range(g, n)
     if splitting is None:
         rs = _generic_splitting(g, n)
     else:

@@ -238,7 +238,7 @@ class GonalReport(_Validated, _ReportFields):
             for name, row in _tables(cls).items()
             if (rows := getattr(report, name)) is not None and not isinstance(rows, _Table)
         }
-        return tuple.__new__(cls, report._replace(**tables))
+        return tuple.__new__(cls, report._replace(**tables) if tables else report)
 
     def to_dict(self) -> dict:
         return _encode_ints(self)
@@ -300,7 +300,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     Each table holds O(n) affine pieces, whatever k_max is.
     Deterministic: identical inputs give identical reports.
     """
-    g, n, k_max = (as_int(name, v) for name, v in (("g", g), ("n", n), ("k_max", k_max)))
+    g, n, k_max = as_int("g", g), as_int("n", n), as_int("k_max", k_max)
     require_digits("g", "genus", g, genus_digits())
     require_at_least("k_max", k_max, 0)
     require_at_most("k_max", k_max, K_MAX_LIMIT)
@@ -336,10 +336,9 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
         oracle_checks: _Table | None = _Table(OracleRow, [ks, formula, oracle, agree])
         # the printed rows, and every k >= 0 whatever k_max is
         decisive = invariants.decisive_ks(oracle_switches, ballico_switches)
-        oracle_agreement: bool | None = all(v for _, v, _ in agree) and all(
-            hirzebruch.trigonal_h0_oracle(g, k) == invariants.ballico_h0(g, 3, k)
-            for k in decisive
-        )
+        oracle_agreement: bool | None = all(v for _, v, _ in agree) and list(
+            map(partial(hirzebruch.trigonal_h0_oracle, g), decisive)
+        ) == list(map(partial(invariants.ballico_h0, g, 3), decisive))
         curve_fe = hirzebruch.trigonal_curve_bundle(g)
         dim_p_l: bool | None = hirzebruch.bundle_cohomology(curve_fe).h0 - 1 == chi_n
         surface = f"F{curve_fe.e}"
@@ -352,14 +351,12 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
     # the sum runs over the distinct r_i with their multiplicities, as
     # aut_group_numerics sums, so each k costs O(1) on the generic scroll
     shift = spec.shift
-    mult = Counter(spec.splitting).items()
-    branch_continuity = all(
-        invariants.maroni_h0(g, n, k)
-        == k + 1 + sum(m * max(0, k - 1 - shift - r) for r, m in mult)
-        for k in invariants.decisive_ks(
-            invariants.maroni_branch_boundaries(g, n), [1 + shift + r for r, _ in mult]
-        )
-    )
+    bends = [(1 + shift + r, m) for r, m in Counter(spec.splitting).items()]
+    points = invariants.decisive_ks(invariants.maroni_branch_boundaries(g, n), [t for t, _ in bends])
+    summed = [k + 1 for k in points]
+    for t, m in bends:
+        summed = [h + m * max(0, k - t) for h, k in zip(summed, points)]
+    branch_continuity = list(map(partial(invariants.maroni_h0, g, n), points)) == summed
     flags = ConsistencyFlags(
         euler_chain=chi_t == chi_t_chow and chi_n == chi_t + 3 * g - 3,
         branch_continuity=branch_continuity,

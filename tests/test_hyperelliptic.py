@@ -255,6 +255,43 @@ class TestDiscriminant:
             discriminant_nonzero(BinaryForm(6, (-1, 0, 0, 0, 0, 0, 1)), "magic")
 
 
+class TestBareissSkip:
+    """Over GF(p) the Bareiss route leaves a row whose lead is already zero
+    as it is, since the step would only scale it by a unit; over Z every
+    row below the pivot is stepped, so that the exact division holds."""
+
+    P = 10007
+    # x^6 + 1, squarefree mod P, and (x - 3)^2 (x^4 + 1), with a double root
+    FORMS = {"squarefree": [1, 0, 0, 0, 0, 0, 1], "planted": poly_mul([9, -6, 1], [1, 0, 0, 0, 1])}
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The rows a Bareiss step rewrites, counted at their zip."""
+        from gonal import hyperelliptic
+
+        rows = []
+
+        def counted(*columns):
+            rows.append(1)
+            return zip(*columns)
+
+        monkeypatch.setattr(hyperelliptic, "zip", counted, raising=False)
+        return rows
+
+    @pytest.mark.parametrize("kind", sorted(FORMS))
+    def test_skips_zero_leads_mod_p_only(self, steps, kind):
+        stepped = {}
+        for p in (self.P, None):
+            steps.clear()
+            form = BinaryForm(6, tuple(self.FORMS[kind]), p=p)
+            assert discriminant_nonzero(form, "resultant") == (kind == "squarefree")
+            stepped[p] = len(steps)
+            assert discriminant_nonzero(form, "gcd") == (kind == "squarefree")
+        # the 11 x 11 Sylvester matrix of f and f' is mostly zeros: mod p
+        # some rows below a pivot already lead with 0, and are left alone
+        assert 0 < stepped[self.P] < stepped[None]
+
+
 def oracle_form(genus: int, kind: str) -> list:
     """Seeded coefficients c_0..c_{2g+2} of one kind of form."""
     rng = random.Random(100 * genus + len(kind))

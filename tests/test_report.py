@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from gonal import checks, cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
-from gonal.chow import ChowClass
+from gonal.chow import AmbientScroll, ChowClass
 from gonal.errors import ConsistencyError, DomainError, in_scroll_range, int_text_limit
 from gonal.invariants import decisive_ks
 from gonal.report import (
@@ -1739,6 +1739,62 @@ class TestPerPointWork:
         round_trip = [(5, 3), (5, 3), (8, 4), (8, 4)]
         assert Counter(built) == Counter(points + round_trip)
         assert len(built) == 876
+
+
+class TestRandomClasses:
+    """The four seeded classes of the chow rows at each point: three terms
+    c D^a f^b each, a in [0, n), b in {0, 1} and c in [-4, 4]."""
+
+    @staticmethod
+    def drawn(monkeypatch) -> tuple[dict, dict]:
+        """The raw terms and the classes each point of the ROADMAP grid
+        draws in one sweep, by (g, n)."""
+        terms, classes = {}, {}
+        draws, rand_class = checks._draws, checks._rand_class
+
+        def recorded_draws(g, n):
+            for term in draws(g, n):
+                terms.setdefault((g, n), []).append(term)
+                yield term
+
+        def recorded_class(draws, ambient):
+            x = rand_class(draws, ambient)
+            classes.setdefault((ambient.g, ambient.n), []).append(x)
+            return x
+
+        monkeypatch.setattr(checks, "_draws", recorded_draws)
+        monkeypatch.setattr(checks, "_rand_class", recorded_class)
+        one_process(monkeypatch)
+        assert sweep_verify(range(5, 121), range(3, 11)).ok
+        return terms, classes
+
+    def test_draws_cover_every_term_at_every_n(self, monkeypatch):
+        terms, classes = self.drawn(monkeypatch)
+        assert len(terms) == len(classes) == 872
+        seen = {}
+        for (g, n), drawn in terms.items():
+            assert len(drawn) == 12 and len(classes[g, n]) == 4
+            seen.setdefault(n, set()).update(drawn)
+        assert sorted(seen) == list(range(3, 11))
+        for n, drawn in seen.items():
+            assert {a for a, _, _ in drawn} == set(range(n)), n
+            assert {b for _, b, _ in drawn} == {0, 1}, n
+            assert {c for _, _, c in drawn} == set(range(-4, 5)), n
+
+    def test_products_are_rarely_zero(self, monkeypatch):
+        # a product of classes that all vanish would check the ring on zeros
+        _, classes = self.drawn(monkeypatch)
+        nonzero = sum(not (x * y).is_zero() for _, x, y, _ in classes.values())
+        assert nonzero >= 0.7 * len(classes)
+
+    def test_the_same_point_draws_the_same_classes(self, monkeypatch):
+        draws, rand_class = checks._draws, checks._rand_class
+        _, classes = self.drawn(monkeypatch)
+        for g, n in ((5, 3), (41, 7), (120, 10)):
+            terms = draws(g, n)
+            assert [rand_class(terms, AmbientScroll(g, n)) for _ in range(4)] == classes[g, n]
+        # and points apart draw apart
+        assert len({tuple(map(repr, xs)) for xs in classes.values()}) > 0.9 * len(classes)
 
 
 class TestRatherFreeRoute:
