@@ -236,7 +236,7 @@ class GonalReport(_Validated, _ReportFields):
         tables = {
             name: _Table.from_cells(row, list(zip(*rows)) or [()] * len(_plan(row)), name)
             for name, row in _tables(cls).items()
-            if (rows := getattr(report, name)) is not None and not isinstance(rows, _Table)
+            if (rows := getattr(report, name)) is not None and type(rows) is not _Table
         }
         return tuple.__new__(cls, report._replace(**tables) if tables else report)
 
@@ -312,7 +312,7 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
 
     chi_t = invariants.chi_restricted_tangent(g, n)
     # chi(T_X|C) through the intersection ring: -K.C + (n-1)(1-g)
-    chi_t_chow = intersect_number([-kx], curve) + (n - 1) * (1 - g)
+    chi_t_chow = -intersect_number([kx], curve) + (n - 1) * (1 - g)
     chi_n = invariants.chi_normal_bundle(g, n)
     inv = InvariantSummary(
         chi_restricted_tangent=chi_t,
