@@ -45,8 +45,8 @@ _PENCIL_COUNT_MAX_N = 200
 SWEEP_POINT_LIMIT = 10**5
 # The largest sum of n over the points in range a sweep takes, since a
 # point's cost grows with n: 10^5 points at n near 20 with this
-# sum take 45 to 53 s, and 2 x 10^3 points at n up to 2 x 10^3 take 11 to
-# 14 s (CPython 3.11, one Xeon core; 23 to 29 s and 7 to 8 s split between two).
+# sum take 44 s, and 2 x 10^3 points at n up to 2 x 10^3 take 12 to
+# 14 s (CPython 3.11, one Xeon core; 25 s and 8 to 9 s split between two).
 SWEEP_GONALITY_LIMIT = 2 * 10**6
 
 RAISED = "sweep/raised"
@@ -78,7 +78,7 @@ def _stepwise_reduce(ambient: AmbientScroll, monomials: Iterable[tuple[int, int]
     rule is reached within three steps, in both orders: the substitution
     of D^(n-1), the f^2 kill, and the kill above codimension n-1, which
     the substitution turns into an f^2 kill.  A larger a only repeats
-    these rules while c grows as deg^(a-n+1).
+    these rules while the coefficient grows as deg^(a-n+1).
     """
     reduced = []
     for a, b in monomials:
@@ -413,15 +413,15 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[tuple[str, 
 # ---------------------------------------------------------------------------
 
 # A process for every 128 points' worth of checks, a point in range at
-# small n taking about 0.34 ms: 44 ms, 25 times the 1 to 2 ms of a worker's
+# small n taking about 0.4 ms: 51 ms, 25 times the 1 to 2 ms of a worker's
 # fork, pipe and reaping.  A point in range at gonality n is worth 1 + n/64
-# of them (11 ms at n near 2000), and a skipped point 1/128 (2.5 us).
+# of them (12 ms at n near 2000), and a skipped point 1/128 (2.4 us).
 _POINTS_PER_PROCESS = 128
 # The runs of consecutive points dealt to each process: dealt round-robin,
 # they give each process a share of every part of the grid, cheap skips and
 # dear points alike.  On two CPUs, 8 runs each rather than 1 take
-# g 5..80 x n 3..40, whose dear points lie at high g, from 0.56 to 0.42 s,
-# and leave g 5..120 x n 3..10 at 0.26 s.
+# g 5..80 x n 3..40, whose dear points lie at high g, from 0.60 to 0.43 s,
+# and leave g 5..120 x n 3..10 at 0.27 s.
 _RUNS_PER_PROCESS = 8
 
 

@@ -101,9 +101,11 @@ def _gcd_degree(f: list, h: list, p: int | None) -> int:
     a, b = _reduce(f, p), _reduce(h, p)
     while b:
         while len(a) >= len(b):
-            q, shift, lead = a[-1], len(a) - len(b), b[-1]
-            top = [lead * c - q * d for c, d in zip(a[shift:], b)]
-            a = _reduce([lead * c for c in a[:shift]] + top, p)
+            q, shift = a[-1], len(a) - len(b)
+            a = [b[-1] * c for c in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            a = _reduce(a, p)
         a, b = b, a
     return len(a) - 1
 
