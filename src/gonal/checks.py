@@ -45,8 +45,8 @@ _PENCIL_COUNT_MAX_N = 200
 SWEEP_POINT_LIMIT = 10**5
 # The largest sum of n over the points in range a sweep takes, since a
 # point's cost grows with n: 10^5 points at n near 20 with this
-# sum take 44 s, and 2 x 10^3 points at n up to 2 x 10^3 take 12 to
-# 14 s (CPython 3.11, one Xeon core; 25 s and 8 to 9 s split between two).
+# sum take 45 to 53 s, and 2 x 10^3 points at n up to 2 x 10^3 take 11 to
+# 14 s (CPython 3.11, one Xeon core; 23 to 29 s and 7 to 8 s split between two).
 SWEEP_GONALITY_LIMIT = 2 * 10**6
 
 RAISED = "sweep/raised"
@@ -69,30 +69,26 @@ class SweepSummary(NamedTuple):
         return self._asdict()
 
 
-def _stepwise_reduce(ambient: AmbientScroll, monomials: Iterable[tuple[int, int]], order: str) -> list[dict]:
-    """Rewrite each monomial D^a f^b, given as (a, b), one relation at a
-    time, with a chosen rule priority, to confirm the two relations are
-    confluent.
+def _stepwise_reduce(ambient: AmbientScroll, a: int, b: int, c: int, order: str) -> dict:
+    """Rewrite c * D^a f^b one relation at a time, with a chosen rule
+    priority, to confirm the two relations are confluent.
 
     chow/confluent-reduction runs it on a <= n+1, b <= 2.  There every
     rule is reached within three steps, in both orders: the substitution
     of D^(n-1), the f^2 kill, and the kill above codimension n-1, which
     the substitution turns into an f^2 kill.  A larger a only repeats
-    these rules while the coefficient grows as deg^(a-n+1).
+    these rules while c grows as deg^(a-n+1).
     """
-    reduced = []
-    for a, b in monomials:
-        c, top = 1, ambient.n - 1
-        while b >= 2 or a >= top:  # a redex is left
-            if b >= 2 and (order == "f_first" or a < top):
-                c = 0  # f^2 = 0 applies
-                break
-            # apply D^{n-1} -> deg(X) D^{n-2} f once
-            c *= ambient.degree
-            a -= 1
-            b += 1
-        reduced.append({(a, b): c} if c else {})
-    return reduced
+    while True:
+        top = ambient.n - 1  # read at each step
+        if b >= 2 and (order == "f_first" or a < top):
+            return {}  # f^2 = 0 applies
+        if a < top:
+            return {(a, b): c} if c else {}
+        # apply D^{n-1} -> deg(X) D^{n-2} f once
+        c *= ambient.degree
+        a -= 1
+        b += 1
 
 
 def _draws(g: int, n: int) -> Iterator[tuple[int, int, int]]:
@@ -157,12 +153,15 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
     # a subtraction that adds leaves x * (y + z) - x * z at x * y + 2 x * z
     xyz = x * (y + z)
     yield "chow/distributive", xyz == xy + xz and xyz - xz == xy
-    monomials = [(a, b) for a in range(n + 2) for b in range(3)]
-    closed = [chow._normal_form(amb, [(m, 1)]) for m in monomials]
-    yield "chow/confluent-reduction", (
-        _stepwise_reduce(amb, monomials, "f_first") == closed
-        == _stepwise_reduce(amb, monomials, "d_first")
-    )
+    confluent = True
+    for a in range(0, n + 2):
+        for b in range(0, 3):
+            closed = chow._normal_form(amb, (((a, b), 1),))
+            confluent &= (
+                _stepwise_reduce(amb, a, b, 1, "f_first") == closed
+                == _stepwise_reduce(amb, a, b, 1, "d_first")
+            )
+    yield "chow/confluent-reduction", confluent
 
     # scroll classification
     yield "scroll/generic-valid", validate_scroll(s.splitting, g, n)
@@ -413,15 +412,15 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[tuple[str, 
 # ---------------------------------------------------------------------------
 
 # A process for every 128 points' worth of checks, a point in range at
-# small n taking about 0.4 ms: 51 ms, 25 times the 1 to 2 ms of a worker's
+# small n taking about 0.34 ms: 44 ms, 25 times the 1 to 2 ms of a worker's
 # fork, pipe and reaping.  A point in range at gonality n is worth 1 + n/64
-# of them (12 ms at n near 2000), and a skipped point 1/128 (2.4 us).
+# of them (11 ms at n near 2000), and a skipped point 1/128 (2.5 us).
 _POINTS_PER_PROCESS = 128
 # The runs of consecutive points dealt to each process: dealt round-robin,
 # they give each process a share of every part of the grid, cheap skips and
 # dear points alike.  On two CPUs, 8 runs each rather than 1 take
-# g 5..80 x n 3..40, whose dear points lie at high g, from 0.60 to 0.43 s,
-# and leave g 5..120 x n 3..10 at 0.27 s.
+# g 5..80 x n 3..40, whose dear points lie at high g, from 0.56 to 0.42 s,
+# and leave g 5..120 x n 3..10 at 0.26 s.
 _RUNS_PER_PROCESS = 8
 
 

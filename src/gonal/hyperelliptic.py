@@ -208,12 +208,12 @@ def discriminant_nonzero(form: BinaryForm, method: str = "gcd") -> bool:
     method="gcd" decides squarefreeness by the Euclidean algorithm on
     (f, f'); method="resultant" decides it by Res(f, f') != 0 on the
     Sylvester matrix.  The two routes agree everywhere.  Both see f
-    scaled to integer coefficients.
+    with integer coefficients: scaled over Q, its residues over GF(p).
     """
     d, cs, p = form
     if cs[d] == 0 and cs[d - 1] == 0:
         return False  # root at infinity with multiplicity >= 2, or f = 0
-    f = _integer_scaled(cs)  # keeps every root
+    f = _integer_scaled(cs) if p is None else list(cs)  # keeps every root
     fp = _reduce([i * c for i, c in enumerate(f)][1:], p)
     if not fp:
         return False  # f' = 0 in characteristic p: f is a p-th power

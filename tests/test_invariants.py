@@ -192,3 +192,16 @@ class TestMaroniMemo:
                 maroni_h0(6, 4, 3)
             with pytest.raises(DomainError, match="does not embed"):
                 maroni_branch_boundaries(20, 4, [0, 0, 1])
+
+    def test_guards_run_in_turn(self):
+        # the scroll range, then the splitting, then k; the splitting is
+        # read into a tuple, the memo's key, before any guard runs
+        for fn in (maroni_h0, lambda g, n, k, splitting: maroni_branch_boundaries(g, n, splitting)):
+            with pytest.raises(DomainError, match="requires 2n-2 < g"):
+                fn(6, 4, -1, (0, 0, 1))
+            with pytest.raises(DomainError, match="does not embed"):
+                fn(20, 4, -1, (0, 0, 1))
+            with pytest.raises(TypeError):
+                fn(6, 4, 3, 7)
+        with pytest.raises(DomainError, match="k >= 0"):
+            maroni_h0(20, 4, -1)

@@ -1746,9 +1746,9 @@ class TestRandomClasses:
     c D^a f^b each, a in [0, n), b in {0, 1} and c in [-4, 4]."""
 
     @staticmethod
-    def drawn(monkeypatch) -> tuple[dict, dict]:
-        """The raw terms and the classes each point of the ROADMAP grid
-        draws in one sweep, by (g, n)."""
+    def record(monkeypatch) -> tuple[dict, dict]:
+        """Patch the draws and the classes to record, by (g, n), the raw
+        terms and the classes that the point rows draw."""
         terms, classes = {}, {}
         draws, rand_class = checks._draws, checks._rand_class
 
@@ -1764,12 +1764,12 @@ class TestRandomClasses:
 
         monkeypatch.setattr(checks, "_draws", recorded_draws)
         monkeypatch.setattr(checks, "_rand_class", recorded_class)
-        one_process(monkeypatch)
-        assert sweep_verify(range(5, 121), range(3, 11)).ok
         return terms, classes
 
-    def test_draws_cover_every_term_at_every_n(self, monkeypatch):
-        terms, classes = self.drawn(monkeypatch)
+    def test_the_roadmap_grid_draws_every_term_and_few_zero_products(self, monkeypatch):
+        terms, classes = self.record(monkeypatch)
+        one_process(monkeypatch)
+        assert sweep_verify(range(5, 121), range(3, 11)).ok
         assert len(terms) == len(classes) == 872
         seen = {}
         for (g, n), drawn in terms.items():
@@ -1780,21 +1780,20 @@ class TestRandomClasses:
             assert {a for a, _, _ in drawn} == set(range(n)), n
             assert {b for _, b, _ in drawn} == {0, 1}, n
             assert {c for _, _, c in drawn} == set(range(-4, 5)), n
-
-    def test_products_are_rarely_zero(self, monkeypatch):
         # a product of classes that all vanish would check the ring on zeros
-        _, classes = self.drawn(monkeypatch)
         nonzero = sum(not (x * y).is_zero() for _, x, y, _ in classes.values())
         assert nonzero >= 0.7 * len(classes)
+        # and points apart draw apart
+        assert len({tuple(map(repr, xs)) for xs in classes.values()}) > 0.9 * len(classes)
 
     def test_the_same_point_draws_the_same_classes(self, monkeypatch):
         draws, rand_class = checks._draws, checks._rand_class
-        _, classes = self.drawn(monkeypatch)
+        _, classes = self.record(monkeypatch)
         for g, n in ((5, 3), (41, 7), (120, 10)):
-            terms = draws(g, n)
-            assert [rand_class(terms, AmbientScroll(g, n)) for _ in range(4)] == classes[g, n]
-        # and points apart draw apart
-        assert len({tuple(map(repr, xs)) for xs in classes.values()}) > 0.9 * len(classes)
+            list(_point_rows(g, n))
+            for _ in range(2):
+                terms = draws(g, n)
+                assert [rand_class(terms, AmbientScroll(g, n)) for _ in range(4)] == classes[g, n]
 
 
 class TestRatherFreeRoute:
