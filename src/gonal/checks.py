@@ -12,12 +12,12 @@ exception raised while a family runs ends it with one failing RAISED row,
 detail repr(exc) and a global family's name, so the sweep names it and
 goes on to the next family.
 
-The global checks count first, then the grid points in (g, n) order.  The
-work is one list of units, the global families and then runs of
-consecutive points, dealt round-robin to this process and to forked
-workers; each unit counts into a tally of its own, a worker's sent back
-over a pipe, and the tallies merge in unit order, so the summary is the
-one a single process counts.
+The global checks count first, then the grid points in (g, n) order: a
+unit is a global family or a point, numbered in that order.  The units are
+dealt one at a time to this process and to forked workers; each process
+counts its share into one tally, a worker's sent back over a pipe, and
+the tallies merge by unit, so the summary is the one a single process
+counts.
 """
 
 import json
@@ -29,6 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from math import gcd
+from operator import itemgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import chow, hirzebruch, hyperelliptic, invariants, picard, report
@@ -416,12 +417,6 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[tuple[str, 
 # fork, pipe and reaping.  A point in range at gonality n is worth 1 + n/64
 # of them (11 ms at n near 2000), and a skipped point 1/128 (2.5 us).
 _POINTS_PER_PROCESS = 128
-# The runs of consecutive points dealt to each process: dealt round-robin,
-# they give each process a share of every part of the grid, cheap skips and
-# dear points alike.  On two CPUs, 8 runs each rather than 1 take
-# g 5..80 x n 3..40, whose dear points lie at high g, from 0.56 to 0.42 s,
-# and leave g 5..120 x n 3..10 at 0.26 s.
-_RUNS_PER_PROCESS = 8
 
 
 def _usable_cpus() -> int:
@@ -438,16 +433,17 @@ def _usable_cpus() -> int:
 
 class _Tally:
     """Check rows counted as they arrive, never kept: outcomes, skip reasons
-    in first-seen order, and the first KEPT failure lines."""
+    and their first sightings, and the first KEPT failure lines, each
+    sighting and line tagged with its unit (see _sweep)."""
 
     KEPT = 20
 
     def __init__(self) -> None:
-        self.outcomes, self.skip_reasons, self.failures = Counter(), Counter(), []
+        self.outcomes, self.skip_reasons, self.sightings, self.failures = Counter(), Counter(), [], []
 
-    def count(self, g: int, n: int, rows: Iterable[tuple], family: str = "") -> None:
-        """Count one family's rows at (g, n), or at (0, 0) under its name
-        for a global family, each as it is yielded: the one place a row
+    def count(self, rows: Iterable, unit: int, g: int = 0, n: int = 0, family: str = "") -> None:
+        """Count one family's rows at unit, at (g, n) or under its name for
+        a global family, each as it is yielded: the one place a row
         becomes a pass, a fail or a skip.  A skip gives its reason: ok None
         without one is a failure.  An exception raised while the rows run
         counts as one failing RAISED row, detail repr(exc)."""
@@ -468,45 +464,49 @@ class _Tally:
             outcome = "skip" if ok is None and detail else "fail"
             self.outcomes[outcome] += 1
             if outcome == "skip":
+                if detail not in self.skip_reasons:
+                    self.sightings.append((unit, detail))
                 self.skip_reasons[detail] += 1
             elif len(self.failures) < self.KEPT:
                 # written only for a line kept: a skipped g or n may not print
                 where = f"g={g} n={n} " if (g, n) != (0, 0) else ""
-                self.failures.append(where + row[0] + (f": {detail}" if detail else ""))
+                self.failures.append((unit, where + row[0] + (f": {detail}" if detail else "")))
         if passed:
             self.outcomes["pass"] += passed
 
     def dumps(self) -> bytes:
-        return json.dumps([self.outcomes, list(self.skip_reasons.items()), self.failures]).encode()
+        return json.dumps([self.outcomes, self.skip_reasons, self.sightings, self.failures]).encode()
 
     @classmethod
     def loads(cls, data: bytes) -> "_Tally":
         """The tally whose dumps() is data; ValueError where data does not parse."""
         tally = cls()
-        outcomes, skip_reasons, tally.failures = json.loads(data)
+        outcomes, skip_reasons, tally.sightings, tally.failures = json.loads(data)
         tally.outcomes.update(outcomes)
-        tally.skip_reasons.update(dict(skip_reasons))
+        tally.skip_reasons.update(skip_reasons)
         return tally
 
-    def merge(self, later: "_Tally") -> None:
-        """Count a later tally's rows after this one's, as if they had been
-        counted here."""
-        self.outcomes.update(later.outcomes)
-        self.skip_reasons.update(later.skip_reasons)
-        self.failures += later.failures[: self.KEPT - len(self.failures)]
+    def merge(self, other: "_Tally") -> None:
+        """Count another process's rows into this tally, as if counted here:
+        a unit belongs to one process, which counts in unit order, so a
+        stable sort by unit keeps each entry's place within its unit."""
+        self.outcomes.update(other.outcomes)
+        self.skip_reasons.update(other.skip_reasons)
+        self.sightings = sorted(self.sightings + other.sightings, key=itemgetter(0))
+        self.failures = sorted(self.failures + other.failures, key=itemgetter(0))[: self.KEPT]
 
     def summary(self) -> SweepSummary:
         passed, failed = self.outcomes["pass"], self.outcomes["fail"]
-        first = self.failures[0] if self.failures else None
+        failures = [line for _, line in self.failures]
         return SweepSummary(
-            passed + failed, passed, failed, self.outcomes["skip"], first, self.failures,
-            dict(self.skip_reasons),
+            passed + failed, passed, failed, self.outcomes["skip"], (failures or [None])[0],
+            failures, {reason: self.skip_reasons[reason] for _, reason in self.sightings},
         )
 
 
-def _fork(count: Callable[[object], _Tally], units: list) -> tuple[int, BinaryIO]:
-    """A worker that counts each of units into a new tally and writes their
-    dumps to a pipe, one a line: its pid and the pipe's read end."""
+def _fork(share: Callable[[int], _Tally], k: int) -> tuple[int, BinaryIO]:
+    """A worker that counts share k and writes its tally's dumps to a
+    pipe: its pid and the pipe's read end."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -522,7 +522,7 @@ def _fork(count: Callable[[object], _Tally], units: list) -> tuple[int, BinaryIO
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(b"\n".join(count(unit).dumps() for unit in units))
+                pipe.write(share(k).dumps())
             code = 0
         finally:
             os._exit(code)
@@ -533,42 +533,42 @@ def _fork(count: Callable[[object], _Tally], units: list) -> tuple[int, BinaryIO
 def _sweep(g_values: Sequence[int], n_values: Sequence[int], work: int) -> _Tally:
     """The tally of the global checks, then of every grid point in (g, n)
     order, the points being worth work points at small n (see
-    _POINTS_PER_PROCESS).  The work is one list of units, the global families and then runs of
-    consecutive points, dealt round-robin: process k of w, this one
-    being 0, counts units k, k + w, ..., each into a tally of its own, and
-    the tallies merge in unit order.  The workers are forked before any
-    check runs; where a fork fails, this process counts the units of every
-    process not started.  A worker that dies, exits nonzero or sends an
-    unreadable dump counts as one failing RAISED row at its first unit,
-    naming its runs, and its other units count nothing."""
-    m, points = len(n_values), len(g_values) * len(n_values)
+    _POINTS_PER_PROCESS).  Unit i < F is global family i, and F + r * m + j
+    the point (g_values[r], n_values[j]).  Process k of w, this one being 0,
+    counts family i where i % w == k and point (r, j) where (r + j) % w == k
+    into one tally: by diagonal, since r * m + j would give one process every
+    n = 3 point, twice as dear as one at n >= 4, wherever w divides m.  The
+    workers are forked before any check runs; where a fork fails, this
+    process counts the share of every process not started.  A worker that
+    dies, exits nonzero or sends an unreadable dump counts as one failing
+    RAISED row at its first unit, naming its share, and its other units
+    count nothing."""
+    m = len(n_values)
+    families = _global_checks(g_values, n_values)
+    # no more processes than diagonals, so that each has a point
+    w = min(_usable_cpus(), 1 + work // _POINTS_PER_PROCESS, len(g_values) + m - 1)
 
-    def count(unit) -> _Tally:
+    def share(k: int) -> _Tally:
         tally = _Tally()
-        if isinstance(unit, range):
-            for i in unit:
-                g, n = g_values[i // m], n_values[i % m]
-                tally.count(g, n, _point_rows(g, n))
-        else:
-            family, rows = unit
-            tally.count(0, 0, rows, family)
+        for i in range(k, len(families), w):
+            family, rows = families[i]
+            tally.count(rows, i, family=family)
+        for r, g in enumerate(g_values):
+            for j in range((k - r) % w, m, w):
+                n = n_values[j]
+                tally.count(_point_rows(g, n), len(families) + r * m + j, g, n)
         return tally
 
-    # no more processes than runs, so that each has one
-    w = min(_usable_cpus(), 1 + work // _POINTS_PER_PROCESS, points)
-    runs = min(points, _RUNS_PER_PROCESS * w)
-    cuts = [points * j // runs for j in range(runs + 1)]
-    units = [*_global_checks(g_values, n_values), *map(range, cuts, cuts[1:])]
-    tallies = [_Tally() for _ in units]
+    tallies = [_Tally() for _ in range(w)]
     workers = []  # (k, pid, read end), in process order
     try:
         try:
             for k in range(1, w):
-                workers.append((k, *_fork(count, units[k::w])))
+                workers.append((k, *_fork(share, k)))
         except OSError:
-            pass  # no more processes: this one counts the units left
+            pass  # no more processes: this one counts the shares left
         for k in (0, *range(len(workers) + 1, w)):
-            tallies[k::w] = [count(unit) for unit in units[k::w]]
+            tallies[k] = share(k)
         while workers:
             k, pid, pipe = workers[0]
             data = pipe.read()
@@ -577,20 +577,19 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int], work: int) -> _Tall
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if not code:
                 try:
-                    # a dump of another length fails the assignment with ValueError
-                    tallies[k::w] = [_Tally.loads(line) for line in data.split(b"\n")]
+                    tallies[k] = _Tally.loads(data)
                     continue
                 except ValueError:
                     pass
-            mine = [unit for unit in units[k::w] if isinstance(unit, range)]
-            lo, hi = g_values[mine[0][0] // m], g_values[mine[-1][-1] // m]
             how = (
                 f"was killed by signal {-code}" if code < 0
                 else f"exited with status {code}" if code
                 else "sent an unreadable tally"
             )
-            detail = f"the worker for one run in {w} of g={lo}..{hi} {how}"
-            tallies[k].count(0, 0, [(RAISED, False, detail)])
+            r = max(0, k - m + 1)  # the first point on diagonal k is (r, k - r)
+            first = k if k < len(families) else len(families) + r * m + k - r
+            detail = f"the worker for share {k + 1} of {w} {how}"
+            tallies[k].count([(RAISED, False, detail)], first)
     finally:
         # an interrupted sweep leaves no worker running, nor a zombie
         for _, pid, pipe in workers:

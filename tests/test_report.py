@@ -58,7 +58,7 @@ def outcomes(rows) -> list[tuple[str, str]]:
     out = []
     for row in rows:
         tally = checks._Tally()
-        tally.count(0, 0, [row])
+        tally.count([row], 0)
         (outcome,) = tally.outcomes
         out.append((row[0], outcome))
     return out
@@ -1001,14 +1001,12 @@ def one_process(monkeypatch):
     monkeypatch.setattr(checks, "_usable_cpus", lambda: 1)
 
 
-def cut_into(monkeypatch, count, runs=checks._RUNS_PER_PROCESS):
-    """Deal every sweep's work to count processes, each given runs runs of
-    points, whatever the CPUs, where the grid has a point's worth of checks
-    for each process but the first (a point in range is worth at least one)
-    and a point for each."""
+def cut_into(monkeypatch, count):
+    """Deal every sweep's work to count processes, whatever the CPUs, where
+    the grid has a point's worth of checks for each process but the first
+    (a point in range is worth at least one) and a diagonal for each."""
     monkeypatch.setattr(checks, "_usable_cpus", lambda: count)
     monkeypatch.setattr(checks, "_POINTS_PER_PROCESS", 1)
-    monkeypatch.setattr(checks, "_RUNS_PER_PROCESS", runs)
 
 
 def assert_no_child():
@@ -1242,8 +1240,8 @@ class TestSweep:
         names = set()
         count = checks._Tally.count
 
-        def recorded(self, g, n, rows, family=""):
-            count(self, g, n, (names.add(row[0]) or row for row in rows), family)
+        def recorded(self, rows, *args, **kwargs):
+            count(self, (names.add(row[0]) or row for row in rows), *args, **kwargs)
 
         monkeypatch.setattr(checks._Tally, "count", recorded)
         sweep_verify(range(5, 31), range(3, 7))
@@ -1263,19 +1261,19 @@ class TestSweep:
             raise ConsistencyError("broken")
 
         tally = checks._Tally()
-        tally.count(5, 3, family())
+        tally.count(family(), 7, 5, 3)
         assert tally.outcomes == {"pass": 1, "fail": 3, "skip": 1}
         assert tally.skip_reasons == {"no case": 1}
         # each failure line names the point, the row and its detail
-        assert tally.failures == [
+        assert tally.summary().failures == [
             "g=5 n=3 b: detail",
             "g=5 n=3 d",
             f"g=5 n=3 {checks.RAISED}: ConsistencyError('broken')",
         ]
         # a global family's lines name no point, and its error names the family
         tally = checks._Tally()
-        tally.count(0, 0, family(), "F_e oracle")
-        assert tally.failures == [
+        tally.count(family(), 0, family="F_e oracle")
+        assert tally.summary().failures == [
             "b: detail", "d", f"{checks.RAISED}: ConsistencyError('broken') (family: F_e oracle)"
         ]
 
@@ -1289,13 +1287,14 @@ class TestSweep:
             # the oracle's ConsistencyError is a failing check, not a traceback
             assert summary.first_failure.startswith(f"{checks.RAISED}: ConsistencyError(")
             tally = checks._Tally()
-            for family, rows in _global_checks([5], [3]):
-                tally.count(0, 0, rows, family)
+            for unit, (family, rows) in enumerate(_global_checks([5], [3])):
+                tally.count(rows, unit, family=family)
             # the two families that raise are told apart by name, and
             # nothing else fails
             prefix = f"{checks.RAISED}: "
-            raised = [line.removeprefix(prefix) for line in tally.failures]
-            assert all(line.startswith(prefix) for line in tally.failures)
+            lines = tally.summary().failures
+            raised = [line.removeprefix(prefix) for line in lines]
+            assert all(line.startswith(prefix) for line in lines)
             assert [d[d.rindex(" (family: "):] for d in raised] == [
                 " (family: F_e oracle)",
                 " (family: report round trip)",
@@ -1344,15 +1343,35 @@ class TestSplitSweep:
         forks = self.counted_forks(monkeypatch)
         # a single genus splits too
         for g_values, n_values in (self.GRID, ([1001], range(3, 500)), ([5], [3])):
-            points = len(g_values) * len(n_values)
+            diagonals = len(g_values) + len(n_values) - 1
             expected = ["a", "b", "c", "d", *(f"{g} {n}" for g in g_values for n in n_values)]
-            for count, runs in itertools.product((1, 2, 3, 5), (1, 8)):
-                cut_into(monkeypatch, count, runs)
+            for count in (1, 2, 3, 5):
+                cut_into(monkeypatch, count)
                 forks.clear()
                 summary = sweep_verify(g_values, n_values)
                 assert list(summary.skip_reasons.items()) == [(reason, 1) for reason in expected]
-                # never more processes than points
-                assert len(forks) == min(count, points) - 1 and all(forks)
+                # never more processes than diagonals g + n of the grid
+                assert len(forks) == min(count, diagonals) - 1 and all(forks)
+
+    def test_the_merge_keeps_each_place_within_a_point(self, monkeypatch):
+        # r2 is first seen at (5, 4) after r1, and seen again at the later
+        # point (6, 4), which another process counts at w = 2 and 3; the
+        # failure lines of (5, 4) keep their order, which is not sorted
+        monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [])
+        planted = {
+            (5, 4): [("planted", None, "r1"), ("planted-b", False), ("planted", None, "r2"),
+                     ("planted-a", False)],
+            (6, 4): [("planted", None, "r2")],
+        }
+        monkeypatch.setattr(checks, "_point_rows", lambda g, n: planted.get((g, n), []))
+        forks = self.counted_forks(monkeypatch)
+        for count in (1, 2, 3):
+            cut_into(monkeypatch, count)
+            forks.clear()
+            summary = sweep_verify([5, 6], [3, 4])
+            assert len(forks) == count - 1
+            assert list(summary.skip_reasons.items()) == [("r1", 1), ("r2", 2)]
+            assert summary.failures == ["g=5 n=4 planted-b", "g=5 n=4 planted-a"]
 
     def test_the_process_count(self, monkeypatch):
         # one process per 128 points' worth of checks, a point in range
@@ -1538,13 +1557,13 @@ class TestSplitSweep:
         if how == "exit-after-write":
             exit_now = os._exit
             monkeypatch.setattr(os, "_exit", lambda code: exit_now(5))
-        # 16 runs of one point each: the worker's are n = 4 at g 5..12
+        # the worker's points lie on odd diagonals: n = 3 at even g, n = 4 at odd g
         cut_into(monkeypatch, 2)
         summary = sweep_verify(range(5, 13), range(3, 5))
-        line = f"{checks.RAISED}: the worker for one run in 2 of g=5..12 {message}"
+        line = f"{checks.RAISED}: the worker for share 2 of 2 {message}"
         assert summary.failed == 1 and not summary.ok
         assert summary.failures == [line]
-        # this process's units still count: two global families and n = 3
+        # this process's units still count: two global families and 8 points
         one_process(monkeypatch)
         whole = sweep_verify(range(5, 13), range(3, 5)).checked
         assert 0 < summary.checked - 1 < whole
@@ -1559,26 +1578,44 @@ class TestSplitSweep:
     def test_a_dead_worker_counts_at_its_first_unit(self, monkeypatch):
         # every unit fails once; the worker's first unit is the second
         # family, and its other units, the fourth family and g = 6, count nothing
-        parent = os.getpid()
+        parent, doomed = os.getpid(), ["b"]
+
+        def dying(unit):
+            if unit in doomed and os.getpid() != parent:
+                os._exit(3)
 
         def family(name):
-            if name == "b" and os.getpid() != parent:
-                os._exit(3)
+            dying(name)
             yield "planted", False, name
+
+        def point(g, n):
+            dying((g, n))
+            return [("planted", False, f"{g} {n}")]
 
         monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [
             (name, family(name)) for name in ("a", "b", "c", "d")
         ])
-        monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("planted", False, f"{g} {n}")])
-        cut_into(monkeypatch, 2, runs=1)
+        monkeypatch.setattr(checks, "_point_rows", point)
+        cut_into(monkeypatch, 2)
         summary = sweep_verify(range(5, 7), [3])
         assert summary.failures == [
             "planted: a",
-            f"{checks.RAISED}: the worker for one run in 2 of g=6..6 exited with status 3",
+            f"{checks.RAISED}: the worker for share 2 of 2 exited with status 3",
             "planted: c",
             "g=5 n=3 planted: 5 3",
         ]
         assert summary.checked == summary.failed == 4
+        # past the families, a worker's first unit is the first point of its
+        # diagonal: share 6 of 6 holds (9, 4), then (10, 3), which counts nothing
+        doomed[:] = [(9, 4)]
+        cut_into(monkeypatch, 6)
+        lines = [f"g={g} n={n} planted: {g} {n}" for g in range(5, 11) for n in (3, 4)]
+        lines.remove("g=10 n=3 planted: 10 3")
+        lines[lines.index("g=9 n=4 planted: 9 4")] = (
+            f"{checks.RAISED}: the worker for share 6 of 6 exited with status 3"
+        )
+        summary = sweep_verify(range(5, 11), [3, 4])
+        assert summary.failures == [f"planted: {name}" for name in "abcd"] + lines
 
     def test_an_interrupted_parent_kills_its_workers(self, monkeypatch):
         parent, point_rows = os.getpid(), checks._point_rows
