@@ -1350,7 +1350,7 @@ class TestSplitSweep:
                 forks.clear()
                 summary = sweep_verify(g_values, n_values)
                 assert list(summary.skip_reasons.items()) == [(reason, 1) for reason in expected]
-                # never more processes than diagonals g + n of the grid
+                # never more processes than diagonals r + j of the grid
                 assert len(forks) == min(count, diagonals) - 1 and all(forks)
 
     def test_the_merge_keeps_each_place_within_a_point(self, monkeypatch):
