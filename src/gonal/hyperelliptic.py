@@ -9,7 +9,7 @@ making (x0, 1) a rational point.
 Coefficients live in an exact domain: the rationals (p=None, stored as
 Fraction) or a prime field GF(p) with p odd.  Characteristic 2 is
 refused outright.  Discriminant vanishing is decided by two independent
-routes, the Euclidean algorithm on (f, f') and a Sylvester-matrix
+routes, the Euclidean algorithm on (f, f') and a Bezout-matrix
 resultant, which must and do agree.  Both run on integers only: a
 rational form is first scaled by the least common denominator of its
 coefficients, which keeps every root.  Euclid then runs on
@@ -111,25 +111,35 @@ def _gcd_degree(f: list, h: list, p: int | None) -> int:
 
 
 def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
-    """Res(f, h) != 0, decided by Bareiss elimination on the Sylvester
-    matrix of the two nonzero integer polynomials.
+    """Res(f, h) != 0, decided by Bareiss elimination on the Bezout matrix
+    of the two nonzero integer polynomials.
 
-    Over Z each step divides exactly by the previous pivot, so entries
-    stay minors of the matrix.  Over GF(p) the step is reduced mod p
-    instead, and a row whose lead is already zero is left as it is: the
-    step would only scale it by the pivot, a unit mod p, which keeps
-    whether the determinant vanishes.
+    With m = deg f >= deg h, the m x m Bezout matrix holds the
+    coefficients of (f(x) h(y) - f(y) h(x)) / (x - y).  Its determinant is
+    +-lc(f)^(m - deg h) Res(f, h), so it vanishes exactly when the
+    resultant does, at half the order of the Sylvester matrix.  Over Z
+    each step divides exactly by the previous pivot, so entries stay
+    minors of the matrix.  Over GF(p) the step is reduced mod p instead,
+    and a row whose lead is already zero is left as it is: the step would
+    only scale it by the pivot, a unit mod p, which keeps whether the
+    determinant vanishes.
     """
-    f, h = _reduce(f, p), _reduce(h, p)
+    f, h = sorted((_reduce(f, p), _reduce(h, p)), key=len, reverse=True)
     m, t = len(f) - 1, len(h) - 1
-    if m == 0 or t == 0:
+    if t == 0:
         return True  # a nonzero constant shares no root with anything
-    size = m + t
-    mat = [[0] * i + f[::-1] + [0] * (t - 1 - i) for i in range(t)]
-    mat += [[0] * i + h[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    h += [0] * (m - t)
+    # the coefficient of x^i y^j, symmetric in i and j, is that of
+    # x^(i-1) y^(j+1) plus f_(j+1) h_i - f_i h_(j+1) for i <= j
+    mat = [[0] * m for _ in range(m)]
+    for i in range(m):
+        above = mat[i - 1] if i else [0] * m
+        for j in range(i, m):
+            x = (above[j + 1] if j + 1 < m else 0) + f[j + 1] * h[i] - f[i] * h[j + 1]
+            mat[i][j] = mat[j][i] = x if p is None else x % p
     prev = 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if mat[r][col] != 0), None)
         if pivot is None:
             return False
         mat[col], mat[pivot] = mat[pivot], mat[col]
@@ -207,7 +217,7 @@ def discriminant_nonzero(form: BinaryForm, method: str = "gcd") -> bool:
     must be simple, and the dehomogenization must be squarefree.
     method="gcd" decides squarefreeness by the Euclidean algorithm on
     (f, f'); method="resultant" decides it by Res(f, f') != 0 on the
-    Sylvester matrix.  The two routes agree everywhere.  Both see f
+    Bezout matrix.  The two routes agree everywhere.  Both see f
     with integer coefficients: scaled over Q, its residues over GF(p).
     """
     d, cs, p = form
