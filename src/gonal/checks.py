@@ -13,11 +13,11 @@ detail repr(exc) and a global family's name, so the sweep names it and
 goes on to the next family.
 
 The global checks count first, then the grid points in (g, n) order: a
-unit is a global family or a point, numbered in that order.  The units are
-dealt one at a time to this process and to forked workers; each process
-counts its share into one tally, a worker's sent back over a pipe, and
-the tallies merge by unit, so the summary is the one a single process
-counts.
+unit is a global family or a point, numbered in that order.  This process
+and forked workers take chunks of units from one queue of tickets until it
+is empty; each process counts its chunks into one tally, a worker's sent
+back over a pipe, and the tallies merge by unit, so the summary is the one
+a single process counts.
 """
 
 import json
@@ -307,7 +307,7 @@ def _fe_rows() -> Iterator[tuple]:
 
 def _hyperelliptic_rows() -> Iterator[tuple]:
     """The discriminant's two routes, and the twist."""
-    # discriminant: Euclid route vs Sylvester-resultant route
+    # discriminant: Euclid route vs Bezout-resultant route
     p = 10007
     rng = random.Random(20240)
     agree = verdicts_ok = True
@@ -409,7 +409,7 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[tuple[str, 
 
 
 # ---------------------------------------------------------------------------
-# the work, dealt round-robin to forked workers
+# the work, taken from a queue of tickets by this process and forked workers
 # ---------------------------------------------------------------------------
 
 # A process for every 128 points' worth of checks, a point in range at
@@ -417,6 +417,10 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[tuple[str, 
 # fork, pipe and reaping.  A point in range at gonality n is worth 1 + n/64
 # of them (11 ms at n near 2000), and a skipped point 1/128 (2.5 us).
 _POINTS_PER_PROCESS = 128
+# The most chunks a sweep's units are cut into, so that a chunk's index is
+# one byte: the global families, then runs of consecutive points (4 points
+# a run on the ROADMAP grid).
+_CHUNKS = 256
 
 
 def _usable_cpus() -> int:
@@ -434,12 +438,14 @@ def _usable_cpus() -> int:
 class _Tally:
     """Check rows counted as they arrive, never kept: outcomes, skip reasons
     and their first sightings, and the first KEPT failure lines, each
-    sighting and line tagged with its unit (see _sweep)."""
+    sighting and line tagged with its unit, and the chunks counted (see
+    _sweep)."""
 
     KEPT = 20
 
     def __init__(self) -> None:
         self.outcomes, self.skip_reasons, self.sightings, self.failures = Counter(), Counter(), [], []
+        self.chunks = []
 
     def count(self, rows: Iterable, unit: int, g: int = 0, n: int = 0, family: str = "") -> None:
         """Count one family's rows at unit, at (g, n) or under its name for
@@ -475,13 +481,15 @@ class _Tally:
             self.outcomes["pass"] += passed
 
     def dumps(self) -> bytes:
-        return json.dumps([self.outcomes, self.skip_reasons, self.sightings, self.failures]).encode()
+        return json.dumps(
+            [self.outcomes, self.skip_reasons, self.sightings, self.failures, self.chunks]
+        ).encode()
 
     @classmethod
     def loads(cls, data: bytes) -> "_Tally":
         """The tally whose dumps() is data; ValueError where data does not parse."""
         tally = cls()
-        outcomes, skip_reasons, tally.sightings, tally.failures = json.loads(data)
+        outcomes, skip_reasons, tally.sightings, tally.failures, tally.chunks = json.loads(data)
         tally.outcomes.update(outcomes)
         tally.skip_reasons.update(skip_reasons)
         return tally
@@ -492,6 +500,7 @@ class _Tally:
         stable sort by unit keeps each entry's place within its unit."""
         self.outcomes.update(other.outcomes)
         self.skip_reasons.update(other.skip_reasons)
+        self.chunks += other.chunks
         self.sightings = sorted(self.sightings + other.sightings, key=itemgetter(0))
         self.failures = sorted(self.failures + other.failures, key=itemgetter(0))[: self.KEPT]
 
@@ -504,9 +513,9 @@ class _Tally:
         )
 
 
-def _fork(share: Callable[[int], _Tally], k: int) -> tuple[int, BinaryIO]:
-    """A worker that counts share k and writes its tally's dumps to a
-    pipe: its pid and the pipe's read end."""
+def _fork(take: Callable[[], _Tally]) -> tuple[int, BinaryIO]:
+    """A worker that counts the chunks take() takes and writes its tally's
+    dumps to a pipe: its pid and the pipe's read end."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -522,7 +531,7 @@ def _fork(share: Callable[[int], _Tally], k: int) -> tuple[int, BinaryIO]:
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(share(k).dumps())
+                pipe.write(take().dumps())
             code = 0
         finally:
             os._exit(code)
@@ -534,41 +543,58 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int], work: int) -> _Tall
     """The tally of the global checks, then of every grid point in (g, n)
     order, the points being worth work points at small n (see
     _POINTS_PER_PROCESS).  Unit i < F is global family i, and F + r * m + j
-    the point (g_values[r], n_values[j]).  Process k of w, this one being 0,
-    counts family i where i % w == k and point (r, j) where (r + j) % w == k
-    into one tally: by diagonal, since r * m + j would give one process every
-    n = 3 point, twice as dear as one at n >= 4, wherever w divides m.  The
-    workers are forked before any check runs; where a fork fails, this
-    process counts the share of every process not started.  A worker that
-    dies, exits nonzero or sends an unreadable dump counts as one failing
-    RAISED row at its first unit, naming its share, and its other units
-    count nothing."""
+    the point (g_values[r], n_values[j]).  Chunk c < F is the unit c, and
+    chunk F + q the run of size points from point q * size on, size being
+    the least that makes at most _CHUNKS chunks.  One byte per chunk is
+    written to a pipe before the w - 1 workers are forked; each process,
+    this one included, reads one ticket at a time and counts its chunk
+    into one tally until the pipe is empty.  A one-byte read is never split
+    between readers, and the tickets are read in order, so each process
+    counts its units in unit order, and a process slowed down takes fewer
+    chunks.  A worker that dies, exits nonzero or sends an unreadable dump
+    counts as one failing RAISED row naming its share, at the first unit
+    of the first chunk that no tally received counted, or after the last
+    unit if every chunk was counted."""
     m = len(n_values)
     families = _global_checks(g_values, n_values)
-    # no more processes than diagonals, so that each has a point
+    f, points = len(families), len(g_values) * m
+    size = -(-points // (_CHUNKS - f))
+    chunks = f + -(-points // size)
+    # no more processes than diagonals r + j of the grid
     w = min(_usable_cpus(), 1 + work // _POINTS_PER_PROCESS, len(g_values) + m - 1)
 
-    def share(k: int) -> _Tally:
+    def first_unit(c: int) -> int:
+        return c if c < f else min(f + (c - f) * size, f + points)
+
+    def take() -> _Tally:
         tally = _Tally()
-        for i in range(k, len(families), w):
-            family, rows = families[i]
-            tally.count(rows, i, family=family)
-        for r, g in enumerate(g_values):
-            for j in range((k - r) % w, m, w):
-                n = n_values[j]
-                tally.count(_point_rows(g, n), len(families) + r * m + j, g, n)
+        while ticket := os.read(tickets, 1):
+            c = ticket[0]
+            tally.chunks.append(c)
+            if c < f:
+                family, rows = families[c]
+                tally.count(rows, c, family=family)
+                continue
+            for unit in range(first_unit(c), first_unit(c + 1)):
+                r, j = divmod(unit - f, m)
+                g, n = g_values[r], n_values[j]
+                tally.count(_point_rows(g, n), unit, g, n)
         return tally
 
-    tallies = [_Tally() for _ in range(w)]
+    tickets, write_end = os.pipe()
+    try:
+        os.write(write_end, bytes(range(chunks)))
+    finally:
+        os.close(write_end)
     workers = []  # (k, pid, read end), in process order
+    dead = []
     try:
         try:
             for k in range(1, w):
-                workers.append((k, *_fork(share, k)))
+                workers.append((k, *_fork(take)))
         except OSError:
-            pass  # no more processes: this one counts the shares left
-        for k in (0, *range(len(workers) + 1, w)):
-            tallies[k] = share(k)
+            pass  # no more processes: those started take every ticket
+        total = take()
         while workers:
             k, pid, pipe = workers[0]
             data = pipe.read()
@@ -577,7 +603,7 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int], work: int) -> _Tall
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if not code:
                 try:
-                    tallies[k] = _Tally.loads(data)
+                    total.merge(_Tally.loads(data))
                     continue
                 except ValueError:
                     pass
@@ -586,19 +612,19 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int], work: int) -> _Tall
                 else f"exited with status {code}" if code
                 else "sent an unreadable tally"
             )
-            r = max(0, k - m + 1)  # the first point on diagonal k is (r, k - r)
-            first = k if k < len(families) else len(families) + r * m + k - r
-            detail = f"the worker for share {k + 1} of {w} {how}"
-            tallies[k].count([(RAISED, False, detail)], first)
+            dead.append((RAISED, False, f"the worker for share {k + 1} of {w} {how}"))
     finally:
+        os.close(tickets)
         # an interrupted sweep leaves no worker running, nor a zombie
         for _, pid, pipe in workers:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    total, *later = tallies
-    for tally in later:
-        total.merge(tally)
+    if dead:
+        counted = set(total.chunks)
+        raised = _Tally()
+        raised.count(dead, first_unit(next((c for c in range(chunks) if c not in counted), chunks)))
+        total.merge(raised)
     return total
 
 

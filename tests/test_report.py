@@ -1015,6 +1015,46 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def worker_starts_first(monkeypatch, on_start=lambda unit: None, until_exit=False) -> list[int]:
+    """Make a forked worker take a chunk in every sweep from here on: this
+    process's first unit waits on a pipe that each worker writes a unit's
+    number to as it starts the unit, then runs on_start(unit).  With
+    until_exit the first unit waits until every worker has exited.  The
+    units read there are appended to the list returned: the first a worker
+    started, or, with until_exit, every unit the workers started."""
+    parent, sweep, count = os.getpid(), checks._sweep, checks._Tally.count
+    started, ends = [], {}
+
+    def synced_sweep(*args):
+        ends["read"], ends["write"] = os.pipe()
+        try:
+            return sweep(*args)
+        finally:
+            for end in ends.values():
+                os.close(end)
+            ends.clear()
+
+    def synced_count(self, rows, unit, *args, **kwargs):
+        if os.getpid() != parent:
+            os.write(ends["write"], b"%d " % unit)
+            on_start(unit)
+        elif "write" in ends:
+            # closed here, so that the read ends once every worker has exited
+            os.close(ends.pop("write"))
+            data = b""
+            while chunk := os.read(ends["read"], 1 << 16):
+                data += chunk
+                if not until_exit:
+                    break
+            units = [int(started_unit) for started_unit in data.split()]
+            started.extend(units if until_exit else units[:1])
+        return count(self, rows, unit, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "_sweep", synced_sweep)
+    monkeypatch.setattr(checks._Tally, "count", synced_count)
+    return started
+
+
 # Mutants the sweep on g 5..30 x n 3..6 must fail on: (owner, attribute,
 # the mutant made from the attribute).  ScrollSpec's sortedness check is not
 # one: the sweep builds no unsorted splitting, and
@@ -1314,9 +1354,8 @@ class TestSweep:
 
 
 class TestSplitSweep:
-    """The sweep's work dealt round-robin, the units of every process but
-    this one counted in forked workers: the same summary as one process,
-    and no worker left behind."""
+    """The sweep's chunks taken from one queue by this process and forked
+    workers: the same summary as one process, and no worker left behind."""
 
     GRID = range(0, 60), range(0, 9)
 
@@ -1541,29 +1580,27 @@ class TestSplitSweep:
         ],
     )
     def test_a_dead_worker_fails_the_sweep(self, monkeypatch, capsys, how, message):
-        parent, point_rows, dumps = os.getpid(), checks._point_rows, checks._Tally.dumps
+        dumps = checks._Tally.dumps
 
-        def dying(g, n):
-            if os.getpid() != parent:
-                if how == "exit":
-                    os._exit(3)
-                if how == "kill":
-                    os.kill(os.getpid(), 9)
-            return point_rows(g, n)
+        def dying(unit):
+            if how == "exit":
+                os._exit(3)
+            if how == "kill":
+                os.kill(os.getpid(), 9)
 
-        monkeypatch.setattr(checks, "_point_rows", dying)
+        # the worker starts a unit before this process counts its first
+        worker_starts_first(monkeypatch, dying)
         if how == "garbage":
             monkeypatch.setattr(checks._Tally, "dumps", lambda self: dumps(self)[:-1])
         if how == "exit-after-write":
             exit_now = os._exit
             monkeypatch.setattr(os, "_exit", lambda code: exit_now(5))
-        # the worker's points lie on odd diagonals: n = 3 at even g, n = 4 at odd g
         cut_into(monkeypatch, 2)
         summary = sweep_verify(range(5, 13), range(3, 5))
         line = f"{checks.RAISED}: the worker for share 2 of 2 {message}"
         assert summary.failed == 1 and not summary.ok
         assert summary.failures == [line]
-        # this process's units still count: two global families and 8 points
+        # this process's units still count, the worker's count nothing
         one_process(monkeypatch)
         whole = sweep_verify(range(5, 13), range(3, 5)).checked
         assert 0 < summary.checked - 1 < whole
@@ -1576,68 +1613,67 @@ class TestSplitSweep:
         assert "Traceback" not in err
 
     def test_a_dead_worker_counts_at_its_first_unit(self, monkeypatch):
-        # every unit fails once; the worker's first unit is the second
-        # family, and its other units, the fourth family and g = 6, count nothing
-        parent, doomed = os.getpid(), ["b"]
-
-        def dying(unit):
-            if unit in doomed and os.getpid() != parent:
-                os._exit(3)
-
+        # every unit fails once, and the worker exits as it starts its first
+        # unit: the row sits at that unit, and the unit counts nothing
         def family(name):
-            dying(name)
             yield "planted", False, name
-
-        def point(g, n):
-            dying((g, n))
-            return [("planted", False, f"{g} {n}")]
 
         monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [
             (name, family(name)) for name in ("a", "b", "c", "d")
         ])
-        monkeypatch.setattr(checks, "_point_rows", point)
+        monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("planted", False, f"{g} {n}")])
+        started = worker_starts_first(monkeypatch, lambda unit: os._exit(3))
+        raised = f"{checks.RAISED}: the worker for share 2 of 2 exited with status 3"
+        lines = ["planted: a", "planted: b", "planted: c", "planted: d",
+                 "g=5 n=3 planted: 5 3", "g=6 n=3 planted: 6 3"]
         cut_into(monkeypatch, 2)
         summary = sweep_verify(range(5, 7), [3])
-        assert summary.failures == [
-            "planted: a",
-            f"{checks.RAISED}: the worker for share 2 of 2 exited with status 3",
-            "planted: c",
-            "g=5 n=3 planted: 5 3",
-        ]
-        assert summary.checked == summary.failed == 4
-        # past the families, a worker's first unit is the first point of its
-        # diagonal: share 6 of 6 holds (9, 4), then (10, 3), which counts nothing
-        doomed[:] = [(9, 4)]
-        cut_into(monkeypatch, 6)
-        lines = [f"g={g} n={n} planted: {g} {n}" for g in range(5, 11) for n in (3, 4)]
-        lines.remove("g=10 n=3 planted: 10 3")
-        lines[lines.index("g=9 n=4 planted: 9 4")] = (
-            f"{checks.RAISED}: the worker for share 6 of 6 exited with status 3"
-        )
-        summary = sweep_verify(range(5, 11), [3, 4])
-        assert summary.failures == [f"planted: {name}" for name in "abcd"] + lines
+        (unit,) = started
+        assert summary.failures == lines[:unit] + [raised] + lines[unit + 1 :]
+        assert summary.checked == summary.failed == 6
+        # without families, 260 points make 130 chunks of two: the worker's
+        # chunk is the first or second, and its second point counts nothing
+        monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [])
+        started.clear()
+        summary = sweep_verify(range(5, 70), range(3, 7))
+        (unit,) = started
+        assert unit in (0, 2)
+        lines = [f"g={g} n={n} planted: {g} {n}" for g in range(5, 70) for n in range(3, 7)]
+        assert summary.failures == (lines[:unit] + [raised] + lines[unit + 2 :])[:20]
+        assert summary.checked == summary.failed == 259
+        # a worker that takes no ticket leaves every chunk counted: its row
+        # comes after the last unit
+        monkeypatch.undo()
+        monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("planted", False, f"{g} {n}")])
+        monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [])
+        parent, read = os.getpid(), os.read
+        monkeypatch.setattr(os, "read", lambda *a: read(*a) if os.getpid() == parent else os._exit(3))
+        cut_into(monkeypatch, 2)
+        summary = sweep_verify(range(5, 7), [3])
+        assert summary.failures == ["g=5 n=3 planted: 5 3", "g=6 n=3 planted: 6 3", raised]
 
     def test_an_interrupted_parent_kills_its_workers(self, monkeypatch):
-        parent, point_rows = os.getpid(), checks._point_rows
-
-        def slow(g, n):
-            # a worker that would run for 20 s
-            if os.getpid() != parent:
-                time.sleep(20)
-                os._exit(0)
-            return point_rows(g, n)
+        # each worker blocks as it starts its first unit, on a pipe no one writes
+        never_read, never_write = os.pipe()
+        monkeypatch.setattr(checks, "_point_rows", lambda g, n: [])
 
         def interrupted():
             raise KeyboardInterrupt
             yield  # a family, interrupted as it starts
 
-        monkeypatch.setattr(checks, "_point_rows", slow)
-        # the first unit, this process's, after both workers are forked
-        monkeypatch.setattr(checks, "_fe_rows", interrupted)
+        monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [
+            (name, interrupted()) for name in ("a", "b", "c", "d")
+        ])
+        # this process's first unit starts once a worker is stuck in its own
+        worker_starts_first(monkeypatch, lambda unit: os.read(never_read, 1))
         cut_into(monkeypatch, 3)
         start = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            sweep_verify(range(5, 13), range(3, 5))
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                sweep_verify(range(5, 13), range(3, 5))
+        finally:
+            os.close(never_read)
+            os.close(never_write)
         assert time.perf_counter() - start < 10
 
     def test_a_failed_fork_runs_the_slice_here(self, monkeypatch):
@@ -1652,7 +1688,7 @@ class TestSplitSweep:
             return fork()
 
         monkeypatch.setattr(os, "fork", second_fails)
-        # the units of processes 2 and 3 are counted here
+        # the two processes started take every ticket
         cut_into(monkeypatch, 4)
         assert sweep_verify(*self.GRID) == one
         assert forks == [1]
