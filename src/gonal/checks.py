@@ -46,8 +46,8 @@ _PENCIL_COUNT_MAX_N = 200
 SWEEP_POINT_LIMIT = 10**5
 # The largest sum of n over the points in range a sweep takes, since a
 # point's cost grows with n: 10^5 points at n near 20 with this
-# sum take 45 to 53 s, and 2 x 10^3 points at n up to 2 x 10^3 take 11 to
-# 14 s (CPython 3.11, one Xeon core; 23 to 29 s and 7 to 8 s split between two).
+# sum take 36 to 53 s, and 2 x 10^3 points at n up to 2 x 10^3 take 9 to
+# 14 s (CPython 3.11, one Xeon core; 16 to 18 s and 4 to 5.5 s split between two).
 SWEEP_GONALITY_LIMIT = 2 * 10**6
 
 RAISED = "sweep/raised"
