@@ -124,7 +124,9 @@ def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
     only scale it by the pivot, a unit mod p, which keeps whether the
     determinant vanishes.
     """
-    f, h = sorted((_reduce(f, p), _reduce(h, p)), key=len, reverse=True)
+    f, h = _reduce(f, p), _reduce(h, p)
+    if len(f) < len(h):
+        f, h = h, f  # Res(h, f) = +-Res(f, h)
     m, t = len(f) - 1, len(h) - 1
     if t == 0:
         return True  # a nonzero constant shares no root with anything
