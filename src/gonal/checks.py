@@ -560,7 +560,6 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int], work: int) -> _Tall
     f, points = len(families), len(g_values) * m
     size = -(-points // (_CHUNKS - f))
     chunks = f + -(-points // size)
-    # no more processes than diagonals r + j of the grid
     w = min(_usable_cpus(), 1 + work // _POINTS_PER_PROCESS, len(g_values) + m - 1)
 
     def first_unit(c: int) -> int:
