@@ -413,9 +413,10 @@ def _global_checks(g_values: list[int], n_values: list[int]) -> list[tuple[str, 
 # ---------------------------------------------------------------------------
 
 # A process for every 128 points' worth of checks, a point in range at
-# small n taking about 0.34 ms: 44 ms, 25 times the 1 to 2 ms of a worker's
-# fork, pipe and reaping.  A point in range at gonality n is worth 1 + n/64
-# of them (11 ms at n near 2000), and a skipped point 1/128 (2.5 us).
+# small n taking about 0.27 ms: 35 ms, 7 times the 5 ms a worker adds to a
+# sweep on one CPU, 2 ms of it the fork, pipe and reaping.  A point in range
+# at gonality n is worth 1 + n/64 of them (7 to 11 ms at n near 2000), and a
+# skipped point 1/128 (1.6 to 2.7 us).
 _POINTS_PER_PROCESS = 128
 # The most chunks a sweep's units are cut into, so that a chunk's index is
 # one byte: the global families, then runs of consecutive points (4 points
@@ -437,15 +438,13 @@ def _usable_cpus() -> int:
 
 class _Tally:
     """Check rows counted as they arrive, never kept: outcomes, skip reasons
-    and their first sightings, and the first KEPT failure lines, each
-    sighting and line tagged with its unit, and the chunks counted (see
+    and the first KEPT failure lines, each line tagged with its unit (see
     _sweep)."""
 
     KEPT = 20
 
     def __init__(self) -> None:
-        self.outcomes, self.skip_reasons, self.sightings, self.failures = Counter(), Counter(), [], []
-        self.chunks = []
+        self.outcomes, self.skip_reasons, self.failures = Counter(), Counter(), []
 
     def count(self, rows: Iterable, unit: int, g: int = 0, n: int = 0, family: str = "") -> None:
         """Count one family's rows at unit, at (g, n) or under its name for
@@ -470,8 +469,6 @@ class _Tally:
             outcome = "skip" if ok is None and detail else "fail"
             self.outcomes[outcome] += 1
             if outcome == "skip":
-                if detail not in self.skip_reasons:
-                    self.sightings.append((unit, detail))
                 self.skip_reasons[detail] += 1
             elif len(self.failures) < self.KEPT:
                 # written only for a line kept: a skipped g or n may not print
@@ -481,15 +478,13 @@ class _Tally:
             self.outcomes["pass"] += passed
 
     def dumps(self) -> bytes:
-        return json.dumps(
-            [self.outcomes, self.skip_reasons, self.sightings, self.failures, self.chunks]
-        ).encode()
+        return json.dumps([self.outcomes, self.skip_reasons, self.failures]).encode()
 
     @classmethod
     def loads(cls, data: bytes) -> "_Tally":
         """The tally whose dumps() is data; ValueError where data does not parse."""
         tally = cls()
-        outcomes, skip_reasons, tally.sightings, tally.failures, tally.chunks = json.loads(data)
+        outcomes, skip_reasons, tally.failures = json.loads(data)
         tally.outcomes.update(outcomes)
         tally.skip_reasons.update(skip_reasons)
         return tally
@@ -500,8 +495,6 @@ class _Tally:
         stable sort by unit keeps each entry's place within its unit."""
         self.outcomes.update(other.outcomes)
         self.skip_reasons.update(other.skip_reasons)
-        self.chunks += other.chunks
-        self.sightings = sorted(self.sightings + other.sightings, key=itemgetter(0))
         self.failures = sorted(self.failures + other.failures, key=itemgetter(0))[: self.KEPT]
 
     def summary(self) -> SweepSummary:
@@ -509,7 +502,7 @@ class _Tally:
         failures = [line for _, line in self.failures]
         return SweepSummary(
             passed + failed, passed, failed, self.outcomes["skip"], (failures or [None])[0],
-            failures, {reason: self.skip_reasons[reason] for _, reason in self.sightings},
+            failures, dict(sorted(self.skip_reasons.items())),
         )
 
 
@@ -543,41 +536,38 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int], work: int) -> _Tall
     """The tally of the global checks, then of every grid point in (g, n)
     order, the points being worth work points at small n (see
     _POINTS_PER_PROCESS).  Unit i < F is global family i, and F + r * m + j
-    the point (g_values[r], n_values[j]).  Chunk c < F is the unit c, and
-    chunk F + q the run of size points from point q * size on, size being
-    the least that makes at most _CHUNKS chunks.  One byte per chunk is
+    the point (g_values[r], n_values[j]).  Chunk c is the units from
+    starts[c] up to starts[c + 1]: a family, or a run of step points, step
+    being the least that makes at most _CHUNKS chunks.  One byte per chunk is
     written to a pipe before the w - 1 workers are forked; each process,
     this one included, reads one ticket at a time and counts its chunk
     into one tally until the pipe is empty.  A one-byte read is never split
     between readers, and the tickets are read in order, so each process
     counts its units in unit order, and a process slowed down takes fewer
-    chunks.  A worker that dies, exits nonzero or sends an unreadable dump
-    counts as one failing RAISED row naming its share, at the first unit
-    of the first chunk that no tally received counted, or after the last
-    unit if every chunk was counted."""
+    chunks.  There are never more processes than chunks.  A worker
+    that dies, exits nonzero or sends an unreadable dump counts as one
+    failing RAISED row naming its share, at unit -1, so that it leads the
+    failure lines."""
     m = len(n_values)
     families = _global_checks(g_values, n_values)
     f, points = len(families), len(g_values) * m
-    size = -(-points // (_CHUNKS - f))
-    chunks = f + -(-points // size)
-    w = min(_usable_cpus(), 1 + work // _POINTS_PER_PROCESS, len(g_values) + m - 1)
-
-    def first_unit(c: int) -> int:
-        return c if c < f else min(f + (c - f) * size, f + points)
+    step = -(-points // (_CHUNKS - f))
+    starts = [*range(f), *range(f, f + points, step), f + points]
+    chunks = len(starts) - 1
+    w = min(_usable_cpus(), 1 + work // _POINTS_PER_PROCESS, chunks)
 
     def take() -> _Tally:
         tally = _Tally()
         while ticket := os.read(tickets, 1):
             c = ticket[0]
-            tally.chunks.append(c)
-            if c < f:
-                family, rows = families[c]
-                tally.count(rows, c, family=family)
-                continue
-            for unit in range(first_unit(c), first_unit(c + 1)):
-                r, j = divmod(unit - f, m)
-                g, n = g_values[r], n_values[j]
-                tally.count(_point_rows(g, n), unit, g, n)
+            for unit in range(starts[c], starts[c + 1]):
+                if unit < f:
+                    family, rows = families[unit]
+                    tally.count(rows, unit, family=family)
+                else:
+                    r, j = divmod(unit - f, m)
+                    g, n = g_values[r], n_values[j]
+                    tally.count(_point_rows(g, n), unit, g, n)
         return tally
 
     tickets, write_end = os.pipe()
@@ -620,9 +610,8 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int], work: int) -> _Tall
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     if dead:
-        counted = set(total.chunks)
         raised = _Tally()
-        raised.count(dead, first_unit(next((c for c in range(chunks) if c not in counted), chunks)))
+        raised.count(dead, -1)
         total.merge(raised)
     return total
 
@@ -691,7 +680,7 @@ def render_sweep_text(summary: SweepSummary) -> str:
     ]
     if summary.skip_reasons:
         lines.append("skip reasons:")
-        lines += [f"  {count} x {reason}" for reason, count in sorted(summary.skip_reasons.items())]
+        lines += [f"  {count} x {reason}" for reason, count in summary.skip_reasons.items()]
     if summary.failures:
         lines += ["failures:", *(f"  {f}" for f in summary.failures)]
     lines.append("ok" if summary.ok else "FAILED")

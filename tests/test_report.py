@@ -1004,7 +1004,7 @@ def one_process(monkeypatch):
 def cut_into(monkeypatch, count):
     """Deal every sweep's work to count processes, whatever the CPUs, where
     the grid has a point's worth of checks for each process but the first
-    (a point in range is worth at least one) and a diagonal for each."""
+    (a point in range is worth at least one) and a chunk for each."""
     monkeypatch.setattr(checks, "_usable_cpus", lambda: count)
     monkeypatch.setattr(checks, "_POINTS_PER_PROCESS", 1)
 
@@ -1167,16 +1167,27 @@ class TestSweep:
         # repeats are read through: two distinct values
         assert sweep_verify(iter([6, 5] * 10**5), [3]) == sweep_verify(range(5, 7), [3])
 
-    def test_no_hyperelliptic_genus_skips(self):
+    def test_no_hyperelliptic_genus_skips(self, capsys):
         # below genus 2 the hyperelliptic checks have no case to evaluate,
         # and below gonality 2 neither has the pencil count
         summary = sweep_verify(range(0, 2), range(0, 2))
         assert (summary.checked, summary.failed, summary.skipped) == (9, 0, 7)
-        assert summary.skip_reasons == {
-            "requires n >= 3 and 2n-2 < g": 4,
-            "no genus >= 2 in the grid": 2,
-            "no gonality >= 2 in the grid": 1,
-        }
+        # in sorted order, as the text prints them
+        assert list(summary.skip_reasons.items()) == [
+            ("no genus >= 2 in the grid", 2),
+            ("no gonality >= 2 in the grid", 1),
+            ("requires n >= 3 and 2n-2 < g", 4),
+        ]
+        argv = ["verify", "--genus-min", "0", "--genus-max", "1",
+                "--gonality-min", "0", "--gonality-max", "1", "--format", "json"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "checked": 9,\n  "passed": 9,\n  "failed": 0,\n  "skipped": 7,\n'
+            '  "first_failure": null,\n  "failures": [],\n  "skip_reasons": {\n'
+            '    "no genus >= 2 in the grid": 2,\n'
+            '    "no gonality >= 2 in the grid": 1,\n'
+            '    "requires n >= 3 and 2n-2 < g": 4\n  }\n}\n'
+        )
 
     def test_no_pencil_gonality_skips(self):
         summary = sweep_verify(range(5, 7), range(0, 2))
@@ -1372,45 +1383,75 @@ class TestSplitSweep:
         return forks
 
     def test_the_units_cover_the_grid_in_order(self, monkeypatch):
-        # each unit skips once under its own reason, so the merged skip
-        # reasons list the units as counted: the global families, then
-        # every point once, in (g, n) order
-        monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [
-            (family, iter([("planted", None, family)])) for family in ("a", "b", "c", "d")
-        ])
-        monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("planted", None, f"{g} {n}")])
-        forks = self.counted_forks(monkeypatch)
-        # a single genus splits too
-        for g_values, n_values in (self.GRID, ([1001], range(3, 500)), ([5], [3])):
-            diagonals = len(g_values) + len(n_values) - 1
-            expected = ["a", "b", "c", "d", *(f"{g} {n}" for g in g_values for n in n_values)]
-            for count in (1, 2, 3, 5):
-                cut_into(monkeypatch, count)
-                forks.clear()
-                summary = sweep_verify(g_values, n_values)
-                assert list(summary.skip_reasons.items()) == [(reason, 1) for reason in expected]
-                # never more processes than diagonals r + j of the grid
-                assert len(forks) == min(count, diagonals) - 1 and all(forks)
+        # each unit fails once and writes its process and its label to one
+        # pipe, read once the sweep is over: every unit is counted once, each
+        # process counts in unit order, and the merge keeps the first 20 lines
+        read_end, write_end = os.pipe()
 
-    def test_the_merge_keeps_each_place_within_a_point(self, monkeypatch):
+        def logged(label):
+            os.write(write_end, b"%d %s\n" % (os.getpid(), label.encode()))
+            yield "planted", False, label
+
+        monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [
+            (family, logged(family)) for family in ("a", "b", "c", "d")
+        ])
+        monkeypatch.setattr(checks, "_point_rows", lambda g, n: logged(f"{g},{n}"))
+        forks = self.counted_forks(monkeypatch)
+        try:
+            for g_values, n_values, work, chunks in (
+                # 540 points worth 326, in 184 chunks of up to 3
+                (*self.GRID, 326, 184),
+                # a single genus splits too: 497 points worth 2446, in chunks of 2
+                ([1001], range(3, 500), 2446, 253),
+                # one point worth 1: two processes, though its 5 chunks allow five
+                ([5], [3], 1, 5),
+                # one point worth 782 at n = 50000: a process for each chunk
+                ([100001], [50000], 782, 5),
+            ):
+                labels = ["a", "b", "c", "d", *(f"{g},{n}" for g in g_values for n in n_values)]
+                place = {label: unit for unit, label in enumerate(labels)}
+                for count in (1, 2, 3, 5, 8):
+                    cut_into(monkeypatch, count)
+                    forks.clear()
+                    summary = sweep_verify(g_values, n_values)
+                    by_process = {}
+                    for line in os.read(read_end, 1 << 16).decode().splitlines():
+                        pid, label = line.split()
+                        by_process.setdefault(pid, []).append(place[label])
+                    assert sorted(sum(by_process.values(), [])) == list(range(len(labels)))
+                    assert all(units == sorted(units) for units in by_process.values())
+                    assert [line.rpartition(" ")[2] for line in summary.failures] == labels[:20]
+                    assert summary.failed == len(labels)
+                    # never more processes than the work allows, nor than chunks
+                    assert len(forks) == min(count, 1 + work, chunks) - 1 and all(forks)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
+    def test_the_merge_keeps_each_place_within_a_point(self, monkeypatch, capsys):
         # r2 is first seen at (5, 4) after r1, and seen again at the later
-        # point (6, 4), which another process counts at w = 2 and 3; the
-        # failure lines of (5, 4) keep their order, which is not sorted
+        # point (6, 4), which another process counts at w = 2 and 3, and
+        # which first sees r0; the failure lines of (5, 4) keep their order,
+        # which is not sorted, and the skip reasons are sorted, r0 first
         monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [])
         planted = {
             (5, 4): [("planted", None, "r1"), ("planted-b", False), ("planted", None, "r2"),
                      ("planted-a", False)],
-            (6, 4): [("planted", None, "r2")],
+            (6, 4): [("planted", None, "r2"), ("planted", None, "r0")],
         }
         monkeypatch.setattr(checks, "_point_rows", lambda g, n: planted.get((g, n), []))
         forks = self.counted_forks(monkeypatch)
+        argv = ["verify", "--genus-min", "5", "--genus-max", "6",
+                "--gonality-min", "3", "--gonality-max", "4", "--format", "json"]
         for count in (1, 2, 3):
             cut_into(monkeypatch, count)
             forks.clear()
             summary = sweep_verify([5, 6], [3, 4])
             assert len(forks) == count - 1
-            assert list(summary.skip_reasons.items()) == [("r1", 1), ("r2", 2)]
+            assert list(summary.skip_reasons.items()) == [("r0", 1), ("r1", 1), ("r2", 2)]
             assert summary.failures == ["g=5 n=4 planted-b", "g=5 n=4 planted-a"]
+            assert cli.main(argv) == 1
+            assert list(json.loads(capsys.readouterr().out)["skip_reasons"]) == ["r0", "r1", "r2"]
 
     def test_the_process_count(self, monkeypatch):
         # one process per 128 points' worth of checks, a point in range
@@ -1612,9 +1653,10 @@ class TestSplitSweep:
         assert f"  {line}\n" in out and out.endswith("FAILED\n")
         assert "Traceback" not in err
 
-    def test_a_dead_worker_counts_at_its_first_unit(self, monkeypatch):
+    def test_a_dead_worker_leads_the_failures(self, monkeypatch):
         # every unit fails once, and the worker exits as it starts its first
-        # unit: the row sits at that unit, and the unit counts nothing
+        # unit: its row leads the failure lines, the other lines follow in
+        # unit order, and the worker's chunk counts nothing
         def family(name):
             yield "planted", False, name
 
@@ -1627,9 +1669,12 @@ class TestSplitSweep:
         lines = ["planted: a", "planted: b", "planted: c", "planted: d",
                  "g=5 n=3 planted: 5 3", "g=6 n=3 planted: 6 3"]
         cut_into(monkeypatch, 2)
+        # at a family chunk: the worker's is the first or second ticket
         summary = sweep_verify(range(5, 7), [3])
         (unit,) = started
-        assert summary.failures == lines[:unit] + [raised] + lines[unit + 1 :]
+        assert unit in (0, 1)
+        assert summary.failures == [raised] + lines[:unit] + lines[unit + 1 :]
+        assert summary.first_failure == raised
         assert summary.checked == summary.failed == 6
         # without families, 260 points make 130 chunks of two: the worker's
         # chunk is the first or second, and its second point counts nothing
@@ -1639,10 +1684,10 @@ class TestSplitSweep:
         (unit,) = started
         assert unit in (0, 2)
         lines = [f"g={g} n={n} planted: {g} {n}" for g in range(5, 70) for n in range(3, 7)]
-        assert summary.failures == (lines[:unit] + [raised] + lines[unit + 2 :])[:20]
+        assert summary.failures == ([raised] + lines[:unit] + lines[unit + 2 :])[:20]
         assert summary.checked == summary.failed == 259
-        # a worker that takes no ticket leaves every chunk counted: its row
-        # comes after the last unit
+        # a worker that exits before it takes a ticket: this process counts
+        # every unit, after the row
         monkeypatch.undo()
         monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("planted", False, f"{g} {n}")])
         monkeypatch.setattr(checks, "_global_checks", lambda g_values, n_values: [])
@@ -1650,7 +1695,7 @@ class TestSplitSweep:
         monkeypatch.setattr(os, "read", lambda *a: read(*a) if os.getpid() == parent else os._exit(3))
         cut_into(monkeypatch, 2)
         summary = sweep_verify(range(5, 7), [3])
-        assert summary.failures == ["g=5 n=3 planted: 5 3", "g=6 n=3 planted: 6 3", raised]
+        assert summary.failures == [raised, "g=5 n=3 planted: 5 3", "g=6 n=3 planted: 6 3"]
 
     def test_an_interrupted_parent_kills_its_workers(self, monkeypatch):
         # each worker blocks as it starts its first unit, on a pipe no one writes
