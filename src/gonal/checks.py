@@ -446,9 +446,9 @@ class _Tally:
     def __init__(self) -> None:
         self.outcomes, self.skip_reasons, self.failures = Counter(), Counter(), []
 
-    def count(self, rows: Iterable, unit: int, g: int = 0, n: int = 0, family: str = "") -> None:
-        """Count one family's rows at unit, at (g, n) or under its name for
-        a global family, each as it is yielded: the one place a row
+    def count(self, rows: Iterable, unit: int, where: tuple[int, int] | str | None = None) -> None:
+        """Count one family's rows at unit, where being its grid point (g, n)
+        or a global family's name, each as it is yielded: the one place a row
         becomes a pass, a fail or a skip.  A skip gives its reason: ok None
         without one is a failure.  An exception raised while the rows run
         counts as one failing RAISED row, detail repr(exc)."""
@@ -457,7 +457,7 @@ class _Tally:
             try:
                 yield from rows
             except Exception as exc:
-                yield RAISED, False, f"{exc!r} (family: {family})" if family else repr(exc)
+                yield RAISED, False, f"{exc!r} (family: {where})" if type(where) is str else repr(exc)
 
         passed = 0
         for row in guarded():
@@ -472,8 +472,8 @@ class _Tally:
                 self.skip_reasons[detail] += 1
             elif len(self.failures) < self.KEPT:
                 # written only for a line kept: a skipped g or n may not print
-                where = f"g={g} n={n} " if (g, n) != (0, 0) else ""
-                self.failures.append((unit, where + row[0] + (f": {detail}" if detail else "")))
+                point = "g=%s n=%s " % where if type(where) is tuple else ""
+                self.failures.append((unit, point + row[0] + (f": {detail}" if detail else "")))
         if passed:
             self.outcomes["pass"] += passed
 
@@ -562,12 +562,12 @@ def _sweep(g_values: Sequence[int], n_values: Sequence[int], work: int) -> _Tall
             c = ticket[0]
             for unit in range(starts[c], starts[c + 1]):
                 if unit < f:
-                    family, rows = families[unit]
-                    tally.count(rows, unit, family=family)
+                    where, rows = families[unit]
                 else:
                     r, j = divmod(unit - f, m)
-                    g, n = g_values[r], n_values[j]
-                    tally.count(_point_rows(g, n), unit, g, n)
+                    where = g_values[r], n_values[j]
+                    rows = _point_rows(*where)
+                tally.count(rows, unit, where)
         return tally
 
     tickets, write_end = os.pipe()

@@ -1,6 +1,9 @@
-"""Tests for the verify sweep's queue of tickets: every unit is counted
-once, by whichever process takes its chunk, and the summary is the one a
-single process counts."""
+"""Every test of the verify sweep (gonal.checks): its checks and the
+mutants they kill, its tally, the work done per grid point, and the queue
+of tickets its forked workers share, where every unit is counted once, by
+whichever process takes its chunk, and the summary is the one a single
+process counts.  The input refusals the sweep shares with `report` are
+tested with the report, in test_report.py."""
 
 import itertools
 import json
@@ -65,8 +68,15 @@ def cut_into(monkeypatch, count):
     monkeypatch.setattr(checks, "_POINTS_PER_PROCESS", 1)
 
 
-def assert_no_child():
-    """No child process is left, running or unreaped."""
+# the grid of the split sweep's tests: 540 points and the 4 global families,
+# in 184 chunks of 3 points each
+GRID = range(0, 60), range(0, 9)
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test, no child process is left, running or unreaped."""
+    yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -368,7 +378,7 @@ class TestSweep:
             raise ConsistencyError("broken")
 
         tally = checks._Tally()
-        tally.count(family(), 7, 5, 3)
+        tally.count(family(), 7, (5, 3))
         assert tally.outcomes == {"pass": 1, "fail": 3, "skip": 1}
         assert tally.skip_reasons == {"no case": 1}
         # each failure line names the point, the row and its detail
@@ -379,10 +389,16 @@ class TestSweep:
         ]
         # a global family's lines name no point, and its error names the family
         tally = checks._Tally()
-        tally.count(family(), 0, family="F_e oracle")
+        tally.count(family(), 0, "F_e oracle")
         assert tally.summary().failures == [
             "b: detail", "d", f"{checks.RAISED}: ConsistencyError('broken') (family: F_e oracle)"
         ]
+
+    def test_a_failure_at_the_point_0_0_names_the_point(self, monkeypatch):
+        # (0, 0) is a grid point like any other, not a global family
+        monkeypatch.setattr(checks, "_point_rows", lambda g, n: [("planted", False, f"{g},{n}")])
+        summary = sweep_verify([0], [0])
+        assert summary.failures == ["g=0 n=0 planted: 0,0"]
 
     @pytest.mark.parametrize("mutant", sorted(MUTANTS))
     def test_the_sweep_fails_on_a_mutant(self, monkeypatch, capsys, mutant):
@@ -395,7 +411,7 @@ class TestSweep:
             assert summary.first_failure.startswith(f"{checks.RAISED}: ConsistencyError(")
             tally = checks._Tally()
             for unit, (family, rows) in enumerate(_global_checks([5], [3])):
-                tally.count(rows, unit, family=family)
+                tally.count(rows, unit, family)
             # the two families that raise are told apart by name, and
             # nothing else fails
             prefix = f"{checks.RAISED}: "
@@ -420,16 +436,10 @@ class TestSweep:
             assert "Traceback" not in err
 
 
+@pytest.mark.usefixtures("no_child_left")
 class TestSplitSweep:
     """The sweep's chunks taken from one queue by this process and forked
     workers: the same summary as one process, and no worker left behind."""
-
-    GRID = range(0, 60), range(0, 9)
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        assert_no_child()
 
     @staticmethod
     def counted_forks(monkeypatch) -> list[int]:
@@ -456,7 +466,7 @@ class TestSplitSweep:
         try:
             for g_values, n_values, work, chunks in (
                 # 540 points worth 326, in 184 chunks of up to 3
-                (*self.GRID, 326, 184),
+                (*GRID, 326, 184),
                 # a single genus splits too: 497 points worth 2446, in chunks of 2
                 ([1001], range(3, 500), 2446, 253),
                 # one point worth 1: two processes, though its 5 chunks allow five
@@ -559,7 +569,7 @@ class TestSplitSweep:
         thread.start()
         try:
             assert checks._usable_cpus() == 1
-            assert sweep_verify(*self.GRID).ok
+            assert sweep_verify(*GRID).ok
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -567,23 +577,23 @@ class TestSplitSweep:
         # the thread was the reason: alone, this process forks
         assert checks._usable_cpus() == 4
         with pytest.raises(AssertionError, match="forked"):
-            sweep_verify(*self.GRID)
+            sweep_verify(*GRID)
         # and without os.fork it cannot
         monkeypatch.delattr(os, "fork")
         assert checks._usable_cpus() == 1
-        assert sweep_verify(*self.GRID).ok
+        assert sweep_verify(*GRID).ok
 
     def test_the_clean_grid_split(self, monkeypatch):
         one_process(monkeypatch)
-        one = sweep_verify(*self.GRID)
+        one = sweep_verify(*GRID)
         for count in (2, 5):
             cut_into(monkeypatch, count)
-            assert sweep_verify(*self.GRID) == one
+            assert sweep_verify(*GRID) == one
         monkeypatch.undo()
         # on three CPUs the grid's 326 points' worth take three processes
         monkeypatch.setattr(checks, "_usable_cpus", lambda: 3)
         forks = self.counted_forks(monkeypatch)
-        assert sweep_verify(*self.GRID) == one
+        assert sweep_verify(*GRID) == one
         assert len(forks) == 2
         assert one.skipped > 0 and one.ok
 
@@ -592,9 +602,9 @@ class TestSplitSweep:
         owner, attr, mutate = MUTANTS[mutant]
         monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
         one_process(monkeypatch)
-        one = sweep_verify(*self.GRID)
+        one = sweep_verify(*GRID)
         cut_into(monkeypatch, 2)
-        split = sweep_verify(*self.GRID)
+        split = sweep_verify(*GRID)
         # equal first_failure and failures, and skip reasons in the same order
         assert split == one
         assert list(split.skip_reasons.items()) == list(one.skip_reasons.items())
@@ -616,10 +626,10 @@ class TestSplitSweep:
         monkeypatch.setattr(checks, "_point_rows", planted)
         monkeypatch.setattr(checks, "_report_rows", raising)
         one_process(monkeypatch)
-        one = sweep_verify(*self.GRID)
+        one = sweep_verify(*GRID)
         for count in (1, 2, 3, 5):
             cut_into(monkeypatch, count)
-            split = sweep_verify(*self.GRID)
+            split = sweep_verify(*GRID)
             assert split == one
             assert list(split.skip_reasons.items()) == list(one.skip_reasons.items())
         assert one.failed > 20 and len(one.failures) == 20
@@ -641,9 +651,9 @@ class TestSplitSweep:
 
         monkeypatch.setattr(checks, "_point_rows", planted)
         one_process(monkeypatch)
-        one = sweep_verify(*self.GRID)
+        one = sweep_verify(*GRID)
         cut_into(monkeypatch, 2)
-        split = sweep_verify(*self.GRID)
+        split = sweep_verify(*GRID)
         assert one.failures == [
             "g=10 n=3 planted: at g=10", "g=50 n=4 planted: at g=50", "g=55 n=5 planted: at g=55"
         ]
@@ -779,7 +789,7 @@ class TestSplitSweep:
 
     def test_a_failed_fork_runs_the_slice_here(self, monkeypatch):
         one_process(monkeypatch)
-        one = sweep_verify(*self.GRID)
+        one = sweep_verify(*GRID)
         fork, forks = os.fork, []
 
         def second_fails():
@@ -791,23 +801,17 @@ class TestSplitSweep:
         monkeypatch.setattr(os, "fork", second_fails)
         # the two processes started take every ticket
         cut_into(monkeypatch, 4)
-        assert sweep_verify(*self.GRID) == one
+        assert sweep_verify(*GRID) == one
         assert forks == [1]
 
 
+@pytest.mark.usefixtures("no_child_left")
 class TestTicketQueue:
-    # 540 points and the 4 global families: 184 chunks, of 3 points each
-    GRID = range(0, 60), range(0, 9)
     UNITS = 4 + 60 * 9
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        assert_no_child()
 
     def test_every_unit_is_counted_once(self, monkeypatch):
         one_process(monkeypatch)
-        one = sweep_verify(*self.GRID)
+        one = sweep_verify(*GRID)
         # every process writes its pid and each unit it counts to one pipe,
         # a few kB in all, read once the sweep is over
         read_end, write_end = os.pipe()
@@ -822,7 +826,7 @@ class TestTicketQueue:
         try:
             for processes in (2, 3):
                 cut_into(monkeypatch, processes)
-                summary = sweep_verify(*self.GRID)
+                summary = sweep_verify(*GRID)
                 by_process = {}
                 for line in os.read(read_end, 1 << 16).splitlines():
                     pid, unit = map(int, line.split())
@@ -839,12 +843,12 @@ class TestTicketQueue:
 
     def test_a_stalled_process_leaves_the_points_to_the_worker(self, monkeypatch):
         one_process(monkeypatch)
-        one = sweep_verify(*self.GRID)
+        one = sweep_verify(*GRID)
         # this process's first unit waits until the worker has exited, so
         # the worker takes every other chunk
         started = worker_starts_first(monkeypatch, until_exit=True)
         cut_into(monkeypatch, 2)
-        split = sweep_verify(*self.GRID)
+        split = sweep_verify(*GRID)
         points = [unit for unit in started if unit >= 4]
         assert len(points) == len(set(points)) > 60 * 9 // 2
         assert split == one

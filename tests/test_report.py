@@ -1,4 +1,5 @@
-"""Tests for report generation, serialization, and the sweep harness."""
+"""Tests for report generation and serialization, and for the input
+refusals that the verify sweep shares with the report."""
 
 import builtins
 import itertools
