@@ -191,14 +191,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # argparse takes a value such as -5,1 or -3/2 for an option, so a value
-# starting with "-" is bound to the option before it, as --opt=value.
+# starting with "-" is bound to the option before it, as --opt=value.  A
+# "--" given as a value, --opt=-- or --opt --, is left after the option as
+# the end of the options, which every Python refuses as a missing value:
+# CPython 3.10 to 3.12 would store --opt=-- as an empty list.
 _SIGNED_VALUE_OPTIONS = ("--coeffs", "--a", "--x0")
 
 
 def _bind_signed_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_VALUE_OPTIONS and arg.startswith("-"):
+        option, _, value = arg.partition("=")
+        if option.startswith("--") and value == "--":
+            out += [option, value]
+        elif out and out[-1] in _SIGNED_VALUE_OPTIONS and arg.startswith("-") and arg != "--":
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

@@ -517,6 +517,50 @@ class TestTwistCommand:
         )
 
 
+# each option of each command, with a value that the command accepts
+OPTIONS = {
+    "report": {"--genus": "12", "--gonality": "3", "--kmax": "4", "--format": "json"},
+    "verify": {"--genus-min": "5", "--genus-max": "6", "--gonality-min": "3",
+               "--gonality-max": "3", "--format": "json"},
+    "twist": {"--coeffs": "1,0,0,0,0,0,1", "--a": "1", "--x0": "0", "--format": "json"},
+}
+# "--" as each option's value: --opt=--, --opt --, and abbreviated where
+# the option has a shorter form
+DASH_VALUES = [
+    (command, option, words)
+    for command in OPTIONS
+    for option in OPTIONS[command]
+    for words in ([f"{option}=--"], [option, "--"], [f"{option[:-1]}=--"])
+    if words[0] != "--=--"
+]
+
+
+class TestDashDashValue:
+    """A "--" given as an option's value is a usage error on every Python.
+    CPython 3.10 to 3.12 stored --opt=-- as an empty list, which ended in a
+    traceback or a wrong message, or was taken as the default format."""
+
+    @pytest.mark.parametrize(
+        "command, option, words", DASH_VALUES,
+        ids=[f"{command} {' '.join(words)}" for command, _, words in DASH_VALUES],
+    )
+    def test_refused_with_the_usage(self, capsys, command, option, words):
+        from gonal import cli
+
+        argv = [command]
+        for other, value in OPTIONS[command].items():
+            argv += [other, value] if other != option else []
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv + words)
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        # argparse's usage, which may wrap, then one line that names the option
+        *usage, error = err.splitlines()
+        assert usage[0].startswith(f"usage: gonal {command} ")
+        assert "error:" not in "".join(usage)
+        assert error.startswith(f"gonal {command}: error: argument {option}: ")
+
+
 # cli.run is the process entry point: main, the flushes, then os._exit.
 # Each command line below, as a process, prints and exits as main does.
 PROCESS_CASES = {
