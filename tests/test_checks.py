@@ -1,9 +1,10 @@
-"""Every test of the verify sweep (gonal.checks): its checks and the
-mutants they kill, its tally, the work done per grid point, and the queue
-of tickets its forked workers share, where every unit is counted once, by
+"""Tests of the verify sweep (gonal.checks): its checks and the mutants
+they kill, its tally, the work done per grid point, and the queue of
+tickets its forked workers share, where every unit is counted once, by
 whichever process takes its chunk, and the summary is the one a single
-process counts.  The input refusals the sweep shares with `report` are
-tested with the report, in test_report.py."""
+process counts.  The input refusals the sweep shares with `report`, and
+the point rows' tests that read the report's dossier or its seeded
+classes, are in test_report.py."""
 
 import itertools
 import json
@@ -19,10 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from gonal import checks, cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
-from gonal.chow import AmbientScroll, ChowClass
+from gonal import checks, cli, hirzebruch, hyperelliptic, invariants, picard, scroll
+from gonal.chow import ChowClass
 from gonal.errors import ConsistencyError, DomainError, in_scroll_range
-from gonal.report import generate_report
 from gonal.checks import (
     SweepSummary,
     _case_rows,
@@ -930,138 +930,3 @@ class TestPerPointWork:
         round_trip = [(5, 3), (5, 3), (8, 4), (8, 4)]
         assert Counter(built) == Counter(points + round_trip)
         assert len(built) == 876
-
-
-class TestRandomClasses:
-    """The four seeded classes of the chow rows at each point: three terms
-    c D^a f^b each, a in [0, n), b in {0, 1} and c in [-4, 4]."""
-
-    @staticmethod
-    def record(monkeypatch) -> tuple[dict, dict]:
-        """Patch the draws and the classes to record, by (g, n), the raw
-        terms and the classes that the point rows draw."""
-        terms, classes = {}, {}
-        draws, rand_class = checks._draws, checks._rand_class
-
-        def recorded_draws(g, n):
-            for term in draws(g, n):
-                terms.setdefault((g, n), []).append(term)
-                yield term
-
-        def recorded_class(draws, ambient):
-            x = rand_class(draws, ambient)
-            classes.setdefault((ambient.g, ambient.n), []).append(x)
-            return x
-
-        monkeypatch.setattr(checks, "_draws", recorded_draws)
-        monkeypatch.setattr(checks, "_rand_class", recorded_class)
-        return terms, classes
-
-    def test_the_roadmap_grid_draws_every_term_and_few_zero_products(self, monkeypatch):
-        terms, classes = self.record(monkeypatch)
-        one_process(monkeypatch)
-        assert sweep_verify(range(5, 121), range(3, 11)).ok
-        assert len(terms) == len(classes) == 872
-        seen = {}
-        for (g, n), drawn in terms.items():
-            assert len(drawn) == 12 and len(classes[g, n]) == 4
-            seen.setdefault(n, set()).update(drawn)
-        assert sorted(seen) == list(range(3, 11))
-        for n, drawn in seen.items():
-            assert {a for a, _, _ in drawn} == set(range(n)), n
-            assert {b for _, b, _ in drawn} == {0, 1}, n
-            assert {c for _, _, c in drawn} == set(range(-4, 5)), n
-        # a product of classes that all vanish would check the ring on zeros
-        nonzero = sum(not (x * y).is_zero() for _, x, y, _ in classes.values())
-        assert nonzero >= 0.7 * len(classes)
-        # and points apart draw apart
-        assert len({tuple(map(repr, xs)) for xs in classes.values()}) > 0.9 * len(classes)
-
-    def test_the_same_point_draws_the_same_classes(self, monkeypatch):
-        draws, rand_class = checks._draws, checks._rand_class
-        _, classes = self.record(monkeypatch)
-        for g, n in ((5, 3), (41, 7), (120, 10)):
-            list(_point_rows(g, n))
-            for _ in range(2):
-                terms = draws(g, n)
-                assert [rand_class(terms, AmbientScroll(g, n)) for _ in range(4)] == classes[g, n]
-
-
-class TestRatherFreeRoute:
-    """oracle/rather-free pairs K_S with the curve on F_e itself, and
-    scroll/euler-pairing pairs them in the scroll's Chow ring: a fault in
-    one route leaves the other passing."""
-
-    @staticmethod
-    def failing() -> Counter:
-        return Counter(
-            name
-            for g in range(5, 31)
-            for name, outcome in outcomes(_point_rows(g, 3))
-            if outcome == "fail"
-        )
-
-    def test_a_scroll_fault_leaves_the_surface_route(self, monkeypatch):
-        canonical = scroll.canonical_class
-
-        def shifted(spec):
-            return canonical(spec) + spec.ambient.fiber()
-
-        patch_everywhere(monkeypatch, "canonical_class", shifted)
-        failing = self.failing()
-        assert failing["scroll/euler-pairing"] == 26
-        assert failing["oracle/rather-free"] == 0
-
-    def test_a_surface_fault_fails_the_surface_route(self, monkeypatch):
-        intersect = hirzebruch.FeBundle.intersect
-        # C_0^2 = -e - 1
-        monkeypatch.setattr(
-            hirzebruch.FeBundle, "intersect", lambda s, o: intersect(s, o) - s.a * o.a
-        )
-        failing = self.failing()
-        assert failing["oracle/rather-free"] == 26
-        assert failing["scroll/euler-pairing"] == 0
-
-
-class TestPointChecksReadTheDossier:
-    def test_report_and_sweep_fail_together(self, monkeypatch):
-        # an off-by-one in the surface oracle at the Ballico switch, a k
-        # that k_max = 0 prints no row for
-        switch = invariants.ballico_switches(5, 3)[0]
-        oracle = hirzebruch.trigonal_h0_oracle
-        monkeypatch.setattr(
-            hirzebruch,
-            "trigonal_h0_oracle",
-            lambda g, k: oracle(g, k) + (k == switch),
-        )
-        assert generate_report(5, 3, 0).consistency_flags.oracle_agreement is False
-        outcome = dict(outcomes(_point_rows(5, 3)))
-        assert outcome["oracle/ballico-agreement"] == "fail"
-
-    @pytest.mark.parametrize("g, n", [(5, 3), (6, 3), (9, 4), (12, 5)])
-    def test_dossier_values_are_not_recomputed(self, monkeypatch, g, n):
-        dossier = generate_report(g, n, 0)
-        monkeypatch.setattr(report, "generate_report", lambda *args: dossier)
-
-        def forbidden(*args):
-            raise AssertionError("recomputed a value the dossier holds")
-
-        monkeypatch.setattr(report, "aut_group_numerics", forbidden)
-        monkeypatch.setattr(picard, "modular_degree_constraint", forbidden)
-        for name in (
-            "chi_restricted_tangent",
-            "chi_normal_bundle",
-            "h1_double_pencil",
-            "moduli_dimension",
-        ):
-            monkeypatch.setattr(invariants, name, forbidden)
-        cohomology = hirzebruch.bundle_cohomology
-        curve = hirzebruch.trigonal_curve_bundle(g) if n == 3 else None
-
-        def guarded(bundle):
-            assert bundle != curve, "recomputed h0(O_S(C))"
-            return cohomology(bundle)
-
-        monkeypatch.setattr(hirzebruch, "bundle_cohomology", guarded)
-        results = outcomes(_point_rows(g, n))
-        assert results and all(outcome == "pass" for _, outcome in results)
