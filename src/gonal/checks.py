@@ -123,9 +123,9 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
 
     The values the dossier holds are read from generate_report(g, n, 0);
     the flag-backed checks record its consistency flags, whose predicates
-    live there.  The independent routes (Chow-ring algebra and pairings,
-    maroni-ballico, the degree lattice, rather-free and Riemann-Roch on
-    the curve) are computed here.
+    live there: verify meets the surface oracle only through its flag.  The
+    independent routes (Chow-ring algebra and pairings, maroni-ballico, the
+    degree lattice, rather-free and Riemann-Roch on the curve) are here.
     """
     if not in_scroll_range(g, n):
         yield "hypothesis", None, "requires n >= 3 and 2n-2 < g"
@@ -239,10 +239,10 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
         pairing, free = hirzebruch.rather_free_check(g)
         yield "oracle/rather-free", pairing == -g - 8 and free, f"(K_S.L) = {pairing}"
         curve_fe = hirzebruch.trigonal_curve_bundle(g)
-        # h^1 is the oracle's h^0 - chi, its sign decided as in ballico-riemann-roch-bound
+        # h^1 is Ballico's h^0 - chi, its sign decided as in ballico-riemann-roch-bound
         yield "oracle/riemann-roch-on-curve", all(
-            0 <= _curve_h1(curve_fe, k) == hirzebruch.trigonal_h0_oracle(g, k) - (3 * k + 1 - g)
-            for k in invariants.decisive_ks(hirzebruch.trigonal_h0_switches(g))
+            0 <= _curve_h1(curve_fe, k) == invariants.ballico_h0(g, 3, k) - (3 * k + 1 - g)
+            for k in invariants.decisive_ks(hirzebruch.trigonal_h0_switches(g), ballico_switches)
         )
 
 

@@ -330,15 +330,15 @@ def generate_report(g: int, n: int, k_max: int) -> GonalReport:
 
     if n == 3:
         oracle_switches = hirzebruch.trigonal_h0_switches(g)
-        # the oracle at its own switch points, affine between them
-        oracle = _column(partial(hirzebruch.trigonal_h0_oracle, g), oracle_switches, k_max)
+        # the oracle once at each k that decides every k >= 0, for column and flag
+        decisive = invariants.decisive_ks(oracle_switches, ballico_switches)
+        oracle_h0 = {k: hirzebruch.trigonal_h0_oracle(g, k) for k in decisive}
+        oracle = _column(oracle_h0.__getitem__, oracle_switches, k_max)
         agree = _agree(formula, oracle)
         oracle_checks: _Table | None = _Table(OracleRow, [ks, formula, oracle, agree])
-        # the printed rows, and every k >= 0 whatever k_max is
-        decisive = invariants.decisive_ks(oracle_switches, ballico_switches)
-        oracle_agreement: bool | None = all(v for _, v, _ in agree) and list(
-            map(partial(hirzebruch.trigonal_h0_oracle, g), decisive)
-        ) == list(map(partial(invariants.ballico_h0, g, 3), decisive))
+        oracle_agreement: bool | None = all(v for _, v, _ in agree) and all(
+            oracle_h0[k] == invariants.ballico_h0(g, 3, k) for k in decisive
+        )
         curve_fe = hirzebruch.trigonal_curve_bundle(g)
         dim_p_l: bool | None = hirzebruch.bundle_cohomology(curve_fe).h0 - 1 == chi_n
         surface = f"F{curve_fe.e}"

@@ -871,6 +871,21 @@ class TestOracleColumn:
 
         assert evaluations(200) == evaluations(20000)
 
+    @pytest.mark.parametrize("g", [20, 21])
+    @pytest.mark.parametrize("k_max", ["0", "6", "2g"])
+    def test_one_oracle_evaluation_per_k(self, monkeypatch, g, k_max):
+        # the column and the oracle flag read the same evaluations
+        calls = Counter()
+        oracle = hirzebruch.trigonal_h0_oracle
+
+        def counted(g, k):
+            calls[k] += 1
+            return oracle(g, k)
+
+        monkeypatch.setattr(hirzebruch, "trigonal_h0_oracle", counted)
+        generate_report(g, 3, 2 * g if k_max == "2g" else int(k_max))
+        assert calls and max(calls.values()) == 1, calls
+
     def test_slopes_are_exact(self):
         # read at 0, 1, 3, 4 and 5: slope 1 up to k = 1, then 3
         column = _column(lambda k: 3 * k - 1 if k else 1, [4], 7)
@@ -1150,6 +1165,8 @@ class TestPointChecksReadTheDossier:
 
         monkeypatch.setattr(report, "aut_group_numerics", forbidden)
         monkeypatch.setattr(picard, "modular_degree_constraint", forbidden)
+        # the surface oracle is met only through the dossier's oracle flag
+        monkeypatch.setattr(hirzebruch, "trigonal_h0_oracle", forbidden)
         for name in (
             "chi_restricted_tangent",
             "chi_normal_bundle",
