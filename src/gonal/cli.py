@@ -191,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # argparse takes a value such as -5,1 or -3/2 for an option, so a value
-# starting with "-" is bound to the option before it, as --opt=value.  A
-# "--" given as a value, --opt=-- or --opt --, is left after the option as
-# the end of the options, which every Python refuses as a missing value:
-# CPython 3.10 to 3.12 would store --opt=-- as an empty list.
-_SIGNED_VALUE_OPTIONS = ("--coeffs", "--a", "--x0")
+# starting with "-" is bound as --opt=value to --coeffs, --a, --x0 or an
+# abbreviation of one before it.  A "--" given as a value (--opt=--, --opt --)
+# is left after the option as the end of the options, which every Python
+# refuses as a missing value, where CPython 3.10 to 3.12 stored --opt=-- as [].
+_SIGNED_VALUE_OPTIONS = {o[:i] for o in ("--coeffs", "--a", "--x0") for i in range(3, len(o) + 1)}
 
 
 def _bind_signed_values(argv: list[str]) -> list[str]:

@@ -561,6 +561,41 @@ class TestDashDashValue:
         assert error.startswith(f"gonal {command}: error: argument {option}: ")
 
 
+SIGNED_TWIST = {"--coeffs": "-5,1,0,0,0,0,1", "--a": "-3/2", "--x0": "-1/2"}
+# each abbreviation argparse takes for a twist option with a negative value
+# (--a has none shorter)
+SIGNED_ABBREVIATIONS = [
+    ("--coeffs", "--c"), ("--coeffs", "--co"), ("--coeffs", "--coe"),
+    ("--coeffs", "--coef"), ("--coeffs", "--coeff"), ("--x0", "--x"),
+]
+
+
+class TestAbbreviatedSignedValue:
+    """An abbreviated option takes a negative value as its full name does."""
+
+    @staticmethod
+    def twist(capsys, names) -> tuple:
+        from gonal import cli
+
+        argv = ["twist", "--format", "json"]
+        for option, value in SIGNED_TWIST.items():
+            argv += [names.get(option, option), value]
+        code = cli.main(argv)
+        return code, *capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "option, abbreviation", SIGNED_ABBREVIATIONS, ids=[a for _, a in SIGNED_ABBREVIATIONS]
+    )
+    def test_same_bytes_as_the_full_name(self, capsys, option, abbreviation):
+        full = self.twist(capsys, {})
+        assert full[0] == 0 and full[1]
+        assert self.twist(capsys, {option: abbreviation}) == full
+
+    def test_every_option_abbreviated_at_once(self, capsys):
+        full = self.twist(capsys, {})
+        assert self.twist(capsys, {"--coeffs": "--c", "--x0": "--x"}) == full
+
+
 # cli.run is the process entry point: main, the flushes, then os._exit.
 # Each command line below, as a process, prints and exits as main does.
 PROCESS_CASES = {
