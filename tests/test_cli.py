@@ -562,38 +562,31 @@ class TestDashDashValue:
 
 
 SIGNED_TWIST = {"--coeffs": "-5,1,0,0,0,0,1", "--a": "-3/2", "--x0": "-1/2"}
-# each abbreviation argparse takes for a twist option with a negative value
-# (--a has none shorter)
-SIGNED_ABBREVIATIONS = [
-    ("--coeffs", "--c"), ("--coeffs", "--co"), ("--coeffs", "--coe"),
-    ("--coeffs", "--coef"), ("--coeffs", "--coeff"), ("--x0", "--x"),
+# the abbreviations argparse takes for the twist options with a negative
+# value (--a has none shorter), one at a time and together
+ABBREVIATED = [
+    *({"--coeffs": "--coeffs"[:i]} for i in range(3, 8)),
+    {"--x0": "--x"},
+    {"--coeffs": "--c", "--x0": "--x"},
 ]
 
 
 class TestAbbreviatedSignedValue:
     """An abbreviated option takes a negative value as its full name does."""
 
-    @staticmethod
-    def twist(capsys, names) -> tuple:
+    @pytest.mark.parametrize("names", ABBREVIATED, ids=[" ".join(n.values()) for n in ABBREVIATED])
+    def test_same_bytes_as_the_full_name(self, capsys, names):
         from gonal import cli
 
-        argv = ["twist", "--format", "json"]
-        for option, value in SIGNED_TWIST.items():
-            argv += [names.get(option, option), value]
-        code = cli.main(argv)
-        return code, *capsys.readouterr()
+        def twist(names):
+            argv = ["twist", "--format", "json"]
+            for option, value in SIGNED_TWIST.items():
+                argv += [names.get(option, option), value]
+            return cli.main(argv), *capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "option, abbreviation", SIGNED_ABBREVIATIONS, ids=[a for _, a in SIGNED_ABBREVIATIONS]
-    )
-    def test_same_bytes_as_the_full_name(self, capsys, option, abbreviation):
-        full = self.twist(capsys, {})
+        full = twist({})
         assert full[0] == 0 and full[1]
-        assert self.twist(capsys, {option: abbreviation}) == full
-
-    def test_every_option_abbreviated_at_once(self, capsys):
-        full = self.twist(capsys, {})
-        assert self.twist(capsys, {"--coeffs": "--c", "--x0": "--x"}) == full
+        assert twist(names) == full
 
 
 # cli.run is the process entry point: main, the flushes, then os._exit.
