@@ -1,10 +1,10 @@
 """Tests of the verify sweep (gonal.checks): its checks and the mutants
-they kill, its tally, the work done per grid point, and the queue of
-tickets its forked workers share, where every unit is counted once, by
-whichever process takes its chunk, and the summary is the one a single
-process counts.  The input refusals the sweep shares with `report`, and
-the point rows' tests that read the report's dossier or its seeded
-classes, are in test_report.py."""
+they kill, its caps on the grid, its tally, the work done per grid point,
+the queue of tickets its forked workers share, where every unit is counted
+once, by whichever process takes its chunk, and the summary is the one a
+single process counts, and the point rows: their seeded classes, the two
+routes to K_S and the values they read from the report's dossier.  The
+input refusals the sweep shares with `report` are in test_report.py."""
 
 import itertools
 import json
@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from gonal import checks, cli, hirzebruch, hyperelliptic, invariants, picard, scroll
-from gonal.chow import ChowClass
+from gonal import checks, cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
+from gonal.chow import AmbientScroll, ChowClass
 from gonal.errors import ConsistencyError, DomainError, in_scroll_range
 from gonal.checks import (
     SweepSummary,
@@ -31,6 +31,7 @@ from gonal.checks import (
     _point_rows,
     sweep_verify,
 )
+from gonal.report import generate_report
 
 
 def outcomes(rows) -> list[tuple[str, str]]:
@@ -232,6 +233,52 @@ class TestSweep:
         monkeypatch.undo()
         # repeats are read through: two distinct values
         assert sweep_verify(iter([6, 5] * 10**5), [3]) == sweep_verify(range(5, 7), [3])
+
+    def test_sweep_points_capped(self, monkeypatch):
+        monkeypatch.setattr(checks, "SWEEP_POINT_LIMIT", 6)
+        # a list counts its distinct values, a range its length
+        assert sweep_verify([5, 6, 6, 7], range(3, 5)).ok
+        with pytest.raises(DomainError, match=r"^requires at most 6 grid points \(got 8\)$"):
+            sweep_verify(range(5, 9), [3, 4, 4])
+        # refused before a check runs, however wide the range
+        monkeypatch.setattr(checks, "_global_checks", None)
+        with pytest.raises(DomainError, match=r"\(got 10000000000000000000000\)$"):
+            sweep_verify(range(10**22), range(3, 4))
+
+    @pytest.mark.parametrize(
+        "g_values, n_values",
+        [
+            (range(5, 9), range(0, 5)),
+            ([12, 5, 30, 12], [7, 3, 4, 4]),
+            (range(5, 40, 7), range(3, 12, 2)),
+        ],
+    )
+    def test_summed_gonality_capped(self, monkeypatch, g_values, n_values):
+        # the sum of n over the points in range, skips not counted
+        total = sum(n for g in set(g_values) for n in set(n_values) if n >= 3 and 2 * n - 2 < g)
+        monkeypatch.setattr(checks, "SWEEP_GONALITY_LIMIT", total)
+        assert sweep_verify(g_values, n_values).ok
+        monkeypatch.setattr(checks, "SWEEP_GONALITY_LIMIT", total - 1)
+        # refused before a check runs
+        monkeypatch.setattr(checks, "_global_checks", None)
+        message = rf"^requires a sum of n over the points in range of at most {total - 1} \(got {total}\)$"
+        with pytest.raises(DomainError, match=message):
+            sweep_verify(g_values, n_values)
+
+    @pytest.mark.parametrize(
+        "g_values, n_values, printable",
+        [
+            ([-(10**5000), 7], [3], ([1, 7], [3])),
+            ([7], [-(10**5000)], ([7], [0])),
+            (range(7, 8), range(-(10**5000), -(10**5000) + 2), (range(7, 8), range(-1, 1))),
+        ],
+        ids=["g", "n", "n-range"],
+    )
+    def test_a_skipped_point_too_long_to_print(self, g_values, n_values, printable):
+        # the point is skipped, as a point of the same outcomes that prints
+        summary = sweep_verify(g_values, n_values)
+        assert summary == sweep_verify(*printable)
+        assert summary.ok and summary.skip_reasons["requires n >= 3 and 2n-2 < g"] >= 1
 
     def test_no_hyperelliptic_genus_skips(self, capsys):
         # below genus 2 the hyperelliptic checks have no case to evaluate,
@@ -930,3 +977,140 @@ class TestPerPointWork:
         round_trip = [(5, 3), (5, 3), (8, 4), (8, 4)]
         assert Counter(built) == Counter(points + round_trip)
         assert len(built) == 876
+
+
+class TestRandomClasses:
+    """The four seeded classes of the chow rows at each point: three terms
+    c D^a f^b each, a in [0, n), b in {0, 1} and c in [-4, 4]."""
+
+    @staticmethod
+    def record(monkeypatch) -> tuple[dict, dict]:
+        """Patch the draws and the classes to record, by (g, n), the raw
+        terms and the classes that the point rows draw."""
+        terms, classes = {}, {}
+        draws, rand_class = checks._draws, checks._rand_class
+
+        def recorded_draws(g, n):
+            for term in draws(g, n):
+                terms.setdefault((g, n), []).append(term)
+                yield term
+
+        def recorded_class(draws, ambient):
+            x = rand_class(draws, ambient)
+            classes.setdefault((ambient.g, ambient.n), []).append(x)
+            return x
+
+        monkeypatch.setattr(checks, "_draws", recorded_draws)
+        monkeypatch.setattr(checks, "_rand_class", recorded_class)
+        return terms, classes
+
+    def test_the_roadmap_grid_draws_every_term_and_few_zero_products(self, monkeypatch):
+        terms, classes = self.record(monkeypatch)
+        one_process(monkeypatch)
+        assert sweep_verify(range(5, 121), range(3, 11)).ok
+        assert len(terms) == len(classes) == 872
+        seen = {}
+        for (g, n), drawn in terms.items():
+            assert len(drawn) == 12 and len(classes[g, n]) == 4
+            seen.setdefault(n, set()).update(drawn)
+        assert sorted(seen) == list(range(3, 11))
+        for n, drawn in seen.items():
+            assert {a for a, _, _ in drawn} == set(range(n)), n
+            assert {b for _, b, _ in drawn} == {0, 1}, n
+            assert {c for _, _, c in drawn} == set(range(-4, 5)), n
+        # a product of classes that all vanish would check the ring on zeros
+        nonzero = sum(not (x * y).is_zero() for _, x, y, _ in classes.values())
+        assert nonzero >= 0.7 * len(classes)
+        # and points apart draw apart
+        assert len({tuple(map(repr, xs)) for xs in classes.values()}) > 0.9 * len(classes)
+
+    def test_the_same_point_draws_the_same_classes(self, monkeypatch):
+        draws, rand_class = checks._draws, checks._rand_class
+        _, classes = self.record(monkeypatch)
+        for g, n in ((5, 3), (41, 7), (120, 10)):
+            list(_point_rows(g, n))
+            for _ in range(2):
+                terms = draws(g, n)
+                assert [rand_class(terms, AmbientScroll(g, n)) for _ in range(4)] == classes[g, n]
+
+
+class TestRatherFreeRoute:
+    """oracle/rather-free pairs K_S with the curve on F_e itself, and
+    scroll/euler-pairing pairs them in the scroll's Chow ring: a fault in
+    one route leaves the other passing."""
+
+    @staticmethod
+    def failing() -> Counter:
+        return Counter(
+            name
+            for g in range(5, 31)
+            for name, outcome in outcomes(_point_rows(g, 3))
+            if outcome == "fail"
+        )
+
+    def test_a_scroll_fault_leaves_the_surface_route(self, monkeypatch):
+        canonical = scroll.canonical_class
+
+        def shifted(spec):
+            return canonical(spec) + spec.ambient.fiber()
+
+        patch_everywhere(monkeypatch, "canonical_class", shifted)
+        failing = self.failing()
+        assert failing["scroll/euler-pairing"] == 26
+        assert failing["oracle/rather-free"] == 0
+
+    def test_a_surface_fault_fails_the_surface_route(self, monkeypatch):
+        intersect = hirzebruch.FeBundle.intersect
+        # C_0^2 = -e - 1
+        monkeypatch.setattr(
+            hirzebruch.FeBundle, "intersect", lambda s, o: intersect(s, o) - s.a * o.a
+        )
+        failing = self.failing()
+        assert failing["oracle/rather-free"] == 26
+        assert failing["scroll/euler-pairing"] == 0
+
+
+class TestPointChecksReadTheDossier:
+    def test_report_and_sweep_fail_together(self, monkeypatch):
+        # an off-by-one in the surface oracle at the Ballico switch, a k
+        # that k_max = 0 prints no row for
+        switch = invariants.ballico_switches(5, 3)[0]
+        oracle = hirzebruch.trigonal_h0_oracle
+        monkeypatch.setattr(
+            hirzebruch,
+            "trigonal_h0_oracle",
+            lambda g, k: oracle(g, k) + (k == switch),
+        )
+        assert generate_report(5, 3, 0).consistency_flags.oracle_agreement is False
+        outcome = dict(outcomes(_point_rows(5, 3)))
+        assert outcome["oracle/ballico-agreement"] == "fail"
+
+    @pytest.mark.parametrize("g, n", [(5, 3), (6, 3), (9, 4), (12, 5)])
+    def test_dossier_values_are_not_recomputed(self, monkeypatch, g, n):
+        dossier = generate_report(g, n, 0)
+        monkeypatch.setattr(report, "generate_report", lambda *args: dossier)
+
+        def forbidden(*args):
+            raise AssertionError("recomputed a value the dossier holds")
+
+        monkeypatch.setattr(report, "aut_group_numerics", forbidden)
+        monkeypatch.setattr(picard, "modular_degree_constraint", forbidden)
+        # the surface oracle is met only through the dossier's oracle flag
+        monkeypatch.setattr(hirzebruch, "trigonal_h0_oracle", forbidden)
+        for name in (
+            "chi_restricted_tangent",
+            "chi_normal_bundle",
+            "h1_double_pencil",
+            "moduli_dimension",
+        ):
+            monkeypatch.setattr(invariants, name, forbidden)
+        cohomology = hirzebruch.bundle_cohomology
+        curve = hirzebruch.trigonal_curve_bundle(g) if n == 3 else None
+
+        def guarded(bundle):
+            assert bundle != curve, "recomputed h0(O_S(C))"
+            return cohomology(bundle)
+
+        monkeypatch.setattr(hirzebruch, "bundle_cohomology", guarded)
+        results = outcomes(_point_rows(g, n))
+        assert results and all(outcome == "pass" for _, outcome in results)
