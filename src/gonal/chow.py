@@ -20,7 +20,7 @@ unrestricted concurrent use.
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DomainError, _Validated, require_scroll_range
+from .errors import DomainError, _Validated, as_int, require_scroll_range
 
 # (a, b): exponents of D and f
 Monomial = tuple[int, int]
@@ -39,6 +39,7 @@ class AmbientScroll(_Validated, _AmbientFields):
     """
 
     def __new__(cls, g: int, n: int):
+        g, n = as_int("g", g), as_int("n", n)
         require_scroll_range(g, n)
         return tuple.__new__(cls, (g, n))
 

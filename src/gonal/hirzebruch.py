@@ -18,7 +18,7 @@ in the scroll and is no longer a divisor.
 
 from typing import NamedTuple
 
-from .errors import ConsistencyError, DomainError, _Validated, require_at_least, require_scroll_range
+from .errors import ConsistencyError, DomainError, _Validated, as_int, require_at_least, require_scroll_range
 
 
 class _BundleFields(NamedTuple):
@@ -37,6 +37,7 @@ class FeBundle(_Validated, _BundleFields):
     __mul__ = __rmul__ = lambda self, other: NotImplemented
 
     def __new__(cls, e: int, a: int, b: int):
+        e, a, b = as_int("e", e), as_int("a", a), as_int("b", b)
         require_at_least("e", e, 0)
         return tuple.__new__(cls, (e, a, b))
 

@@ -28,7 +28,7 @@ from math import gcd
 from numbers import Rational
 from typing import NamedTuple
 
-from .errors import DomainError, UnsupportedError, _Validated, require_at_least
+from .errors import DomainError, UnsupportedError, _Validated, as_int, require_at_least
 
 Scalar = Fraction | int
 
@@ -170,6 +170,8 @@ class BinaryForm(_Validated, _FormFields):
     """
 
     def __new__(cls, degree: int, coefficients: tuple, p: int | None = None):
+        degree = as_int("degree", degree)
+        p = None if p is None else as_int("p", p)
         if degree < 6 or degree % 2 != 0:
             raise DomainError(f"degree must be 2g+2 with g >= 2 (got degree={degree})")
         if len(coefficients) != degree + 1:

@@ -3,6 +3,7 @@ subclassed by a class that checks and normalizes them in __new__, and
 read-only once built."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -104,3 +105,22 @@ def test_replace_and_make_validate(record, change, message):
     with pytest.raises(DomainError, match=message):
         type(record)._make({**record._asdict(), **change}.values())
     assert record._replace() == record and type(record._replace()) is type(record)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: AmbientScroll(7.0, 3), "g (got float)"),
+        (lambda: AmbientScroll(9, 3)._replace(n="3"), "n (got str)"),
+        (lambda: generic_scroll(7.0, 3), "g (got float)"),
+        (lambda: FeBundle(0.0, 3, 4), "e (got float)"),
+        (lambda: FeBundle(1, 2, 3)._replace(b="3"), "b (got str)"),
+        (lambda: BinaryForm(6.0, FORM.coefficients), "degree (got float)"),
+        (lambda: BinaryForm(6, FORM.coefficients, p=3.0), "p (got float)"),
+        (lambda: FORM._replace(p="7"), "p (got str)"),
+    ],
+    ids=["scroll-g", "scroll-n", "generic-scroll-g", "bundle-e", "bundle-b", "form-degree", "form-p", "form-p-str"],
+)
+def test_int_fields_take_ints_only(build, field):
+    with pytest.raises(DomainError, match=rf"^requires an integer {re.escape(field)}$"):
+        build()
