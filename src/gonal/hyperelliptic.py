@@ -112,9 +112,10 @@ def _gcd_degree(f: list, h: list, p: int | None) -> int:
 
 def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
     """Res(f, h) != 0, decided by Bareiss elimination on the Bezout matrix
-    of the two nonzero integer polynomials.
+    of the two nonzero integer polynomials, where deg f > deg h once both
+    are reduced, as for f and f'.
 
-    With m = deg f >= deg h, the m x m Bezout matrix holds the
+    With m = deg f, the m x m Bezout matrix holds the
     coefficients of (f(x) h(y) - f(y) h(x)) / (x - y).  Its determinant is
     +-lc(f)^(m - deg h) Res(f, h), so it vanishes exactly when the
     resultant does, at half the order of the Sylvester matrix.  Over Z
@@ -125,8 +126,6 @@ def _resultant_nonzero(f: list, h: list, p: int | None) -> bool:
     determinant vanishes.
     """
     f, h = _reduce(f, p), _reduce(h, p)
-    if len(f) < len(h):
-        f, h = h, f  # Res(h, f) = +-Res(f, h)
     m, t = len(f) - 1, len(h) - 1
     if t == 0:
         return True  # a nonzero constant shares no root with anything
