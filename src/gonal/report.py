@@ -463,11 +463,12 @@ def _encode_ints(obj):
     return obj
 
 
-def _refused(name: str, what: str, v) -> DomainError:
+def _refused(name: str, what: str, v, got: str | None = None) -> DomainError:
     """The error for a value v of the field name that is not what it takes:
-    v by its first 40 characters of JSON, an int past the int-to-text limit by
-    its digit count, and a value JSON cannot write by its type."""
-    got = {list: "an array", dict: "an object"}.get(type(v))
+    v as got, if given, else by its first 40 characters of JSON, an int past
+    the int-to-text limit by its digit count, and a value JSON cannot write
+    by its type."""
+    got = got or {list: "an array", dict: "an object"}.get(type(v))
     if got is None:
         try:
             got = (_shown(v) if type(v) is int else json.dumps(v))[:40]
@@ -496,9 +497,11 @@ def _scalar(tp: type, name: str, v):
     a string and an enum as its value."""
     if type(v) is tp:  # not isinstance: a bool is no int
         return _writable(tp, name, (v,))[0]
-    if tp is int and type(v) is str and v.isascii() and v.removeprefix("-").isdecimal():
-        with suppress(ValueError):  # more digits than the interpreter reads
-            return int(v)
+    if tp is int and type(v) is str and v.isascii() and (digits := v.removeprefix("-")).isdecimal():
+        if 0 < (limit := int_text_limit()) < len(digits):  # more digits than the interpreter reads
+            sign = v[: len(v) - len(digits)]
+            raise _refused(name, f"an integer of at most {limit} digits", v, f"{sign}<{len(digits)} digits>")
+        return int(v)
     if issubclass(tp, Enum) and type(v) is str and any(v == m.value for m in tp):
         return tp(v)
     raise _refused(name, _SCALARS.get(tp) or f"a {tp.__name__} value", v)

@@ -397,8 +397,32 @@ class TestStrictParse:
             pytest.skip("this interpreter reads any number of digits")
         doc = generate_report(9, 3, 4).to_dict()
         doc["input"]["g"] = "9" * (limit + 1)
-        with pytest.raises(DomainError, match=r"^cannot read 'g' from JSON: expected an integer, got \"9+$"):
+        message = f"cannot read 'g' from JSON: expected an integer of at most {limit} digits, got <{limit + 1} digits>"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             GonalReport.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, field, sign",
+        [
+            (("input", "g"), "g", ""),
+            (("scroll", "splitting", 1), "splitting", "-"),
+            (("section_counts", 2, 1), "section_counts.1", ""),
+        ],
+        ids=["g", "splitting-item", "section-counts-cell"],
+    )
+    def test_a_decimal_string_too_long_to_read(self, path, field, sign):
+        # refused as an int of its digits is, by its digit count
+        limit = int_text_limit()
+        if not 0 < limit < 5000:
+            pytest.skip("this interpreter reads 5000 digits")
+        doc = json.loads(emit_json(generate_report(9, 3, 4)))
+        _set(*path)(doc, sign + "9" * 5000)
+        message = (
+            f"cannot read '{field}' from JSON: expected an integer of at most {limit} digits, "
+            f"got {sign}<5000 digits>"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            parse_json(json.dumps(doc))
 
     def test_a_number_past_the_int_limit(self):
         limit = int_text_limit()
