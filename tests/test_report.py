@@ -411,7 +411,7 @@ class TestStrictParse:
         ids=["g", "splitting-item", "section-counts-cell"],
     )
     def test_a_decimal_string_too_long_to_read(self, path, field, sign):
-        # refused as an int of its digits is, by its digit count
+        # in the words an int of those digits gets, by its digit count
         limit = int_text_limit()
         if not 0 < limit < 5000:
             pytest.skip("this interpreter reads 5000 digits")
