@@ -96,22 +96,15 @@ def _class(ambient: AmbientScroll, coeffs: dict) -> "ChowClass":
     return x
 
 
-def _combine(x: dict, y: dict, sign: int) -> dict:
-    """x + sign * y for two normal forms: a normal form, zeros dropped."""
-    acc = dict(x)
-    for m, c in y.items():
-        acc[m] = acc.get(m, 0) + sign * c
-    return {m: c for m, c in acc.items() if c}
-
-
 class ChowClass:
     """An integer cycle class on a scroll, kept in normal form.
 
     Construct from a mapping of monomials (a, b) to coefficients; any
     monomials outside the normal-form basis are rewritten on the spot.
     Supports +, -, * (by another class or an integer); a divisor is a
-    class of codimension 1.  Only the constructor and products rewrite:
-    sums, negation, integer multiples, D and f are normal by construction.
+    class of codimension 1.  The constructor, each product, each sum and
+    each difference pass their terms through _normal_form once; negation,
+    integer multiples, D and f are normal by construction and skip it.
     """
 
     __slots__ = ("ambient", "_coeffs")
@@ -157,10 +150,11 @@ class ChowClass:
         return other
 
     def __add__(self, other) -> "ChowClass":
-        return _class(self.ambient, _combine(self._coeffs, self._coerce(other)._coeffs, 1))
+        terms = [*self._coeffs.items(), *self._coerce(other)._coeffs.items()]
+        return _class(self.ambient, _normal_form(self.ambient, terms))
 
     def __sub__(self, other) -> "ChowClass":
-        return _class(self.ambient, _combine(self._coeffs, self._coerce(other)._coeffs, -1))
+        return self + -self._coerce(other)
 
     def __neg__(self) -> "ChowClass":
         return _class(self.ambient, {m: -c for m, c in self._coeffs.items()})
