@@ -90,8 +90,10 @@ def as_int(name: str, value) -> int:
 
 
 def require_at_least(name: str, value: int, bound: int) -> None:
-    """Raise DomainError unless value >= bound; name is the variable's name."""
-    if value < bound:
+    """Raise DomainError unless value is an int >= bound; name is the
+    variable's name."""
+    if not isinstance(value, int) or value < bound:
+        as_int(name, value)
         raise DomainError(f"requires {name} >= {bound} (got {name}={_shown(value)})")
 
 
@@ -107,8 +109,11 @@ def in_gonal_range(g: int, n: int) -> bool:
 
 
 def require_gonal_range(g: int, n: int) -> None:
-    """Raise DomainError unless 2n-2 < g; each caller checks its own bound on n."""
-    if not in_gonal_range(g, n):
+    """Raise DomainError unless g and n are ints with 2n-2 < g; each caller
+    checks its own bound on n."""
+    if not (isinstance(g, int) and isinstance(n, int) and in_gonal_range(g, n)):
+        as_int("g", g)
+        as_int("n", n)
         raise DomainError(f"requires 2n-2 < g (got 2n-2={_shown(2 * n - 2)}, g={_shown(g)})")
 
 
@@ -119,7 +124,11 @@ def require_pencil_range(g: int, n: int) -> None:
 
 
 def in_scroll_range(g: int, n: int) -> bool:
-    """The scroll hypothesis: n >= 3, g >= 2 and 2n-2 < g."""
+    """The scroll hypothesis: n >= 3, g >= 2 and 2n-2 < g, for ints g and n;
+    DomainError for any other g or n."""
+    if not (isinstance(g, int) and isinstance(n, int)):
+        as_int("g", g)
+        as_int("n", n)
     # 2n-2 < g written out: the passing path of require_scroll_range is this one call
     return n >= 3 and g >= 2 and 2 * n - 2 < g
 

@@ -125,8 +125,9 @@ def decisive_ks(*switches: Iterable[int]) -> list[int]:
 
 
 # The sweep visits one (g, n) at a time, and an entry holds O(n) integers,
-# so one entry is enough and keeps the memory of a single point.
-@lru_cache(maxsize=1)
+# so one entry is enough and keeps the memory of a single point.  Typed, so
+# that a float g or n equal to the cached int misses and is refused.
+@lru_cache(maxsize=1, typed=True)
 def _maroni_data(
     g: int, n: int, splitting: tuple[int, ...] | None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -11,7 +11,7 @@ from enum import Enum
 from math import gcd
 from typing import NamedTuple
 
-from .errors import DomainError, _Validated, require_pencil_range, require_scroll_range
+from .errors import DomainError, _Validated, as_int, require_pencil_range, require_scroll_range
 
 
 class VerdictStatus(str, Enum):
@@ -68,6 +68,7 @@ def solve_degree(g: int, n: int, target: int) -> tuple[int, int] | None:
     alpha >= 0, so output is deterministic.
     """
     require_pencil_range(g, n)
+    as_int("target", target)
     w, pencil = 2 * g - 2, n
     d = gcd(w, pencil)
     if target % d != 0:

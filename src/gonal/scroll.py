@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .chow import AmbientScroll, ChowClass
-from .errors import DomainError, _Validated
+from .errors import DomainError, _Validated, as_int
 
 
 def validate_scroll(splitting: Sequence[int], g: int, n: int) -> bool:
@@ -27,6 +27,7 @@ def validate_scroll(splitting: Sequence[int], g: int, n: int) -> bool:
     Assumes the splitting is already sorted, non-negative, and starts
     with 0; checks only N < g-n+1 and N = g (mod n-1).
     """
+    g, n = as_int("g", g), as_int("n", n)
     big_n = sum(splitting)
     return big_n < g - n + 1 and (g - big_n) % (n - 1) == 0
 
@@ -44,10 +45,10 @@ class ScrollSpec(_Validated, _SpecFields):
         g, n = ambient.g, ambient.n
         if len(r) != n - 1:
             raise DomainError(f"splitting needs n-1 = {n - 1} entries (got {len(r)})")
-        if r[0] != 0:
+        if as_int("splitting entry", r[0]) != 0:
             raise DomainError("splitting must be normalized with first entry 0")
-        # with r[0] == 0, a sorted splitting is non-negative
-        if any(r[i] > r[i + 1] for i in range(len(r) - 1)):
+        # each entry is read as an int; with r[0] == 0, a sorted splitting is non-negative
+        if any(r[i] > as_int("splitting entry", r[i + 1]) for i in range(len(r) - 1)):
             raise DomainError("splitting must be sorted and non-negative")
         if not validate_scroll(r, g, n):
             raise DomainError(

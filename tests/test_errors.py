@@ -1,7 +1,12 @@
 """The exact message of each lower-bound hypothesis at its public entry points."""
 
+import inspect
+import re
+import typing
+
 import pytest
 
+import gonal
 from gonal.chow import AmbientScroll
 from gonal.errors import DomainError
 from gonal.hirzebruch import FeBundle, trigonal_curve_bundle, trigonal_h0_oracle
@@ -18,6 +23,7 @@ from gonal.invariants import (
 )
 from gonal.picard import degree_subgroup, modular_degree_constraint, solve_degree
 from gonal.report import generate_report
+from gonal.scroll import ScrollSpec
 
 
 # Each guarded public entry point, with its exact message.  Where two
@@ -65,6 +71,43 @@ def test_guard_message(entry, args, message):
     with pytest.raises(DomainError) as info:
         entry(*args)
     assert str(info.value) == message
+
+
+# A value each public function accepts, by parameter name
+ACCEPTED = {"g": 13, "n": 3, "k": 4, "e": 1, "k_max": 4, "target": 24, "splitting": (0, 1)}
+
+
+def test_every_int_parameter_refuses_a_non_int():
+    # each int-annotated parameter of each public function, a new one too
+    refused = []
+    for name in gonal.__all__:
+        entry = getattr(gonal, name)
+        if not inspect.isfunction(entry):
+            continue
+        hints = typing.get_type_hints(entry)
+        params = inspect.signature(entry).parameters
+        ints = [p for p in params if hints.get(p) is int]
+        args = {p: ACCEPTED[p] for p, v in params.items() if ints and v.default is v.empty}
+        for p in ints:
+            for bad in (13.0, "13", 13.5):
+                entry(**args)  # accepted, and any memo holds the int call
+                with pytest.raises(DomainError) as info:
+                    entry(**{**args, p: bad})
+                assert str(info.value) == f"requires an integer {p} (got {type(bad).__name__})"
+            refused.append((name, p))
+    # the walk reaches them all: 35 int parameters of 18 functions
+    assert len(refused) == 35 and len({name for name, _ in refused}) == 18
+
+
+@pytest.mark.parametrize("splitting", [(0, 1.0), (0.0, 1), ("0", 1), (0, 0, "1")])
+def test_a_splitting_entry_is_an_int(splitting):
+    kind = next(type(r).__name__ for r in splitting if type(r) is not int)
+    message = f"requires an integer splitting entry (got {kind})"
+    n = len(splitting) + 1
+    with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+        ScrollSpec(AmbientScroll(9, n), splitting)
+    with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+        maroni_h0(9, n, 4, splitting)
 
 
 def test_scroll_range_passes_without_another_guard(monkeypatch):
