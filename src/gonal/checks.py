@@ -70,16 +70,17 @@ class SweepSummary(NamedTuple):
         return self._asdict()
 
 
-def _stepwise_reduce(ambient: AmbientScroll, a: int, b: int, c: int, order: str) -> dict:
-    """Rewrite c * D^a f^b one relation at a time, with a chosen rule
+def _stepwise_reduce(ambient: AmbientScroll, a: int, b: int, order: str) -> dict:
+    """Rewrite D^a f^b one relation at a time, with a chosen rule
     priority, to confirm the two relations are confluent.
 
     chow/confluent-reduction runs it on a <= n+1, b <= 2.  There every
     rule is reached within three steps, in both orders: the substitution
     of D^(n-1), the f^2 kill, and the kill above codimension n-1, which
     the substitution turns into an f^2 kill.  A larger a only repeats
-    these rules while c grows as deg^(a-n+1).
+    these rules while the coefficient c grows as deg^(a-n+1).
     """
+    c = 1
     while True:
         top = ambient.n - 1  # read at each step
         if b >= 2 and (order == "f_first" or a < top):
@@ -159,8 +160,8 @@ def _point_rows(g: int, n: int) -> Iterator[tuple]:
         for b in range(0, 3):
             closed = chow._normal_form(amb, (((a, b), 1),))
             confluent &= (
-                _stepwise_reduce(amb, a, b, 1, "f_first") == closed
-                == _stepwise_reduce(amb, a, b, 1, "d_first")
+                _stepwise_reduce(amb, a, b, "f_first") == closed
+                == _stepwise_reduce(amb, a, b, "d_first")
             )
     yield "chow/confluent-reduction", confluent
 

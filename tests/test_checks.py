@@ -6,6 +6,7 @@ single process counts, and the point rows: their seeded classes, the two
 routes to K_S and the values they read from the report's dossier.  The
 input refusals the sweep shares with `report` are in test_report.py."""
 
+import inspect
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from gonal import checks, cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
+from gonal import checks, chow, cli, hirzebruch, hyperelliptic, invariants, picard, report, scroll
 from gonal.chow import AmbientScroll, ChowClass
 from gonal.errors import ConsistencyError, DomainError, in_scroll_range
 from gonal.checks import (
@@ -122,6 +123,16 @@ def worker_starts_first(monkeypatch, on_start=lambda unit: None, until_exit=Fals
     return started
 
 
+def edited(fn, old: str, new: str):
+    """fn compiled again from its source with the one occurrence of old
+    replaced by new, in fn's module namespace."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    scope = {}
+    exec(source.replace(old, new), fn.__globals__, scope)
+    return scope[fn.__name__]
+
+
 # Mutants the sweep on g 5..30 x n 3..6 must fail on: (owner, attribute,
 # the mutant made from the attribute).  ScrollSpec's sortedness check is not
 # one: the sweep builds no unsorted splitting, and
@@ -167,6 +178,18 @@ MUTANTS = {
     "fe-h0-plus-one": (hirzebruch, "_h0", lambda f: lambda bundle: f(bundle) + 1),
     "fe-h0-plus-five": (hirzebruch, "_h0", lambda f: lambda bundle: f(bundle) + 5),
     "fe-h0-doubled": (hirzebruch, "_h0", lambda f: lambda bundle: 2 * f(bundle)),
+    # the one rewriting pass, which every class, product and sum meets:
+    # D^(n-1) = (g-n+2) D^(n-2) f, a sum that keeps each monomial's last
+    # term, and zero coefficients kept
+    "normal-form-degree-plus-one": (
+        chow, "_normal_form", lambda f: edited(f, "c * ambient.degree", "c * (ambient.degree + 1)")
+    ),
+    "normal-form-overwrites": (
+        chow, "_normal_form", lambda f: edited(f, "acc.get(m, 0) + c", "c")
+    ),
+    "normal-form-keeps-zeros": (
+        chow, "_normal_form", lambda f: edited(f, "if 0 in acc.values() else acc", "if False else acc")
+    ),
 }
 
 
